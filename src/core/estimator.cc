@@ -175,12 +175,17 @@ NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& f
         // Per-path reuse: a cache hit bypasses the whole ladder. Hook
         // failures are swallowed — the cache accelerates, it never fails a
         // path (see PathCacheHooks).
+        const PathCacheHooks* cache = opts.path_cache;
+        std::optional<Hash128> key;
         bool cached = false;
-        if (opts.path_cache != nullptr && opts.path_cache->lookup) {
+        if (cache != nullptr && cache->key) {
           try {
-            if (std::optional<PathEstimate> hit = opts.path_cache->lookup(ensure_scenario())) {
-              result = *hit;
-              cached = true;
+            key = cache->key(ensure_scenario());
+            if (cache->lookup) {
+              if (std::optional<PathEstimate> hit = cache->lookup(*key)) {
+                result = *hit;
+                cached = true;
+              }
             }
           } catch (...) {
           }
@@ -189,9 +194,9 @@ NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& f
         bool ok = cached;
         int attempts = 0;
         for (; attempts < opts.max_attempts && !ok; ++attempts) ok = attempt(estimate_path);
-        if (ok && !cached && opts.path_cache != nullptr && opts.path_cache->insert) {
+        if (ok && !cached && key.has_value() && cache->insert) {
           try {
-            opts.path_cache->insert(*scenario, result);
+            cache->insert(*key, result);
           } catch (...) {
           }
         }

@@ -17,22 +17,26 @@
 #include "pathdecomp/decompose.h"
 #include "pathdecomp/sampling.h"
 #include "pktsim/config.h"
+#include "util/hash.h"
 #include "util/status.h"
 
 namespace m3 {
 
 /// Cross-query reuse hooks for per-path estimates (the serving layer's
 /// content-addressed path cache plugs in here; see src/serve/service.h).
-/// `lookup` runs before the primary estimator — returning a value skips all
-/// compute for that path and counts it as ok. `insert` runs after a
-/// successful *primary* estimate only, never after a fallback, so degraded
-/// answers are never cached. Both are called concurrently from path workers
-/// and must be thread-safe. The cache is an accelerator, never a
-/// correctness dependency: a hook that throws is treated as a miss (lookup)
-/// or a no-op (insert) and the path proceeds normally.
+/// `key` addresses a path scenario and runs once per path (no key, no
+/// reuse); `lookup` and `insert` both receive that key. `lookup` runs
+/// before the primary estimator — returning a value skips all compute for
+/// that path and counts it as ok. `insert` runs after a successful
+/// *primary* estimate only, never after a fallback, so degraded answers are
+/// never cached. All are called concurrently from path workers and must be
+/// thread-safe. The cache is an accelerator, never a correctness
+/// dependency: a hook that throws is treated as a miss (key, lookup) or a
+/// no-op (insert) and the path proceeds normally.
 struct PathCacheHooks {
-  std::function<std::optional<PathEstimate>(const PathScenario&)> lookup;
-  std::function<void(const PathScenario&, const PathEstimate&)> insert;
+  std::function<Hash128(const PathScenario&)> key;
+  std::function<std::optional<PathEstimate>(const Hash128&)> lookup;
+  std::function<void(const Hash128&, const PathEstimate&)> insert;
 };
 
 struct M3Options {

@@ -18,90 +18,130 @@ struct ActiveFlow {
   double rate = 0.0;       // current max-min rate (effective bytes/ns)
 };
 
-// Waterfills one priority class of flows against the remaining capacities
-// in `cap`, consuming capacity as flows freeze. `group` holds indices into
-// `active`; `link_slot` maps LinkId -> slot in `cap`.
-void WaterfillGroup(std::vector<ActiveFlow>& active, const std::vector<Route>& paths,
-                    const std::vector<std::size_t>& group,
-                    const std::vector<std::int32_t>& link_slot, std::vector<double>& cap) {
-  if (group.empty()) return;
-  // Per-slot unfrozen counts and membership limited to this group.
-  std::vector<std::vector<std::size_t>> members(cap.size());
-  std::vector<int> unfrozen(cap.size(), 0);
-  for (std::size_t a : group) {
-    for (LinkId l : paths[active[a].flow_idx]) {
-      const auto s = static_cast<std::size_t>(link_slot[static_cast<std::size_t>(l)]);
-      members[s].push_back(a);
-      ++unfrozen[s];
-    }
-  }
+// Reusable state for the max-min rate computation, allocated once per
+// RunFlowSim call and reused at every event. A "slot" is a dense index over
+// the links the active flows use; everything per-link is kept per slot.
+class MaxMinWorkspace {
+ public:
+  MaxMinWorkspace(const Topology& topo, const std::vector<Flow>& flows, double efficiency)
+      : topo_(topo), flows_(flows), efficiency_(efficiency), link_slot_(topo.num_links(), -1) {}
 
-  std::vector<char> frozen_flag(active.size(), 0);
-  std::size_t num_frozen = 0;
-  while (num_frozen < group.size()) {
-    double best_share = kInf;
-    std::size_t best = 0;
-    bool found = false;
-    for (std::size_t s = 0; s < cap.size(); ++s) {
-      if (unfrozen[s] <= 0) continue;
-      const double share = cap[s] / unfrozen[s];
-      if (share < best_share) {
-        best_share = share;
-        best = s;
-        found = true;
+  // Computes rates for the active flows: strict-priority layered max-min.
+  // Class 0 is waterfilled first; each lower class only sees the leftover
+  // capacity (fluid analogue of strict-priority queueing).
+  void ComputeRates(std::vector<ActiveFlow>& active) {
+    if (active.empty()) return;
+
+    // Number the links in use (first appearance over the active flows' routes)
+    // and record each active flow's route as slots.
+    for (LinkId l : used_links_) link_slot_[static_cast<std::size_t>(l)] = -1;
+    used_links_.clear();
+    route_slots_.clear();
+    route_begin_.clear();
+    for (const ActiveFlow& af : active) {
+      route_begin_.push_back(route_slots_.size());
+      for (LinkId l : flows_[af.flow_idx].path) {
+        std::int32_t& slot = link_slot_[static_cast<std::size_t>(l)];
+        if (slot < 0) {
+          slot = static_cast<std::int32_t>(used_links_.size());
+          used_links_.push_back(l);
+        }
+        route_slots_.push_back(static_cast<std::uint32_t>(slot));
       }
     }
-    if (!found) break;  // defensive; cannot happen while flows remain
+    route_begin_.push_back(route_slots_.size());
 
-    for (std::size_t a : members[best]) {
-      if (frozen_flag[a]) continue;
-      frozen_flag[a] = 1;
-      ++num_frozen;
-      active[a].rate = best_share;
-      for (LinkId l : paths[active[a].flow_idx]) {
-        const auto s = static_cast<std::size_t>(link_slot[static_cast<std::size_t>(l)]);
-        cap[s] -= best_share;
-        if (cap[s] < 0.0) cap[s] = 0.0;
-        unfrozen[s] -= 1;
+    cap_.resize(used_links_.size());
+    for (std::size_t s = 0; s < used_links_.size(); ++s) {
+      cap_[s] = topo_.link(used_links_[s]).rate * efficiency_;
+    }
+
+    for (auto& group : groups_) group.clear();
+    for (std::size_t a = 0; a < active.size(); ++a) {
+      const std::size_t prio = std::min<std::size_t>(flows_[active[a].flow_idx].priority,
+                                                     kNumPriorities - 1);
+      groups_[prio].push_back(a);
+    }
+    // Classes are disjoint, so one frozen flag per active flow serves all.
+    frozen_.assign(active.size(), 0);
+    for (const auto& group : groups_) WaterfillGroup(active, group);
+  }
+
+ private:
+  // Waterfills one priority class of flows (indices into `active`) against
+  // the remaining capacities in cap_, consuming capacity as flows freeze.
+  void WaterfillGroup(std::vector<ActiveFlow>& active, const std::vector<std::size_t>& group) {
+    if (group.empty()) return;
+    const std::size_t num_slots = cap_.size();
+    // Per-slot unfrozen counts and membership (CSR, in group order) limited
+    // to this group.
+    unfrozen_.assign(num_slots, 0);
+    for (std::size_t a : group) {
+      for (std::size_t k = route_begin_[a]; k < route_begin_[a + 1]; ++k) {
+        ++unfrozen_[route_slots_[k]];
+      }
+    }
+    member_begin_.resize(num_slots + 1);
+    member_begin_[0] = 0;
+    for (std::size_t s = 0; s < num_slots; ++s) {
+      member_begin_[s + 1] = member_begin_[s] + static_cast<std::size_t>(unfrozen_[s]);
+    }
+    members_.resize(member_begin_[num_slots]);
+    fill_.assign(member_begin_.begin(), member_begin_.end() - 1);
+    for (std::size_t a : group) {
+      for (std::size_t k = route_begin_[a]; k < route_begin_[a + 1]; ++k) {
+        members_[fill_[route_slots_[k]]++] = a;
+      }
+    }
+
+    std::size_t num_frozen = 0;
+    while (num_frozen < group.size()) {
+      double best_share = kInf;
+      std::size_t best = 0;
+      bool found = false;
+      for (std::size_t s = 0; s < num_slots; ++s) {
+        if (unfrozen_[s] <= 0) continue;
+        const double share = cap_[s] / unfrozen_[s];
+        if (share < best_share) {
+          best_share = share;
+          best = s;
+          found = true;
+        }
+      }
+      if (!found) break;  // defensive; cannot happen while flows remain
+
+      for (std::size_t m = member_begin_[best]; m < member_begin_[best + 1]; ++m) {
+        const std::size_t a = members_[m];
+        if (frozen_[a]) continue;
+        frozen_[a] = 1;
+        ++num_frozen;
+        active[a].rate = best_share;
+        for (std::size_t k = route_begin_[a]; k < route_begin_[a + 1]; ++k) {
+          const std::uint32_t s = route_slots_[k];
+          cap_[s] -= best_share;
+          if (cap_[s] < 0.0) cap_[s] = 0.0;
+          unfrozen_[s] -= 1;
+        }
       }
     }
   }
-}
 
-// Computes rates for the active flows: strict-priority layered max-min.
-// Class 0 is waterfilled first; each lower class only sees the leftover
-// capacity (fluid analogue of strict-priority queueing).
-void ComputeMaxMinRates(const Topology& topo, std::vector<ActiveFlow>& active,
-                        const std::vector<Route>& paths,
-                        const std::vector<std::uint8_t>& priorities, double efficiency) {
-  if (active.empty()) return;
+  const Topology& topo_;
+  const std::vector<Flow>& flows_;
+  const double efficiency_;
 
-  // Gather the set of links in use.
-  std::vector<LinkId> used_links;
-  std::vector<std::int32_t> link_slot(topo.num_links(), -1);
-  for (const ActiveFlow& af : active) {
-    for (LinkId l : paths[af.flow_idx]) {
-      if (link_slot[static_cast<std::size_t>(l)] < 0) {
-        link_slot[static_cast<std::size_t>(l)] = static_cast<std::int32_t>(used_links.size());
-        used_links.push_back(l);
-      }
-    }
-  }
-  std::vector<double> cap(used_links.size());
-  for (std::size_t s = 0; s < used_links.size(); ++s) {
-    cap[s] = topo.link(used_links[s]).rate * efficiency;
-  }
-
-  std::array<std::vector<std::size_t>, kNumPriorities> groups;
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    const std::size_t prio = std::min<std::size_t>(priorities[active[a].flow_idx],
-                                                   kNumPriorities - 1);
-    groups[prio].push_back(a);
-  }
-  for (auto& group : groups) {
-    WaterfillGroup(active, paths, group, link_slot, cap);
-  }
-}
+  std::vector<std::int32_t> link_slot_;      // LinkId -> slot, -1 when unused
+  std::vector<LinkId> used_links_;           // slot -> LinkId
+  std::vector<std::uint32_t> route_slots_;   // active routes as slots, concatenated
+  std::vector<std::size_t> route_begin_;     // active[a]'s slots: [begin[a], begin[a+1])
+  std::vector<double> cap_;                  // remaining capacity per slot
+  std::array<std::vector<std::size_t>, kNumPriorities> groups_;
+  std::vector<char> frozen_;                 // per active flow
+  std::vector<int> unfrozen_;                // per slot, current group
+  std::vector<std::size_t> member_begin_;    // per slot, into members_
+  std::vector<std::size_t> members_;         // active indices per slot
+  std::vector<std::size_t> fill_;            // CSR fill cursors
+};
 
 }  // namespace
 
@@ -111,16 +151,12 @@ std::vector<FlowResult> RunFlowSim(const Topology& topo, const std::vector<Flow>
       static_cast<double>(opts.mtu) / static_cast<double>(opts.mtu + opts.hdr);
 
   std::vector<FlowResult> results(flows.size());
-  std::vector<Route> paths(flows.size());
-  std::vector<std::uint8_t> priorities(flows.size(), 0);
   std::vector<double> base_latency(flows.size());
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const Flow& f = flows[i];
     if (f.path.empty() || f.size <= 0) {
       throw std::invalid_argument("RunFlowSim: every flow needs a path and positive size");
     }
-    paths[i] = f.path;
-    priorities[i] = f.priority;
     results[i].id = f.id;
     results[i].size = f.size;
     results[i].ideal_fct = IdealFct(topo, f.path, f.size, opts.mtu, opts.hdr);
@@ -137,6 +173,7 @@ std::vector<FlowResult> RunFlowSim(const Topology& topo, const std::vector<Flow>
     return flows[a].arrival < flows[b].arrival;
   });
 
+  MaxMinWorkspace workspace(topo, flows, efficiency);
   std::vector<ActiveFlow> active;
   std::size_t next_arrival = 0;
   double now = flows.empty() ? 0.0 : static_cast<double>(flows[order[0]].arrival);
@@ -184,7 +221,7 @@ std::vector<FlowResult> RunFlowSim(const Topology& topo, const std::vector<Flow>
       active.pop_back();
     }
 
-    ComputeMaxMinRates(topo, active, paths, priorities, efficiency);
+    workspace.ComputeRates(active);
   }
 
   return results;

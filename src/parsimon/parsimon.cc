@@ -10,7 +10,7 @@ namespace m3 {
 namespace {
 
 struct LinkDelta {
-  FlowId flow;
+  FlowId flow;  // position in the flow vector
   Ns delta;  // FCT - ideal in the link-level simulation (>= 0)
 };
 
@@ -23,8 +23,8 @@ std::vector<LinkDelta> SimulateLink(const Topology& topo, const std::vector<Flow
 
   std::vector<Flow> local;
   local.reserve(on_link.size());
-  for (FlowId id : on_link) {
-    const Flow& orig = flows[static_cast<std::size_t>(id)];
+  for (FlowId pos : on_link) {
+    const Flow& orig = flows[static_cast<std::size_t>(pos)];
     // Preserve the flow's end-to-end base RTT by splitting the remaining
     // path propagation across the two access links, so transport-limited
     // behavior (window vs. RTT) matches the full network.
@@ -57,10 +57,12 @@ std::vector<LinkDelta> SimulateLink(const Topology& topo, const std::vector<Flow
 
 std::vector<FlowResult> RunParsimon(const Topology& topo, const std::vector<Flow>& flows,
                                     const ParsimonOptions& opts) {
-  // Index flows by link.
+  // Index flows by link, as positions in `flows` (ids are caller labels).
   std::vector<std::vector<FlowId>> link_flows(topo.num_links());
-  for (const Flow& f : flows) {
-    for (LinkId l : f.path) link_flows[static_cast<std::size_t>(l)].push_back(f.id);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    for (LinkId l : flows[i].path) {
+      link_flows[static_cast<std::size_t>(l)].push_back(static_cast<FlowId>(i));
+    }
   }
   std::vector<LinkId> active_links;
   for (std::size_t l = 0; l < link_flows.size(); ++l) {

@@ -1,20 +1,53 @@
 #include "pathdecomp/decompose.h"
 
-#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <stdexcept>
 
 namespace m3 {
+namespace {
+
+std::uint64_t HashRoute(const Route& route) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ route.size();
+  for (LinkId l : route) {
+    h = (h ^ static_cast<std::uint32_t>(l)) * 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 31;
+  }
+  return h;
+}
+
+}  // namespace
 
 PathDecomposition::PathDecomposition(const Topology& topo, const std::vector<Flow>& flows)
-    : topo_(topo), flows_(flows), link_flows_(topo.num_links()) {
-  std::map<Route, std::size_t> index;
-  for (const Flow& f : flows_) {
-    for (LinkId l : f.path) link_flows_[static_cast<std::size_t>(l)].push_back(f.id);
-    auto [it, inserted] = index.emplace(f.path, paths_.size());
-    if (inserted) {
+    : link_begin_(topo.num_links() + 1, 0) {
+  for (const Flow& f : flows) {
+    for (LinkId l : f.path) ++link_begin_[static_cast<std::size_t>(l) + 1];
+  }
+  for (std::size_t l = 1; l < link_begin_.size(); ++l) link_begin_[l] += link_begin_[l - 1];
+  link_flows_.resize(link_begin_.back());
+  std::vector<std::size_t> fill(link_begin_.begin(), link_begin_.end() - 1);
+
+  // Route -> path index: open addressing over indices into paths_, sized
+  // for one path per flow at load factor <= 1/2.
+  std::size_t capacity = 16;
+  while (capacity < 2 * flows.size()) capacity *= 2;
+  std::vector<std::int32_t> table(capacity, -1);
+  const std::size_t mask = capacity - 1;
+
+  for (std::size_t pos = 0; pos < flows.size(); ++pos) {
+    const Flow& f = flows[pos];
+    for (LinkId l : f.path) {
+      link_flows_[fill[static_cast<std::size_t>(l)]++] = static_cast<FlowId>(pos);
+    }
+    std::size_t slot = HashRoute(f.path) & mask;
+    while (table[slot] >= 0 && paths_[static_cast<std::size_t>(table[slot])].links != f.path) {
+      slot = (slot + 1) & mask;
+    }
+    if (table[slot] < 0) {
+      table[slot] = static_cast<std::int32_t>(paths_.size());
       paths_.push_back(PathInfo{f.path, {}});
     }
-    paths_[it->second].fg_flows.push_back(f.id);
+    paths_[static_cast<std::size_t>(table[slot])].fg_flows.push_back(static_cast<FlowId>(pos));
   }
 }
 
@@ -23,20 +56,36 @@ std::vector<BgFlowOnPath> PathDecomposition::BackgroundFlows(std::size_t i) cons
   const int n = static_cast<int>(p.links.size());
   if (n > 32) throw std::invalid_argument("BackgroundFlows: path too long (> 32 hops)");
 
-  // Bitmask of path hops each candidate flow touches. Flow ids are dense
-  // (0..N-1) per the generator contract.
-  std::vector<std::uint32_t> hops(flows_.size(), 0);
+  // Merge the path's per-link flow lists: each flow touching the path comes
+  // out once, in position order, with the bitmask of path hops it touches.
+  std::array<const FlowId*, 32> at{}, end{};
   for (int hop = 0; hop < n; ++hop) {
-    for (FlowId f : link_flows_[static_cast<std::size_t>(p.links[static_cast<std::size_t>(hop)])]) {
-      hops[static_cast<std::size_t>(f)] |= (1u << hop);
-    }
+    const auto l = static_cast<std::size_t>(p.links[static_cast<std::size_t>(hop)]);
+    at[static_cast<std::size_t>(hop)] = link_flows_.data() + link_begin_[l];
+    end[static_cast<std::size_t>(hop)] = link_flows_.data() + link_begin_[l + 1];
   }
 
   const std::uint32_t full = n == 32 ? ~0u : ((1u << n) - 1u);
   std::vector<BgFlowOnPath> bg;
-  for (std::size_t fi = 0; fi < flows_.size(); ++fi) {
-    const std::uint32_t mask = hops[fi];
-    if (mask == 0) continue;     // does not intersect the path
+  for (;;) {
+    bool any = false;
+    FlowId flow = 0;
+    for (int hop = 0; hop < n; ++hop) {
+      const auto h = static_cast<std::size_t>(hop);
+      if (at[h] != end[h] && (!any || *at[h] < flow)) {
+        flow = *at[h];
+        any = true;
+      }
+    }
+    if (!any) break;
+    std::uint32_t mask = 0;
+    for (int hop = 0; hop < n; ++hop) {
+      const auto h = static_cast<std::size_t>(hop);
+      while (at[h] != end[h] && *at[h] == flow) {
+        mask |= 1u << hop;
+        ++at[h];
+      }
+    }
     if (mask == full) continue;  // foreground (traverses all links)
     // ECMP siblings of the foreground flows can intersect the path
     // non-contiguously (e.g. share both host/ToR ends but take a different
@@ -49,10 +98,10 @@ std::vector<BgFlowOnPath> PathDecomposition::BackgroundFlows(std::size_t i) cons
         ++hop;
         continue;
       }
-      int end = hop;
-      while (end < n && (mask & (1u << end))) ++end;
-      bg.push_back(BgFlowOnPath{static_cast<FlowId>(fi), hop, end});
-      hop = end;
+      int run_end = hop;
+      while (run_end < n && (mask & (1u << run_end))) ++run_end;
+      bg.push_back(BgFlowOnPath{flow, hop, run_end});
+      hop = run_end;
     }
   }
   return bg;

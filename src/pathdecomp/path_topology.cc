@@ -18,31 +18,43 @@ PathScenario BuildPathScenario(const Topology& topo, const std::vector<Flow>& fl
     delays.push_back(topo.link(l).delay);
   }
 
+  const std::vector<BgFlowOnPath> background = decomp.BackgroundFlows(path_idx);
+  const std::size_t total = info.fg_flows.size() + background.size();
+
   PathScenario sc;
   sc.num_links = n;
   sc.lot = std::make_unique<ParkingLot>(rates, delays, /*hosts_at_ends=*/true);
+  sc.flows.reserve(total);
+  sc.is_fg.reserve(total);
+  sc.orig_id.reserve(total);
+  sc.entry_hop.reserve(total);
+  sc.exit_hop.reserve(total);
   ParkingLot& lot = *sc.lot;
   const NodeId head = lot.switch_at(0);
   const NodeId tail = lot.switch_at(n);
 
-  const Route fg_route = lot.RouteBetween(head, 0, tail, n);
-  for (FlowId id : info.fg_flows) {
-    const Flow& orig = flows[static_cast<std::size_t>(id)];
+  const auto add = [&sc](const Flow& orig, NodeId src, NodeId dst, Route path, bool fg,
+                         int entry, int exit) {
     Flow f;
     f.id = static_cast<FlowId>(sc.flows.size());
-    f.src = head;
-    f.dst = tail;
+    f.src = src;
+    f.dst = dst;
     f.size = orig.size;
     f.arrival = orig.arrival;
-    f.path = fg_route;
+    f.path = std::move(path);
     sc.flows.push_back(std::move(f));
-    sc.is_fg.push_back(1);
-    sc.orig_id.push_back(id);
-    sc.entry_hop.push_back(0);
-    sc.exit_hop.push_back(n);
+    sc.is_fg.push_back(fg ? 1 : 0);
+    sc.orig_id.push_back(orig.id);
+    sc.entry_hop.push_back(entry);
+    sc.exit_hop.push_back(exit);
+  };
+
+  const Route fg_route = lot.RouteBetween(head, 0, tail, n);
+  for (FlowId pos : info.fg_flows) {
+    add(flows[static_cast<std::size_t>(pos)], head, tail, fg_route, true, 0, n);
   }
 
-  for (const BgFlowOnPath& bg : decomp.BackgroundFlows(path_idx)) {
+  for (const BgFlowOnPath& bg : background) {
     const Flow& orig = flows[static_cast<std::size_t>(bg.flow)];
     // Access capacities: the flow's original source/destination capacity
     // (its first/last link rates), per §3.2.
@@ -58,18 +70,8 @@ PathScenario BuildPathScenario(const Topology& topo, const std::vector<Flow>& fl
             ? tail
             : lot.AttachHost(bg.exit_hop, dst_rate,
                              static_cast<std::uint64_t>(orig.dst));
-    Flow f;
-    f.id = static_cast<FlowId>(sc.flows.size());
-    f.src = src;
-    f.dst = dst;
-    f.size = orig.size;
-    f.arrival = orig.arrival;
-    f.path = lot.RouteBetween(src, bg.entry_hop, dst, bg.exit_hop);
-    sc.flows.push_back(std::move(f));
-    sc.is_fg.push_back(0);
-    sc.orig_id.push_back(bg.flow);
-    sc.entry_hop.push_back(bg.entry_hop);
-    sc.exit_hop.push_back(bg.exit_hop);
+    add(orig, src, dst, lot.RouteBetween(src, bg.entry_hop, dst, bg.exit_hop), false,
+        bg.entry_hop, bg.exit_hop);
   }
   return sc;
 }

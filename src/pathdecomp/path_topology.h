@@ -19,7 +19,7 @@ struct PathScenario {
   std::unique_ptr<ParkingLot> lot;
   std::vector<Flow> flows;        // local ids 0..N-1, routed in lot->topo()
   std::vector<char> is_fg;        // parallel to flows
-  std::vector<FlowId> orig_id;    // original flow id, or -1 for synthetic
+  std::vector<FlowId> orig_id;    // caller's Flow::id, or -1 for synthetic
   // Hop span of each flow on the chain: [entry, exit) over path links.
   std::vector<int> entry_hop;
   std::vector<int> exit_hop;

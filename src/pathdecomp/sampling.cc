@@ -1,12 +1,31 @@
 #include "pathdecomp/sampling.h"
 
+#include <algorithm>
+#include <cstdint>
+
 namespace m3 {
 
+std::size_t SampleCumulative(const std::vector<std::uint64_t>& cumulative, Rng& rng) {
+  const double total = cumulative.empty() ? 0.0 : static_cast<double>(cumulative.back());
+  const double target = rng.NextDouble() * total;
+  // NextDouble() <= 1 - 2^-53 and the total is an integer below 2^53, so
+  // the rounded product stays below the total and the search always lands.
+  const auto it = std::upper_bound(
+      cumulative.begin(), cumulative.end(), target,
+      [](double t, std::uint64_t c) { return t < static_cast<double>(c); });
+  return static_cast<std::size_t>(it - cumulative.begin());
+}
+
 std::vector<std::size_t> SamplePaths(const PathDecomposition& decomp, int k, Rng& rng) {
-  const std::vector<double> weights = decomp.ForegroundWeights();
+  std::vector<std::uint64_t> cumulative(decomp.num_paths());
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < cumulative.size(); ++i) {
+    total += decomp.path(i).fg_flows.size();
+    cumulative[i] = total;
+  }
   std::vector<std::size_t> sample;
   sample.reserve(static_cast<std::size_t>(k));
-  for (int i = 0; i < k; ++i) sample.push_back(rng.WeightedIndex(weights));
+  for (int i = 0; i < k; ++i) sample.push_back(SampleCumulative(cumulative, rng));
   return sample;
 }
 

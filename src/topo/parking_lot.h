@@ -6,7 +6,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "topo/topology.h"
@@ -47,14 +48,32 @@ class ParkingLot {
   /// Route from `src_host` joining the chain at node `i` to `dst_host`
   /// leaving at node `j` (i < j). If `src_host` IS chain node `i` (a
   /// hosts_at_ends endpoint) no ingress access link is used; likewise for
-  /// the egress side.
+  /// the egress side. Any other endpoint must have been attached at that
+  /// chain node by AttachHost.
   Route RouteBetween(NodeId src_host, int i, NodeId dst_host, int j) const;
 
  private:
+  // Access links of a host created by AttachHost.
+  struct Access {
+    int at = -1;                 // chain node it attaches to
+    LinkId up = kInvalidLink;    // host -> chain
+    LinkId down = kInvalidLink;  // chain -> host
+  };
+  const Access& AccessAt(NodeId host, int i) const;
+
+  using EndpointKey = std::pair<std::uint64_t, int>;  // (endpoint_key, chain node)
+  struct EndpointHash {
+    std::size_t operator()(const EndpointKey& k) const {
+      return static_cast<std::size_t>((k.first * 0x9e3779b97f4a7c15ULL) ^
+                                      static_cast<std::uint64_t>(k.second));
+    }
+  };
+
   Topology topo_;
   std::vector<NodeId> switches_;
   std::vector<LinkId> path_links_;
-  std::map<std::pair<std::uint64_t, int>, NodeId> attached_;
+  std::unordered_map<EndpointKey, NodeId, EndpointHash> attached_;
+  std::vector<Access> access_;  // indexed by NodeId
 };
 
 }  // namespace m3

@@ -17,7 +17,7 @@ using FlowId = std::int32_t;
 constexpr int kNumPriorities = 3;
 
 struct Flow {
-  FlowId id = 0;
+  FlowId id = 0;      // caller's label (any value); pipelines index flows by position
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
   Bytes size = 0;     // application bytes to transfer

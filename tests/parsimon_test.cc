@@ -41,6 +41,28 @@ TEST(Parsimon, ResultsAlignWithFlows) {
   }
 }
 
+TEST(Parsimon, SparseFlowIdsMatchDenseIds) {
+  // Ids are caller labels; flows are indexed by position.
+  ParkingLot pl(2, GbpsToBpns(10), 1000, /*hosts_at_ends=*/true);
+  std::vector<Flow> flows;
+  for (int i = 0; i < 10; ++i) {
+    flows.push_back(Flow{static_cast<FlowId>(i), pl.switch_at(0), pl.switch_at(2),
+                         1000 * (i + 1), i * 1000,
+                         pl.RouteBetween(pl.switch_at(0), 0, pl.switch_at(2), 2)});
+  }
+  ParsimonOptions opts;
+  const auto dense = RunParsimon(pl.topo(), flows, opts);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    flows[i].id = static_cast<FlowId>(100000000 - 7 * static_cast<int>(i));
+  }
+  const auto sparse = RunParsimon(pl.topo(), flows, opts);
+  ASSERT_EQ(sparse.size(), dense.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_EQ(sparse[i].id, flows[i].id);
+    EXPECT_EQ(sparse[i].fct, dense[i].fct);
+  }
+}
+
 TEST(Parsimon, DeltaSummingOvercountsTransportLimitedFlows) {
   // The paper's Table 5 insight: when the init window (not congestion)
   // limits a flow, Parsimon counts the window delay once per link, so a

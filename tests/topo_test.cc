@@ -215,5 +215,14 @@ TEST(ParkingLot, RejectsBackwardRoutes) {
   EXPECT_THROW(pl.RouteBetween(a, 2, b, 0), std::invalid_argument);
 }
 
+TEST(ParkingLot, RejectsEndpointsNotAttachedAtTheirChainNode) {
+  ParkingLot pl(3, GbpsToBpns(10), 1000);
+  const NodeId a = pl.AttachHost(1, GbpsToBpns(10), 1);
+  const NodeId b = pl.AttachHost(3, GbpsToBpns(10), 2);
+  EXPECT_THROW(pl.RouteBetween(a, 0, b, 3), std::invalid_argument);  // a joins at 1
+  EXPECT_THROW(pl.RouteBetween(a, 1, b, 2), std::invalid_argument);  // b leaves at 3
+  EXPECT_THROW(pl.RouteBetween(pl.switch_at(1), 0, b, 3), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace m3

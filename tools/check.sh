@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # PR gate: tier-1 build + full test suite, then an AddressSanitizer build of
 # the checkpoint/trainer suites so the corruption-handling paths (truncated
-# files, bit flips, hostile length fields) are exercised under ASan, then a
+# files, bit flips, hostile length fields) are exercised under ASan, along
+# with the path-pipeline suites (golden pins, hostile flow ids), then a
 # UBSan build of the resilience suites so the fault-injection and validation
 # paths (injected throws, NaN forwards, malformed traces) are checked for
 # undefined behaviour under fault, then a ThreadSanitizer build of the
@@ -38,11 +39,15 @@ cmake -B build -S . "$@"
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
-echo "== ASan: checkpoint/trainer robustness suites =="
+echo "== ASan: checkpoint/trainer robustness + path pipeline suites =="
+# The path-pipeline suites (decomposition, sampling, scenario wiring,
+# flowSim, golden pins, hostile flow ids) run here because their index
+# arithmetic (per-link CSR lists, position-indexed flows, reused flowSim
+# workspaces) is exactly where an out-of-bounds access would hide.
 cmake -B build-asan -S . -DM3_SANITIZE=address "$@"
 cmake --build build-asan -j"$JOBS" --target m3_tests
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist'
+  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Decompose|Sampling|PathTopology|ParkingLot|FlowSim|GoldenPipeline|FlowIds'
 
 echo "== kernels: SIMD parity suites under ASan+UBSan for every M3_KERNEL =="
 # Every dispatchable tier (including forced-but-unavailable values, which
