@@ -142,13 +142,18 @@ NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& f
           return;
         }
 
-        std::optional<PathScenario> scenario;
+        // Built at most once per path, into this thread's workspace (a
+        // thread runs one path body at a time; nested ParallelFor calls
+        // from the estimator run inline and build no scenario).
+        thread_local PathScenario workspace;
+        const PathScenario* scenario = nullptr;
         auto ensure_scenario = [&]() -> const PathScenario& {
-          if (!scenario.has_value()) {
-            scenario = BuildPathScenario(topo, flows, decomp, sample[i]);
-            if (Status v = ValidatePathScenario(*scenario); !v.ok()) {
+          if (scenario == nullptr) {
+            BuildPathScenario(topo, flows, decomp, sample[i], &workspace);
+            if (Status v = ValidatePathScenario(workspace); !v.ok()) {
               throw std::runtime_error(v.ToString());
             }
+            scenario = &workspace;
           }
           return *scenario;
         };

@@ -6,8 +6,18 @@ namespace m3 {
 
 PathScenario BuildPathScenario(const Topology& topo, const std::vector<Flow>& flows,
                                const PathDecomposition& decomp, std::size_t path_idx) {
+  PathScenario sc;
+  BuildPathScenario(topo, flows, decomp, path_idx, &sc);
+  return sc;
+}
+
+void BuildPathScenario(const Topology& topo, const std::vector<Flow>& flows,
+                       const PathDecomposition& decomp, std::size_t path_idx,
+                       PathScenario* into) {
   const PathInfo& info = decomp.path(path_idx);
   const int n = static_cast<int>(info.links.size());
+  // Throws for paths over 32 hops, before `*into` is touched.
+  const std::vector<BgFlowOnPath> background = decomp.BackgroundFlows(path_idx);
 
   std::vector<Bpns> rates;
   std::vector<Ns> delays;
@@ -17,41 +27,56 @@ PathScenario BuildPathScenario(const Topology& topo, const std::vector<Flow>& fl
     rates.push_back(topo.link(l).rate);
     delays.push_back(topo.link(l).delay);
   }
+  std::size_t attach_calls = 0;
+  for (const BgFlowOnPath& bg : background) {
+    attach_calls += (bg.entry_hop != 0) + (bg.exit_hop != n);
+  }
 
-  const std::vector<BgFlowOnPath> background = decomp.BackgroundFlows(path_idx);
-  const std::size_t total = info.fg_flows.size() + background.size();
-
-  PathScenario sc;
+  PathScenario& sc = *into;
   sc.num_links = n;
-  sc.lot = std::make_unique<ParkingLot>(rates, delays, /*hosts_at_ends=*/true);
-  sc.flows.reserve(total);
-  sc.is_fg.reserve(total);
-  sc.orig_id.reserve(total);
-  sc.entry_hop.reserve(total);
-  sc.exit_hop.reserve(total);
+  if (sc.lot == nullptr) {
+    sc.lot = std::make_unique<ParkingLot>(rates, delays, /*hosts_at_ends=*/true, attach_calls);
+  } else {
+    sc.lot->Reset(rates, delays, /*hosts_at_ends=*/true, attach_calls);
+  }
   ParkingLot& lot = *sc.lot;
   const NodeId head = lot.switch_at(0);
   const NodeId tail = lot.switch_at(n);
 
-  const auto add = [&sc](const Flow& orig, NodeId src, NodeId dst, Route path, bool fg,
-                         int entry, int exit) {
-    Flow f;
-    f.id = static_cast<FlowId>(sc.flows.size());
+  // Every per-flow field is overwritten below; surviving flows keep their
+  // route capacity.
+  const std::size_t total = info.fg_flows.size() + background.size();
+  sc.flows.resize(total);
+  sc.is_fg.resize(total);
+  sc.orig_id.resize(total);
+  sc.entry_hop.resize(total);
+  sc.exit_hop.resize(total);
+
+  std::size_t k = 0;
+  const auto set = [&sc, &k](const Flow& orig, NodeId src, NodeId dst, bool fg, int entry,
+                             int exit) -> Flow& {
+    Flow& f = sc.flows[k];
+    f.id = static_cast<FlowId>(k);
     f.src = src;
     f.dst = dst;
     f.size = orig.size;
     f.arrival = orig.arrival;
-    f.path = std::move(path);
-    sc.flows.push_back(std::move(f));
-    sc.is_fg.push_back(fg ? 1 : 0);
-    sc.orig_id.push_back(orig.id);
-    sc.entry_hop.push_back(entry);
-    sc.exit_hop.push_back(exit);
+    f.priority = 0;  // path scenarios run every flow in class 0
+    sc.is_fg[k] = fg ? 1 : 0;
+    sc.orig_id[k] = orig.id;
+    sc.entry_hop[k] = entry;
+    sc.exit_hop[k] = exit;
+    ++k;
+    return f;
   };
 
-  const Route fg_route = lot.RouteBetween(head, 0, tail, n);
   for (FlowId pos : info.fg_flows) {
-    add(flows[static_cast<std::size_t>(pos)], head, tail, fg_route, true, 0, n);
+    Flow& f = set(flows[static_cast<std::size_t>(pos)], head, tail, true, 0, n);
+    if (k == 1) {
+      lot.RouteBetween(head, 0, tail, n, &f.path);
+    } else {
+      f.path = sc.flows.front().path;
+    }
   }
 
   for (const BgFlowOnPath& bg : background) {
@@ -70,10 +95,9 @@ PathScenario BuildPathScenario(const Topology& topo, const std::vector<Flow>& fl
             ? tail
             : lot.AttachHost(bg.exit_hop, dst_rate,
                              static_cast<std::uint64_t>(orig.dst));
-    add(orig, src, dst, lot.RouteBetween(src, bg.entry_hop, dst, bg.exit_hop), false,
-        bg.entry_hop, bg.exit_hop);
+    Flow& f = set(orig, src, dst, false, bg.entry_hop, bg.exit_hop);
+    lot.RouteBetween(src, bg.entry_hop, dst, bg.exit_hop, &f.path);
   }
-  return sc;
 }
 
 std::vector<FlowResult> RunPathFlowSim(const PathScenario& scenario) {

@@ -37,6 +37,19 @@ struct PathScenario {
 PathScenario BuildPathScenario(const Topology& topo, const std::vector<Flow>& flows,
                                const PathDecomposition& decomp, std::size_t path_idx);
 
+/// In-place form of the builder above, for callers that build many
+/// scenarios in a row: `*into` is a workspace whose lot, flow vector and
+/// per-flow routes are overwritten, keeping their capacity, so a warm
+/// workspace builds with few allocations. The result is field-for-field
+/// what the value-returning form returns, whatever `*into` held before:
+/// another path's scenario, a default-constructed one, or one from a build
+/// that threw. A build that throws (a path longer than 32 hops) leaves
+/// `*into` unusable until the next successful build. One workspace per
+/// thread (e.g. `thread_local`).
+void BuildPathScenario(const Topology& topo, const std::vector<Flow>& flows,
+                       const PathDecomposition& decomp, std::size_t path_idx,
+                       PathScenario* into);
+
 /// Runs flowSim on a path scenario (all flows).
 std::vector<FlowResult> RunPathFlowSim(const PathScenario& scenario);
 

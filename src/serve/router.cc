@@ -350,8 +350,9 @@ QueryResponse Router::Query(const QueryRequest& req) {
   ParallelFor(
       n,
       [&](std::size_t i) {
-        const PathScenario sc = BuildPathScenario(ft->topo(), flows, decomp, sample[i]);
-        keys[i] = PathCacheKey(sc, req.cfg, req.use_context, Hash128{});
+        thread_local PathScenario workspace;
+        BuildPathScenario(ft->topo(), flows, decomp, sample[i], &workspace);
+        keys[i] = PathCacheKey(workspace, req.cfg, req.use_context, Hash128{});
       },
       opts_.fallback_threads);
 

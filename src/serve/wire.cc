@@ -11,6 +11,22 @@ namespace {
 // new processes can never alias keys. v2 query key: + topology shape.
 constexpr const char* kQueryKeySchema = "m3d/query-key/v2";
 constexpr const char* kPathKeySchema = "m3d/path-key/v1";
+// Bytes per lot link (src, dst: i32; rate: f64; delay: i64) and per flow
+// before its route (src, dst: i32; size, arrival: i64; priority, is_fg: u8;
+// entry, exit hop: i32; route length: u64) in the path key (wire.h).
+constexpr std::size_t kPathKeyLinkBytes = 4 + 4 + 8 + 8;
+constexpr std::size_t kPathKeyFlowBytes = 4 + 4 + 8 + 8 + 1 + 1 + 4 + 4 + 8;
+
+// Little-endian field writer over a buffer sized up front (no bounds checks:
+// PathCacheKey computes the exact size).
+struct KeyBytes {
+  unsigned char* p;
+  template <typename T>
+  void Put(T v) {
+    std::memcpy(p, &v, sizeof(T));
+    p += sizeof(T);
+  }
+};
 
 // Upper bound on decoded vector lengths (percentile vectors are 100 wide;
 // this is pure overread/OOM protection).
@@ -854,23 +870,48 @@ Hash128 PathCacheKey(const PathScenario& scenario, const NetConfig& cfg,
   h.Bool(use_context);
   HashNetConfig(h, cfg);
   h.I32(scenario.num_links);
-  // Lot geometry: node/link numbering is deterministic in construction
-  // order, so hashing every link pins rates, delays, and wiring.
+
+  // The lot-link and flow section (layout in wire.h), serialized into one
+  // buffer and absorbed by a single Bytes call. MurmurHash3's stream does
+  // not depend on how the bytes are split across calls, so this equals
+  // absorbing each field on its own. Lot node/link numbering is
+  // deterministic in construction order, so hashing every link pins rates,
+  // delays, and wiring.
   const Topology& topo = scenario.lot->topo();
-  h.U64(topo.num_links());
-  for (std::size_t l = 0; l < topo.num_links(); ++l) {
+  const std::size_t num_links = topo.num_links();
+  std::size_t size = 8 + kPathKeyLinkBytes * num_links + 8;
+  for (const Flow& f : scenario.flows) size += kPathKeyFlowBytes + 4 * f.path.size();
+  thread_local std::vector<unsigned char> buf;
+  buf.resize(size);
+
+  KeyBytes w{buf.data()};
+  w.Put<std::uint64_t>(num_links);
+  for (std::size_t l = 0; l < num_links; ++l) {
     const Link& link = topo.link(static_cast<LinkId>(l));
-    h.I32(link.src).I32(link.dst).F64(link.rate).I64(link.delay);
+    w.Put<std::int32_t>(link.src);
+    w.Put<std::int32_t>(link.dst);
+    w.Put<double>(link.rate);
+    w.Put<std::int64_t>(link.delay);
   }
-  h.U64(scenario.flows.size());
+  w.Put<std::uint64_t>(scenario.flows.size());
   for (std::size_t i = 0; i < scenario.flows.size(); ++i) {
     const Flow& f = scenario.flows[i];
-    h.I32(f.src).I32(f.dst).I64(f.size).I64(f.arrival).U8(f.priority);
-    h.Bool(scenario.is_fg[i] != 0);
-    h.I32(scenario.entry_hop[i]).I32(scenario.exit_hop[i]);
-    h.U64(f.path.size());
-    for (LinkId l : f.path) h.I32(l);
+    w.Put<std::int32_t>(f.src);
+    w.Put<std::int32_t>(f.dst);
+    w.Put<std::int64_t>(f.size);
+    w.Put<std::int64_t>(f.arrival);
+    w.Put<std::uint8_t>(f.priority);
+    w.Put<std::uint8_t>(scenario.is_fg[i] != 0 ? 1 : 0);
+    w.Put<std::int32_t>(scenario.entry_hop[i]);
+    w.Put<std::int32_t>(scenario.exit_hop[i]);
+    w.Put<std::uint64_t>(f.path.size());
+    static_assert(sizeof(LinkId) == 4, "route hops are hashed as i32");
+    if (!f.path.empty()) {
+      std::memcpy(w.p, f.path.data(), 4 * f.path.size());
+      w.p += 4 * f.path.size();
+    }
   }
+  h.Bytes(buf.data(), size);
   return h.Finish();
 }
 

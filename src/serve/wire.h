@@ -398,6 +398,21 @@ Hash128 QueryCacheKey(const QueryRequest& req, const Hash128& model_digest);
 /// queries that sample the same path with the same flows — e.g. the same
 /// workload queried with a different `num_paths` or sampling seed still
 /// reuses every overlapping path.
+///
+/// Compatibility contract: persisted path caches and the router's ring
+/// placement both depend on these exact bytes, so changing them means
+/// bumping the schema tag. The key hashes, little-endian, in order:
+///   Str(schema tag) · U64 digest.hi · U64 digest.lo · U8 use_context ·
+///   NetConfig (HashNetConfig order) · I32 num_links ·
+///   U64 lot link count, then per lot link in id order
+///     I32 src · I32 dst · F64 rate · I64 delay                  (24 B) ·
+///   U64 flow count, then per flow in scenario order
+///     I32 src · I32 dst · I64 size · I64 arrival · U8 priority · U8 is_fg ·
+///     I32 entry_hop · I32 exit_hop · U64 route length           (42 B)
+///     followed by I32 per route hop                             (4 B each).
+/// The link and flow sections are serialized into one buffer and absorbed
+/// with a single Hasher::Bytes call (the hash does not depend on how the
+/// stream is split across calls). DESIGN.md §5 has the same table.
 Hash128 PathCacheKey(const PathScenario& scenario, const NetConfig& cfg,
                      bool use_context, const Hash128& model_digest);
 

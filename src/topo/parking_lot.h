@@ -5,9 +5,8 @@
 // contend on the original links (§3.2).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "topo/topology.h"
@@ -23,9 +22,17 @@ class ParkingLot {
   ParkingLot(int num_links, Bpns link_rate, Ns delay, bool hosts_at_ends = false);
 
   /// Builds a chain with per-link rates/delays (e.g. copied from a sampled
-  /// path in a full topology).
+  /// path in a full topology). `max_endpoints`, an upper bound on the
+  /// AttachHost calls that will follow (or 0), reserves room for the
+  /// attached hosts up front.
   ParkingLot(const std::vector<Bpns>& rates, const std::vector<Ns>& delays,
-             bool hosts_at_ends = false);
+             bool hosts_at_ends = false, std::size_t max_endpoints = 0);
+
+  /// Rebuilds the lot in place exactly as the constructor above would:
+  /// same node and link numbering, no attached hosts. Storage is kept, so a
+  /// lot reset to a similar size allocates nothing.
+  void Reset(const std::vector<Bpns>& rates, const std::vector<Ns>& delays,
+             bool hosts_at_ends = false, std::size_t max_endpoints = 0);
 
   Topology& topo() { return topo_; }
   const Topology& topo() const { return topo_; }
@@ -51,6 +58,8 @@ class ParkingLot {
   /// the egress side. Any other endpoint must have been attached at that
   /// chain node by AttachHost.
   Route RouteBetween(NodeId src_host, int i, NodeId dst_host, int j) const;
+  /// The same route, written into `*out` (reusing its capacity).
+  void RouteBetween(NodeId src_host, int i, NodeId dst_host, int j, Route* out) const;
 
  private:
   // Access links of a host created by AttachHost.
@@ -61,18 +70,25 @@ class ParkingLot {
   };
   const Access& AccessAt(NodeId host, int i) const;
 
-  using EndpointKey = std::pair<std::uint64_t, int>;  // (endpoint_key, chain node)
-  struct EndpointHash {
-    std::size_t operator()(const EndpointKey& k) const {
-      return static_cast<std::size_t>((k.first * 0x9e3779b97f4a7c15ULL) ^
-                                      static_cast<std::uint64_t>(k.second));
-    }
+  // Attached-host table: open addressing with linear probing over a
+  // power-of-two slot array, keyed by (endpoint_key, chain node). A slot is
+  // live only if its `epoch` equals `epoch_`, so Reset() empties the table
+  // in O(1) by bumping the epoch.
+  struct Slot {
+    std::uint64_t key = 0;
+    std::int32_t at = 0;
+    NodeId host = kInvalidNode;
+    std::uint32_t epoch = 0;
   };
+  std::size_t SlotOf(std::uint64_t key, int at) const;
+  void GrowTable();
 
   Topology topo_;
   std::vector<NodeId> switches_;
   std::vector<LinkId> path_links_;
-  std::unordered_map<EndpointKey, NodeId, EndpointHash> attached_;
+  std::vector<Slot> table_;
+  std::size_t table_used_ = 0;
+  std::uint32_t epoch_ = 1;
   std::vector<Access> access_;  // indexed by NodeId
 };
 

@@ -5,9 +5,14 @@
 namespace m3 {
 
 NodeId Topology::AddNode(NodeKind kind) {
+  const std::size_t id = kinds_.size();
   kinds_.push_back(kind);
-  out_links_.emplace_back();
-  return static_cast<NodeId>(kinds_.size() - 1);
+  if (id < out_links_.size()) {
+    out_links_[id].clear();
+  } else {
+    out_links_.emplace_back();
+  }
+  return static_cast<NodeId>(id);
 }
 
 LinkId Topology::AddLink(NodeId src, NodeId dst, Bpns rate, Ns delay) {
@@ -20,6 +25,17 @@ LinkId Topology::AddLink(NodeId src, NodeId dst, Bpns rate, Ns delay) {
 std::pair<LinkId, LinkId> Topology::AddDuplexLink(NodeId a, NodeId b, Bpns rate,
                                                   Ns delay) {
   return {AddLink(a, b, rate, delay), AddLink(b, a, rate, delay)};
+}
+
+void Topology::Clear() {
+  kinds_.clear();
+  links_.clear();
+}
+
+void Topology::Reserve(std::size_t nodes, std::size_t links) {
+  kinds_.reserve(nodes);
+  out_links_.reserve(nodes);
+  links_.reserve(links);
 }
 
 LinkId Topology::FindLink(NodeId src, NodeId dst) const {

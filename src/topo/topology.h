@@ -36,6 +36,14 @@ class Topology {
   /// Adds a duplex cable; returns {a->b, b->a} link ids.
   std::pair<LinkId, LinkId> AddDuplexLink(NodeId a, NodeId b, Bpns rate, Ns delay);
 
+  /// Removes every node and link but keeps the storage, including each
+  /// node's out-link list, so rebuilding a topology of similar size
+  /// allocates nothing. Ids restart at 0.
+  void Clear();
+
+  /// Reserves room for `nodes` nodes and `links` links.
+  void Reserve(std::size_t nodes, std::size_t links);
+
   NodeKind kind(NodeId n) const { return kinds_[static_cast<std::size_t>(n)]; }
   const Link& link(LinkId l) const { return links_[static_cast<std::size_t>(l)]; }
   std::size_t num_nodes() const { return kinds_.size(); }
@@ -65,6 +73,8 @@ class Topology {
  private:
   std::vector<NodeKind> kinds_;
   std::vector<Link> links_;
+  // May hold more entries than there are nodes after Clear(): entries past
+  // num_nodes() are stale and are emptied when AddNode reuses them.
   std::vector<std::vector<LinkId>> out_links_;
 };
 

@@ -17,6 +17,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 
 namespace m3 {
 namespace {
@@ -264,7 +265,6 @@ StatusOr<UnixFd> ListenTcp(const std::string& host, std::uint16_t port, int back
     ::freeaddrinfo(res);
     return fd;
   }
-  ::freeaddrinfo(res);
   return last;
 }
 
@@ -276,12 +276,14 @@ StatusOr<UnixFd> ConnectTcpTimeout(const std::string& host, std::uint16_t port,
   hints.ai_flags = AI_NUMERICSERV;
   const std::string service = std::to_string(port);
   const std::string where = host + ":" + service;
-  addrinfo* res = nullptr;
-  if (const int rc = ::getaddrinfo(host.c_str(), service.c_str(), &hints, &res); rc != 0) {
+  addrinfo* raw = nullptr;
+  if (const int rc = ::getaddrinfo(host.c_str(), service.c_str(), &hints, &raw); rc != 0) {
     return Status::InvalidArgument("resolve " + host + ": " + ::gai_strerror(rc));
   }
+  // Owns the list, so every return below frees it.
+  const std::unique_ptr<addrinfo, decltype(&::freeaddrinfo)> res(raw, &::freeaddrinfo);
   Status last = Status::Unavailable("no usable address for " + where);
-  for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
+  for (addrinfo* ai = res.get(); ai != nullptr; ai = ai->ai_next) {
     UnixFd fd(::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol));
     if (!fd.valid()) {
       last = Status::Unavailable(Errno("socket"));
@@ -306,7 +308,6 @@ StatusOr<UnixFd> ConnectTcpTimeout(const std::string& host, std::uint16_t port,
         continue;
       }
       if (rc == 0) {
-        ::freeaddrinfo(res);
         return Status::DeadlineExceeded("connect " + where + " timed out after " +
                                         std::to_string(timeout_seconds) + "s");
       }
@@ -334,7 +335,6 @@ StatusOr<UnixFd> ConnectTcpTimeout(const std::string& host, std::uint16_t port,
     ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     return fd;
   }
-  ::freeaddrinfo(res);
   return last;
 }
 

@@ -5,13 +5,16 @@
 // M3_KERNEL value. Refactors and optimizations of these stages must
 // reproduce the pins bit for bit; persisted path caches are keyed on the
 // same scenario numbering (serve::PathCacheKey). On a deliberate behaviour
-// change, the failing EXPECT_EQ prints the new hex to paste here.
+// change, the failing EXPECT_EQ prints the new hex to paste here. The
+// ScenarioReuse suite checks, on the same queries, that building into a
+// reused workspace gives exactly the freshly built scenario.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "serve/wire.h"
 #include "topo/fat_tree.h"
 #include "util/hash.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 #include "workload/size_dist.h"
@@ -303,6 +307,170 @@ TEST(FlowIds, HostileIdsGiveTheDenseAnswer) {
     }
     for (std::size_t k = 0; k < bg.size(); ++k) {
       EXPECT_EQ(sc.orig_id[fg.size() + k], flows[static_cast<std::size_t>(bg[k].flow)].id);
+    }
+  }
+}
+
+// ------------------------------------------------ reused scenario storage --
+
+::testing::AssertionResult SameScenario(const PathScenario& got, const PathScenario& want) {
+  const auto fail = [](const std::string& what) {
+    return ::testing::AssertionFailure() << what;
+  };
+  if (got.num_links != want.num_links) return fail("num_links");
+  if (got.flows.size() != want.flows.size()) {
+    return fail("flow count " + std::to_string(got.flows.size()) + " vs " +
+                std::to_string(want.flows.size()));
+  }
+  for (std::size_t i = 0; i < want.flows.size(); ++i) {
+    const Flow& a = got.flows[i];
+    const Flow& b = want.flows[i];
+    if (a.id != b.id || a.src != b.src || a.dst != b.dst || a.size != b.size ||
+        a.arrival != b.arrival || a.priority != b.priority || a.path != b.path) {
+      return fail("flow " + std::to_string(i));
+    }
+  }
+  if (got.is_fg != want.is_fg) return fail("is_fg");
+  if (got.orig_id != want.orig_id) return fail("orig_id");
+  if (got.entry_hop != want.entry_hop) return fail("entry_hop");
+  if (got.exit_hop != want.exit_hop) return fail("exit_hop");
+
+  const ParkingLot& la = *got.lot;
+  const ParkingLot& lb = *want.lot;
+  if (la.num_links() != lb.num_links()) return fail("lot chain length");
+  for (int k = 0; k < lb.num_links(); ++k) {
+    if (la.path_link(k) != lb.path_link(k) || la.switch_at(k) != lb.switch_at(k)) {
+      return fail("lot chain hop " + std::to_string(k));
+    }
+  }
+  if (la.switch_at(lb.num_links()) != lb.switch_at(lb.num_links())) return fail("lot tail");
+  const Topology& ta = la.topo();
+  const Topology& tb = lb.topo();
+  if (ta.num_nodes() != tb.num_nodes()) return fail("lot node count");
+  if (ta.num_links() != tb.num_links()) return fail("lot link count");
+  for (std::size_t n = 0; n < tb.num_nodes(); ++n) {
+    const NodeId id = static_cast<NodeId>(n);
+    if (ta.kind(id) != tb.kind(id)) return fail("kind of node " + std::to_string(n));
+    if (ta.OutLinks(id) != tb.OutLinks(id)) return fail("out-links of node " + std::to_string(n));
+  }
+  for (std::size_t l = 0; l < tb.num_links(); ++l) {
+    const Link& a = ta.link(static_cast<LinkId>(l));
+    const Link& b = tb.link(static_cast<LinkId>(l));
+    if (a.src != b.src || a.dst != b.dst || a.rate != b.rate || a.delay != b.delay) {
+      return fail("lot link " + std::to_string(l));
+    }
+  }
+  if (serve::PathCacheKey(got, NetConfig{}, true, Hash128{}) !=
+      serve::PathCacheKey(want, NetConfig{}, true, Hash128{})) {
+    return fail("PathCacheKey");
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// A one-path decomposition whose path is 33 hops long, over the 32-hop
+// limit, so building its scenario throws.
+struct OverlongPath {
+  Topology topo;
+  std::vector<Flow> flows;
+  std::unique_ptr<PathDecomposition> decomp;
+
+  OverlongPath() {
+    constexpr int kHops = 33;
+    for (int n = 0; n <= kHops; ++n) {
+      topo.AddNode(n == 0 || n == kHops ? NodeKind::kHost : NodeKind::kSwitch);
+    }
+    Flow f;
+    f.src = 0;
+    f.dst = kHops;
+    f.size = 1000;
+    for (int n = 0; n < kHops; ++n) f.path.push_back(topo.AddLink(n, n + 1, 10.0, 1000));
+    flows.push_back(f);
+    decomp = std::make_unique<PathDecomposition>(topo, flows);
+  }
+};
+
+// Building into a workspace that last held any other scenario — a larger
+// one, a smaller one, another query's, or one whose build threw — must give
+// exactly the scenario a fresh build gives.
+TEST(ScenarioReuse, InPlaceBuildMatchesFreshBuildOnEveryGoldenSlot) {
+  const OverlongPath overlong;
+  PathScenario carried;  // a workspace carried across queries
+  for (const GoldenQuery& q : kQueries) {
+    const Built b = BuildQuery(q);
+    const Topology& topo = b.ft->topo();
+    PathDecomposition decomp(topo, b.flows);
+    Rng rng(q.seed);
+    const std::vector<std::size_t> sample = SamplePaths(decomp, q.num_paths, rng);
+
+    std::vector<PathScenario> fresh;
+    std::size_t most = 0, fewest = 0;  // sampled paths with most/fewest lot nodes
+    for (std::size_t idx : sample) {
+      fresh.push_back(BuildPathScenario(topo, b.flows, decomp, idx));
+      const std::size_t nodes = fresh.back().lot->topo().num_nodes();
+      if (nodes > fresh[most].lot->topo().num_nodes()) most = fresh.size() - 1;
+      if (nodes < fresh[fewest].lot->topo().num_nodes()) fewest = fresh.size() - 1;
+    }
+    ASSERT_GT(fresh[most].lot->topo().num_nodes(), fresh[fewest].lot->topo().num_nodes())
+        << q.name;
+
+    for (std::size_t s = 0; s < sample.size(); ++s) {
+      const std::size_t other = s == most ? fewest : most;
+      PathScenario ws;
+      // After a path with more attached hosts (or fewer, for the largest).
+      BuildPathScenario(topo, b.flows, decomp, sample[other], &ws);
+      BuildPathScenario(topo, b.flows, decomp, sample[s], &ws);
+      ASSERT_TRUE(SameScenario(ws, fresh[s])) << q.name << " slot " << s << " after slot "
+                                              << other;
+      // After a path with fewer attached hosts.
+      BuildPathScenario(topo, b.flows, decomp, sample[fewest], &ws);
+      BuildPathScenario(topo, b.flows, decomp, sample[s], &ws);
+      ASSERT_TRUE(SameScenario(ws, fresh[s])) << q.name << " slot " << s << " after fewest";
+      // After a build that threw.
+      BuildPathScenario(topo, b.flows, decomp, sample[most], &ws);
+      EXPECT_THROW(
+          BuildPathScenario(overlong.topo, overlong.flows, *overlong.decomp, 0, &ws),
+          std::invalid_argument);
+      BuildPathScenario(topo, b.flows, decomp, sample[s], &ws);
+      ASSERT_TRUE(SameScenario(ws, fresh[s])) << q.name << " slot " << s << " after a throw";
+      // After the previous slot, and the previous query's last slot.
+      BuildPathScenario(topo, b.flows, decomp, sample[s], &carried);
+      ASSERT_TRUE(SameScenario(carried, fresh[s])) << q.name << " slot " << s << " carried";
+    }
+  }
+}
+
+// The pipeline and the router build into per-thread workspaces inside
+// ParallelFor: every thread count must reproduce the pinned keys and answer.
+TEST(ScenarioReuse, ThreadLocalWorkspacesReproduceThePins) {
+  const unsigned threads = std::max(2u, std::thread::hardware_concurrency());
+  for (const GoldenQuery& q : kQueries) {
+    const Built b = BuildQuery(q);
+    const Topology& topo = b.ft->topo();
+    PathDecomposition decomp(topo, b.flows);
+    Rng rng(q.seed);
+    const std::vector<std::size_t> sample = SamplePaths(decomp, q.num_paths, rng);
+
+    std::vector<Hash128> keys(sample.size());
+    ParallelFor(
+        sample.size(),
+        [&](std::size_t i) {
+          thread_local PathScenario workspace;
+          BuildPathScenario(topo, b.flows, decomp, sample[i], &workspace);
+          keys[i] = serve::PathCacheKey(workspace, NetConfig{}, true, Hash128{});
+        },
+        threads);
+    Hasher hk;
+    for (const Hash128& key : keys) hk.U64(key.hi).U64(key.lo);
+    EXPECT_EQ(hk.Finish().ToHex(), q.keys) << q.name << " path keys";
+
+    M3Options opts;
+    opts.num_paths = q.num_paths;
+    opts.seed = q.seed;
+    opts.num_threads = threads;
+    for (int run = 0; run < 2; ++run) {
+      const NetworkEstimate est = RunFlowSimOnly(topo, b.flows, NetConfig{}, opts);
+      ASSERT_TRUE(est.status.ok()) << est.status.ToString();
+      EXPECT_EQ(AnswerHex(est), q.answer) << q.name << " answer, run " << run;
     }
   }
 }

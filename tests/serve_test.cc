@@ -10,10 +10,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -88,6 +90,64 @@ TEST(Hash, DoublesHashByBitPattern) {
   h1.F64(0.0);
   h2.F64(-0.0);
   EXPECT_NE(h1.Finish(), h2.Finish());  // distinct bit patterns
+}
+
+// PathCacheKey serializes most of its fields into one buffer and absorbs it
+// with a single Bytes call; that is only the same key if the hash of a byte
+// stream does not depend on how the stream is cut into calls.
+TEST(HasherSplit, RandomStreamHashesTheSameHoweverItIsAbsorbed) {
+  std::mt19937_64 gen(20240804);
+  std::string stream;  // little-endian bytes of the typed fields below
+  Hasher typed;
+  const auto append = [&stream](const void* p, std::size_t n) {
+    stream.append(static_cast<const char*>(p), n);
+  };
+  while (stream.size() < 1024) {
+    const std::size_t left = 1024 - stream.size();
+    const std::uint64_t bits = gen();
+    switch (left < 8 ? (left < 4 ? 0 : 1) : bits % 4) {
+      case 0: {
+        const auto v = static_cast<std::uint8_t>(bits >> 8);
+        typed.U8(v);
+        append(&v, 1);
+        break;
+      }
+      case 1: {
+        const auto v = static_cast<std::int32_t>(bits >> 16);
+        typed.I32(v);
+        append(&v, 4);
+        break;
+      }
+      case 2: {
+        const auto v = static_cast<std::int64_t>(gen());
+        typed.I64(v);
+        append(&v, 8);
+        break;
+      }
+      default: {
+        std::uint64_t raw = gen();
+        double v;
+        std::memcpy(&v, &raw, 8);
+        if (std::isnan(v)) v = -1.5 * static_cast<double>(raw >> 12);
+        std::memcpy(&raw, &v, 8);
+        typed.F64(v);
+        append(&raw, 8);
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(stream.size(), 1024u);
+
+  Hasher one_call;
+  one_call.Bytes(stream.data(), stream.size());
+  const Hash128 want = one_call.Finish();
+  EXPECT_EQ(typed.Finish(), want);
+  for (std::size_t split = 0; split <= stream.size(); ++split) {
+    Hasher two_calls;
+    two_calls.Bytes(stream.data(), split);
+    two_calls.Bytes(stream.data() + split, stream.size() - split);
+    ASSERT_EQ(two_calls.Finish(), want) << "split at " << split;
+  }
 }
 
 // ------------------------------------------------------------ wire codecs --

@@ -224,5 +224,66 @@ TEST(ParkingLot, RejectsEndpointsNotAttachedAtTheirChainNode) {
   EXPECT_THROW(pl.RouteBetween(pl.switch_at(1), 0, b, 3), std::invalid_argument);
 }
 
+// The attached-host table rehashes as it grows; every endpoint must still
+// map to exactly one host, and re-attaching must find it.
+TEST(ParkingLot, EndpointTableKeepsDeduplicatingPastTenThousandEndpoints) {
+  ParkingLot pl(4, GbpsToBpns(40), 1000);
+  const std::size_t chain_nodes = pl.topo().num_nodes();
+  constexpr int kEndpoints = 12000;
+  std::vector<NodeId> hosts;
+  for (int e = 0; e < kEndpoints; ++e) {
+    // Spread keys over chain nodes 1..3, including the same key at two
+    // nodes (a distinct endpoint per node).
+    hosts.push_back(pl.AttachHost(1 + e % 3, GbpsToBpns(10),
+                                  static_cast<std::uint64_t>(e / 2) * 0x10001ULL));
+  }
+  EXPECT_EQ(pl.topo().num_nodes(), chain_nodes + kEndpoints);
+  for (int e = 0; e < kEndpoints; ++e) {
+    ASSERT_EQ(pl.AttachHost(1 + e % 3, GbpsToBpns(10),
+                            static_cast<std::uint64_t>(e / 2) * 0x10001ULL),
+              hosts[static_cast<std::size_t>(e)])
+        << "endpoint " << e;
+    EXPECT_EQ(hosts[static_cast<std::size_t>(e)], static_cast<NodeId>(chain_nodes) + e);
+  }
+  EXPECT_EQ(pl.topo().num_nodes(), chain_nodes + kEndpoints);
+  const Route r = pl.RouteBetween(hosts[0], 1, hosts[2], 3);
+  EXPECT_TRUE(pl.topo().ValidateRoute(hosts[0], hosts[2], r));
+}
+
+TEST(ParkingLot, ResetForgetsAttachedEndpointsAndMatchesAFreshLot) {
+  const std::vector<Bpns> rates = {GbpsToBpns(10), GbpsToBpns(40), GbpsToBpns(10)};
+  const std::vector<Ns> delays = {1000, 2000, 3000};
+  ParkingLot pl(6, GbpsToBpns(100), 500);
+  const NodeId old_host = pl.AttachHost(2, GbpsToBpns(10), 42);
+  for (std::uint64_t key = 0; key < 100; ++key) pl.AttachHost(4, GbpsToBpns(10), key);
+
+  pl.Reset(rates, delays);
+  EXPECT_EQ(pl.num_links(), 3);
+  EXPECT_THROW(pl.RouteBetween(old_host, 2, pl.switch_at(3), 3), std::invalid_argument);
+  const NodeId relinked = pl.AttachHost(1, GbpsToBpns(25), 42);
+  EXPECT_THROW(pl.RouteBetween(relinked, 2, pl.switch_at(3), 3), std::invalid_argument);
+
+  // Same numbering, links and out-link lists as a lot built from scratch.
+  ParkingLot fresh(rates, delays);
+  EXPECT_EQ(fresh.AttachHost(1, GbpsToBpns(25), 42), relinked);
+  ASSERT_EQ(pl.topo().num_nodes(), fresh.topo().num_nodes());
+  ASSERT_EQ(pl.topo().num_links(), fresh.topo().num_links());
+  for (std::size_t n = 0; n < pl.topo().num_nodes(); ++n) {
+    const NodeId id = static_cast<NodeId>(n);
+    EXPECT_EQ(pl.topo().kind(id), fresh.topo().kind(id)) << "node " << n;
+    EXPECT_EQ(pl.topo().OutLinks(id), fresh.topo().OutLinks(id)) << "node " << n;
+  }
+  for (std::size_t l = 0; l < pl.topo().num_links(); ++l) {
+    const Link& a = pl.topo().link(static_cast<LinkId>(l));
+    const Link& b = fresh.topo().link(static_cast<LinkId>(l));
+    EXPECT_EQ(a.src, b.src);
+    EXPECT_EQ(a.dst, b.dst);
+    EXPECT_EQ(a.rate, b.rate);
+    EXPECT_EQ(a.delay, b.delay);
+  }
+  EXPECT_EQ(pl.RouteBetween(relinked, 1, pl.switch_at(3), 3),
+            fresh.RouteBetween(relinked, 1, fresh.switch_at(3), 3));
+}
+
 }  // namespace
 }  // namespace m3

@@ -41,13 +41,16 @@ ctest --test-dir build --output-on-failure -j"$JOBS"
 
 echo "== ASan: checkpoint/trainer robustness + path pipeline suites =="
 # The path-pipeline suites (decomposition, sampling, scenario wiring,
-# flowSim, golden pins, hostile flow ids) run here because their index
-# arithmetic (per-link CSR lists, position-indexed flows, reused flowSim
-# workspaces) is exactly where an out-of-bounds access would hide.
+# reused scenario workspaces, the parking-lot endpoint table, the hasher
+# behind the one-pass path key, flowSim, golden pins, hostile flow ids) run
+# here because their index arithmetic (per-link CSR lists, position-indexed
+# flows, reused flowSim and scenario workspaces) is exactly where an
+# out-of-bounds access would hide. SocketServer runs here too, so
+# LeakSanitizer sees the socket helpers (its TSan run cannot).
 cmake -B build-asan -S . -DM3_SANITIZE=address "$@"
 cmake --build build-asan -j"$JOBS" --target m3_tests
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Decompose|Sampling|PathTopology|ParkingLot|FlowSim|GoldenPipeline|FlowIds'
+  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|GoldenPipeline|FlowIds|SocketServer'
 
 echo "== kernels: SIMD parity suites under ASan+UBSan for every M3_KERNEL =="
 # Every dispatchable tier (including forced-but-unavailable values, which
@@ -72,10 +75,12 @@ ctest --test-dir build-ubsan --output-on-failure -j"$JOBS" \
   -R 'Status|FaultRegistry|Validate|EstimatorResilience|AggregationGuard|CheckpointResilience|TraceIo'
 
 echo "== TSan: serving / hot-reload / scheduler suites =="
+# ScenarioReuse joins them: the path pipeline and the router build scenarios
+# into thread_local workspaces under a concurrent ParallelFor.
 cmake -B build-tsan -S . -DM3_SANITIZE=thread "$@"
 cmake --build build-tsan -j"$JOBS" --target m3_tests
 ctest --test-dir build-tsan --output-on-failure -j"$JOBS" \
-  -R 'Service|SocketServer|ModelRegistry|LruCache|ThreadPool|Persist'
+  -R 'Service|SocketServer|ModelRegistry|LruCache|ThreadPool|Persist|ScenarioReuse'
 
 echo "== chaos: supervised-worker + router fleet suites under ASan =="
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
