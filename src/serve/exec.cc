@@ -8,7 +8,7 @@
 namespace m3::serve {
 namespace {
 
-// Bounds for an explicit (v3) topology shape. The large paper testbed is
+// Bounds for an explicit topology shape. The large paper testbed is
 // 6144 hosts; the cap leaves headroom without letting a hostile request
 // allocate an arbitrarily large fabric.
 constexpr int kMaxTopoDim = 512;

@@ -28,7 +28,7 @@ namespace m3::serve {
 
 /// Small LRU of immutable fat trees keyed by the request's topology terms:
 /// the oversubscription double's bit pattern — exactly the value off the
-/// wire — plus the explicit v3 shape (all-zero for the default Small
+/// wire — plus the explicit shape (all-zero for the default Small
 /// testbed). Bounded because both are client-supplied (any admissible bit
 /// pattern would otherwise grow the process without limit). Thread-safe.
 class TopoMemo {
@@ -86,7 +86,7 @@ ShardQueryResponse ExecuteShardOnSnapshot(const ShardQueryRequest& req,
                                           const ModelSnapshot& snap, const ExecContext& ctx);
 
 /// Validates the request's topology terms (oversub range for the default
-/// shape; per-field and total-size bounds for an explicit v3 shape) and
+/// shape; per-field and total-size bounds for an explicit shape) and
 /// returns the memoized fat tree. Shared by the daemon execution path and
 /// the router's decomposition step so both sides of a scattered query build
 /// the identical tree.

@@ -49,7 +49,7 @@ inline constexpr const char* kPersistFlushFaultSite = "persist/flush";
 inline constexpr const char* kPersistWriteFaultSite = "persist/segment_write";
 inline constexpr const char* kPersistReadFaultSite = "persist/segment_read";
 
-/// Counters exported through ServerStatsWire (wire v4 additive fields).
+/// Counters exported as the persist_* metrics (serve/metrics.h).
 struct PersistStats {
   std::uint64_t segments_loaded = 0;   // segments with a parseable header
   std::uint64_t entries_loaded = 0;    // records recovered into a cache

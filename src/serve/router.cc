@@ -305,7 +305,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
     resp.degradation.first_error = st.ToString();
     resp.wall_seconds = Elapsed(t0);
     queries_failed_.fetch_add(1, std::memory_order_relaxed);
-    resp.stats = Stats();
     return resp;
   };
 
@@ -314,7 +313,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
     if (!started_) {
       resp.status = Status::Unavailable("router not started");
       queries_failed_.fetch_add(1, std::memory_order_relaxed);
-      resp.stats = Stats();
       return resp;
     }
   }
@@ -469,7 +467,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
     resp.shed_reason = static_cast<std::uint8_t>(ShedReason::kRouterBudget);
     resp.wall_seconds = Elapsed(t0);
     queries_shed_.fetch_add(1, std::memory_order_relaxed);
-    resp.stats = Stats();
     return resp;
   }
 
@@ -506,11 +503,8 @@ QueryResponse Router::Query(const QueryRequest& req) {
           sub.query = req;
           if (has_deadline) sub.query.deadline_seconds = shard_budget;
           sub.slots = queue[d].slots;
-          // Encoded at the client's own wire version: a v3 client routed
-          // across a mixed v3/v4 fleet keeps working.
           results[d] = CallShard(*shards_[static_cast<std::size_t>(queue[d].shard)],
-                                 EncodeShardQueryRequest(sub, req.wire_version),
-                                 recv_timeout);
+                                 EncodeShardQueryRequest(sub), recv_timeout);
         });
       }
       for (auto& t : th) t.join();
@@ -748,7 +742,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
     (IsAnsweredCode(resp.status.code()) ? queries_ok_ : queries_failed_)
         .fetch_add(1, std::memory_order_relaxed);
   }
-  resp.stats = Stats();
   return resp;
 }
 
@@ -797,24 +790,8 @@ ServerStatsWire Router::Stats() const {
   }
   st.model_version = mv;
   st.model_crc = FleetModel().second;
-  {
-    const CacheStats c = path_cache_.stats();
-    st.path_cache[0] = c.hits;
-    st.path_cache[1] = c.misses;
-    st.path_cache[2] = c.inserts;
-    st.path_cache[3] = c.evictions;
-    st.path_cache[4] = c.entries;
-  }
-  if (persister_ != nullptr) {
-    const PersistStats p = persister_->stats();
-    st.persist_enabled = true;
-    st.persist_segments_loaded = p.segments_loaded;
-    st.persist_entries_loaded = p.entries_loaded;
-    st.persist_entries_flushed = p.entries_flushed;
-    st.persist_records_corrupt = p.records_corrupt;
-    st.persist_digest_dropped = p.digest_dropped;
-    st.persist_flush_backlog = p.flush_backlog;
-  }
+  st.path_cache = CacheOpValues(path_cache_.stats());
+  ExportPersistStats(persister_.get(), &st);
   return st;
 }
 

@@ -134,7 +134,7 @@ class Router {
     ShardBreaker breaker;
     std::atomic<bool> healthy{false};
     std::atomic<std::uint64_t> model_version{0};
-    std::atomic<std::uint32_t> model_crc{0};  // content CRC from v4 pings
+    std::atomic<std::uint32_t> model_crc{0};  // content CRC from pings
     // Cumulative counters (ShardHealthWire).
     std::atomic<std::uint64_t> dispatches{0};
     std::atomic<std::uint64_t> failures{0};

@@ -141,46 +141,36 @@ void SocketServer::ServeConnection(UnixFd fd, std::list<Conn>::iterator self) {
       switch (static_cast<MsgType>(frame->type)) {
         case MsgType::kQueryRequest: {
           StatusOr<QueryRequest> req = DecodeQueryRequest(frame->payload);
-          // Responses speak the version the request spoke: a v3 client on a
-          // v4 daemon gets byte-identical v3 replies. Decode failures echo
-          // the claimed version when recognizable, else the floor.
-          const std::uint32_t v =
-              req.ok() ? req->wire_version : PeekWireVersion(frame->payload);
           QueryResponse resp;
           if (!req.ok()) {
             resp.status = req.status().Annotate("decoding query request");
-            if (hooks_.stats) resp.stats = hooks_.stats();
           } else if (!hooks_.query) {
             resp.status = Status::Unavailable("this daemon does not serve queries");
           } else {
             resp = hooks_.query(*req);
           }
           send = SendFrame(fd, static_cast<std::uint32_t>(MsgType::kQueryResponse),
-                           EncodeQueryResponse(resp, v));
+                           EncodeQueryResponse(resp));
           break;
         }
         case MsgType::kPingRequest: {
-          // Liveness probes must answer even for a malformed body version
-          // — the prober wants "is anyone home", not a parse verdict.
+          // Ping and stats bodies are never decoded: a liveness probe wants
+          // "is anyone home", not a parse verdict.
           PingResponse resp;
           if (hooks_.ping) resp = hooks_.ping();
           send = SendFrame(fd, static_cast<std::uint32_t>(MsgType::kPingResponse),
-                           EncodePingResponse(resp, PeekWireVersion(frame->payload)));
+                           EncodePingResponse(resp));
           break;
         }
         case MsgType::kStatsRequest: {
-          // Pre-v4 clients send an empty stats payload; PeekWireVersion
-          // maps that to the floor so they get the v3 body they expect.
           ServerStatsWire stats;
           if (hooks_.stats) stats = hooks_.stats();
           send = SendFrame(fd, static_cast<std::uint32_t>(MsgType::kStatsResponse),
-                           EncodeStats(stats, PeekWireVersion(frame->payload)));
+                           EncodeStats(stats));
           break;
         }
         case MsgType::kReloadRequest: {
           StatusOr<ReloadRequest> req = DecodeReloadRequest(frame->payload);
-          const std::uint32_t v =
-              req.ok() ? req->wire_version : PeekWireVersion(frame->payload);
           ReloadResponse resp;
           if (!req.ok()) {
             resp.status = req.status().Annotate("decoding reload request");
@@ -190,13 +180,11 @@ void SocketServer::ServeConnection(UnixFd fd, std::list<Conn>::iterator self) {
             resp = hooks_.reload(*req);
           }
           send = SendFrame(fd, static_cast<std::uint32_t>(MsgType::kReloadResponse),
-                           EncodeReloadResponse(resp, v));
+                           EncodeReloadResponse(resp));
           break;
         }
         case MsgType::kShardQueryRequest: {
           StatusOr<ShardQueryRequest> req = DecodeShardQueryRequest(frame->payload);
-          const std::uint32_t v = req.ok() ? req->query.wire_version
-                                           : PeekWireVersion(frame->payload);
           ShardQueryResponse resp;
           if (!req.ok()) {
             resp.status = req.status().Annotate("decoding shard query");
@@ -206,7 +194,7 @@ void SocketServer::ServeConnection(UnixFd fd, std::list<Conn>::iterator self) {
             resp = hooks_.shard_query(*req);
           }
           send = SendFrame(fd, static_cast<std::uint32_t>(MsgType::kShardQueryResponse),
-                           EncodeShardQueryResponse(resp, v));
+                           EncodeShardQueryResponse(resp));
           break;
         }
         default:

@@ -20,14 +20,6 @@ constexpr const char* kCacheFaultSite = "serve/cache_lookup";
 // a client-supplied double (any bit pattern in range is admissible).
 constexpr std::size_t kTopoCacheEntries = 8;
 
-void CopyCacheStats(const CacheStats& in, std::uint64_t out[5]) {
-  out[0] = in.hits;
-  out[1] = in.misses;
-  out[2] = in.inserts;
-  out[3] = in.evictions;
-  out[4] = in.entries;
-}
-
 }  // namespace
 
 EstimationService::EstimationService(const ServiceOptions& opts)
@@ -305,7 +297,6 @@ void EstimationService::AnswerShed(Pending p, ShedReason reason) {
     resp.status = Status::ResourceExhausted(
         "shed: displaced by a higher-priority request");
   }
-  resp.stats = Stats();
   p.done(std::move(resp));
 }
 
@@ -477,7 +468,6 @@ QueryResponse EstimationService::Query(const QueryRequest& req) {
     QueryResponse resp;
     resp.status = st;
     resp.shed_reason = static_cast<std::uint8_t>(shed);
-    resp.stats = Stats();
     return resp;
   }
   return result.get();
@@ -523,7 +513,6 @@ QueryResponse EstimationService::Execute(const QueryRequest& req) {
     resp.status = Status::Unavailable(
         "no model loaded (start m3d with --model, or send a reload request)");
     queries_failed_.fetch_add(1, std::memory_order_relaxed);
-    resp.stats = Stats();
     return resp;
   }
   resp.model_version = snap->version;
@@ -538,7 +527,6 @@ QueryResponse EstimationService::Execute(const QueryRequest& req) {
         resp.model_crc = snap->param_crc;
         resp.query_cache_hit = true;
         queries_ok_.fetch_add(1, std::memory_order_relaxed);
-        resp.stats = Stats();
         return resp;
       }
     } catch (...) {
@@ -574,7 +562,7 @@ QueryResponse EstimationService::Execute(const QueryRequest& req) {
   // pinning the *old* snapshot may answer, and its result must not be
   // cached under the new digest's key.
   if (resp.status.ok() && !req.no_cache && resp.model_version == snap->version) {
-    QueryResponse cached = resp;  // stats/hit-flag fields stay default
+    QueryResponse cached = resp;  // hit flag stays default
     // Encode before the move; Insert's return gates the spill so refreshes
     // (and recovered entries) are never written twice.
     std::string blob;
@@ -585,7 +573,6 @@ QueryResponse EstimationService::Execute(const QueryRequest& req) {
                           std::move(blob));
     }
   }
-  resp.stats = Stats();
   return resp;
 }
 
@@ -600,8 +587,8 @@ ServerStatsWire EstimationService::Stats() const {
     s.shed_by_reason[i] = shed_by_reason_[i].load(std::memory_order_relaxed);
   }
   s.brownout_queries = brownout_queries_.load(std::memory_order_relaxed);
-  CopyCacheStats(query_cache_.stats(), s.query_cache);
-  CopyCacheStats(path_cache_.stats(), s.path_cache);
+  s.query_cache = CacheOpValues(query_cache_.stats());
+  s.path_cache = CacheOpValues(path_cache_.stats());
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     s.queue_depth = static_cast<std::uint32_t>(QueueDepthLocked());
@@ -633,16 +620,7 @@ ServerStatsWire EstimationService::Stats() const {
     s.breaker_open = w.breaker_open;
     s.quarantined_digests = w.quarantined_digests;
   }
-  if (persister_ != nullptr) {
-    const PersistStats p = persister_->stats();
-    s.persist_enabled = true;
-    s.persist_segments_loaded = p.segments_loaded;
-    s.persist_entries_loaded = p.entries_loaded;
-    s.persist_entries_flushed = p.entries_flushed;
-    s.persist_records_corrupt = p.records_corrupt;
-    s.persist_digest_dropped = p.digest_dropped;
-    s.persist_flush_backlog = p.flush_backlog;
-  }
+  ExportPersistStats(persister_.get(), &s);
   return s;
 }
 

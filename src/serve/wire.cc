@@ -1,5 +1,6 @@
 #include "serve/wire.h"
 
+#include <array>
 #include <cstring>
 
 #include "pathdecomp/path_topology.h"
@@ -39,9 +40,6 @@ constexpr std::uint64_t kSlotEstimateBytes =
     4 + std::uint64_t{kNumOutputBuckets} * kNumPercentiles * 8 + kNumOutputBuckets * 8;
 // Minimum bytes per shard report (empty shard string: u64 len + 6 u32 + bool).
 constexpr std::uint64_t kMinShardReportBytes = 8 + 6 * 4 + 1;
-// Minimum bytes per shard health record (empty address: u64 len + 2 bools +
-// 7 u64 counters).
-constexpr std::uint64_t kMinShardHealthBytes = 8 + 2 + 7 * 8;
 
 class Writer {
  public:
@@ -63,6 +61,16 @@ class Writer {
   void VecF64(const std::vector<double>& v) {
     U64(v.size());
     for (double d : v) F64(d);
+  }
+  // Metric fields (serve/metrics.h), by member type.
+  void Field(std::uint64_t v) { U64(v); }
+  void Field(std::uint32_t v) { U32(v); }
+  void Field(bool v) { Bool(v); }
+  void Field(double v) { F64(v); }
+  void Field(const std::string& v) { Str(v); }
+  template <typename T, std::size_t N>
+  void Field(const std::array<T, N>& a) {
+    for (const T& v : a) Field(v);
   }
   std::string Take() { return std::move(out_); }
 
@@ -121,6 +129,16 @@ class Reader {
     for (double& d : *v) M3_RETURN_IF_ERROR(F64(&d));
     return Status::Ok();
   }
+  Status Field(std::uint64_t* v) { return U64(v); }
+  Status Field(std::uint32_t* v) { return U32(v); }
+  Status Field(bool* v) { return Bool(v); }
+  Status Field(double* v) { return F64(v); }
+  Status Field(std::string* v) { return Str(v); }
+  template <typename T, std::size_t N>
+  Status Field(std::array<T, N>* a) {
+    for (T& v : *a) M3_RETURN_IF_ERROR(Field(&v));
+    return Status::Ok();
+  }
 
   std::size_t remaining() const { return s_.size() - pos_; }
 
@@ -152,26 +170,22 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-// Reads the leading version tag, accepting any version this build can
-// decode. v4-only fields are gated on `*out >= 4` at each use site.
-Status ReadVersion(Reader& r, std::uint32_t* out) {
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(r.U32(&v));
-  if (v < kMinWireVersion || v > kWireVersion) {
-    return Status::InvalidArgument("wire: protocol version " + std::to_string(v) +
-                                   " (this build speaks " + std::to_string(kMinWireVersion) +
-                                   ".." + std::to_string(kWireVersion) + ")");
-  }
-  *out = v;
-  return Status::Ok();
+// Every payload leads with the one version this build speaks.
+Writer Versioned() {
+  Writer w;
+  w.U32(kWireVersion);
+  return w;
 }
 
-// Encoders clamp the requested version into the supported band so a caller
-// echoing a sniffed version can never emit something undecodable.
-std::uint32_t ClampVersion(std::uint32_t v) {
-  if (v < kMinWireVersion) return kMinWireVersion;
-  if (v > kWireVersion) return kWireVersion;
-  return v;
+Status ReadVersion(Reader& r) {
+  std::uint32_t v;
+  M3_RETURN_IF_ERROR(r.U32(&v));
+  if (v != kWireVersion) {
+    return Status::InvalidArgument("wire: protocol version " + std::to_string(v) +
+                                   " (this build speaks only " +
+                                   std::to_string(kWireVersion) + ")");
+  }
+  return Status::Ok();
 }
 
 void EncodeNetConfig(Writer& w, const NetConfig& cfg) {
@@ -316,7 +330,7 @@ Status DecodeStatus(Reader& r, Status* st) {
   return Status::Ok();
 }
 
-void EncodeDegradation(Writer& w, const DegradationReport& d, std::uint32_t v) {
+void EncodeDegradation(Writer& w, const DegradationReport& d) {
   w.I32(d.paths_ok);
   w.I32(d.paths_cached);
   w.I32(d.paths_retried);
@@ -328,13 +342,11 @@ void EncodeDegradation(Writer& w, const DegradationReport& d, std::uint32_t v) {
   w.I32(d.errors_validation);
   w.I64(d.clamped_values);
   w.Str(d.first_error);
-  if (v >= 4) {
-    w.I32(d.brownout_level);
-    w.I32(d.paths_brownout);
-  }
+  w.I32(d.brownout_level);
+  w.I32(d.paths_brownout);
 }
 
-Status DecodeDegradation(Reader& r, DegradationReport* d, std::uint32_t v) {
+Status DecodeDegradation(Reader& r, DegradationReport* d) {
   M3_RETURN_IF_ERROR(r.I32(&d->paths_ok));
   M3_RETURN_IF_ERROR(r.I32(&d->paths_cached));
   M3_RETURN_IF_ERROR(r.I32(&d->paths_retried));
@@ -348,158 +360,54 @@ Status DecodeDegradation(Reader& r, DegradationReport* d, std::uint32_t v) {
   M3_RETURN_IF_ERROR(r.I64(&clamped));
   d->clamped_values = clamped;
   M3_RETURN_IF_ERROR(r.Str(&d->first_error));
-  if (v >= 4) {
-    M3_RETURN_IF_ERROR(r.I32(&d->brownout_level));
-    M3_RETURN_IF_ERROR(r.I32(&d->paths_brownout));
-  }
+  M3_RETURN_IF_ERROR(r.I32(&d->brownout_level));
+  M3_RETURN_IF_ERROR(r.I32(&d->paths_brownout));
   return Status::Ok();
 }
 
-void EncodeStatsBody(Writer& w, const ServerStatsWire& s, std::uint32_t v) {
-  w.U64(s.queries_received);
-  w.U64(s.queries_ok);
-  w.U64(s.queries_rejected);
-  w.U64(s.queries_failed);
-  for (std::uint64_t v : s.query_cache) w.U64(v);
-  for (std::uint64_t v : s.path_cache) w.U64(v);
-  w.U32(s.queue_depth);
-  w.U32(s.queue_capacity);
-  w.U32(s.workers);
-  w.U64(s.model_version);
-  w.U32(s.model_crc);
-  w.U64(s.reloads_ok);
-  w.U64(s.reloads_failed);
-  w.Str(s.model_path);
-  w.Bool(s.worker_mode);
-  w.U32(s.workers_configured);
-  w.U32(s.workers_alive);
-  w.U64(s.worker_spawns);
-  w.U64(s.worker_restarts);
-  w.U64(s.worker_crashes);
-  w.U64(s.watchdog_kills);
-  w.U64(s.garbage_replies);
-  w.U64(s.crash_retried_queries);
-  w.U64(s.breaker_trips);
-  w.Bool(s.breaker_open);
-  w.U32(s.quarantined_digests);
-  w.Bool(s.router_mode);
-  w.U64(s.shards.size());
-  for (const ShardHealthWire& sh : s.shards) {
-    w.Str(sh.address);
-    w.Bool(sh.healthy);
-    w.Bool(sh.breaker_open);
-    w.U64(sh.model_version);
-    w.U64(sh.dispatches);
-    w.U64(sh.failures);
-    w.U64(sh.retries);
-    w.U64(sh.hedges);
-    w.U64(sh.slots_fallback);
-    w.U64(sh.slots_dropped);
-  }
-  if (v >= 4) {
-    w.U64(s.queries_shed);
-    for (std::uint64_t c : s.shed_by_reason) w.U64(c);
-    w.U64(s.brownout_queries);
-    w.U32(s.brownout_level);
-    w.F64(s.in_flight_cost);
-    w.F64(s.cost_budget);
-    // Persistence tail (v4 additive): appended last so decoders written
-    // before it see a clean end-of-body, and this decoder length-gates it.
-    w.Bool(s.persist_enabled);
-    w.U64(s.persist_segments_loaded);
-    w.U64(s.persist_entries_loaded);
-    w.U64(s.persist_entries_flushed);
-    w.U64(s.persist_records_corrupt);
-    w.U64(s.persist_digest_dropped);
-    w.U64(s.persist_flush_backlog);
-  }
+// The stats schema is the metric list (serve/metrics.h): fields go out in
+// list order, then the shard rows. Neither function names a field.
+void EncodeShardRow(Writer& w, const ShardHealthWire& row) {
+  ForEachShardField(row, [&w](const MetricDesc&, const auto& v) { w.Field(v); });
 }
 
-// Size of the v4 persistence tail: enabled bool + 6 u64 counters. The
-// stats body is always the last element of its payload, so remaining()
-// tells us whether the peer's build had it.
-constexpr std::size_t kPersistTailBytes = 1 + 6 * 8;
+void EncodeStatsBody(Writer& w, const ServerStatsWire& s) {
+  ForEachMetric(s, [&w](const MetricDesc&, const auto& v) { w.Field(v); });
+  w.U64(s.shards.size());
+  for (const ShardHealthWire& row : s.shards) EncodeShardRow(w, row);
+}
 
-Status DecodeStatsBody(Reader& r, ServerStatsWire* s, std::uint32_t v) {
-  M3_RETURN_IF_ERROR(r.U64(&s->queries_received));
-  M3_RETURN_IF_ERROR(r.U64(&s->queries_ok));
-  M3_RETURN_IF_ERROR(r.U64(&s->queries_rejected));
-  M3_RETURN_IF_ERROR(r.U64(&s->queries_failed));
-  for (std::uint64_t& v : s->query_cache) M3_RETURN_IF_ERROR(r.U64(&v));
-  for (std::uint64_t& v : s->path_cache) M3_RETURN_IF_ERROR(r.U64(&v));
-  M3_RETURN_IF_ERROR(r.U32(&s->queue_depth));
-  M3_RETURN_IF_ERROR(r.U32(&s->queue_capacity));
-  M3_RETURN_IF_ERROR(r.U32(&s->workers));
-  M3_RETURN_IF_ERROR(r.U64(&s->model_version));
-  M3_RETURN_IF_ERROR(r.U32(&s->model_crc));
-  M3_RETURN_IF_ERROR(r.U64(&s->reloads_ok));
-  M3_RETURN_IF_ERROR(r.U64(&s->reloads_failed));
-  M3_RETURN_IF_ERROR(r.Str(&s->model_path));
-  M3_RETURN_IF_ERROR(r.Bool(&s->worker_mode));
-  M3_RETURN_IF_ERROR(r.U32(&s->workers_configured));
-  M3_RETURN_IF_ERROR(r.U32(&s->workers_alive));
-  M3_RETURN_IF_ERROR(r.U64(&s->worker_spawns));
-  M3_RETURN_IF_ERROR(r.U64(&s->worker_restarts));
-  M3_RETURN_IF_ERROR(r.U64(&s->worker_crashes));
-  M3_RETURN_IF_ERROR(r.U64(&s->watchdog_kills));
-  M3_RETURN_IF_ERROR(r.U64(&s->garbage_replies));
-  M3_RETURN_IF_ERROR(r.U64(&s->crash_retried_queries));
-  M3_RETURN_IF_ERROR(r.U64(&s->breaker_trips));
-  M3_RETURN_IF_ERROR(r.Bool(&s->breaker_open));
-  M3_RETURN_IF_ERROR(r.U32(&s->quarantined_digests));
-  M3_RETURN_IF_ERROR(r.Bool(&s->router_mode));
+Status DecodeStatsBody(Reader& r, ServerStatsWire* s) {
+  Status st;
+  const auto get = [&r, &st](const MetricDesc&, auto& v) {
+    if (st.ok()) st = r.Field(&v);
+  };
+  ForEachMetric(*s, get);
+  M3_RETURN_IF_ERROR(st);
   std::uint64_t n;
   M3_RETURN_IF_ERROR(r.U64(&n));
+  // Division form against the smallest row (an empty address).
+  static const std::uint64_t kMinShardHealthBytes = [] {
+    Writer w;
+    EncodeShardRow(w, ShardHealthWire{});
+    return static_cast<std::uint64_t>(w.Take().size());
+  }();
   if (n > r.remaining() / kMinShardHealthBytes) {
     return Status::DataLoss("wire: shard health count " + std::to_string(n) +
                             " exceeds the remaining payload");
   }
   s->shards.resize(static_cast<std::size_t>(n));
-  for (ShardHealthWire& sh : s->shards) {
-    M3_RETURN_IF_ERROR(r.Str(&sh.address));
-    M3_RETURN_IF_ERROR(r.Bool(&sh.healthy));
-    M3_RETURN_IF_ERROR(r.Bool(&sh.breaker_open));
-    M3_RETURN_IF_ERROR(r.U64(&sh.model_version));
-    M3_RETURN_IF_ERROR(r.U64(&sh.dispatches));
-    M3_RETURN_IF_ERROR(r.U64(&sh.failures));
-    M3_RETURN_IF_ERROR(r.U64(&sh.retries));
-    M3_RETURN_IF_ERROR(r.U64(&sh.hedges));
-    M3_RETURN_IF_ERROR(r.U64(&sh.slots_fallback));
-    M3_RETURN_IF_ERROR(r.U64(&sh.slots_dropped));
-  }
-  if (v >= 4) {
-    M3_RETURN_IF_ERROR(r.U64(&s->queries_shed));
-    for (std::uint64_t& c : s->shed_by_reason) M3_RETURN_IF_ERROR(r.U64(&c));
-    M3_RETURN_IF_ERROR(r.U64(&s->brownout_queries));
-    M3_RETURN_IF_ERROR(r.U32(&s->brownout_level));
-    M3_RETURN_IF_ERROR(r.F64(&s->in_flight_cost));
-    M3_RETURN_IF_ERROR(r.F64(&s->cost_budget));
-    if (r.remaining() >= kPersistTailBytes) {
-      M3_RETURN_IF_ERROR(r.Bool(&s->persist_enabled));
-      M3_RETURN_IF_ERROR(r.U64(&s->persist_segments_loaded));
-      M3_RETURN_IF_ERROR(r.U64(&s->persist_entries_loaded));
-      M3_RETURN_IF_ERROR(r.U64(&s->persist_entries_flushed));
-      M3_RETURN_IF_ERROR(r.U64(&s->persist_records_corrupt));
-      M3_RETURN_IF_ERROR(r.U64(&s->persist_digest_dropped));
-      M3_RETURN_IF_ERROR(r.U64(&s->persist_flush_backlog));
-    }
+  for (ShardHealthWire& row : s->shards) {
+    ForEachShardField(row, get);
+    M3_RETURN_IF_ERROR(st);
   }
   return Status::Ok();
 }
 
 }  // namespace
 
-std::uint32_t PeekWireVersion(const std::string& payload) {
-  if (payload.size() < 4) return kMinWireVersion;
-  std::uint32_t v;
-  std::memcpy(&v, payload.data(), 4);
-  return (v >= kMinWireVersion && v <= kWireVersion) ? v : kMinWireVersion;
-}
-
-std::string EncodeQueryRequest(const QueryRequest& req, std::uint32_t version) {
-  const std::uint32_t v = ClampVersion(version);
-  Writer w;
-  w.U32(v);
+std::string EncodeQueryRequest(const QueryRequest& req) {
+  Writer w = Versioned();
   w.F64(req.oversub);
   EncodeTopo(w, req.topo);
   EncodeNetConfig(w, req.cfg);
@@ -510,10 +418,8 @@ std::string EncodeQueryRequest(const QueryRequest& req, std::uint32_t version) {
   w.F64(req.deadline_seconds);
   w.I32(req.max_attempts);
   w.Bool(req.no_cache);
-  if (v >= 4) {
-    w.U8(req.priority);
-    w.U8(req.brownout);
-  }
+  w.U8(req.priority);
+  w.U8(req.brownout);
   w.U64(req.flows.size());
   for (const WireFlow& f : req.flows) {
     w.I32(f.id);
@@ -529,7 +435,7 @@ std::string EncodeQueryRequest(const QueryRequest& req, std::uint32_t version) {
 StatusOr<QueryRequest> DecodeQueryRequest(const std::string& payload) {
   Reader r(payload);
   QueryRequest req;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &req.wire_version));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   M3_RETURN_IF_ERROR(r.F64(&req.oversub));
   M3_RETURN_IF_ERROR(DecodeTopo(r, &req.topo));
   M3_RETURN_IF_ERROR(DecodeNetConfig(r, &req.cfg));
@@ -540,17 +446,13 @@ StatusOr<QueryRequest> DecodeQueryRequest(const std::string& payload) {
   M3_RETURN_IF_ERROR(r.F64(&req.deadline_seconds));
   M3_RETURN_IF_ERROR(r.I32(&req.max_attempts));
   M3_RETURN_IF_ERROR(r.Bool(&req.no_cache));
-  if (req.wire_version >= 4) {
-    M3_RETURN_IF_ERROR(r.U8(&req.priority));
-    if (req.priority >= kNumPriorityClasses) {
-      return Status::InvalidArgument("wire: priority class " +
-                                     std::to_string(req.priority));
-    }
-    M3_RETURN_IF_ERROR(r.U8(&req.brownout));
-    if (req.brownout > 2) {
-      return Status::InvalidArgument("wire: brownout level " +
-                                     std::to_string(req.brownout));
-    }
+  M3_RETURN_IF_ERROR(r.U8(&req.priority));
+  if (req.priority >= kNumPriorityClasses) {
+    return Status::InvalidArgument("wire: priority class " + std::to_string(req.priority));
+  }
+  M3_RETURN_IF_ERROR(r.U8(&req.brownout));
+  if (req.brownout > 2) {
+    return Status::InvalidArgument("wire: brownout level " + std::to_string(req.brownout));
   }
   std::uint64_t n;
   M3_RETURN_IF_ERROR(r.U64(&n));
@@ -574,79 +476,65 @@ StatusOr<QueryRequest> DecodeQueryRequest(const std::string& payload) {
   return req;
 }
 
-std::string EncodeQueryResponse(const QueryResponse& resp, std::uint32_t version) {
-  const std::uint32_t v = ClampVersion(version);
-  Writer w;
-  w.U32(v);
+std::string EncodeQueryResponse(const QueryResponse& resp) {
+  Writer w = Versioned();
   EncodeStatus(w, resp.status);
   for (const auto& pct : resp.bucket_pct) w.VecF64(pct);
   for (double c : resp.total_counts) w.F64(c);
   w.VecF64(resp.combined_pct);
   w.F64(resp.wall_seconds);
-  EncodeDegradation(w, resp.degradation, v);
+  EncodeDegradation(w, resp.degradation);
   w.U64(resp.model_version);
   w.U32(resp.model_crc);
   w.Bool(resp.query_cache_hit);
-  if (v >= 4) w.U8(resp.shed_reason);
+  w.U8(resp.shed_reason);
   EncodeShardReports(w, resp.shards);
-  EncodeStatsBody(w, resp.stats, v);
   return w.Take();
 }
 
 StatusOr<QueryResponse> DecodeQueryResponse(const std::string& payload) {
   Reader r(payload);
   QueryResponse resp;
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   M3_RETURN_IF_ERROR(DecodeStatus(r, &resp.status));
   for (auto& pct : resp.bucket_pct) M3_RETURN_IF_ERROR(r.VecF64(&pct));
   for (double& c : resp.total_counts) M3_RETURN_IF_ERROR(r.F64(&c));
   M3_RETURN_IF_ERROR(r.VecF64(&resp.combined_pct));
   M3_RETURN_IF_ERROR(r.F64(&resp.wall_seconds));
-  M3_RETURN_IF_ERROR(DecodeDegradation(r, &resp.degradation, v));
+  M3_RETURN_IF_ERROR(DecodeDegradation(r, &resp.degradation));
   M3_RETURN_IF_ERROR(r.U64(&resp.model_version));
   M3_RETURN_IF_ERROR(r.U32(&resp.model_crc));
   M3_RETURN_IF_ERROR(r.Bool(&resp.query_cache_hit));
-  if (v >= 4) {
-    M3_RETURN_IF_ERROR(r.U8(&resp.shed_reason));
-    if (resp.shed_reason >= kNumShedReasons) {
-      return Status::InvalidArgument("wire: shed reason " +
-                                     std::to_string(resp.shed_reason));
-    }
+  M3_RETURN_IF_ERROR(r.U8(&resp.shed_reason));
+  if (resp.shed_reason >= kNumShedReasons) {
+    return Status::InvalidArgument("wire: shed reason " + std::to_string(resp.shed_reason));
   }
   M3_RETURN_IF_ERROR(DecodeShardReports(r, &resp.shards));
-  M3_RETURN_IF_ERROR(DecodeStatsBody(r, &resp.stats, v));
   M3_RETURN_IF_ERROR(r.ExpectEnd());
   return resp;
 }
 
-std::string EncodeStatsRequest(std::uint32_t version) {
-  Writer w;
-  w.U32(ClampVersion(version));
-  return w.Take();
-}
+std::string EncodePingRequest() { return Versioned().Take(); }
 
-std::string EncodeStats(const ServerStatsWire& stats, std::uint32_t version) {
-  const std::uint32_t v = ClampVersion(version);
-  Writer w;
-  w.U32(v);
-  EncodeStatsBody(w, stats, v);
+std::string EncodeStatsRequest() { return Versioned().Take(); }
+
+std::string EncodeStats(const ServerStatsWire& stats) {
+  Writer w = Versioned();
+  EncodeStatsBody(w, stats);
   return w.Take();
 }
 
 StatusOr<ServerStatsWire> DecodeStats(const std::string& payload) {
   Reader r(payload);
   ServerStatsWire s;
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
-  M3_RETURN_IF_ERROR(DecodeStatsBody(r, &s, v));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
+  M3_RETURN_IF_ERROR(DecodeStatsBody(r, &s));
   M3_RETURN_IF_ERROR(r.ExpectEnd());
   return s;
 }
 
-std::string EncodeReloadRequest(const ReloadRequest& req, std::uint32_t version) {
-  Writer w;
-  w.U32(ClampVersion(version));
+std::string EncodeReloadRequest(const ReloadRequest& req) {
+  Writer w = Versioned();
   w.Str(req.checkpoint_path);
   return w.Take();
 }
@@ -654,15 +542,14 @@ std::string EncodeReloadRequest(const ReloadRequest& req, std::uint32_t version)
 StatusOr<ReloadRequest> DecodeReloadRequest(const std::string& payload) {
   Reader r(payload);
   ReloadRequest req;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &req.wire_version));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   M3_RETURN_IF_ERROR(r.Str(&req.checkpoint_path));
   M3_RETURN_IF_ERROR(r.ExpectEnd());
   return req;
 }
 
-std::string EncodeReloadResponse(const ReloadResponse& resp, std::uint32_t version) {
-  Writer w;
-  w.U32(ClampVersion(version));
+std::string EncodeReloadResponse(const ReloadResponse& resp) {
+  Writer w = Versioned();
   EncodeStatus(w, resp.status);
   w.U64(resp.model_version);
   w.U32(resp.model_crc);
@@ -672,8 +559,7 @@ std::string EncodeReloadResponse(const ReloadResponse& resp, std::uint32_t versi
 StatusOr<ReloadResponse> DecodeReloadResponse(const std::string& payload) {
   Reader r(payload);
   ReloadResponse resp;
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   M3_RETURN_IF_ERROR(DecodeStatus(r, &resp.status));
   M3_RETURN_IF_ERROR(r.U64(&resp.model_version));
   M3_RETURN_IF_ERROR(r.U32(&resp.model_crc));
@@ -681,23 +567,8 @@ StatusOr<ReloadResponse> DecodeReloadResponse(const std::string& payload) {
   return resp;
 }
 
-std::string EncodePingRequest(std::uint32_t version) {
-  Writer w;
-  w.U32(ClampVersion(version));
-  return w.Take();
-}
-
-Status DecodePingRequest(const std::string& payload) {
-  Reader r(payload);
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
-  return r.ExpectEnd();
-}
-
-std::string EncodePingResponse(const PingResponse& resp, std::uint32_t version) {
-  const std::uint32_t v = ClampVersion(version);
-  Writer w;
-  w.U32(v);
+std::string EncodePingResponse(const PingResponse& resp) {
+  Writer w = Versioned();
   w.Bool(resp.ready);
   w.Bool(resp.worker_mode);
   w.U64(resp.model_version);
@@ -705,15 +576,14 @@ std::string EncodePingResponse(const PingResponse& resp, std::uint32_t version) 
   w.Bool(resp.router_mode);
   w.U32(resp.shards_healthy);
   w.U32(resp.shards_total);
-  if (v >= 4) w.U32(resp.model_crc);
+  w.U32(resp.model_crc);
   return w.Take();
 }
 
 StatusOr<PingResponse> DecodePingResponse(const std::string& payload) {
   Reader r(payload);
   PingResponse resp;
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   M3_RETURN_IF_ERROR(r.Bool(&resp.ready));
   M3_RETURN_IF_ERROR(r.Bool(&resp.worker_mode));
   M3_RETURN_IF_ERROR(r.U64(&resp.model_version));
@@ -721,19 +591,16 @@ StatusOr<PingResponse> DecodePingResponse(const std::string& payload) {
   M3_RETURN_IF_ERROR(r.Bool(&resp.router_mode));
   M3_RETURN_IF_ERROR(r.U32(&resp.shards_healthy));
   M3_RETURN_IF_ERROR(r.U32(&resp.shards_total));
-  // model_crc is a v4 additive tail: absent from older v4 builds' payloads.
-  if (v >= 4 && r.remaining() >= 4) M3_RETURN_IF_ERROR(r.U32(&resp.model_crc));
+  M3_RETURN_IF_ERROR(r.U32(&resp.model_crc));
   M3_RETURN_IF_ERROR(r.ExpectEnd());
   return resp;
 }
 
-std::string EncodeShardQueryRequest(const ShardQueryRequest& req, std::uint32_t version) {
-  const std::uint32_t v = ClampVersion(version);
-  Writer w;
-  w.U32(v);
+std::string EncodeShardQueryRequest(const ShardQueryRequest& req) {
+  Writer w = Versioned();
   // The embedded query reuses its own codec (version tag and all) as a
   // length-prefixed blob, so the two stay in lockstep by construction.
-  w.Str(EncodeQueryRequest(req.query, v));
+  w.Str(EncodeQueryRequest(req.query));
   w.U64(req.slots.size());
   for (std::uint32_t s : req.slots) w.U32(s);
   return w.Take();
@@ -742,8 +609,7 @@ std::string EncodeShardQueryRequest(const ShardQueryRequest& req, std::uint32_t 
 StatusOr<ShardQueryRequest> DecodeShardQueryRequest(const std::string& payload) {
   Reader r(payload);
   ShardQueryRequest req;
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   std::string query_blob;
   M3_RETURN_IF_ERROR(r.Str(&query_blob));
   StatusOr<QueryRequest> q = DecodeQueryRequest(query_blob);
@@ -761,13 +627,10 @@ StatusOr<ShardQueryRequest> DecodeShardQueryRequest(const std::string& payload) 
   return req;
 }
 
-std::string EncodeShardQueryResponse(const ShardQueryResponse& resp,
-                                     std::uint32_t version) {
-  const std::uint32_t v = ClampVersion(version);
-  Writer w;
-  w.U32(v);
+std::string EncodeShardQueryResponse(const ShardQueryResponse& resp) {
+  Writer w = Versioned();
   EncodeStatus(w, resp.status);
-  EncodeDegradation(w, resp.degradation, v);
+  EncodeDegradation(w, resp.degradation);
   w.U64(resp.model_version);
   w.U32(resp.model_crc);
   w.F64(resp.wall_seconds);
@@ -782,10 +645,9 @@ std::string EncodeShardQueryResponse(const ShardQueryResponse& resp,
 StatusOr<ShardQueryResponse> DecodeShardQueryResponse(const std::string& payload) {
   Reader r(payload);
   ShardQueryResponse resp;
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   M3_RETURN_IF_ERROR(DecodeStatus(r, &resp.status));
-  M3_RETURN_IF_ERROR(DecodeDegradation(r, &resp.degradation, v));
+  M3_RETURN_IF_ERROR(DecodeDegradation(r, &resp.degradation));
   M3_RETURN_IF_ERROR(r.U64(&resp.model_version));
   M3_RETURN_IF_ERROR(r.U32(&resp.model_crc));
   M3_RETURN_IF_ERROR(r.F64(&resp.wall_seconds));
@@ -806,26 +668,23 @@ StatusOr<ShardQueryResponse> DecodeShardQueryResponse(const std::string& payload
   return resp;
 }
 
-std::string EncodePathEstimateValue(const PathEstimate& pe, std::uint32_t version) {
-  Writer w;
-  w.U32(ClampVersion(version));
+std::string EncodePathEstimateValue(const PathEstimate& pe) {
+  Writer w = Versioned();
   EncodePathEstimate(w, pe);
   return w.Take();
 }
 
 StatusOr<PathEstimate> DecodePathEstimateValue(const std::string& payload) {
   Reader r(payload);
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   PathEstimate pe{};
   M3_RETURN_IF_ERROR(DecodePathEstimate(r, &pe));
   M3_RETURN_IF_ERROR(r.ExpectEnd());
   return pe;
 }
 
-std::string EncodeRouterPathValue(const RouterPathValue& rv, std::uint32_t version) {
-  Writer w;
-  w.U32(ClampVersion(version));
+std::string EncodeRouterPathValue(const RouterPathValue& rv) {
+  Writer w = Versioned();
   w.U64(rv.model_version);
   w.U32(rv.model_crc);
   EncodePathEstimate(w, rv.estimate);
@@ -834,8 +693,7 @@ std::string EncodeRouterPathValue(const RouterPathValue& rv, std::uint32_t versi
 
 StatusOr<RouterPathValue> DecodeRouterPathValue(const std::string& payload) {
   Reader r(payload);
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   RouterPathValue rv;
   M3_RETURN_IF_ERROR(r.U64(&rv.model_version));
   M3_RETURN_IF_ERROR(r.U32(&rv.model_crc));

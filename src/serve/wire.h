@@ -3,10 +3,16 @@
 // Transport framing (magic/type/length) lives in util/socket.h; this layer
 // defines what goes inside a frame. Everything is little-endian; integers
 // are fixed-width; doubles travel by bit pattern; strings and vectors are
-// u64-length-prefixed. Payloads start with a u32 wire version so an old
-// client talking to a new daemon gets a clean INVALID_ARGUMENT instead of a
-// garbage parse. Decoding is fully bounds-checked: a truncated or hostile
+// u64-length-prefixed. Every payload starts with a u32 wire version, and
+// there is exactly one: a decoder rejects any other version with
+// INVALID_ARGUMENT naming both, so a mismatched peer (or a cache entry
+// persisted by another build) fails cleanly instead of mis-parsing. There
+// is no version echo and no length-gated optional tail; every field is
+// always present. Decoding is fully bounds-checked: a truncated or hostile
 // payload yields kDataLoss / kInvalidArgument, never an overread.
+//
+// Answers carry no stats: serving counters travel only in the
+// kStatsRequest / kStatsResponse pair (schema in serve/metrics.h).
 //
 // Cache keys (the "content address" of a result) are also defined here so
 // the definition lives next to the serialized fields it must cover:
@@ -24,7 +30,7 @@
 // Deliberately *excluded* from both keys: strict, deadline_seconds,
 // max_attempts (they shape fault handling, not the fault-free answer — and
 // only full-quality kOk answers are ever cached), the no_cache flag, and
-// the v4 overload fields (priority, brownout): they are serving policy, and
+// the overload fields (priority, brownout): they are serving policy, and
 // a browned-out answer is never kOk, so it can never poison the cache.
 // The model digest term means a hot-reload implicitly invalidates every
 // cached result; stale entries age out via LRU.
@@ -36,21 +42,16 @@
 
 #include "core/estimator.h"
 #include "pktsim/config.h"
+#include "serve/metrics.h"
 #include "util/hash.h"
 #include "util/status.h"
 
 namespace m3::serve {
 
-/// v4: overload control — priority class + brownout level in QueryRequest,
-/// shed_reason in QueryResponse, brownout attribution in DegradationReport,
-/// shed/brownout/cost counters in ServerStatsWire. Back-compatible: every
-/// decoder also accepts v3 payloads (new fields take their defaults), and
-/// encoders can emit v3 so a response echoes the version the request spoke
-/// — an un-upgraded m3_client keeps working against a v4 daemon.
-/// (v3 added the sharded-fleet messages; v2 the Ping pair + worker fields.)
-constexpr std::uint32_t kWireVersion = 4;
-/// Oldest version this build still decodes and can echo back.
-constexpr std::uint32_t kMinWireVersion = 3;
+/// The one wire version this build speaks. v5 dropped the stats block
+/// from QueryResponse and made every earlier optional field unconditional;
+/// v4 and older payloads (including persisted cache entries) are rejected.
+constexpr std::uint32_t kWireVersion = 5;
 
 /// Frame types (util/socket.h `type` field).
 enum class MsgType : std::uint32_t {
@@ -78,9 +79,8 @@ struct WireFlow {
   std::uint8_t priority = 0;
 };
 
-/// Explicit fat-tree shape (v3). All-zero — the default — means "the
-/// paper's small testbed at the request's oversub", i.e.
-/// FatTreeConfig::Small(oversub), which is what every pre-v3 client meant.
+/// Explicit fat-tree shape. All-zero — the default — means "the paper's
+/// small testbed at the request's oversub", i.e. FatTreeConfig::Small(oversub).
 /// Non-zero pins the full shape (the large `M3_SCALE` topologies travel
 /// this way); `oversub` is then implied by racks_per_pod/spines_per_plane
 /// and the standalone field is ignored for topology construction.
@@ -102,17 +102,17 @@ struct WireTopo {
   }
 };
 
-/// Request priority classes (v4). Under overload the service sheds lower
+/// Request priority classes. Under overload the service sheds lower
 /// classes first; kCritical is never displaced and never browned out.
 enum class Priority : std::uint8_t {
   kBackground = 0,
-  kNormal = 1,      // the default (and what every v3 client means)
+  kNormal = 1,      // the default
   kInteractive = 2,
   kCritical = 3,
 };
 constexpr std::uint8_t kNumPriorityClasses = 4;
 
-/// Why a query was shed instead of computed (v4, QueryResponse). kNone on
+/// Why a query was shed instead of computed (QueryResponse). kNone on
 /// every computed answer. Shed answers always carry a non-OK status too
 /// (kResourceExhausted or kDeadlineExceeded); the reason says which rung of
 /// the overload ladder fired, so load generators and dashboards can tell a
@@ -127,10 +127,12 @@ enum class ShedReason : std::uint8_t {
   kRouterBudget = 6,  // router: deadline budget spent before dispatch
 };
 constexpr std::uint8_t kNumShedReasons = 7;
+static_assert(ShedReasonLabels::names.size() == kNumShedReasons,
+              "shed_by_reason has one label per ShedReason");
 
 struct QueryRequest {
   double oversub = 2.0;  // daemon builds FatTreeConfig::Small(oversub)
-  WireTopo topo;         // explicit shape override (v3); default = Small
+  WireTopo topo;         // explicit shape override; default = Small
   std::vector<WireFlow> flows;
   NetConfig cfg;
   // M3Options subset (num_threads stays a server-side policy knob).
@@ -142,82 +144,13 @@ struct QueryRequest {
   std::int32_t max_attempts = 2;
   // Bypass both result caches for this query (still computes + reports).
   bool no_cache = false;
-  // Priority class (v4); see Priority. v3 payloads decode as kNormal.
+  // Priority class; see Priority.
   std::uint8_t priority = static_cast<std::uint8_t>(Priority::kNormal);
-  // Brownout level this query executes at (v4): 0 full quality, 1 reduced
+  // Brownout level this query executes at: 0 full quality, 1 reduced
   // path sample, 2 flowSim substitute. Stamped by the *service* under
   // sustained pressure — clients send 0; a non-zero value in a client
   // request is honored (useful for tests) but never required.
   std::uint8_t brownout = 0;
-  // Not on the wire: the version the decoded payload spoke, so responses
-  // can echo it (kWireVersion when built in-process).
-  std::uint32_t wire_version = kWireVersion;
-};
-
-/// Cumulative per-shard counters in router stats (ServerStatsWire::shards).
-struct ShardHealthWire {
-  std::string address;             // endpoint string, e.g. "tcp:10.0.0.2:9000"
-  bool healthy = false;            // last health probe succeeded
-  bool breaker_open = false;
-  std::uint64_t model_version = 0; // from the last successful probe
-  std::uint64_t dispatches = 0;    // sub-requests sent (incl. retries/hedges)
-  std::uint64_t failures = 0;      // sub-requests that did not answer
-  std::uint64_t retries = 0;       // re-dispatches after a failure
-  std::uint64_t hedges = 0;        // duplicate dispatches for stragglers
-  std::uint64_t slots_fallback = 0;  // this shard's slots served by flowSim
-  std::uint64_t slots_dropped = 0;   // this shard's slots reweighted away
-};
-
-/// Serving-side counters returned with every response and by kStatsRequest.
-struct ServerStatsWire {
-  std::uint64_t queries_received = 0;
-  std::uint64_t queries_ok = 0;        // includes degraded/deadline answers
-  std::uint64_t queries_rejected = 0;  // admission control (queue full)
-  std::uint64_t queries_failed = 0;    // validation / no-model / internal
-  // cache counters: {hits, misses, inserts, evictions, entries}
-  std::uint64_t query_cache[5] = {0, 0, 0, 0, 0};
-  std::uint64_t path_cache[5] = {0, 0, 0, 0, 0};
-  std::uint32_t queue_depth = 0;
-  std::uint32_t queue_capacity = 0;
-  std::uint32_t workers = 0;
-  std::uint64_t model_version = 0;
-  std::uint32_t model_crc = 0;
-  std::uint64_t reloads_ok = 0;
-  std::uint64_t reloads_failed = 0;
-  std::string model_path;
-  // Worker-pool health (all zero when queries execute in-process).
-  bool worker_mode = false;
-  std::uint32_t workers_configured = 0;
-  std::uint32_t workers_alive = 0;
-  std::uint64_t worker_spawns = 0;        // forks, incl. the initial pool
-  std::uint64_t worker_restarts = 0;      // respawns after an unexpected death
-  std::uint64_t worker_crashes = 0;       // died mid-query
-  std::uint64_t watchdog_kills = 0;       // SIGKILLed past deadline + grace
-  std::uint64_t garbage_replies = 0;      // undecodable reply -> worker replaced
-  std::uint64_t crash_retried_queries = 0;  // re-run on a fresh worker
-  std::uint64_t breaker_trips = 0;
-  bool breaker_open = false;              // current model version quarantined
-  std::uint32_t quarantined_digests = 0;
-  // Router fleet health (router_mode daemons only; empty otherwise).
-  bool router_mode = false;
-  std::vector<ShardHealthWire> shards;
-  // Overload control (v4; zero when decoded from a v3 peer).
-  std::uint64_t queries_shed = 0;     // admitted, then shed (priority/expiry)
-  // Sheds by ShedReason (gate rejections and evictions both attributed).
-  std::uint64_t shed_by_reason[kNumShedReasons] = {0};
-  std::uint64_t brownout_queries = 0;  // executed at brownout level >= 1
-  std::uint32_t brownout_level = 0;    // current gauge (0 = full quality)
-  double in_flight_cost = 0.0;         // admitted-but-unanswered cost units
-  double cost_budget = 0.0;            // admission budget (0 = derived)
-  // Durable-cache persistence (v4 additive tail; zero when the peer
-  // predates it or runs without --cache-dir). See serve/persist.h.
-  bool persist_enabled = false;
-  std::uint64_t persist_segments_loaded = 0;
-  std::uint64_t persist_entries_loaded = 0;
-  std::uint64_t persist_entries_flushed = 0;
-  std::uint64_t persist_records_corrupt = 0;
-  std::uint64_t persist_digest_dropped = 0;
-  std::uint64_t persist_flush_backlog = 0;
 };
 
 /// Per-shard attribution for one answer assembled by m3d-router (empty when
@@ -248,14 +181,13 @@ struct QueryResponse {
   std::uint64_t model_version = 0;
   std::uint32_t model_crc = 0;
   bool query_cache_hit = false;
-  // Why this query was shed (v4); kNone on computed answers. See ShedReason.
+  // Why this query was shed; kNone on computed answers. See ShedReason.
   std::uint8_t shed_reason = static_cast<std::uint8_t>(ShedReason::kNone);
-  // Per-shard attribution (v3); populated only by m3d-router.
+  // Per-shard attribution; populated only by m3d-router.
   std::vector<ShardReportWire> shards;
-  ServerStatsWire stats;
 };
 
-/// Scatter unit (v3): the full client query plus the sample slots this
+/// Scatter unit: the full client query plus the sample slots this
 /// shard owns. The shard re-derives the deterministic path sample from
 /// (topology, flows, seed, num_paths) — identical to what a single host
 /// would compute — and estimates only `slots`
@@ -284,27 +216,24 @@ struct ShardQueryResponse {
 
 struct ReloadRequest {
   std::string checkpoint_path;
-  // Not on the wire: the version the decoded payload spoke (echoed back).
-  std::uint32_t wire_version = kWireVersion;
 };
 
 /// Liveness/readiness probe (`m3_client --ping`). The request has no body
-/// beyond the wire version.
+/// beyond the wire version, and a server answers it whatever the body holds.
 struct PingResponse {
   bool ready = false;  // model loaded and (in worker mode) >=1 worker alive
   bool worker_mode = false;
   std::uint64_t model_version = 0;
   std::uint32_t workers_alive = 0;
-  // Router fleet readiness (v3; zero on plain daemons). A router is
+  // Router fleet readiness (zero on plain daemons). A router is
   // `ready` when at least one shard is healthy — it can always answer,
   // via flowSim fallback at worst.
   bool router_mode = false;
   std::uint32_t shards_healthy = 0;
   std::uint32_t shards_total = 0;
-  // Content CRC of the served model parameters (v4 additive tail; zero
-  // from older peers). Unlike model_version — a per-process load counter —
-  // this survives restarts, so the router uses it to validate persisted
-  // per-path cache entries against the live fleet.
+  // Content CRC of the served model parameters. Unlike model_version — a
+  // per-process load counter — this survives restarts, so the router uses
+  // it to validate persisted per-path cache entries against the live fleet.
   std::uint32_t model_crc = 0;
 };
 
@@ -316,64 +245,42 @@ struct ReloadResponse {
 
 // ----- serialization (payload <-> struct) -----
 //
-// Every encoder takes the wire version to emit (default: this build's
-// kWireVersion); versions below kMinWireVersion are clamped up. Decoders
-// accept [kMinWireVersion, kWireVersion] — v4-only fields keep their
-// defaults when the payload spoke v3. A server answers in the version the
-// request spoke (QueryRequest::wire_version / PeekWireVersion), so old
-// clients never see fields they cannot parse.
+// Encoders emit kWireVersion; decoders accept only kWireVersion.
 
-/// Best-effort version sniff for request bodies a handler does not decode
-/// (ping, stats): the leading u32 when it is a known version, else
-/// kMinWireVersion (covers the empty legacy stats-request body).
-std::uint32_t PeekWireVersion(const std::string& payload);
-
-std::string EncodeQueryRequest(const QueryRequest& req,
-                               std::uint32_t version = kWireVersion);
+std::string EncodeQueryRequest(const QueryRequest& req);
 StatusOr<QueryRequest> DecodeQueryRequest(const std::string& payload);
 
-std::string EncodeQueryResponse(const QueryResponse& resp,
-                                std::uint32_t version = kWireVersion);
+std::string EncodeQueryResponse(const QueryResponse& resp);
 StatusOr<QueryResponse> DecodeQueryResponse(const std::string& payload);
 
-/// The stats *request* body (v4 clients; previously an empty payload).
-/// Servers ignore unknown bytes here, so this is safe to send to old
-/// daemons; it exists so a v4 server knows which version to answer in.
-std::string EncodeStatsRequest(std::uint32_t version = kWireVersion);
+/// Ping and stats requests are version-only bodies; a server answers them
+/// whatever the body holds.
+std::string EncodePingRequest();
+std::string EncodeStatsRequest();
 
-std::string EncodeStats(const ServerStatsWire& stats,
-                        std::uint32_t version = kWireVersion);
+std::string EncodeStats(const ServerStatsWire& stats);
 StatusOr<ServerStatsWire> DecodeStats(const std::string& payload);
 
-std::string EncodeReloadRequest(const ReloadRequest& req,
-                                std::uint32_t version = kWireVersion);
+std::string EncodeReloadRequest(const ReloadRequest& req);
 StatusOr<ReloadRequest> DecodeReloadRequest(const std::string& payload);
 
-std::string EncodeReloadResponse(const ReloadResponse& resp,
-                                 std::uint32_t version = kWireVersion);
+std::string EncodeReloadResponse(const ReloadResponse& resp);
 StatusOr<ReloadResponse> DecodeReloadResponse(const std::string& payload);
 
-std::string EncodePingRequest(std::uint32_t version = kWireVersion);
-Status DecodePingRequest(const std::string& payload);
-
-std::string EncodePingResponse(const PingResponse& resp,
-                               std::uint32_t version = kWireVersion);
+std::string EncodePingResponse(const PingResponse& resp);
 StatusOr<PingResponse> DecodePingResponse(const std::string& payload);
 
-std::string EncodeShardQueryRequest(const ShardQueryRequest& req,
-                                    std::uint32_t version = kWireVersion);
+std::string EncodeShardQueryRequest(const ShardQueryRequest& req);
 StatusOr<ShardQueryRequest> DecodeShardQueryRequest(const std::string& payload);
 
-std::string EncodeShardQueryResponse(const ShardQueryResponse& resp,
-                                     std::uint32_t version = kWireVersion);
+std::string EncodeShardQueryResponse(const ShardQueryResponse& resp);
 StatusOr<ShardQueryResponse> DecodeShardQueryResponse(const std::string& payload);
 
 // ----- persisted cache values (serve/persist.h segment payloads) -----
 
 /// Standalone PathEstimate codec for the durable per-path cache. Same
 /// field order as the in-response encoding; versioned like every payload.
-std::string EncodePathEstimateValue(const PathEstimate& pe,
-                                    std::uint32_t version = kWireVersion);
+std::string EncodePathEstimateValue(const PathEstimate& pe);
 StatusOr<PathEstimate> DecodePathEstimateValue(const std::string& payload);
 
 /// A router-side persisted per-path result: the estimate plus the model
@@ -385,8 +292,7 @@ struct RouterPathValue {
   PathEstimate estimate{};
 };
 
-std::string EncodeRouterPathValue(const RouterPathValue& v,
-                                  std::uint32_t version = kWireVersion);
+std::string EncodeRouterPathValue(const RouterPathValue& v);
 StatusOr<RouterPathValue> DecodeRouterPathValue(const std::string& payload);
 
 // ----- cache keys -----

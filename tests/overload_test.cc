@@ -1,12 +1,14 @@
 // Overload-control tests (DESIGN.md §13): cost-aware admission, priority
 // shedding (lower classes shed first, the highest never starves), eager
 // expiry reaping, brownout attribution (degraded answers are never
-// silent), wire v4 priority/deadline fields with v3 back-compat, and the
-// router's deadline-budget propagation into shard sub-requests.
+// silent), the wire's priority/deadline/shed fields, and the router's
+// deadline-budget propagation into shard sub-requests.
 //
 // Suite names deliberately start with "Overload" so check.sh's sanitizer
 // tier regexes (Service|SocketServer|... and the chaos set) do not pull
-// these in; the `overload` tier drives the live daemon instead.
+// these in; the `overload` tier drives the live daemon instead. The one
+// exception is OverloadWire, which the ASan tier runs with the other
+// decoder suites.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -150,7 +152,6 @@ TEST(OverloadWire, V4RoundTripCarriesPriorityBrownoutAndShedReason) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->priority, static_cast<std::uint8_t>(Priority::kInteractive));
   EXPECT_EQ(got->brownout, 1);
-  EXPECT_EQ(got->wire_version, kWireVersion);
   EXPECT_EQ(got->deadline_seconds, 2.5);
 
   QueryResponse resp;
@@ -179,53 +180,6 @@ TEST(OverloadWire, V4RoundTripCarriesPriorityBrownoutAndShedReason) {
   EXPECT_EQ(gs->brownout_level, 1u);
   EXPECT_EQ(gs->in_flight_cost, 12.5);
   EXPECT_EQ(gs->cost_budget, 640.0);
-}
-
-TEST(OverloadWire, V3PayloadsStillDecodeWithDefaults) {
-  // A v3 peer's request decodes on a v4 daemon: priority defaults to
-  // kNormal, brownout to 0, and the decoded struct remembers it spoke v3
-  // so the response can be encoded back at v3.
-  QueryRequest req = SmallQuery();
-  req.priority = static_cast<std::uint8_t>(Priority::kCritical);  // not on a v3 wire
-  const std::string v3 = EncodeQueryRequest(req, 3);
-  const StatusOr<QueryRequest> got = DecodeQueryRequest(v3);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got->priority, static_cast<std::uint8_t>(Priority::kNormal));
-  EXPECT_EQ(got->brownout, 0);
-  EXPECT_EQ(got->wire_version, 3u);
-
-  QueryResponse resp;
-  resp.shed_reason = static_cast<std::uint8_t>(ShedReason::kQueueFull);
-  const StatusOr<QueryResponse> rt = DecodeQueryResponse(EncodeQueryResponse(resp, 3));
-  ASSERT_TRUE(rt.ok()) << rt.status().ToString();
-  EXPECT_EQ(rt->shed_reason, static_cast<std::uint8_t>(ShedReason::kNone));
-
-  // A v4 request round-trips its fields through the shard codec at the
-  // request's own version; at v3 the priority is dropped on the floor.
-  ShardQueryRequest sq;
-  sq.query = SmallQuery();
-  sq.query.priority = static_cast<std::uint8_t>(Priority::kInteractive);
-  sq.query.deadline_seconds = 1.5;
-  sq.slots = {0, 2};
-  const StatusOr<ShardQueryRequest> s4 =
-      DecodeShardQueryRequest(EncodeShardQueryRequest(sq, 4));
-  ASSERT_TRUE(s4.ok()) << s4.status().ToString();
-  EXPECT_EQ(s4->query.priority, static_cast<std::uint8_t>(Priority::kInteractive));
-  EXPECT_EQ(s4->query.deadline_seconds, 1.5);
-  const StatusOr<ShardQueryRequest> s3 =
-      DecodeShardQueryRequest(EncodeShardQueryRequest(sq, 3));
-  ASSERT_TRUE(s3.ok()) << s3.status().ToString();
-  EXPECT_EQ(s3->query.priority, static_cast<std::uint8_t>(Priority::kNormal));
-  EXPECT_EQ(s3->query.deadline_seconds, 1.5);
-}
-
-TEST(OverloadWire, PeekWireVersionRecognizesVersionsAndGarbage) {
-  EXPECT_EQ(PeekWireVersion(std::string()), kMinWireVersion);      // old ping/stats
-  EXPECT_EQ(PeekWireVersion(std::string("ab")), kMinWireVersion);  // short
-  EXPECT_EQ(PeekWireVersion(EncodeQueryRequest(SmallQuery())), kWireVersion);
-  EXPECT_EQ(PeekWireVersion(EncodeQueryRequest(SmallQuery(), 3)), 3u);
-  std::string garbage(8, '\xff');
-  EXPECT_EQ(PeekWireVersion(garbage), kMinWireVersion);
 }
 
 TEST(OverloadWire, HostilePriorityAndShedReasonAreRejected) {

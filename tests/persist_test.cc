@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -630,6 +631,55 @@ TEST(PersistService, CorruptSegmentsOnBootAreSkippedAndServingContinues) {
   const ServerStatsWire st = s.Stats();
   EXPECT_GE(st.persist_records_corrupt, 1u);
   EXPECT_EQ(st.persist_entries_loaded, 0u);
+  s.Stop();
+}
+
+TEST(PersistService, RetiredWireVersionEntriesAreCountedCorruptNeverServed) {
+  // Entries persisted by a build that spoke the previous wire version: the
+  // right digest and key, but a retired version tag. Recovery must count
+  // them corrupt and never serve them; a current-version entry beside them
+  // still loads.
+  const QueryRequest req = SmallQuery();
+  Hash128 digest;
+  QueryResponse answer;
+  {
+    EstimationService probe(PersistServiceOptions(""));
+    ASSERT_TRUE(probe.ReloadModel(SmallCheckpoint()).ok());
+    digest = probe.registry().Current()->digest;
+    answer = probe.ExecuteInline(req);
+    ASSERT_TRUE(answer.status.ok()) << answer.status.ToString();
+  }
+  const auto retag = [](std::string blob) {
+    const std::uint32_t retired = kWireVersion - 1;
+    std::memcpy(&blob[0], &retired, 4);
+    return blob;
+  };
+  PathEstimate pe{};
+  pe.counts[0] = 3.0;
+  const std::string dir = ScratchDir("service_retired");
+  {
+    CachePersister p(Opts(dir));
+    ASSERT_TRUE(p.Start().ok());
+    p.Enqueue(CacheKind::kQuery, digest, QueryCacheKey(req, digest),
+              retag(EncodeQueryResponse(answer)));
+    p.Enqueue(CacheKind::kPath, digest, K(1, 1), retag(EncodePathEstimateValue(pe)));
+    p.Enqueue(CacheKind::kPath, digest, K(2, 2), EncodePathEstimateValue(pe));
+    ASSERT_TRUE(p.FlushNow().ok());
+    p.Stop();
+  }
+
+  EstimationService s(PersistServiceOptions(dir));
+  ASSERT_TRUE(s.ReloadModel(SmallCheckpoint()).ok());
+  ASSERT_TRUE(s.Start().ok());
+  s.WaitForPersistRecovery();
+  const ServerStatsWire st = s.Stats();
+  EXPECT_EQ(st.persist_records_corrupt, 2u);
+  EXPECT_EQ(st.persist_entries_loaded, 1u);
+  const QueryResponse resp = s.Query(req);
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  EXPECT_FALSE(resp.query_cache_hit) << "a retired-version entry was served";
+  EXPECT_EQ(s.Stats().query_cache[0], st.query_cache[0]);
+  ExpectBitwiseEqual(resp, answer);
   s.Stop();
 }
 

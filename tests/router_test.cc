@@ -1,5 +1,5 @@
 // Sharded-fleet tests: the consistent-hash ring and recoverable breaker
-// (serve/shardmap.h), the v3 shard wire messages under the usual hostile
+// (serve/shardmap.h), the shard wire messages under the usual hostile
 // treatment, shard-side slot execution determinism (serve/exec.h), and the
 // scatter-gather router end-to-end against a live in-process fleet —
 // including the acceptance property that a fault-free scattered answer is
@@ -32,6 +32,7 @@
 #include "serve/shardmap.h"
 #include "serve/wire.h"
 #include "topo/fat_tree.h"
+#include "wire_samples.h"
 #include "workload/generator.h"
 #include "workload/size_dist.h"
 #include "workload/traffic_matrix.h"
@@ -178,7 +179,7 @@ TEST(ShardBreaker, SuccessClearsTheFailureWindow) {
   EXPECT_EQ(b.trips(), 0u);
 }
 
-// ----------------------------------------------------------- wire (v3) ----
+// ------------------------------------------------------------ shard wire --
 
 QueryRequest SampleShardQuery() {
   QueryRequest req;
@@ -356,33 +357,12 @@ TEST(ShardWire, QueryResponseShardAttributionRoundTrips) {
 }
 
 TEST(ShardWire, RouterStatsAndPingFieldsRoundTrip) {
-  ServerStatsWire s;
-  s.router_mode = true;
-  ShardHealthWire sh;
-  sh.address = "tcp:10.0.0.2:9000";
-  sh.healthy = true;
-  sh.breaker_open = false;
-  sh.model_version = 3;
-  sh.dispatches = 100;
-  sh.failures = 4;
-  sh.retries = 3;
-  sh.hedges = 2;
-  sh.slots_fallback = 7;
-  sh.slots_dropped = 1;
-  s.shards.push_back(sh);
+  // Three shard rows with every field of the list distinct.
+  const ServerStatsWire s = DistinctStats(3);
   const StatusOr<ServerStatsWire> gs = DecodeStats(EncodeStats(s));
   ASSERT_TRUE(gs.ok()) << gs.status().ToString();
-  ASSERT_TRUE(gs->router_mode);
-  ASSERT_EQ(gs->shards.size(), 1u);
-  EXPECT_EQ(gs->shards[0].address, sh.address);
-  EXPECT_TRUE(gs->shards[0].healthy);
-  EXPECT_EQ(gs->shards[0].model_version, 3u);
-  EXPECT_EQ(gs->shards[0].dispatches, 100u);
-  EXPECT_EQ(gs->shards[0].failures, 4u);
-  EXPECT_EQ(gs->shards[0].retries, 3u);
-  EXPECT_EQ(gs->shards[0].hedges, 2u);
-  EXPECT_EQ(gs->shards[0].slots_fallback, 7u);
-  EXPECT_EQ(gs->shards[0].slots_dropped, 1u);
+  ASSERT_EQ(gs->shards.size(), 3u);
+  EXPECT_TRUE(gs->shards == s.shards);
 
   PingResponse p;
   p.ready = true;
@@ -390,6 +370,7 @@ TEST(ShardWire, RouterStatsAndPingFieldsRoundTrip) {
   p.shards_healthy = 2;
   p.shards_total = 3;
   p.model_version = 5;
+  p.model_crc = 0xfeedu;
   const StatusOr<PingResponse> gp = DecodePingResponse(EncodePingResponse(p));
   ASSERT_TRUE(gp.ok());
   EXPECT_TRUE(gp->ready);
@@ -397,6 +378,7 @@ TEST(ShardWire, RouterStatsAndPingFieldsRoundTrip) {
   EXPECT_EQ(gp->shards_healthy, 2u);
   EXPECT_EQ(gp->shards_total, 3u);
   EXPECT_EQ(gp->model_version, 5u);
+  EXPECT_EQ(gp->model_crc, 0xfeedu);
 }
 
 // ----------------------------------------------------------------- fixture --

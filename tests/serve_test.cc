@@ -14,7 +14,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <future>
+#include <sstream>
 #include <random>
 #include <thread>
 #include <vector>
@@ -30,6 +32,7 @@
 #include "util/fault.h"
 #include "util/hash.h"
 #include "util/socket.h"
+#include "wire_samples.h"
 #include "workload/generator.h"
 #include "workload/size_dist.h"
 
@@ -207,7 +210,7 @@ TEST(Wire, QueryRequestRoundTrip) {
   EXPECT_EQ(QueryCacheKey(req, digest), QueryCacheKey(*got, digest));
 }
 
-TEST(Wire, QueryResponseRoundTrip) {
+QueryResponse SampleResponse() {
   QueryResponse resp;
   resp.status = Status::Degraded("1 of 4 paths degraded");
   resp.bucket_pct[0] = {1.0, 2.5, 3.25};
@@ -220,13 +223,26 @@ TEST(Wire, QueryResponseRoundTrip) {
   resp.degradation.paths_degraded = 1;
   resp.degradation.paths_cached = 2;
   resp.degradation.first_error = "path 0: injected";
+  resp.degradation.brownout_level = 1;
+  resp.degradation.paths_brownout = 2;
   resp.model_version = 5;
   resp.model_crc = 0xdeadbeef;
   resp.query_cache_hit = true;
-  resp.stats.queries_received = 10;
-  resp.stats.query_cache[0] = 3;
-  resp.stats.model_path = "models/x.ckpt";
+  resp.shed_reason = static_cast<std::uint8_t>(ShedReason::kSojourn);
+  for (int i = 0; i < 2; ++i) {
+    ShardReportWire row;
+    row.shard = "unix:/tmp/s" + std::to_string(i) + ".sock";
+    row.slots_assigned = 10 + i;
+    row.slots_ok = 8;
+    row.retries = 1;
+    row.breaker_open = i == 1;
+    resp.shards.push_back(row);
+  }
+  return resp;
+}
 
+TEST(Wire, QueryResponseRoundTrip) {
+  const QueryResponse resp = SampleResponse();
   const StatusOr<QueryResponse> got = DecodeQueryResponse(EncodeQueryResponse(resp));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->status.code(), StatusCode::kDegraded);
@@ -239,35 +255,24 @@ TEST(Wire, QueryResponseRoundTrip) {
   EXPECT_EQ(got->degradation.paths_degraded, 1);
   EXPECT_EQ(got->degradation.paths_cached, 2);
   EXPECT_EQ(got->degradation.first_error, resp.degradation.first_error);
+  EXPECT_EQ(got->degradation.brownout_level, 1);
+  EXPECT_EQ(got->degradation.paths_brownout, 2);
   EXPECT_EQ(got->model_version, 5u);
   EXPECT_EQ(got->model_crc, 0xdeadbeefu);
   EXPECT_TRUE(got->query_cache_hit);
-  EXPECT_EQ(got->stats.queries_received, 10u);
-  EXPECT_EQ(got->stats.query_cache[0], 3u);
-  EXPECT_EQ(got->stats.model_path, "models/x.ckpt");
+  EXPECT_EQ(got->shed_reason, resp.shed_reason);
+  ASSERT_EQ(got->shards.size(), 2u);
+  EXPECT_EQ(got->shards[1].shard, resp.shards[1].shard);
+  EXPECT_TRUE(got->shards[1].breaker_open);
 }
 
 TEST(Wire, StatsAndReloadRoundTrip) {
-  ServerStatsWire s;
-  s.queries_received = 100;
-  s.queries_rejected = 3;
-  s.path_cache[3] = 17;
-  s.queue_depth = 2;
-  s.queue_capacity = 64;
-  s.workers = 4;
-  s.model_version = 9;
-  s.reloads_failed = 1;
-  s.model_path = "m.ckpt";
+  // Every metric and label of the list holds a distinct value, so a codec
+  // that dropped, swapped, or mistyped any field fails the equality.
+  const ServerStatsWire s = DistinctStats(3);
   const StatusOr<ServerStatsWire> got = DecodeStats(EncodeStats(s));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got->queries_received, 100u);
-  EXPECT_EQ(got->queries_rejected, 3u);
-  EXPECT_EQ(got->path_cache[3], 17u);
-  EXPECT_EQ(got->queue_depth, 2u);
-  EXPECT_EQ(got->workers, 4u);
-  EXPECT_EQ(got->model_version, 9u);
-  EXPECT_EQ(got->reloads_failed, 1u);
-  EXPECT_EQ(got->model_path, "m.ckpt");
+  EXPECT_TRUE(*got == s);
 
   ReloadRequest rr;
   rr.checkpoint_path = "models/new.ckpt";
@@ -286,13 +291,159 @@ TEST(Wire, StatsAndReloadRoundTrip) {
   EXPECT_EQ(rp->model_crc, 0x1234u);
 }
 
-TEST(Wire, EveryTruncationIsRejectedWithoutCrashing) {
-  const std::string payload = EncodeQueryRequest(SampleRequest());
-  for (std::size_t len = 0; len < payload.size(); ++len) {
-    const StatusOr<QueryRequest> got = DecodeQueryRequest(payload.substr(0, len));
-    ASSERT_FALSE(got.ok()) << "prefix of " << len << " bytes decoded";
+// The keys of every JSON object at `depth` (1 = the outermost), in order.
+std::vector<std::string> JsonKeysAtDepth(const std::string& json, int depth) {
+  std::vector<std::string> keys;
+  int d = 0;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '{' || c == '[') ++d;
+    if (c == '}' || c == ']') --d;
+    if (c != '"') continue;
+    std::size_t end = i + 1;
+    while (json[end] != '"') end += json[end] == '\\' ? 2 : 1;
+    if (d == depth && json[end + 1] == ':') keys.push_back(json.substr(i + 1, end - i - 1));
+    i = end;
   }
-  EXPECT_TRUE(DecodeQueryRequest(payload).ok());
+  return keys;
+}
+
+TEST(Wire, StatsTextAndJsonFollowTheMetricList) {
+  const ServerStatsWire s = DistinctStats(3);
+
+  // JSON: one object on one line; its top-level keys are the list names,
+  // each exactly once, then the shard rows (depth 3: object > array >
+  // object), each with every shard field once.
+  const std::string json = FormatStatsJson(s);
+  ASSERT_FALSE(json.empty());
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
+  EXPECT_EQ(json.find('\n'), std::string::npos);
+  std::vector<std::string> want;
+  for (const MetricDesc& d : kServerMetrics) want.push_back(d.name);
+  want.push_back("shards");
+  EXPECT_EQ(JsonKeysAtDepth(json, 1), want);
+  std::vector<std::string> rows;
+  for (int r = 0; r < 3; ++r) {
+    for (const MetricDesc& d : kShardHealthFields) rows.push_back(d.name);
+  }
+  EXPECT_EQ(JsonKeysAtDepth(json, 3), rows);
+
+  // Text: one line per metric and label, in list order, then one per
+  // shard row.
+  std::vector<std::string> prefixes;
+  for (const MetricDesc& d : kServerMetrics) {
+    if (d.num_labels == 0) prefixes.push_back(std::string(d.name) + " ");
+    for (std::size_t i = 0; i < d.num_labels; ++i) {
+      prefixes.push_back(std::string(d.name) + "{" + d.label_key + "=" + d.labels[i] + "} ");
+    }
+  }
+  for (int r = 0; r < 3; ++r) prefixes.push_back("shards[" + std::to_string(r) + "] ");
+  std::istringstream text(FormatStatsText(s));
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(text, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), prefixes.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i].rfind(prefixes[i], 0), 0u) << lines[i];
+  }
+}
+
+PathEstimate SamplePathEstimate() {
+  PathEstimate pe{};
+  for (std::size_t b = 0; b < pe.counts.size(); ++b) {
+    pe.counts[b] = 1.0 + static_cast<double>(b);
+    for (std::size_t q = 0; q < pe.pct[b].size(); ++q) {
+      pe.pct[b][q] = static_cast<double>(b * 100 + q) * 0.5;
+    }
+  }
+  return pe;
+}
+
+struct Payload {
+  std::string name;
+  std::string bytes;
+  std::function<Status(const std::string&)> decode;
+};
+
+template <typename T>
+Payload Make(std::string name, std::string bytes,
+             StatusOr<T> (*decode)(const std::string&)) {
+  return {std::move(name), std::move(bytes),
+          [decode](const std::string& p) { return decode(p).status(); }};
+}
+
+// One fully populated payload of every message type (ping requests and
+// stats requests are version-only bodies a server never decodes).
+std::vector<Payload> EveryMessage() {
+  ShardQueryRequest sq;
+  sq.query = SampleRequest();
+  sq.slots = {0, 3, 6};
+  ShardQueryResponse sr;
+  sr.status = Status::Degraded("slot 3 degraded");
+  sr.degradation.paths_ok = 1;
+  sr.degradation.first_error = "slot 3: injected";
+  sr.model_version = 2;
+  sr.model_crc = 0xfeed;
+  sr.wall_seconds = 0.5;
+  sr.estimates.push_back({3, SamplePathEstimate()});
+  ReloadRequest rq;
+  rq.checkpoint_path = "models/next.ckpt";
+  ReloadResponse rp;
+  rp.status = Status::DataLoss("crc mismatch");
+  rp.model_version = 7;
+  rp.model_crc = 0xabc;
+  PingResponse ping;
+  ping.ready = true;
+  ping.worker_mode = true;
+  ping.model_version = 3;
+  ping.workers_alive = 2;
+  ping.router_mode = true;
+  ping.shards_healthy = 2;
+  ping.shards_total = 3;
+  ping.model_crc = 0x5eed;
+  RouterPathValue rv;
+  rv.model_version = 4;
+  rv.model_crc = 0xc0ffee;
+  rv.estimate = SamplePathEstimate();
+  return {
+      Make("QueryRequest", EncodeQueryRequest(SampleRequest()), DecodeQueryRequest),
+      Make("QueryResponse", EncodeQueryResponse(SampleResponse()), DecodeQueryResponse),
+      Make("Stats", EncodeStats(DistinctStats(3)), DecodeStats),
+      Make("ReloadRequest", EncodeReloadRequest(rq), DecodeReloadRequest),
+      Make("ReloadResponse", EncodeReloadResponse(rp), DecodeReloadResponse),
+      Make("PingResponse", EncodePingResponse(ping), DecodePingResponse),
+      Make("ShardQueryRequest", EncodeShardQueryRequest(sq), DecodeShardQueryRequest),
+      Make("ShardQueryResponse", EncodeShardQueryResponse(sr), DecodeShardQueryResponse),
+      Make("PathEstimateValue", EncodePathEstimateValue(SamplePathEstimate()),
+           DecodePathEstimateValue),
+      Make("RouterPathValue", EncodeRouterPathValue(rv), DecodeRouterPathValue),
+  };
+}
+
+TEST(Wire, EveryTruncationIsRejectedWithoutCrashing) {
+  for (const Payload& m : EveryMessage()) {
+    for (std::size_t len = 0; len < m.bytes.size(); ++len) {
+      ASSERT_FALSE(m.decode(m.bytes.substr(0, len)).ok())
+          << m.name << ": prefix of " << len << " bytes decoded";
+    }
+    EXPECT_TRUE(m.decode(m.bytes).ok()) << m.name;
+  }
+}
+
+TEST(Wire, EveryDecoderAcceptsOnlyTheCurrentVersion) {
+  for (const Payload& m : EveryMessage()) {
+    for (const std::uint32_t v : {0u, kWireVersion - 1, kWireVersion + 1}) {
+      std::string bytes = m.bytes;
+      std::memcpy(&bytes[0], &v, 4);  // little-endian u32 version tag
+      const Status st = m.decode(bytes);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << m.name << " v" << v;
+      // The message names both the offered and the spoken version.
+      EXPECT_NE(st.message().find("version " + std::to_string(v)), std::string::npos)
+          << st.ToString();
+      EXPECT_NE(st.message().find(std::to_string(kWireVersion)), std::string::npos)
+          << st.ToString();
+    }
+  }
 }
 
 TEST(Wire, TrailingBytesAndBadVersionAreRejected) {
@@ -645,7 +796,7 @@ TEST(Service, NoModelLoadedIsUnavailable) {
   EstimationService service(SmallServiceOptions());
   const QueryResponse resp = service.ExecuteInline(SmallQuery());
   EXPECT_EQ(resp.status.code(), StatusCode::kUnavailable) << resp.status.ToString();
-  EXPECT_EQ(resp.stats.queries_failed, 1u);
+  EXPECT_EQ(service.Stats().queries_failed, 1u);
 }
 
 TEST(Service, ValidationRejectsHostileFlows) {

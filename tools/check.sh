@@ -39,7 +39,9 @@ cmake -B build -S . "$@"
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
-echo "== ASan: checkpoint/trainer robustness + path pipeline suites =="
+echo "== ASan: checkpoint/trainer robustness + path pipeline + wire decoder suites =="
+# The client-protocol decoders (Wire, OverloadWire) run here because they
+# parse hostile bytes off a socket and out of persisted cache segments.
 # The path-pipeline suites (decomposition, sampling, scenario wiring,
 # reused scenario workspaces, the parking-lot endpoint table, the hasher
 # behind the one-pass path key, flowSim, golden pins, hostile flow ids) run
@@ -50,7 +52,7 @@ echo "== ASan: checkpoint/trainer robustness + path pipeline suites =="
 cmake -B build-asan -S . -DM3_SANITIZE=address "$@"
 cmake --build build-asan -j"$JOBS" --target m3_tests
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|GoldenPipeline|FlowIds|SocketServer'
+  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|GoldenPipeline|FlowIds|SocketServer|Wire\.|OverloadWire'
 
 echo "== kernels: SIMD parity suites under ASan+UBSan for every M3_KERNEL =="
 # Every dispatchable tier (including forced-but-unavailable values, which
@@ -69,8 +71,7 @@ for kernel_impl in naive tiled avx2 avx512; do
 done
 
 echo "== UBSan: resilience / fault-injection suites =="
-cmake -B build-ubsan -S . -DM3_SANITIZE=undefined "$@"
-cmake --build build-ubsan -j"$JOBS" --target m3_tests
+# build-ubsan was configured and built by the kernels tier above.
 ctest --test-dir build-ubsan --output-on-failure -j"$JOBS" \
   -R 'Status|FaultRegistry|Validate|EstimatorResilience|AggregationGuard|CheckpointResilience|TraceIo'
 
@@ -336,6 +337,7 @@ for seed in 1 2 3 4 5 6 7 8; do
     --seed "$seed" > /dev/null
 done
 sleep 1
+# The scraped keys are metric names from the one list in serve/metrics.h.
 WARM_STATS="$(./build/tools/m3_client --socket "$WARM_SOCK" --stats --json)"
 echo "$WARM_STATS"
 warm_flushed="$(echo "$WARM_STATS" | sed -E 's/.*"persist_entries_flushed":([0-9]+).*/\1/')"

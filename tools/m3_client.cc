@@ -311,121 +311,6 @@ StatusOr<QueryResponse> QueryWithRetry(const Args& a, const std::string& payload
   }
 }
 
-void PrintStats(const ServerStatsWire& s) {
-  std::printf("model: %s (v%llu crc %08x), reloads %llu ok / %llu failed\n",
-              s.model_path.empty() ? "<none>" : s.model_path.c_str(),
-              static_cast<unsigned long long>(s.model_version), s.model_crc,
-              static_cast<unsigned long long>(s.reloads_ok),
-              static_cast<unsigned long long>(s.reloads_failed));
-  std::printf("queries: %llu received, %llu ok, %llu rejected, %llu shed, "
-              "%llu failed; queue %u/%u, %u workers\n",
-              static_cast<unsigned long long>(s.queries_received),
-              static_cast<unsigned long long>(s.queries_ok),
-              static_cast<unsigned long long>(s.queries_rejected),
-              static_cast<unsigned long long>(s.queries_shed),
-              static_cast<unsigned long long>(s.queries_failed),
-              s.queue_depth, s.queue_capacity, s.workers);
-  if (s.queries_rejected > 0 || s.queries_shed > 0 || s.brownout_queries > 0 ||
-      s.brownout_level > 0) {
-    std::printf("overload: shed by reason — %llu queue-full, %llu priority, "
-                "%llu expired, %llu sojourn, %llu cost-budget, %llu router-budget\n",
-                static_cast<unsigned long long>(s.shed_by_reason[1]),
-                static_cast<unsigned long long>(s.shed_by_reason[2]),
-                static_cast<unsigned long long>(s.shed_by_reason[3]),
-                static_cast<unsigned long long>(s.shed_by_reason[4]),
-                static_cast<unsigned long long>(s.shed_by_reason[5]),
-                static_cast<unsigned long long>(s.shed_by_reason[6]));
-    std::printf("overload: brownout level %u, %llu browned-out queries; "
-                "in-flight cost %.1f / %.1f budget\n",
-                s.brownout_level,
-                static_cast<unsigned long long>(s.brownout_queries),
-                s.in_flight_cost, s.cost_budget);
-  }
-  const auto line = [](const char* name, const std::uint64_t c[5]) {
-    std::printf("%s cache: %llu hits / %llu misses, %llu inserts, %llu evictions, "
-                "%llu entries\n",
-                name, static_cast<unsigned long long>(c[0]),
-                static_cast<unsigned long long>(c[1]),
-                static_cast<unsigned long long>(c[2]),
-                static_cast<unsigned long long>(c[3]),
-                static_cast<unsigned long long>(c[4]));
-  };
-  line("query", s.query_cache);
-  line(" path", s.path_cache);
-  if (s.persist_enabled) {
-    std::printf("persist: %llu segments loaded, %llu entries recovered\n",
-                static_cast<unsigned long long>(s.persist_segments_loaded),
-                static_cast<unsigned long long>(s.persist_entries_loaded));
-    std::printf("persist: %llu entries flushed, %llu flush backlog\n",
-                static_cast<unsigned long long>(s.persist_entries_flushed),
-                static_cast<unsigned long long>(s.persist_flush_backlog));
-    std::printf("persist: %llu corrupt records skipped, %llu digest-mismatch drops\n",
-                static_cast<unsigned long long>(s.persist_records_corrupt),
-                static_cast<unsigned long long>(s.persist_digest_dropped));
-  }
-  if (s.worker_mode) {
-    std::printf("worker pool: %u/%u alive; %llu spawns, %llu restarts, "
-                "%llu crashes, %llu watchdog kills, %llu garbage replies\n",
-                s.workers_alive, s.workers_configured,
-                static_cast<unsigned long long>(s.worker_spawns),
-                static_cast<unsigned long long>(s.worker_restarts),
-                static_cast<unsigned long long>(s.worker_crashes),
-                static_cast<unsigned long long>(s.watchdog_kills),
-                static_cast<unsigned long long>(s.garbage_replies));
-    std::printf("breaker: %llu trips, %u quarantined digest(s)%s; "
-                "%llu queries retried after a worker crash\n",
-                static_cast<unsigned long long>(s.breaker_trips),
-                s.quarantined_digests, s.breaker_open ? " [OPEN]" : "",
-                static_cast<unsigned long long>(s.crash_retried_queries));
-  }
-  if (s.router_mode) {
-    std::printf("router: %zu shard(s)\n", s.shards.size());
-    for (const ShardHealthWire& sh : s.shards) {
-      std::printf("  %s — %s%s, model v%llu; %llu dispatches, %llu failures, "
-                  "%llu retries, %llu hedges, %llu fallback slots, "
-                  "%llu dropped slots\n",
-                  sh.address.c_str(), sh.healthy ? "healthy" : "unhealthy",
-                  sh.breaker_open ? " [breaker open]" : "",
-                  static_cast<unsigned long long>(sh.model_version),
-                  static_cast<unsigned long long>(sh.dispatches),
-                  static_cast<unsigned long long>(sh.failures),
-                  static_cast<unsigned long long>(sh.retries),
-                  static_cast<unsigned long long>(sh.hedges),
-                  static_cast<unsigned long long>(sh.slots_fallback),
-                  static_cast<unsigned long long>(sh.slots_dropped));
-    }
-  }
-}
-
-// One JSON object on one line: stable keys for scripts (check.sh's
-// warm-restart tier greps these instead of parsing the prose output).
-void PrintStatsJson(const ServerStatsWire& s) {
-  const auto cache = [](const std::uint64_t c[5]) {
-    return "{\"hits\":" + std::to_string(c[0]) + ",\"misses\":" + std::to_string(c[1]) +
-           ",\"inserts\":" + std::to_string(c[2]) + ",\"evictions\":" + std::to_string(c[3]) +
-           ",\"entries\":" + std::to_string(c[4]) + "}";
-  };
-  std::string out = "{";
-  out += "\"model_version\":" + std::to_string(s.model_version);
-  out += ",\"model_crc\":" + std::to_string(s.model_crc);
-  out += ",\"queries_received\":" + std::to_string(s.queries_received);
-  out += ",\"queries_ok\":" + std::to_string(s.queries_ok);
-  out += ",\"queries_rejected\":" + std::to_string(s.queries_rejected);
-  out += ",\"queries_shed\":" + std::to_string(s.queries_shed);
-  out += ",\"queries_failed\":" + std::to_string(s.queries_failed);
-  out += ",\"query_cache\":" + cache(s.query_cache);
-  out += ",\"path_cache\":" + cache(s.path_cache);
-  out += ",\"persist_enabled\":" + std::string(s.persist_enabled ? "true" : "false");
-  out += ",\"persist_segments_loaded\":" + std::to_string(s.persist_segments_loaded);
-  out += ",\"persist_entries_loaded\":" + std::to_string(s.persist_entries_loaded);
-  out += ",\"persist_entries_flushed\":" + std::to_string(s.persist_entries_flushed);
-  out += ",\"persist_records_corrupt\":" + std::to_string(s.persist_records_corrupt);
-  out += ",\"persist_digest_dropped\":" + std::to_string(s.persist_digest_dropped);
-  out += ",\"persist_flush_backlog\":" + std::to_string(s.persist_flush_backlog);
-  out += "}";
-  std::printf("%s\n", out.c_str());
-}
-
 struct WorkerResult {
   std::vector<double> latencies_ms;
   // Answered queries by class (ok + degraded + deadline == latencies size).
@@ -507,11 +392,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "m3_client: %s\n", stats.status().ToString().c_str());
       return ExitCodeFor(stats.status().code());
     }
-    if (a.json) {
-      PrintStatsJson(*stats);
-    } else {
-      PrintStats(*stats);
-    }
+    const std::string out = a.json ? FormatStatsJson(*stats) + "\n" : FormatStatsText(*stats);
+    std::fputs(out.c_str(), stdout);
     return 0;
   }
 

@@ -235,50 +235,6 @@ int main(int argc, char** argv) {
               g_signal.load(std::memory_order_relaxed) == SIGINT ? "SIGINT" : "SIGTERM");
   server.Stop();
   service.Stop();
-  const ServerStatsWire s = service.Stats();
-  std::printf("m3d: served %llu queries (%llu ok, %llu rejected, %llu shed, "
-              "%llu failed); query cache %llu/%llu hit, path cache %llu/%llu hit\n",
-              static_cast<unsigned long long>(s.queries_received),
-              static_cast<unsigned long long>(s.queries_ok),
-              static_cast<unsigned long long>(s.queries_rejected),
-              static_cast<unsigned long long>(s.queries_shed),
-              static_cast<unsigned long long>(s.queries_failed),
-              static_cast<unsigned long long>(s.query_cache[0]),
-              static_cast<unsigned long long>(s.query_cache[0] + s.query_cache[1]),
-              static_cast<unsigned long long>(s.path_cache[0]),
-              static_cast<unsigned long long>(s.path_cache[0] + s.path_cache[1]));
-  if (s.queries_shed > 0 || s.queries_rejected > 0 || s.brownout_queries > 0) {
-    std::printf("m3d: overload control: shed by reason — %llu queue-full, "
-                "%llu priority, %llu expired, %llu sojourn, %llu cost-budget; "
-                "%llu browned-out queries\n",
-                static_cast<unsigned long long>(s.shed_by_reason[1]),
-                static_cast<unsigned long long>(s.shed_by_reason[2]),
-                static_cast<unsigned long long>(s.shed_by_reason[3]),
-                static_cast<unsigned long long>(s.shed_by_reason[4]),
-                static_cast<unsigned long long>(s.shed_by_reason[5]),
-                static_cast<unsigned long long>(s.brownout_queries));
-  }
-  if (s.persist_enabled) {
-    std::printf("m3d: durable caches: %llu segments loaded, %llu entries recovered, "
-                "%llu flushed, %llu corrupt skipped, %llu digest-dropped, %llu backlog\n",
-                static_cast<unsigned long long>(s.persist_segments_loaded),
-                static_cast<unsigned long long>(s.persist_entries_loaded),
-                static_cast<unsigned long long>(s.persist_entries_flushed),
-                static_cast<unsigned long long>(s.persist_records_corrupt),
-                static_cast<unsigned long long>(s.persist_digest_dropped),
-                static_cast<unsigned long long>(s.persist_flush_backlog));
-  }
-  if (s.worker_mode) {
-    std::printf("m3d: worker pool: %llu spawns, %llu restarts, %llu crashes, "
-                "%llu watchdog kills, %llu garbage replies, %llu retried queries, "
-                "%llu breaker trips\n",
-                static_cast<unsigned long long>(s.worker_spawns),
-                static_cast<unsigned long long>(s.worker_restarts),
-                static_cast<unsigned long long>(s.worker_crashes),
-                static_cast<unsigned long long>(s.watchdog_kills),
-                static_cast<unsigned long long>(s.garbage_replies),
-                static_cast<unsigned long long>(s.crash_retried_queries),
-                static_cast<unsigned long long>(s.breaker_trips));
-  }
+  std::printf("m3d: final counters:\n%s", FormatStatsText(service.Stats()).c_str());
   return 0;
 }

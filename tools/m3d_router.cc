@@ -210,36 +210,6 @@ int main(int argc, char** argv) {
                                                                  : "SIGTERM");
   server.Stop();
   router.Stop();
-  const ServerStatsWire s = router.Stats();
-  std::printf("m3d_router: routed %llu queries (%llu answered, %llu failed); "
-              "path cache %llu/%llu hit\n",
-              static_cast<unsigned long long>(s.queries_received),
-              static_cast<unsigned long long>(s.queries_ok),
-              static_cast<unsigned long long>(s.queries_failed),
-              static_cast<unsigned long long>(s.path_cache[0]),
-              static_cast<unsigned long long>(s.path_cache[0] + s.path_cache[1]));
-  if (s.persist_enabled) {
-    std::printf("m3d_router: durable cache: %llu segments loaded, %llu entries "
-                "recovered, %llu flushed, %llu corrupt skipped, %llu digest-dropped, "
-                "%llu backlog\n",
-                static_cast<unsigned long long>(s.persist_segments_loaded),
-                static_cast<unsigned long long>(s.persist_entries_loaded),
-                static_cast<unsigned long long>(s.persist_entries_flushed),
-                static_cast<unsigned long long>(s.persist_records_corrupt),
-                static_cast<unsigned long long>(s.persist_digest_dropped),
-                static_cast<unsigned long long>(s.persist_flush_backlog));
-  }
-  for (const ShardHealthWire& sh : s.shards) {
-    std::printf("m3d_router:   %s — %llu dispatches, %llu failures, %llu retries, "
-                "%llu hedges, %llu fallback slots, %llu dropped slots%s\n",
-                sh.address.c_str(),
-                static_cast<unsigned long long>(sh.dispatches),
-                static_cast<unsigned long long>(sh.failures),
-                static_cast<unsigned long long>(sh.retries),
-                static_cast<unsigned long long>(sh.hedges),
-                static_cast<unsigned long long>(sh.slots_fallback),
-                static_cast<unsigned long long>(sh.slots_dropped),
-                sh.breaker_open ? " [breaker open]" : "");
-  }
+  std::printf("m3d_router: final counters:\n%s", FormatStatsText(router.Stats()).c_str());
   return 0;
 }
