@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -20,34 +21,22 @@
 #include <vector>
 
 #include "core/estimator.h"
+#include "golden_queries.h"
 #include "flowsim/flowsim.h"
 #include "pathdecomp/decompose.h"
 #include "pathdecomp/path_topology.h"
 #include "pathdecomp/sampling.h"
 #include "pktsim/config.h"
 #include "serve/wire.h"
-#include "topo/fat_tree.h"
 #include "util/hash.h"
 #include "util/parallel.h"
 #include "util/rng.h"
-#include "workload/generator.h"
-#include "workload/size_dist.h"
-#include "workload/traffic_matrix.h"
 
 namespace m3 {
 namespace {
 
-struct GoldenQuery {
-  const char* name;
-  double oversub;
-  const char* tm;     // "A" | "B" | "C"
-  const char* sizes;  // "web" | "cache" | "hadoop"
-  int num_flows;
-  double max_load;
-  std::uint64_t seed;
-  int num_paths;
-  bool priorities;  // assign strict-priority classes round-robin
-  // Pinned hex digests.
+// Pinned hex digests of each golden query (same order as kGoldenQueries).
+struct PipelinePins {
   const char* sample;   // SamplePaths indices
   const char* keys;     // zero-digest PathCacheKey of every sampled slot
   const char* flowsim;  // RunPathFlowSim results of every sampled slot
@@ -56,74 +45,40 @@ struct GoldenQuery {
 };
 
 // clang-format off
-const GoldenQuery kQueries[] = {
-    {"web_B_x2", 2.0, "B", "web", 3000, 0.5, 1, 50, false,
-     "5b4a66cbdef28bd87c717cb133c84055",
+const PipelinePins kPins[] = {
+    {"5b4a66cbdef28bd87c717cb133c84055",  // web_B_x2
      "b1dd7bb557898307bb4434618234f576",
      "406dbee6ea650073194d119177dbe229",
      "78d6eb19f0a7c74aaeff879162acee67",
      "46041025b47bf6130e855d013a0299c1"},
-    {"cache_A_x1", 1.0, "A", "cache", 2000, 0.7, 2, 30, false,
-     "d5117b55536a5926a80a9b525bad234a",
+    {"d5117b55536a5926a80a9b525bad234a",  // cache_A_x1
      "f524a868897bb56a50387eec1be4b349",
      "8f1604fdaf397e86340e85de753ca962",
      "47fa21c9d552bc239884af86f9821f53",
      "65c3be071dbdc53f9015a5e9e0be3516"},
-    {"hadoop_C_x4", 4.0, "C", "hadoop", 2500, 0.3, 3, 40, false,
-     "c28c4e71c83b0a74121d0ec7f892c317",
+    {"c28c4e71c83b0a74121d0ec7f892c317",  // hadoop_C_x4
      "7a2af4514d128285a5d5c1bc0d428f08",
      "4367f0b2da8384d70a93b5590a939f46",
      "fc61ca7010576fbc9b685042383850c9",
      "2d92a3b219eff05a52eb5d4b62bebfda"},
-    {"web_B_prio", 2.0, "B", "web", 2000, 0.6, 4, 20, true,
-     "0fff7799c3722dd9254b03983fbcccaa",
+    {"0fff7799c3722dd9254b03983fbcccaa",  // web_B_prio
      "e3446b217fd0896178cd66ca5d7cbc87",
      "4b8f4011eb987d38d9c808ffea782e1e",
      "762b96f9d3ba6743e7118cf154dea345",
      "22fda7289e1c4ba6368f393d91e1fdf8"},
-    {"web_A_p100", 2.0, "A", "web", 4000, 0.5, 5, 100, false,
-     "8ac34a349d83fbdbc203ff3a75ab27e4",
+    {"8ac34a349d83fbdbc203ff3a75ab27e4",  // web_A_p100
      "36ce9021497595c1a794a4aa0faa83be",
      "aa992d0d25c149d4cc4e19e57af4c0e1",
      "e5c31156f76dbb6e15ad86b6bd1ed598",
      "30aba16f91e4f126a9988dc6087c7c3c"},
-    {"cache_C_prio_p8", 1.0, "C", "cache", 1500, 0.4, 6, 8, true,
-     "d0e09b1d9ad35f1098ad07167c15e751",
+    {"d0e09b1d9ad35f1098ad07167c15e751",  // cache_C_prio_p8
      "e3845152c9239359d0c345172e7e6bde",
      "1236fefbc4b6d5259943ec0ed83d571b",
      "d65c7456399f3b42cc8d39da39c90f71",
      "56d4fbd25b4c8432a39c1c2c97e0574d"},
 };
 // clang-format on
-
-void PrintTo(const GoldenQuery& q, std::ostream* os) { *os << q.name; }
-
-struct Built {
-  std::unique_ptr<FatTree> ft;
-  std::vector<Flow> flows;
-};
-
-Built BuildQuery(const GoldenQuery& q) {
-  Built b;
-  b.ft = std::make_unique<FatTree>(FatTreeConfig::Small(q.oversub));
-  const TrafficMatrix tm =
-      TrafficMatrix::ByName(q.tm, b.ft->num_racks(), b.ft->config().racks_per_pod);
-  const std::string s = q.sizes;
-  const std::unique_ptr<SizeDist> sizes = s == "web"     ? MakeWebServer()
-                                          : s == "cache" ? MakeCacheFollower()
-                                                         : MakeHadoop();
-  WorkloadSpec spec;
-  spec.num_flows = q.num_flows;
-  spec.max_load = q.max_load;
-  spec.seed = q.seed;
-  b.flows = GenerateWorkload(*b.ft, tm, *sizes, spec).flows;
-  if (q.priorities) {
-    for (std::size_t i = 0; i < b.flows.size(); ++i) {
-      b.flows[i].priority = static_cast<std::uint8_t>(i % kNumPriorities);
-    }
-  }
-  return b;
-}
+static_assert(std::size(kPins) == std::size(kGoldenQueries));
 
 void AbsorbResults(Hasher& h, const std::vector<FlowResult>& results) {
   h.U64(results.size());
@@ -132,23 +87,28 @@ void AbsorbResults(Hasher& h, const std::vector<FlowResult>& results) {
   }
 }
 
-std::string AnswerHex(const NetworkEstimate& e) {
-  Hasher h;
-  for (const auto& pct : e.bucket_pct) {
-    h.U64(pct.size());
-    for (double v : pct) h.F64(v);
+// One golden query with its pins; prints as the query name.
+struct PinnedQuery {
+  const GoldenQuery* query;
+  const PipelinePins* pins;
+};
+
+void PrintTo(const PinnedQuery& p, std::ostream* os) { *os << p.query->name; }
+
+std::vector<PinnedQuery> PinnedQueries() {
+  std::vector<PinnedQuery> out;
+  for (std::size_t i = 0; i < std::size(kGoldenQueries); ++i) {
+    out.push_back({&kGoldenQueries[i], &kPins[i]});
   }
-  for (double c : e.total_counts) h.F64(c);
-  h.U64(e.combined_pct.size());
-  for (double v : e.combined_pct) h.F64(v);
-  return h.Finish().ToHex();
+  return out;
 }
 
-class GoldenPipeline : public ::testing::TestWithParam<GoldenQuery> {};
+class GoldenPipeline : public ::testing::TestWithParam<PinnedQuery> {};
 
 TEST_P(GoldenPipeline, PinnedHashes) {
-  const GoldenQuery& q = GetParam();
-  const Built b = BuildQuery(q);
+  const GoldenQuery& q = *GetParam().query;
+  const PipelinePins& pin = *GetParam().pins;
+  const BuiltQuery b = BuildGoldenQuery(q);
   const Topology& topo = b.ft->topo();
 
   PathDecomposition decomp(topo, b.flows);
@@ -164,9 +124,9 @@ TEST_P(GoldenPipeline, PinnedHashes) {
     hk.U64(key.hi).U64(key.lo);
     AbsorbResults(hf, RunPathFlowSim(sc));
   }
-  EXPECT_EQ(hs.Finish().ToHex(), q.sample) << q.name << " sample";
-  EXPECT_EQ(hk.Finish().ToHex(), q.keys) << q.name << " path keys";
-  EXPECT_EQ(hf.Finish().ToHex(), q.flowsim) << q.name << " flowsim";
+  EXPECT_EQ(hs.Finish().ToHex(), pin.sample) << q.name << " sample";
+  EXPECT_EQ(hk.Finish().ToHex(), pin.keys) << q.name << " path keys";
+  EXPECT_EQ(hf.Finish().ToHex(), pin.flowsim) << q.name << " flowsim";
 
   M3Options opts;
   opts.num_paths = q.num_paths;
@@ -174,7 +134,7 @@ TEST_P(GoldenPipeline, PinnedHashes) {
   opts.num_threads = 1;
   const NetworkEstimate est = RunFlowSimOnly(topo, b.flows, NetConfig{}, opts);
   ASSERT_TRUE(est.status.ok()) << est.status.ToString();
-  EXPECT_EQ(AnswerHex(est), q.answer) << q.name << " answer";
+  EXPECT_EQ(AnswerHex(est), pin.answer) << q.name << " answer";
 
   // The full fabric exercises flowSim on long multi-hop routes and, for the
   // priority queries, the strict-priority layering.
@@ -182,19 +142,19 @@ TEST_P(GoldenPipeline, PinnedHashes) {
                                b.flows.begin() + std::min<std::ptrdiff_t>(600, q.num_flows));
   Hasher hx;
   AbsorbResults(hx, RunFlowSim(topo, head));
-  EXPECT_EQ(hx.Finish().ToHex(), q.fabric) << q.name << " fabric flowsim";
+  EXPECT_EQ(hx.Finish().ToHex(), pin.fabric) << q.name << " fabric flowsim";
 }
 
-INSTANTIATE_TEST_SUITE_P(Queries, GoldenPipeline, ::testing::ValuesIn(kQueries),
-                         [](const ::testing::TestParamInfo<GoldenQuery>& info) {
-                           return std::string(info.param.name);
+INSTANTIATE_TEST_SUITE_P(Queries, GoldenPipeline, ::testing::ValuesIn(PinnedQueries()),
+                         [](const ::testing::TestParamInfo<PinnedQuery>& info) {
+                           return std::string(info.param.query->name);
                          });
 
 // Path-level parallelism must not change a single bit of the model answer.
 TEST(GoldenPipelineThreads, RunM3OneThreadEqualsAllThreads) {
   M3Model model;  // default config, deterministic initialization
-  for (const GoldenQuery& q : {kQueries[0], kQueries[3]}) {
-    const Built b = BuildQuery(q);
+  for (const GoldenQuery& q : {kGoldenQueries[0], kGoldenQueries[3]}) {
+    const BuiltQuery b = BuildGoldenQuery(q);
     M3Options opts;
     opts.num_paths = q.num_paths;
     opts.seed = q.seed;
@@ -269,8 +229,8 @@ TEST(GoldenPipelineSampler, TopEdgeRngDrawsTheLargestDouble) {
 // relabelling the same routed flows (sparse, huge or negative ids) must not
 // change a bit of the answer, and scenarios carry the caller's ids.
 TEST(FlowIds, HostileIdsGiveTheDenseAnswer) {
-  const GoldenQuery& q = kQueries[3];
-  const Built b = BuildQuery(q);
+  const GoldenQuery& q = kGoldenQueries[3];
+  const BuiltQuery b = BuildGoldenQuery(q);
   const Topology& topo = b.ft->topo();
   M3Options opts;
   opts.num_paths = q.num_paths;
@@ -279,7 +239,7 @@ TEST(FlowIds, HostileIdsGiveTheDenseAnswer) {
   M3Model model;
   const std::string dense_fs = AnswerHex(RunFlowSimOnly(topo, b.flows, NetConfig{}, opts));
   const std::string dense_m3 = AnswerHex(RunM3(topo, b.flows, NetConfig{}, model, opts));
-  EXPECT_EQ(dense_fs, q.answer);
+  EXPECT_EQ(dense_fs, kPins[3].answer);
 
   using Relabel = std::function<FlowId(std::size_t)>;
   const Relabel offset = [](std::size_t i) { return static_cast<FlowId>(100000000 + i); };
@@ -395,8 +355,8 @@ struct OverlongPath {
 TEST(ScenarioReuse, InPlaceBuildMatchesFreshBuildOnEveryGoldenSlot) {
   const OverlongPath overlong;
   PathScenario carried;  // a workspace carried across queries
-  for (const GoldenQuery& q : kQueries) {
-    const Built b = BuildQuery(q);
+  for (const GoldenQuery& q : kGoldenQueries) {
+    const BuiltQuery b = BuildGoldenQuery(q);
     const Topology& topo = b.ft->topo();
     PathDecomposition decomp(topo, b.flows);
     Rng rng(q.seed);
@@ -443,8 +403,9 @@ TEST(ScenarioReuse, InPlaceBuildMatchesFreshBuildOnEveryGoldenSlot) {
 // ParallelFor: every thread count must reproduce the pinned keys and answer.
 TEST(ScenarioReuse, ThreadLocalWorkspacesReproduceThePins) {
   const unsigned threads = std::max(2u, std::thread::hardware_concurrency());
-  for (const GoldenQuery& q : kQueries) {
-    const Built b = BuildQuery(q);
+  for (std::size_t qi = 0; qi < std::size(kGoldenQueries); ++qi) {
+    const GoldenQuery& q = kGoldenQueries[qi];
+    const BuiltQuery b = BuildGoldenQuery(q);
     const Topology& topo = b.ft->topo();
     PathDecomposition decomp(topo, b.flows);
     Rng rng(q.seed);
@@ -461,7 +422,7 @@ TEST(ScenarioReuse, ThreadLocalWorkspacesReproduceThePins) {
         threads);
     Hasher hk;
     for (const Hash128& key : keys) hk.U64(key.hi).U64(key.lo);
-    EXPECT_EQ(hk.Finish().ToHex(), q.keys) << q.name << " path keys";
+    EXPECT_EQ(hk.Finish().ToHex(), kPins[qi].keys) << q.name << " path keys";
 
     M3Options opts;
     opts.num_paths = q.num_paths;
@@ -470,7 +431,7 @@ TEST(ScenarioReuse, ThreadLocalWorkspacesReproduceThePins) {
     for (int run = 0; run < 2; ++run) {
       const NetworkEstimate est = RunFlowSimOnly(topo, b.flows, NetConfig{}, opts);
       ASSERT_TRUE(est.status.ok()) << est.status.ToString();
-      EXPECT_EQ(AnswerHex(est), q.answer) << q.name << " answer, run " << run;
+      EXPECT_EQ(AnswerHex(est), kPins[qi].answer) << q.name << " answer, run " << run;
     }
   }
 }
