@@ -10,8 +10,6 @@
 namespace m3::ml {
 namespace {
 
-constexpr float kRmsEps = 1e-6f;
-
 void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) {
     throw std::invalid_argument(std::string(op) + ": shape mismatch");
@@ -283,7 +281,7 @@ Var Graph::RmsNorm(Var x, Var gain) {
   Tensor out = ArenaZeros(X.rows(), X.cols());
   Tensor inv_r = ArenaZeros(1, X.rows());
   kernels::RmsNormForward(out.data(), inv_r.data(), X.data(), G.data(), X.rows(),
-                          X.cols(), kRmsEps);
+                          X.cols(), kRmsNormEps);
   Node node;
   node.val = std::move(out);
   node.saved = std::move(inv_r);  // per-row 1/rms, reused by the backward pass

@@ -19,6 +19,10 @@ struct Var {
   std::int32_t id = -1;
 };
 
+/// Epsilon of the row-wise RMS norm (Graph::RmsNorm and the graph-free
+/// RmsNormLayer::Infer).
+inline constexpr float kRmsNormEps = 1e-6f;
+
 /// Activation fused into Graph::Linear.
 enum class Act : std::uint8_t { kNone, kRelu, kGelu };
 

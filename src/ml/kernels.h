@@ -68,6 +68,15 @@ KernelImpl ResolveKernelImpl(const char* env_value);
 // Shapes follow autograd's MatMul: A [m,k], B [k,n], C/dC [m,n]. The AVX
 // tiers carry dedicated m=1 (GEMV) and small-m panel paths for the
 // model's worst shapes (head_fc1/head_fc2/seq_in_proj).
+//
+// Row contract of GemmAccum: row r of C depends only on row r of A, on B
+// and on row r of C's initial value — never on m, on the other rows, or on
+// where A's rows start in memory — so every row of an m-row product is
+// bitwise equal to the m = 1 call on that row alone, for each
+// implementation. Batched inference (M3Model::Infer) stacks many paths'
+// rows into one product on this guarantee; Kernels.GemmAccumRowsMatch-
+// SingleRowCall checks it on the model's shapes. Keep it when changing any
+// tier's blocking.
 
 /// C += A * B
 void GemmAccum(const float* a, const float* b, float* c, int m, int k, int n);

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "ml/kernels.h"
+
 namespace m3::ml {
 
 Linear::Linear(const std::string& name, int in, int out, Rng& rng)
@@ -10,6 +12,18 @@ Linear::Linear(const std::string& name, int in, int out, Rng& rng)
 
 Var Linear::operator()(Graph& g, Var x, Act act) {
   return g.Linear(x, g.Param(&w_), g.Param(&b_), act);
+}
+
+void Linear::Infer(const float* x, int rows, float* out, Act act) const {
+  const int k = in_features(), n = out_features();
+  kernels::FillRowsWithBias(out, b_.value.data(), rows, n);
+  kernels::GemmAccum(x, w_.value.data(), out, rows, k, n);
+  const std::size_t size = static_cast<std::size_t>(rows) * static_cast<std::size_t>(n);
+  if (act == Act::kRelu) {
+    kernels::ReluForward(out, out, size);
+  } else if (act == Act::kGelu) {
+    kernels::GeluForward(out, out, size);
+  }
 }
 
 void Linear::CollectParams(std::vector<Parameter*>& out) {
@@ -24,12 +38,22 @@ RmsNormLayer::RmsNormLayer(const std::string& name, int dim)
 
 Var RmsNormLayer::operator()(Graph& g, Var x) { return g.RmsNorm(x, g.Param(&gain_)); }
 
+void RmsNormLayer::Infer(const float* x, int rows, float* out, float* inv_r) const {
+  kernels::RmsNormForward(out, inv_r, x, gain_.value.data(), rows, gain_.value.cols(),
+                          kRmsNormEps);
+}
+
 void RmsNormLayer::CollectParams(std::vector<Parameter*>& out) { out.push_back(&gain_); }
 
 Mlp::Mlp(const std::string& name, int in, int hidden, int out, Rng& rng)
     : fc1_(name + ".fc1", in, hidden, rng), fc2_(name + ".fc2", hidden, out, rng) {}
 
 Var Mlp::operator()(Graph& g, Var x) { return fc2_(g, fc1_(g, x, Act::kRelu)); }
+
+void Mlp::Infer(const float* x, int rows, float* hidden, float* out) const {
+  fc1_.Infer(x, rows, hidden, Act::kRelu);
+  fc2_.Infer(hidden, rows, out);
+}
 
 void Mlp::CollectParams(std::vector<Parameter*>& out) {
   fc1_.CollectParams(out);

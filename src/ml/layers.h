@@ -1,4 +1,12 @@
 // Trainable layers built on the autograd graph.
+//
+// Each layer also has a graph-free inference method, Infer, next to its
+// graph operator(): it takes plain row-major input rows and writes output
+// rows, calling exactly the kernels:: functions the graph ops call, in the
+// same order, so for every kernel implementation row r of the output is
+// bitwise equal to the graph's value for that row alone. No tape, no arena
+// copies, no gradients; the parameters are only read, so Infer is const and
+// safe to call from many threads at once.
 #pragma once
 
 #include <string>
@@ -19,6 +27,9 @@ class Linear {
   Linear(const std::string& name, int in, int out, Rng& rng);
 
   Var operator()(Graph& g, Var x, Act act = Act::kNone);
+  /// out[rows, out_features] = act(x[rows, in_features] W + b). `out` must
+  /// not overlap `x`.
+  void Infer(const float* x, int rows, float* out, Act act = Act::kNone) const;
   void CollectParams(std::vector<Parameter*>& out);
 
   int in_features() const { return w_.value.rows(); }
@@ -36,6 +47,9 @@ class RmsNormLayer {
   RmsNormLayer(const std::string& name, int dim);
 
   Var operator()(Graph& g, Var x);
+  /// out[rows, dim] = the norm of x[rows, dim]; `inv_r` ([rows]) receives
+  /// each row's 1/rms. `out` must not overlap `x`.
+  void Infer(const float* x, int rows, float* out, float* inv_r) const;
   void CollectParams(std::vector<Parameter*>& out);
 
  private:
@@ -49,7 +63,14 @@ class Mlp {
   Mlp(const std::string& name, int in, int hidden, int out, Rng& rng);
 
   Var operator()(Graph& g, Var x);
+  /// out[rows, out] = fc2(relu(fc1(x))), with `hidden` ([rows, hidden])
+  /// as scratch for the ReLU activations.
+  void Infer(const float* x, int rows, float* hidden, float* out) const;
   void CollectParams(std::vector<Parameter*>& out);
+
+  int in_features() const { return fc1_.in_features(); }
+  int hidden_features() const { return fc1_.out_features(); }
+  int out_features() const { return fc2_.out_features(); }
 
  private:
   Linear fc1_;

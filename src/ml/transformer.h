@@ -3,8 +3,16 @@
 // self-attention, GELU feed-forward, RMS norms, and mean pooling into a
 // fixed-size context vector. Sequence length is the number of hops on a
 // path (<= 8), so this is tiny and fast on CPU.
+//
+// Inference batches paths: Infer takes every path's hops stacked into one
+// [sum of lengths, dim] row block, runs each projection, norm and
+// activation once over all rows, and keeps only attention and mean pooling
+// per path (block-diagonal). The kernels' row contract (kernels.h: row r
+// of a GEMM depends only on row r of A) makes each path's rows bitwise
+// equal to encoding that path alone on the graph.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "ml/layers.h"
@@ -26,6 +34,9 @@ class TransformerBlock {
   TransformerBlock(const std::string& name, const TransformerConfig& cfg, Rng& rng);
 
   Var operator()(Graph& g, Var x);  // [n, d] -> [n, d]
+  /// In place on x [sum of lengths, d]: consecutive runs of `lengths`
+  /// rows are independent sequences (attention never crosses a run).
+  void Infer(float* x, std::span<const int> lengths) const;
   void CollectParams(std::vector<Parameter*>& out);
 
  private:
@@ -45,6 +56,17 @@ class TransformerEncoder {
   /// Encodes a [n, input_dim] sequence into a [1, d_model] context vector.
   /// n must be in [1, max_seq].
   Var Encode(Graph& g, const Tensor& sequence);
+
+  /// Graph-free Encode of a batch: `sequences` holds the sequences'
+  /// rows stacked ([sum of lengths, input_dim]); ctx[i, :] ([lengths.size(),
+  /// d_model]) receives sequence i's context vector, bitwise equal to
+  /// Encode of that sequence alone. Lengths must pass CheckSequence.
+  void Infer(const float* sequences, std::span<const int> lengths, float* ctx) const;
+
+  /// Throws the std::invalid_argument Encode throws for a [rows, cols]
+  /// sequence it cannot encode (rows outside [1, max_seq], or cols other
+  /// than input_dim).
+  void CheckSequence(int rows, int cols) const;
 
   void CollectParams(std::vector<Parameter*>& out);
   const TransformerConfig& config() const { return cfg_; }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -89,6 +90,50 @@ TEST(Kernels, GemmAccumParityAllImpls) {
       kernels::GemmAccumNaive(a.data(), b.data(), c_ref.data(), s.m, s.k, s.n);
       ExpectAllNear(c_got, c_ref, GemmTol(s.k),
                     (std::string("GemmAccum/") + kernels::KernelImplName(impl)).c_str());
+    }
+  }
+}
+
+// The row contract of kernels.h that batched inference stacks on: row r of
+// C depends only on row r of A. Every row of an M-row product must equal,
+// bit for bit, the m = 1 call on that row alone (an aligned fresh copy, as
+// a one-path forward has it), for every M, with unaligned A rows, over the
+// default model's GEMM shapes (in_proj, Q/K/V/O, ff1, ff2, head_fc1,
+// head_fc2), on every tier.
+TEST(Kernels, GemmAccumRowsMatchSingleRowCall) {
+  struct KN {
+    int k, n;
+  };
+  const KN kModelShapes[] = {{1010, 96}, {96, 96}, {96, 192}, {192, 96}, {1127, 256}, {256, 400}};
+  std::vector<int> row_counts;
+  for (int m = 1; m <= 130; ++m) row_counts.push_back(m);
+  for (int m : {256, 400, 601}) row_counts.push_back(m);
+  const int max_m = row_counts.back();
+  for (KernelImpl impl : AvailableImpls()) {
+    ImplGuard guard(impl);
+    Rng rng(17);
+    for (const KN& s : kModelShapes) {
+      const std::size_t k = static_cast<std::size_t>(s.k), n = static_cast<std::size_t>(s.n);
+      const std::vector<float> b = RandomVec(k * n, rng);
+      const std::vector<float> c0 = RandomVec(static_cast<std::size_t>(max_m) * n, rng);
+      // One float past an aligned start: every row of A is unaligned.
+      FloatVec a_buf(1 + static_cast<std::size_t>(max_m) * k);
+      for (float& v : a_buf) v = static_cast<float>(rng.Normal(0.0, 1.0));
+      const float* a = a_buf.data() + 1;
+
+      std::vector<float> single(static_cast<std::size_t>(max_m) * n);
+      for (int r = 0; r < max_m; ++r) {
+        FloatVec row(a + r * k, a + (r + 1) * k);
+        std::copy_n(c0.begin() + r * n, n, single.begin() + r * n);
+        kernels::GemmAccum(row.data(), b.data(), single.data() + r * n, 1, s.k, s.n);
+      }
+      int differing = 0;
+      for (int m : row_counts) {
+        std::vector<float> c(c0.begin(), c0.begin() + m * n);
+        kernels::GemmAccum(a, b.data(), c.data(), m, s.k, s.n);
+        for (std::size_t i = 0; i < c.size(); ++i) differing += c[i] != single[i] ? 1 : 0;
+      }
+      EXPECT_EQ(differing, 0) << kernels::KernelImplName(impl) << " k=" << s.k << " n=" << s.n;
     }
   }
 }
