@@ -30,10 +30,10 @@ namespace m3::serve {
 struct ModelSnapshot {
   explicit ModelSnapshot(const M3ModelConfig& cfg) : model(cfg) {}
 
-  // `mutable` because Predict() builds a per-call graph and is therefore
-  // non-const; concurrent Predict on one model is safe (the estimator
-  // already does it across path workers). By convention nothing mutates
-  // parameters after publication.
+  // `mutable` because RunM3 and Predict() take a non-const model; inference
+  // itself only reads the parameters (M3Model::Infer is const, with
+  // per-thread scratch), so concurrent queries on one model are safe. By
+  // convention nothing mutates parameters after publication.
   mutable M3Model model;
   ml::CheckpointInfo info;     // what the checkpoint file carried
   std::string checkpoint_path;
