@@ -1,6 +1,8 @@
 // ML compute-backend microbenchmark: GEMM GFLOP/s for every available
 // kernel implementation (naive seed loops, tiled, AVX2, AVX-512) on the
-// model's hot shapes, and end-to-end TrainModel samples/sec for
+// model's hot shapes, the default model's forward pass over 100 paths
+// (training graph per path vs graph-free per path vs one stacked
+// M3Model::Infer), and end-to-end TrainModel samples/sec for
 // data-parallel training vs. the serial seed baseline (reproduced
 // in-process via the naive kernel tier + num_threads=1, so the comparison
 // does not require checking out the seed revision).
@@ -27,6 +29,7 @@
 
 #include "core/model.h"
 #include "core/trainer.h"
+#include "ml/autograd.h"
 #include "ml/kernels.h"
 #include "ml/tensor.h"
 #include "util/cpu_features.h"
@@ -99,6 +102,62 @@ GemmResult BenchGemm(const char* name, int m, int k, int n) {
   }
   ml::kernels::SetKernelImpl(prev);
   return res;
+}
+
+// Forward pass of the default model over 100 paths of 2, 4 and 6 hops
+// (420 hop rows), one thread, milliseconds per 100 paths (best of 5):
+// the autograd graph per path (the pre-Infer Predict), the graph-free
+// Infer one path at a time (today's Predict), and one stacked Infer.
+struct ForwardRow {
+  KernelImpl impl;
+  double graph_ms = 0.0, per_path_ms = 0.0, stacked_ms = 0.0;
+};
+
+std::vector<ForwardRow> BenchForwardX100() {
+  const M3ModelConfig cfg;
+  const M3Model model(cfg);
+  M3Model graph_model(cfg);
+  Rng rng(5);
+  struct Path {
+    ml::Tensor fg, bg, spec, baseline;
+  };
+  std::vector<Path> paths(100);
+  std::vector<M3Model::Input> inputs;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    Path& p = paths[i];
+    p.fg = ml::Tensor::Randn(1, cfg.feat_dim, rng, 1.0f);
+    p.bg = ml::Tensor::Randn(2 + 2 * static_cast<int>(i % 3), cfg.feat_dim, rng, 1.0f);
+    p.spec = ml::Tensor::Randn(1, cfg.spec_dim, rng, 1.0f);
+    p.baseline = ml::Tensor::Randn(1, cfg.out_dim, rng, 0.5f);
+    inputs.push_back({&p.fg, &p.bg, &p.spec, &p.baseline});
+  }
+  std::vector<float> raw(paths.size() * static_cast<std::size_t>(cfg.out_dim));
+  const auto best_ms = [](const auto& fn) {
+    double sec = 1e30;
+    for (int rep = 0; rep < 5; ++rep) sec = std::min(sec, TimePerRep(fn));
+    return sec * 1e3;
+  };
+  std::vector<ForwardRow> rows;
+  const KernelImpl prev = ml::kernels::GetKernelImpl();
+  for (KernelImpl impl : AvailableImpls()) {
+    ml::kernels::SetKernelImpl(impl);
+    ForwardRow row;
+    row.impl = impl;
+    row.graph_ms = best_ms([&] {
+      for (const Path& p : paths) {
+        ml::Graph g;
+        const ml::Var out = g.Add(graph_model.Forward(g, p.fg, p.bg, p.spec), g.Input(p.baseline));
+        raw[0] = g.value(out).data()[0];
+      }
+    });
+    row.per_path_ms = best_ms([&] {
+      for (const M3Model::Input& in : inputs) model.Infer({&in, 1}, true, raw.data());
+    });
+    row.stacked_ms = best_ms([&] { model.Infer(inputs, true, raw.data()); });
+    rows.push_back(row);
+  }
+  ml::kernels::SetKernelImpl(prev);
+  return rows;
 }
 
 std::vector<Sample> SyntheticSamples(const M3ModelConfig& cfg, int count) {
@@ -200,6 +259,7 @@ int main(int argc, char** argv) {
   gemms.push_back(m3::BenchGemm("head_fc1", 1, 1127, 256));
   gemms.push_back(m3::BenchGemm("head_fc2", 1, 256, 400));
   gemms.push_back(m3::BenchGemm("square_256", 256, 256, 256));
+  const std::vector<m3::ForwardRow> forward = m3::BenchForwardX100();
 
   const m3::M3ModelConfig cfg;
   const std::vector<m3::Sample> samples = m3::SyntheticSamples(cfg, trainer_samples);
@@ -243,6 +303,16 @@ int main(int argc, char** argv) {
                 i + 1 < gemms.size() ? "," : "");
   }
   std::printf("  ],\n");
+  std::printf("  \"forward_x100\": {\"paths\": 100, \"hop_rows\": 420, \"threads\": 1, "
+              "\"rows\": [\n");
+  for (std::size_t i = 0; i < forward.size(); ++i) {
+    const auto& f = forward[i];
+    std::printf("    {\"impl\": \"%s\", \"graph_ms\": %.3f, \"per_path_ms\": %.3f, "
+                "\"stacked_ms\": %.3f}%s\n",
+                m3::ml::kernels::KernelImplName(f.impl), f.graph_ms, f.per_path_ms,
+                f.stacked_ms, i + 1 < forward.size() ? "," : "");
+  }
+  std::printf("  ]},\n");
   std::printf("  \"trainer\": {\n");
   std::printf("    \"num_samples\": %d, \"epochs\": %d,\n", trainer_samples,
               trainer_epochs);

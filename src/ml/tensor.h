@@ -54,6 +54,13 @@ struct AlignedAllocator {
 /// Backing storage for Tensor: cache-line aligned float vector.
 using FloatVec = std::vector<float, AlignedAllocator<float, 64>>;
 
+/// Grows `buf` to at least `n` floats (it never shrinks) and returns its
+/// data: reusable scratch for the graph-free inference path.
+inline float* GrowScratch(FloatVec& buf, std::size_t n) {
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
 class Tensor {
  public:
   Tensor() = default;

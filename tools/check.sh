@@ -47,26 +47,30 @@ echo "== ASan: checkpoint/trainer robustness + path pipeline + wire decoder suit
 # behind the one-pass path key, flowSim, golden pins, hostile flow ids) run
 # here because their index arithmetic (per-link CSR lists, position-indexed
 # flows, reused flowSim and scenario workspaces) is exactly where an
-# out-of-bounds access would hide. SocketServer runs here too, so
-# LeakSanitizer sees the socket helpers (its TSan run cannot).
+# out-of-bounds access would hide. So do the model-answer pins and the
+# graph-free inference suites (GoldenModel, ModelInfer): the stacked row
+# offsets of the batched forward are another such place. SocketServer runs
+# here too, so LeakSanitizer sees the socket helpers (its TSan run cannot).
 cmake -B build-asan -S . -DM3_SANITIZE=address "$@"
 cmake --build build-asan -j"$JOBS" --target m3_tests
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|GoldenPipeline|FlowIds|SocketServer|Wire\.|OverloadWire'
+  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|GoldenPipeline|FlowIds|GoldenModel|ModelInfer|SocketServer|Wire\.|OverloadWire'
 
 echo "== kernels: SIMD parity suites under ASan+UBSan for every M3_KERNEL =="
 # Every dispatchable tier (including forced-but-unavailable values, which
 # must fall back gracefully) runs the kernel parity + fused-op + trainer
 # determinism suites under both sanitizers: masked tail loads/stores, the
 # arena recycling, and the fused backward passes are exactly where an
-# out-of-bounds lane or UB would hide.
+# out-of-bounds lane or UB would hide. The model-answer pins and the
+# batched-inference suites run per tier too (with M3_KERNEL set they check
+# only that tier).
 cmake -B build-ubsan -S . -DM3_SANITIZE=undefined "$@"
 cmake --build build-ubsan -j"$JOBS" --target m3_tests
 for kernel_impl in naive tiled avx2 avx512; do
   for san_build in build-asan build-ubsan; do
     echo "--  M3_KERNEL=$kernel_impl ($san_build)"
     M3_KERNEL="$kernel_impl" ctest --test-dir "$san_build" --output-on-failure -j"$JOBS" \
-      -R 'Kernels|KernelDispatch|AutogradFused|TensorArena|TensorAlignment|TrainerParallel\.'
+      -R 'Kernels|KernelDispatch|AutogradFused|TensorArena|TensorAlignment|TrainerParallel\.|GoldenModel|ModelInfer'
   done
 done
 
@@ -77,11 +81,13 @@ ctest --test-dir build-ubsan --output-on-failure -j"$JOBS" \
 
 echo "== TSan: serving / hot-reload / scheduler suites =="
 # ScenarioReuse joins them: the path pipeline and the router build scenarios
-# into thread_local workspaces under a concurrent ParallelFor.
+# into thread_local workspaces under a concurrent ParallelFor. ModelInfer
+# does too: threads share one model's parameters and keep thread_local
+# inference scratch.
 cmake -B build-tsan -S . -DM3_SANITIZE=thread "$@"
 cmake --build build-tsan -j"$JOBS" --target m3_tests
 ctest --test-dir build-tsan --output-on-failure -j"$JOBS" \
-  -R 'Service|SocketServer|ModelRegistry|LruCache|ThreadPool|Persist|ScenarioReuse'
+  -R 'Service|SocketServer|ModelRegistry|LruCache|ThreadPool|Persist|ScenarioReuse|ModelInfer'
 
 echo "== chaos: supervised-worker + router fleet suites under ASan =="
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
