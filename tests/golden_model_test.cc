@@ -6,8 +6,11 @@
 //                (training is bitwise deterministic per kernel tier, so
 //                nothing is downloaded and each tier trains its own).
 // Every way into the estimator must give the pinned bits: RunM3 on one
-// thread and on many, the in-process EstimationService, and a shard slot
-// split (ExecuteShardOnSnapshot) merged back the way m3d-router merges it.
+// thread and on many, the in-process EstimationService, a shard slot split
+// (ExecuteShardOnSnapshot) merged back the way m3d-router merges it, m3d in
+// worker mode, and a live m3d-router over 1 and over 3 in-process shard
+// daemons, including an exact repeat the router's cache answers and a
+// router restarted on the same cache directory.
 //
 // All available tiers are checked in one run. With M3_KERNEL set, only the
 // tier it selects is. A tier the CPU lacks is skipped. The sanitizer builds
@@ -17,8 +20,11 @@
 // the script pastes back here.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <iterator>
 #include <memory>
@@ -33,6 +39,8 @@
 #include "ml/kernels.h"
 #include "serve/exec.h"
 #include "serve/registry.h"
+#include "serve/router.h"
+#include "serve/server.h"
 #include "serve/service.h"
 
 namespace m3 {
@@ -264,19 +272,6 @@ serve::QueryRequest ToRequest(const GoldenQuery& q, const BuiltQuery& b, bool us
   return req;
 }
 
-// The ways in. Each returns the aggregate answer for one request.
-enum class Way { kOneThread, kThreads, kService, kShardSplit };
-
-const char* WayName(Way w) {
-  switch (w) {
-    case Way::kOneThread: return "RunM3 1 thread";
-    case Way::kThreads: return "RunM3 N threads";
-    case Way::kService: return "EstimationService";
-    case Way::kShardSplit: return "ExecuteShard split";
-  }
-  return "?";
-}
-
 NetworkEstimate RunDirect(const serve::QueryRequest& req, const BuiltQuery& b, M3Model& model,
                           unsigned threads) {
   std::vector<Flow> flows;
@@ -318,9 +313,158 @@ NetworkEstimate RunShardSplit(const serve::QueryRequest& req, const PinnedModel&
   return est;
 }
 
+// The ways in. Each returns the aggregate answer for one request.
+enum class Way {
+  kOneThread,
+  kThreads,
+  kService,
+  kShardSplit,
+  kWorkers,
+  kRouter1,
+  kRouter3,
+  kRouterRepeat,
+  kRouterRestart,
+};
+
+const char* WayName(Way w) {
+  switch (w) {
+    case Way::kOneThread: return "RunM3 1 thread";
+    case Way::kThreads: return "RunM3 N threads";
+    case Way::kService: return "EstimationService";
+    case Way::kShardSplit: return "ExecuteShard split";
+    case Way::kWorkers: return "EstimationService, 2 worker processes";
+    case Way::kRouter1: return "Router over 1 shard";
+    case Way::kRouter3: return "Router over 3 shards";
+    case Way::kRouterRepeat: return "Router exact repeat";
+    case Way::kRouterRestart: return "Router restarted on its cache_dir";
+  }
+  return "?";
+}
+
+bool IsRouterWay(Way w) {
+  return w == Way::kRouter1 || w == Way::kRouter3 || w == Way::kRouterRepeat ||
+         w == Way::kRouterRestart;
+}
+
+// Pin services run with brownout off: a browned-out answer is degraded on
+// purpose and would not be a pin mismatch.
+serve::ServiceOptions PinServiceOptions(const PinnedModel& pm) {
+  serve::ServiceOptions so;
+  so.model_config = pm.cfg;
+  so.num_workers = 1;
+  so.brownout_enabled = false;
+  return so;
+}
+
+// An in-process shard daemon: an EstimationService behind a SocketServer.
+struct LiveShard {
+  std::unique_ptr<serve::EstimationService> service;
+  std::unique_ptr<serve::SocketServer> server;
+  std::string path;
+
+  ~LiveShard() {
+    if (server) server->Stop();
+    if (service) service->Stop();
+  }
+};
+
+// The serving ways of one model on one kernel tier. Each member is started
+// only when a way needs it, and lives until the tier is done.
+struct Serving {
+  std::unique_ptr<serve::EstimationService> service;  // in-process
+  std::unique_ptr<serve::EstimationService> workers;  // worker_processes 2
+  std::vector<std::unique_ptr<LiveShard>> shards;     // 3 shard daemons
+  std::string cache_dir;                               // router restart way
+
+  ~Serving() {
+    if (!cache_dir.empty()) std::filesystem::remove_all(cache_dir);
+  }
+};
+
+// Names unique to this process and call, short enough for a unix socket.
+std::string ScratchName(const std::string& what) {
+  static int seq = 0;
+  return ::testing::TempDir() + "/gm" + std::to_string(static_cast<long>(::getpid())) + "_" +
+         std::to_string(seq++) + what;
+}
+
+void StartServing(const std::vector<Way>& ways, const PinnedModel& pm, Serving* s) {
+  const auto uses = [&ways](Way w) { return std::find(ways.begin(), ways.end(), w) != ways.end(); };
+  if (uses(Way::kService)) {
+    s->service = std::make_unique<serve::EstimationService>(PinServiceOptions(pm));
+    ASSERT_TRUE(s->service->ReloadModel(pm.checkpoint).ok());
+    ASSERT_TRUE(s->service->Start().ok());
+  }
+  if (uses(Way::kWorkers)) {
+    serve::ServiceOptions so = PinServiceOptions(pm);
+    so.worker_processes = 2;
+    s->workers = std::make_unique<serve::EstimationService>(so);
+    ASSERT_TRUE(s->workers->ReloadModel(pm.checkpoint).ok());
+    ASSERT_TRUE(s->workers->Start().ok());
+  }
+  if (std::any_of(ways.begin(), ways.end(), IsRouterWay)) {
+    for (int i = 0; i < 3; ++i) {
+      auto shard = std::make_unique<LiveShard>();
+      shard->path = ScratchName(".sock");
+      shard->service = std::make_unique<serve::EstimationService>(PinServiceOptions(pm));
+      ASSERT_TRUE(shard->service->ReloadModel(pm.checkpoint).ok());
+      ASSERT_TRUE(shard->service->Start().ok());
+      shard->server = std::make_unique<serve::SocketServer>(*shard->service);
+      ASSERT_TRUE(shard->server->Start(shard->path).ok());
+      s->shards.push_back(std::move(shard));
+    }
+    // One directory per tier: the init model has the same parameters (and
+    // so the same CRC) on every tier, but not the same answers.
+    s->cache_dir = ScratchName("_cache");
+    std::filesystem::remove_all(s->cache_dir);
+  }
+}
+
+std::uint64_t Dispatches(const serve::Router& router) {
+  std::uint64_t n = 0;
+  for (const serve::ShardHealthWire& sh : router.Stats().shards) n += sh.dispatches;
+  return n;
+}
+
+// One answer through a live m3d-router. The repeat and restart ways return
+// the query's second sending, which the router's cache must answer without
+// dispatching to any shard.
+serve::QueryResponse RouterAnswer(Way way, const serve::QueryRequest& req, Serving& s) {
+  serve::RouterOptions ro;
+  const std::size_t n = way == Way::kRouter1 ? 1 : s.shards.size();
+  for (std::size_t i = 0; i < n; ++i) ro.shards.push_back(s.shards[i]->path);
+  if (way == Way::kRouterRestart) {
+    ro.cache_dir = s.cache_dir;
+    ro.cache_flush_interval_seconds = 60.0;  // flushed explicitly below
+  }
+  serve::QueryResponse resp;
+  {
+    serve::Router router(ro);
+    EXPECT_TRUE(router.Start().ok());
+    router.WaitForPersistRecovery();
+    resp = router.Query(req);
+    if (way == Way::kRouterRepeat) {
+      const std::uint64_t before = Dispatches(router);
+      resp = router.Query(req);
+      EXPECT_EQ(Dispatches(router), before) << "the repeat reached a shard";
+    }
+    if (way == Way::kRouterRestart) {
+      EXPECT_TRUE(router.FlushPersistNow().ok());
+    }
+  }
+  if (way == Way::kRouterRestart) {
+    serve::Router router(ro);
+    EXPECT_TRUE(router.Start().ok());
+    router.WaitForPersistRecovery();
+    resp = router.Query(req);
+    EXPECT_EQ(Dispatches(router), 0u) << "the restarted router dispatched a cached query";
+  }
+  return resp;
+}
+
 // Hash of the query's answers with use_context on, then off, via `way`.
 std::string ModelAnswerHex(Way way, const GoldenQuery& q, const BuiltQuery& b,
-                           PinnedModel& pm, serve::EstimationService* service) {
+                           PinnedModel& pm, Serving& serving) {
   Hasher h;
   for (bool use_context : {true, false}) {
     const serve::QueryRequest req = ToRequest(q, b, use_context);
@@ -334,8 +478,11 @@ std::string ModelAnswerHex(Way way, const GoldenQuery& q, const BuiltQuery& b,
         AbsorbAnswer(h, est);
         break;
       }
-      case Way::kService: {
-        const serve::QueryResponse resp = service->Query(req);
+      case Way::kService:
+      case Way::kWorkers: {
+        serve::EstimationService& svc =
+            way == Way::kService ? *serving.service : *serving.workers;
+        const serve::QueryResponse resp = svc.Query(req);
         EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
         AbsorbAnswer(h, resp);
         break;
@@ -343,6 +490,15 @@ std::string ModelAnswerHex(Way way, const GoldenQuery& q, const BuiltQuery& b,
       case Way::kShardSplit:
         AbsorbAnswer(h, RunShardSplit(req, pm));
         break;
+      case Way::kRouter1:
+      case Way::kRouter3:
+      case Way::kRouterRepeat:
+      case Way::kRouterRestart: {
+        const serve::QueryResponse resp = RouterAnswer(way, req, serving);
+        EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
+        AbsorbAnswer(h, resp);
+        break;
+      }
     }
   }
   return h.Finish().ToHex();
@@ -358,20 +514,14 @@ class GoldenModel : public ::testing::TestWithParam<const char*> {
       ImplGuard guard(tier);
       const char* tier_name = ml::kernels::KernelImplName(tier);
       PinnedModel pm = MakeModel(name);
-      std::unique_ptr<serve::EstimationService> service;
-      if (std::find(ways.begin(), ways.end(), Way::kService) != ways.end()) {
-        serve::ServiceOptions so;
-        so.model_config = pm.cfg;
-        so.num_workers = 1;
-        service = std::make_unique<serve::EstimationService>(so);
-        ASSERT_TRUE(service->ReloadModel(pm.checkpoint).ok());
-        ASSERT_TRUE(service->Start().ok());
-      }
+      Serving serving;
+      StartServing(ways, pm, &serving);
+      if (HasFatalFailure()) return;
       for (std::size_t qi = 0; qi < std::size(kGoldenQueries); ++qi) {
         const GoldenQuery& q = kGoldenQueries[qi];
         const std::string pin = PinFor(name, q.name, tier);
         for (Way way : ways) {
-          const std::string got = ModelAnswerHex(way, q, built[qi], pm, service.get());
+          const std::string got = ModelAnswerHex(way, q, built[qi], pm, serving);
           EXPECT_EQ(got, pin) << name << " model, " << q.name << ", " << tier_name << ", "
                               << WayName(way);
           if (way == Way::kOneThread && got != pin) {
@@ -388,6 +538,12 @@ TEST_P(GoldenModel, RunM3OneThreadMatchesThePins) { CheckWays({Way::kOneThread})
 
 TEST_P(GoldenModel, EveryWayInGivesThePinnedBits) {
   CheckWays({Way::kThreads, Way::kService, Way::kShardSplit});
+}
+
+TEST_P(GoldenModel, WorkerModeGivesThePinnedBits) { CheckWays({Way::kWorkers}); }
+
+TEST_P(GoldenModel, RouterWaysGiveThePinnedBits) {
+  CheckWays({Way::kRouter1, Way::kRouter3, Way::kRouterRepeat, Way::kRouterRestart});
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, GoldenModel, ::testing::Values("init", "trained"),
