@@ -63,9 +63,10 @@ struct PersistStats {
 
 /// Which cache a persisted record belongs to. Values are on-disk ABI.
 enum class CacheKind : std::uint8_t {
-  kQuery = 1,       // EstimationService whole-query cache
+  kQuery = 1,       // whole-query cache (EstimationService and m3d_router)
   kPath = 2,        // EstimationService per-path cache
-  kRouterPath = 3,  // m3d_router per-path result cache
+  kRouterPath = 3,  // retired m3d_router per-path cache: never written; old
+                    // records are counted corrupt on recovery, never served
 };
 
 /// Holds the flock on a cache directory's LOCK file. Move-only; releases

@@ -9,8 +9,8 @@
 #include <utility>
 
 #include "core/validate.h"
-#include "pathdecomp/path_topology.h"
-#include "util/parallel.h"
+#include "pathdecomp/decompose.h"
+#include "pathdecomp/sampling.h"
 #include "util/rng.h"
 
 namespace m3::serve {
@@ -21,13 +21,18 @@ using Clock = std::chrono::steady_clock;
 constexpr double kInfSeconds = std::numeric_limits<double>::infinity();
 
 // Same injection site as the service's caches: an armed "serve/cache_lookup"
-// fault makes router cache lookups fail, and the query must fall through to
-// a plain scatter (same answer, no reuse).
+// fault makes the router cache lookup fail, and the query must fall through
+// to a plain scatter (same answer, no reuse).
 constexpr const char* kCacheFaultSite = "serve/cache_lookup";
 
 double Elapsed(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
+
+// The model term of the router's query-cache keys: the fleet's model CRC
+// (the router never sees a digest). A fleet model swap moves every key, as a
+// reload moves the service's; LruCache::Insert never overwrites an entry.
+Hash128 FleetDigest(std::uint32_t crc) { return Hash128{0, crc}; }
 
 bool HasWeight(const PathEstimate& pe) {
   for (double c : pe.counts) {
@@ -39,9 +44,7 @@ bool HasWeight(const PathEstimate& pe) {
 }  // namespace
 
 Router::Router(const RouterOptions& opts)
-    : opts_(opts),
-      topos_(opts.topo_memo_entries),
-      path_cache_(opts.path_cache_entries, kCacheFaultSite) {}
+    : opts_(opts), query_cache_(opts.query_cache_entries, kCacheFaultSite) {}
 
 Router::~Router() { Stop(); }
 
@@ -70,7 +73,7 @@ Status Router::Start() {
   // Durable router cache: validate + lock the directory before probing so a
   // bad --cache-dir fails Start with a clear status.
   bool first_persist_start = false;
-  if (!opts_.cache_dir.empty() && opts_.path_cache_entries > 0) {
+  if (!opts_.cache_dir.empty() && opts_.query_cache_entries > 0) {
     if (!dir_lock_.held()) {
       M3_RETURN_IF_ERROR(AcquireCacheDir(opts_.cache_dir, &dir_lock_));
     }
@@ -140,18 +143,21 @@ std::pair<std::uint64_t, std::uint32_t> Router::FleetModel() const {
 
 void Router::RecoverPersistedCache() {
   const std::uint32_t fleet_crc = FleetModel().second;
-  persister_->Recover([this, fleet_crc](CacheKind kind, const Hash128& /*digest*/,
+  persister_->Recover([this, fleet_crc](CacheKind kind, const Hash128& digest,
                                         const Hash128& key, const std::string& value)
                           -> CachePersister::Recovered {
-    if (kind != CacheKind::kRouterPath) return CachePersister::Recovered::kCorrupt;
-    StatusOr<RouterPathValue> rv = DecodeRouterPathValue(value);
-    if (!rv.ok()) return CachePersister::Recovered::kCorrupt;
+    // Retired kRouterPath records (and any other kind) are not servable.
+    if (kind != CacheKind::kQuery) return CachePersister::Recovered::kCorrupt;
     // No healthy shard at boot (crc 0) or a model swap across the restart:
     // the entry cannot be validated against the live fleet — drop it.
-    if (fleet_crc == 0 || rv->model_crc != fleet_crc) {
+    if (fleet_crc == 0 || digest != FleetDigest(fleet_crc)) {
       return CachePersister::Recovered::kDigestMismatch;
     }
-    path_cache_.Insert(key, std::move(*rv));
+    StatusOr<QueryResponse> qr = DecodeQueryResponse(value);
+    // Only full-quality kOk answers were ever written.
+    if (!qr.ok() || !qr->status.ok()) return CachePersister::Recovered::kCorrupt;
+    if (qr->model_crc != fleet_crc) return CachePersister::Recovered::kDigestMismatch;
+    query_cache_.Insert(key, std::move(*qr));
     return CachePersister::Recovered::kLoaded;
   });
 }
@@ -317,6 +323,31 @@ QueryResponse Router::Query(const QueryRequest& req) {
     }
   }
 
+  // ---- router query cache, consulted before validation ----
+  // An exact repeat never touches the fleet. Entries are valid only while
+  // their model *content CRC* matches the live fleet's (the registry
+  // version is per-process and cannot survive a shard restart).
+  const std::pair<std::uint64_t, std::uint32_t> fleet_model = FleetModel();
+  const std::uint32_t fleet_crc = fleet_model.second;
+  const bool cache_on = !req.no_cache && query_cache_.capacity() > 0 && fleet_crc != 0;
+  Hash128 query_key;
+  if (cache_on) {
+    query_key = QueryCacheKey(req, FleetDigest(fleet_crc));
+    try {
+      if (std::optional<QueryResponse> hit = query_cache_.Lookup(query_key);
+          hit && hit->model_crc == fleet_crc) {
+        resp = std::move(*hit);
+        resp.model_version = fleet_model.first;
+        resp.model_crc = fleet_crc;
+        resp.query_cache_hit = true;
+        queries_ok_.fetch_add(1, std::memory_order_relaxed);
+        return resp;
+      }
+    } catch (const FaultInjected&) {
+      // Injected cache outage: serve this query by plain scatter.
+    }
+  }
+
   // ---- validation + the deterministic sample (identical to any shard) ----
   StatusOr<std::shared_ptr<const FatTree>> ft_or = TopoForRequest(req, &topos_);
   if (!ft_or.ok()) return fail(ft_or.status());
@@ -341,22 +372,17 @@ QueryResponse Router::Query(const QueryRequest& req) {
   const std::vector<std::size_t> sample = SamplePaths(decomp, mopts.num_paths, rng);
   const std::size_t n = sample.size();
 
-  // ---- placement: per-slot path cache key -> ring preference list ----
-  // Zero model-digest term: a reload must not reshuffle placement (the
-  // shard-side cache keys still carry the real digest).
-  std::vector<Hash128> keys(n);
-  ParallelFor(
-      n,
-      [&](std::size_t i) {
-        thread_local PathScenario workspace;
-        BuildPathScenario(ft->topo(), flows, decomp, sample[i], &workspace);
-        keys[i] = PathCacheKey(workspace, req.cfg, req.use_context, Hash128{});
-      },
-      opts_.fallback_threads);
-
+  // ---- placement: each slot's link list -> ring preference list ----
+  // The path's identity is enough to place it; no scenario is built here.
+  // Duplicate slots (sampling is with replacement) land on one shard, and
+  // the same path in another query reaches the same shard's path cache.
   const std::size_t replicas = static_cast<std::size_t>(std::max(1, opts_.replicas));
   std::vector<std::vector<int>> pref(n);
-  for (std::size_t i = 0; i < n; ++i) pref[i] = ring_->Preference(keys[i], replicas);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Route& links = decomp.path(sample[i]).links;
+    pref[i] = ring_->Preference(HashBytes(links.data(), links.size() * sizeof(links[0])),
+                                replicas);
+  }
 
   // Availability snapshot: one breaker decision per shard per query — an
   // open breaker's half-open probe budget must not be drained per-slot.
@@ -381,30 +407,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
     }
   };
 
-  // ---- router result cache, consulted before scatter ----
-  // A slot answered here never touches the fleet, so freshly restarted
-  // shards are not re-colded by the full working set. Entries are only
-  // valid while their model *content CRC* matches the live fleet's (the
-  // registry version is per-process and cannot survive a shard restart).
-  std::uint64_t router_cache_hits = 0;
-  const std::pair<std::uint64_t, std::uint32_t> fleet_model = FleetModel();
-  const std::uint32_t fleet_crc = fleet_model.second;
-  const bool cache_on = !req.no_cache && path_cache_.capacity() > 0 && fleet_crc != 0;
-  if (cache_on) {
-    for (std::size_t i = 0; i < n; ++i) {
-      std::optional<RouterPathValue> hit;
-      try {
-        hit = path_cache_.Lookup(keys[i]);
-      } catch (const FaultInjected&) {
-        break;  // injected cache outage: serve this query by plain scatter
-      }
-      if (hit && hit->model_crc == fleet_crc) {
-        got[i] = hit->estimate;
-        ++router_cache_hits;
-      }
-    }
-  }
-
   struct Dispatch {
     int shard = -1;
     std::vector<std::uint32_t> slots;
@@ -414,12 +416,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
     std::map<int, std::vector<std::uint32_t>> groups;
     for (std::size_t i = 0; i < n; ++i) {
       report[static_cast<std::size_t>(pref[i][0])].slots_assigned++;
-      if (got[i]) {
-        // Served from the router cache; attribute the slot to its primary
-        // ring owner so sums over slots_* still equal num_paths.
-        report[static_cast<std::size_t>(pref[i][0])].slots_ok++;
-        continue;
-      }
       int c = -1;
       for (std::size_t k = 0; k < pref[i].size(); ++k) {
         if (avail[static_cast<std::size_t>(pref[i][k])]) {
@@ -438,19 +434,12 @@ QueryResponse Router::Query(const QueryRequest& req) {
   }
 
   DegradationReport rep;
-  rep.paths_cached += router_cache_hits;
   std::string shard_error;  // first transport/infra failure, for annotation
   Status strict_abort;      // strict mode: a shard's own error aborts the query
   bool deadline_hit = false;
   std::uint64_t model_version = 0;
   std::uint32_t model_crc = 0;
-  if (router_cache_hits > 0) {
-    // Cache-served slots carry the fleet's model identity; without this a
-    // fully-cached answer would report model v0, breaking bitwise identity
-    // with the recomputed response's metadata.
-    model_version = fleet_model.first;
-    model_crc = fleet_model.second;
-  }
+  bool mixed_models = false;  // some sub-answer came from another model
   const bool has_deadline = req.deadline_seconds > 0.0;
   const auto remaining = [&]() -> double {
     return has_deadline ? req.deadline_seconds - Elapsed(t0) : kInfSeconds;
@@ -526,30 +515,13 @@ QueryResponse Router::Query(const QueryRequest& req) {
             model_version = r.model_version;
             model_crc = r.model_crc;
           }
+          if (r.model_crc != fleet_crc) mixed_models = true;
           std::vector<char> in_group(n, 0);
           for (std::uint32_t slot : disp.slots) in_group[slot] = 1;
-          // Only a *strictly* kOk sub-answer may populate the router cache:
-          // degraded/browned-out shard answers would otherwise be replayed
-          // as full-quality hits for the cache's lifetime.
-          const bool cacheable = cache_on && r.status.ok() && r.model_crc != 0;
           for (const SlotEstimateWire& e : r.estimates) {
             if (e.slot < n && in_group[e.slot] && !got[e.slot]) {
               got[e.slot] = e.estimate;
               report[static_cast<std::size_t>(disp.shard)].slots_ok++;
-              if (cacheable) {
-                RouterPathValue rv;
-                rv.model_version = r.model_version;
-                rv.model_crc = r.model_crc;
-                rv.estimate = e.estimate;
-                std::string blob;
-                if (persister_ != nullptr) blob = EncodeRouterPathValue(rv);
-                if (path_cache_.Insert(keys[e.slot], std::move(rv)) && persister_ != nullptr) {
-                  // Zero digest term, matching the placement key; validity
-                  // is carried by the CRC inside the value.
-                  persister_->Enqueue(CacheKind::kRouterPath, Hash128{}, keys[e.slot],
-                                      std::move(blob));
-                }
-              }
             }
           }
           // Merge the shard's ladder accounting. Its *dropped* slots are
@@ -736,6 +708,20 @@ QueryResponse Router::Query(const QueryRequest& req) {
     resp.status = Status::Degraded(rep.ToString());
   }
   resp.wall_seconds = Elapsed(t0);
+  // Only a strictly kOk answer is cached (a degraded one depends on fault
+  // timing), and only when every sub-answer came from the fleet model the
+  // lookup checked: an answer merged during a model rollout is never cached.
+  if (cache_on && resp.status.ok() && !mixed_models && model_crc == fleet_crc) {
+    QueryResponse cached = resp;
+    // Encode before the move; Insert's return gates the spill so refreshes
+    // (and recovered entries) are never written twice.
+    std::string blob;
+    if (persister_ != nullptr) blob = EncodeQueryResponse(cached);
+    if (query_cache_.Insert(query_key, std::move(cached)) && persister_ != nullptr) {
+      persister_->Enqueue(CacheKind::kQuery, FleetDigest(fleet_crc), query_key,
+                          std::move(blob));
+    }
+  }
   if (resp.shed_reason == static_cast<std::uint8_t>(ShedReason::kRouterBudget)) {
     queries_shed_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -790,7 +776,7 @@ ServerStatsWire Router::Stats() const {
   }
   st.model_version = mv;
   st.model_crc = FleetModel().second;
-  st.path_cache = CacheOpValues(path_cache_.stats());
+  st.query_cache = CacheOpValues(query_cache_.stats());
   ExportPersistStats(persister_.get(), &st);
   return st;
 }

@@ -1,15 +1,19 @@
 // m3d-router: a failure-tolerant scatter-gather front-end over N shard
 // m3d daemons.
 //
-// One client query is decomposed exactly as a single daemon would — the
+// The router addresses and merges; it never builds a path scenario. One
+// client query is decomposed exactly as a single daemon would — the
 // deterministic (topology, flows, seed, num_paths) path sample — and each
-// sample slot is placed on the consistent-hash ring by its *path cache
-// key* (serve/wire.h PathCacheKey with a zero model-digest term, so a
-// model reload does not reshuffle placement). Hashing by content, not by
-// slot index, means the same path scenario lands on the same shard across
-// queries: each shard's per-path LRU concentrates on its ring segment and
-// the fleet's effective cache is the sum of the shards', not N copies of
-// one working set.
+// sample slot is placed on the consistent-hash ring by a hash of its
+// path's link list. Placing by path identity, not by slot index, means the
+// same path lands on the same shard across queries: each shard's per-path
+// LRU concentrates on its ring segment and the fleet's effective cache is
+// the sum of the shards', not N copies of one working set.
+//
+// Exact repeats are answered from a whole-query cache in front of
+// everything else, with the service's key, value and persistence
+// (QueryCacheKey, QueryResponse, CacheKind::kQuery); an entry is served
+// only while its model CRC matches the live fleet's.
 //
 // Slots are grouped per owning shard and dispatched as ShardQueryRequests;
 // shards estimate only their slots and return raw per-slot estimates,
@@ -73,19 +77,18 @@ struct RouterOptions {
   double hedge_seconds = 0.0;
   double health_interval_seconds = 0.5;
   ShardBreakerOptions breaker;
-  // Thread width for placement-key hashing and the flowSim fallback
-  // (M3Options::num_threads semantics; 0 = hardware).
+  // Thread width for the flowSim fallback (M3Options::num_threads
+  // semantics; 0 = hardware).
   unsigned fallback_threads = 0;
-  std::size_t topo_memo_entries = 8;
   // Idle connections kept per shard between queries.
   std::size_t pool_per_shard = 4;
-  // Router-side per-path result cache: merged slot estimates keyed by the
-  // same zero-digest PathCacheKey used for ring placement, consulted
-  // before scatter so shard restarts don't re-cold the fleet. Entries are
-  // validated by model *content CRC* (learned from shard pings), which
-  // survives restarts. 0 disables it.
-  std::size_t path_cache_entries = 4096;
-  // Durable-cache directory (serve/persist.h). Empty disables persistence.
+  // Router-side whole-query cache: merged kOk answers keyed by
+  // QueryCacheKey, consulted before validation so exact repeats never reach
+  // the fleet. Entries are tied to the fleet's model *content CRC* (learned
+  // from shard pings), which survives restarts. 0 disables it.
+  std::size_t query_cache_entries = 256;
+  // Durable-cache directory (serve/persist.h): the query cache is spilled
+  // here and recovered on restart. Empty disables persistence.
   std::string cache_dir;
   double cache_flush_interval_seconds = 2.0;
 };
@@ -179,8 +182,8 @@ class Router {
   std::unique_ptr<HashRing> ring_;
   mutable TopoMemo topos_;
 
-  // Router-side per-path result cache + its durable spill.
-  mutable LruCache<RouterPathValue> path_cache_;
+  // Router-side whole-query cache + its durable spill.
+  mutable LruCache<QueryResponse> query_cache_;
   std::unique_ptr<CachePersister> persister_;
   CacheDirLock dir_lock_;
   std::mutex recovery_mu_;

@@ -15,19 +15,13 @@ namespace {
 // recompute (same answer, no reuse) rather than failing queries.
 constexpr const char* kCacheFaultSite = "serve/cache_lookup";
 
-// Distinct fat trees a daemon keeps alive at once. Real deployments use a
-// handful of oversubscription ratios; the bound exists because the ratio is
-// a client-supplied double (any bit pattern in range is admissible).
-constexpr std::size_t kTopoCacheEntries = 8;
-
 }  // namespace
 
 EstimationService::EstimationService(const ServiceOptions& opts)
     : opts_(opts),
       registry_(opts.model_config),
       query_cache_(opts.query_cache_entries, kCacheFaultSite),
-      path_cache_(opts.path_cache_entries, kCacheFaultSite),
-      topos_(kTopoCacheEntries) {
+      path_cache_(opts.path_cache_entries, kCacheFaultSite) {
   cost_budget_ = opts_.cost_budget > 0
                      ? opts_.cost_budget
                      : static_cast<double>(opts_.queue_capacity +
@@ -201,8 +195,7 @@ void EstimationService::RecoverPersistedCaches() {
         return CachePersister::Recovered::kLoaded;
       }
       default:
-        // kRouterPath (or an unknown kind) does not belong to a daemon's
-        // directory; directory locking should make this unreachable.
+        // Retired kRouterPath records and unknown kinds are not servable.
         return CachePersister::Recovered::kCorrupt;
     }
   });

@@ -683,25 +683,6 @@ StatusOr<PathEstimate> DecodePathEstimateValue(const std::string& payload) {
   return pe;
 }
 
-std::string EncodeRouterPathValue(const RouterPathValue& rv) {
-  Writer w = Versioned();
-  w.U64(rv.model_version);
-  w.U32(rv.model_crc);
-  EncodePathEstimate(w, rv.estimate);
-  return w.Take();
-}
-
-StatusOr<RouterPathValue> DecodeRouterPathValue(const std::string& payload) {
-  Reader r(payload);
-  M3_RETURN_IF_ERROR(ReadVersion(r));
-  RouterPathValue rv;
-  M3_RETURN_IF_ERROR(r.U64(&rv.model_version));
-  M3_RETURN_IF_ERROR(r.U32(&rv.model_crc));
-  M3_RETURN_IF_ERROR(DecodePathEstimate(r, &rv.estimate));
-  M3_RETURN_IF_ERROR(r.ExpectEnd());
-  return rv;
-}
-
 Hash128 QueryCacheKey(const QueryRequest& req, const Hash128& model_digest) {
   Hasher h;
   h.Str(kQueryKeySchema);

@@ -233,7 +233,7 @@ struct PingResponse {
   std::uint32_t shards_total = 0;
   // Content CRC of the served model parameters. Unlike model_version — a
   // per-process load counter — this survives restarts, so the router uses
-  // it to validate persisted per-path cache entries against the live fleet.
+  // it to validate its cached (and persisted) answers against the live fleet.
   std::uint32_t model_crc = 0;
 };
 
@@ -283,21 +283,11 @@ StatusOr<ShardQueryResponse> DecodeShardQueryResponse(const std::string& payload
 std::string EncodePathEstimateValue(const PathEstimate& pe);
 StatusOr<PathEstimate> DecodePathEstimateValue(const std::string& payload);
 
-/// A router-side persisted per-path result: the estimate plus the model
-/// identity it was computed under. `model_crc` (content-derived) is the
-/// cross-restart validity guard; `model_version` is advisory diagnostics.
-struct RouterPathValue {
-  std::uint64_t model_version = 0;
-  std::uint32_t model_crc = 0;
-  PathEstimate estimate{};
-};
-
-std::string EncodeRouterPathValue(const RouterPathValue& v);
-StatusOr<RouterPathValue> DecodeRouterPathValue(const std::string& payload);
-
 // ----- cache keys -----
 
 /// Whole-query content address (definition at the top of this header).
+/// m3d_router, which never sees the digest, passes the fleet's model CRC in
+/// its place.
 Hash128 QueryCacheKey(const QueryRequest& req, const Hash128& model_digest);
 
 /// Per-path content address over the materialized scenario. Shared across
@@ -305,9 +295,12 @@ Hash128 QueryCacheKey(const QueryRequest& req, const Hash128& model_digest);
 /// workload queried with a different `num_paths` or sampling seed still
 /// reuses every overlapping path.
 ///
-/// Compatibility contract: persisted path caches and the router's ring
-/// placement both depend on these exact bytes, so changing them means
-/// bumping the schema tag. The key hashes, little-endian, in order:
+/// Only the shard side computes it (serve/exec.cc); the router places
+/// slots by link list and never builds a scenario.
+///
+/// Compatibility contract: persisted path caches depend on these exact
+/// bytes, so changing them means bumping the schema tag. The key hashes,
+/// little-endian, in order:
 ///   Str(schema tag) · U64 digest.hi · U64 digest.lo · U8 use_context ·
 ///   NetConfig (HashNetConfig order) · I32 num_links ·
 ///   U64 lot link count, then per lot link in id order

@@ -714,21 +714,5 @@ TEST(Persist, PathEstimateValueCodecRoundTrips) {
   EXPECT_FALSE(DecodePathEstimateValue(blob.substr(0, blob.size() - 1)).ok());
 }
 
-TEST(Persist, RouterPathValueCodecRoundTrips) {
-  RouterPathValue v;
-  v.model_version = 42;
-  v.model_crc = 0xC0FFEEu;
-  v.estimate.counts[0] = 7.0;
-  v.estimate.pct[0][50] = 123.5;
-  const std::string blob = EncodeRouterPathValue(v);
-  StatusOr<RouterPathValue> back = DecodeRouterPathValue(blob);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->model_version, 42u);
-  EXPECT_EQ(back->model_crc, 0xC0FFEEu);
-  EXPECT_EQ(back->estimate.counts, v.estimate.counts);
-  EXPECT_EQ(back->estimate.pct, v.estimate.pct);
-  EXPECT_FALSE(DecodeRouterPathValue(std::string("junk")).ok());
-}
-
 }  // namespace
 }  // namespace m3::serve

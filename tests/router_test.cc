@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "serve/exec.h"
+#include "serve/persist.h"
 #include "serve/registry.h"
 #include "serve/router.h"
 #include "serve/server.h"
@@ -392,16 +393,26 @@ M3ModelConfig TinyModel() {
   return mcfg;
 }
 
+// Per-process path: ctest runs each test in its own process, and a shared
+// name races the save's tmp+rename under a parallel run.
+std::string SaveTinyModel(const char* tag, std::uint64_t init_seed) {
+  const std::string p = ::testing::TempDir() + "/router_tiny_model_" + tag + "." +
+                        std::to_string(static_cast<long>(::getpid())) + ".ckpt";
+  M3ModelConfig mcfg = TinyModel();
+  mcfg.init_seed = init_seed;
+  M3Model model(mcfg);
+  model.Save(p);
+  return p;
+}
+
 std::string TinyCheckpoint() {
-  static const std::string path = [] {
-    // Per-process path: ctest runs each test in its own process, and a
-    // shared name races the save's tmp+rename under a parallel run.
-    const std::string p = ::testing::TempDir() + "/router_tiny_model." +
-                          std::to_string(static_cast<long>(::getpid())) + ".ckpt";
-    M3Model model(TinyModel());
-    model.Save(p);
-    return p;
-  }();
+  static const std::string path = SaveTinyModel("a", TinyModel().init_seed);
+  return path;
+}
+
+// Same dimensions, different weights (and so a different model CRC).
+std::string OtherTinyCheckpoint() {
+  static const std::string path = SaveTinyModel("b", TinyModel().init_seed + 1);
   return path;
 }
 
@@ -502,14 +513,14 @@ struct TestShard {
   std::unique_ptr<SocketServer> server;
   std::string path;
 
-  void Start(const std::string& socket_path) {
+  void Start(const std::string& socket_path, const std::string& checkpoint = TinyCheckpoint()) {
     path = socket_path;
     ServiceOptions so;
     so.model_config = TinyModel();
     so.num_workers = 2;
     so.threads_per_query = 1;
     service = std::make_unique<EstimationService>(so);
-    ASSERT_TRUE(service->ReloadModel(TinyCheckpoint()).ok());
+    ASSERT_TRUE(service->ReloadModel(checkpoint).ok());
     ASSERT_TRUE(service->Start().ok());
     server = std::make_unique<SocketServer>(*service);
     ASSERT_TRUE(server->Start(socket_path).ok());
@@ -697,6 +708,13 @@ TEST(RouterChaos, RouterStartRequiresShards) {
   EXPECT_EQ(router.Start().code(), StatusCode::kInvalidArgument);
 }
 
+// Shard dispatches the router has made so far, summed over the fleet.
+std::uint64_t Dispatches(const Router& router) {
+  std::uint64_t n = 0;
+  for (const ShardHealthWire& sh : router.Stats().shards) n += sh.dispatches;
+  return n;
+}
+
 TEST(RouterChaos, RouterCacheServesRepeatsAndSurvivesRestart) {
   const std::vector<std::string> paths = FleetPaths("rc_warm", 2);
   TestShard shards[2];
@@ -716,42 +734,44 @@ TEST(RouterChaos, RouterCacheServesRepeatsAndSurvivesRestart) {
     router.WaitForPersistRecovery();
     first = router.Query(req);
     ASSERT_TRUE(first.status.ok()) << first.status.ToString();
-    EXPECT_EQ(first.degradation.paths_cached, 0);
+    EXPECT_FALSE(first.query_cache_hit);
+    EXPECT_EQ(first.degradation.paths_ok, 5);
 
-    // Identical repeat: every slot answered from the router cache, no
-    // scatter, bitwise identical to the scattered answer.
+    // Identical repeat: answered from the router cache, no scatter,
+    // bitwise identical to the scattered answer.
+    const std::uint64_t dispatched = Dispatches(router);
     const QueryResponse repeat = router.Query(req);
     ASSERT_TRUE(repeat.status.ok());
     ExpectBitwiseEqual(first, repeat);
-    EXPECT_EQ(repeat.degradation.paths_cached, 5);
-    EXPECT_EQ(repeat.degradation.paths_ok, 0);
-    // A fully-cached answer must still carry the fleet's model identity,
-    // not a zero version/crc from the skipped scatter.
+    EXPECT_TRUE(repeat.query_cache_hit);
+    EXPECT_EQ(Dispatches(router), dispatched);
+    // A cached answer carries the live fleet's model identity.
     EXPECT_NE(first.model_crc, 0u);
     EXPECT_EQ(repeat.model_version, first.model_version);
     EXPECT_EQ(repeat.model_crc, first.model_crc);
 
     ASSERT_TRUE(router.FlushPersistNow().ok());
-    EXPECT_GE(router.Stats().persist_entries_flushed, 5u);
+    EXPECT_GE(router.Stats().persist_entries_flushed, 1u);
     router.Stop();
   }
 
   // Router restart, same directory, same fleet: the warm set comes back
   // (validated against the fleet's model CRC) and the first query after
-  // boot is already fully cache-served.
+  // boot is already answered from the cache.
   {
     Router router(ro);
     ASSERT_TRUE(router.Start().ok());
     router.WaitForPersistRecovery();
     const ServerStatsWire st = router.Stats();
     EXPECT_TRUE(st.persist_enabled);
-    EXPECT_GE(st.persist_entries_loaded, 5u);
+    EXPECT_GE(st.persist_entries_loaded, 1u);
     EXPECT_EQ(st.persist_records_corrupt, 0u);
 
     const QueryResponse warm = router.Query(req);
     ASSERT_TRUE(warm.status.ok());
     ExpectBitwiseEqual(first, warm);
-    EXPECT_EQ(warm.degradation.paths_cached, 5);
+    EXPECT_TRUE(warm.query_cache_hit);
+    EXPECT_EQ(Dispatches(router), 0u);
     EXPECT_EQ(warm.model_version, first.model_version);
     EXPECT_EQ(warm.model_crc, first.model_crc);
     router.Stop();
@@ -768,9 +788,136 @@ TEST(RouterChaos, NoCacheRequestBypassesRouterCache) {
   QueryRequest req = FleetQuery(4);
   ASSERT_TRUE(router.Query(req).status.ok());
   req.no_cache = true;
+  const std::uint64_t dispatched = Dispatches(router);
   const QueryResponse again = router.Query(req);
   ASSERT_TRUE(again.status.ok());
-  EXPECT_EQ(again.degradation.paths_cached, 0);
+  EXPECT_FALSE(again.query_cache_hit);
+  EXPECT_GT(Dispatches(router), dispatched);
+}
+
+TEST(RouterChaos, MixedModelFleetNeverCachesTheMergedAnswer) {
+  const std::vector<std::string> paths = FleetPaths("rc_mixed", 2);
+  TestShard shards[2];
+  shards[0].Start(paths[0], TinyCheckpoint());
+  shards[1].Start(paths[1], OtherTinyCheckpoint());
+  ASSERT_NE(shards[0].service->Ping().model_crc, shards[1].service->Ping().model_crc);
+
+  RouterOptions ro = FastRouterOptions(paths);
+  ro.replicas = 1;  // each slot stays on its ring owner
+  Router router(ro);
+  ASSERT_TRUE(router.Start().ok());
+  const QueryRequest req = FleetQuery(12);
+  const QueryResponse first = router.Query(req);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  // The merged answer really mixes both checkpoints.
+  ASSERT_EQ(first.shards.size(), 2u);
+  ASSERT_GT(first.shards[0].slots_ok, 0u);
+  ASSERT_GT(first.shards[1].slots_ok, 0u);
+
+  for (int rep = 0; rep < 2; ++rep) {
+    const std::uint64_t dispatched = Dispatches(router);
+    const QueryResponse again = router.Query(req);
+    ASSERT_TRUE(again.status.ok());
+    EXPECT_FALSE(again.query_cache_hit);
+    EXPECT_GT(Dispatches(router), dispatched);
+    ExpectBitwiseEqual(first, again);
+  }
+}
+
+TEST(RouterChaos, FleetModelReloadRecomputesRepeats) {
+  const std::vector<std::string> paths = FleetPaths("rc_reload", 2);
+  TestShard shards[2];
+  for (int i = 0; i < 2; ++i) shards[i].Start(paths[i]);
+
+  Router router(FastRouterOptions(paths));
+  ASSERT_TRUE(router.Start().ok());
+  const QueryRequest req = FleetQuery(6);
+  const QueryResponse old_answer = router.Query(req);
+  ASSERT_TRUE(old_answer.status.ok()) << old_answer.status.ToString();
+  ASSERT_TRUE(router.Query(req).query_cache_hit);
+
+  for (TestShard& s : shards) ASSERT_TRUE(s.service->ReloadModel(OtherTinyCheckpoint()).ok());
+  const std::uint32_t new_crc = shards[0].service->Ping().model_crc;
+  ASSERT_NE(new_crc, old_answer.model_crc);
+  // The prober learns the new model within a few health intervals.
+  for (int i = 0; i < 200 && router.Ping().model_crc != new_crc; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(router.Ping().model_crc, new_crc);
+
+  const std::uint64_t dispatched = Dispatches(router);
+  const QueryResponse recomputed = router.Query(req);
+  ASSERT_TRUE(recomputed.status.ok()) << recomputed.status.ToString();
+  EXPECT_FALSE(recomputed.query_cache_hit);
+  EXPECT_GT(Dispatches(router), dispatched);
+  EXPECT_EQ(recomputed.model_crc, new_crc);
+  EXPECT_NE(recomputed.combined_pct, old_answer.combined_pct);
+
+  // The recomputed answer is what the cache serves from now on.
+  const QueryResponse repeat = router.Query(req);
+  EXPECT_TRUE(repeat.query_cache_hit);
+  EXPECT_EQ(repeat.model_crc, new_crc);
+  ExpectBitwiseEqual(recomputed, repeat);
+}
+
+TEST(RouterChaos, InvalidPersistedRecordsAreCountedAndNeverServed) {
+  const std::vector<std::string> paths = FleetPaths("rc_badrec", 2);
+  TestShard shards[2];
+  for (int i = 0; i < 2; ++i) shards[i].Start(paths[i]);
+
+  const QueryRequest req = FleetQuery(5);
+  QueryResponse good;
+  {
+    Router router(FastRouterOptions(paths));
+    ASSERT_TRUE(router.Start().ok());
+    good = router.Query(req);
+    ASSERT_TRUE(good.status.ok()) << good.status.ToString();
+  }
+  const std::uint32_t crc = good.model_crc;
+  ASSERT_NE(crc, 0u);
+
+  // Records a careless recovery would serve for `req`: each sits under the
+  // live key and model term (the router keys its query cache with the
+  // fleet's model CRC in place of a model digest).
+  const std::string cache_dir = ::testing::TempDir() + "/rc_badrec_cache";
+  std::filesystem::remove_all(cache_dir);
+  {
+    const Hash128 live_digest{0, crc};
+    const Hash128 key = QueryCacheKey(req, live_digest);
+    QueryResponse degraded = good;
+    degraded.status = Status::Degraded("1 path degraded");
+    QueryResponse stale = good;
+    stale.model_crc = crc ^ 1u;
+    CacheDirLock lock;
+    ASSERT_TRUE(AcquireCacheDir(cache_dir, &lock).ok());
+    PersistOptions popts;
+    popts.dir = cache_dir;
+    popts.flush_interval_seconds = 60.0;
+    CachePersister writer(popts);
+    ASSERT_TRUE(writer.Start().ok());
+    // The retired per-path kind, even holding a valid answer.
+    writer.Enqueue(CacheKind::kRouterPath, live_digest, key, EncodeQueryResponse(good));
+    writer.Enqueue(CacheKind::kQuery, live_digest, key, EncodeQueryResponse(degraded));
+    writer.Enqueue(CacheKind::kQuery, live_digest, key, EncodeQueryResponse(stale));
+    ASSERT_TRUE(writer.FlushNow().ok());
+    writer.Stop();
+  }
+
+  RouterOptions ro = FastRouterOptions(paths);
+  ro.cache_dir = cache_dir;
+  Router router(ro);
+  ASSERT_TRUE(router.Start().ok());
+  router.WaitForPersistRecovery();
+  const ServerStatsWire st = router.Stats();
+  EXPECT_EQ(st.persist_entries_loaded, 0u);
+  EXPECT_EQ(st.persist_records_corrupt, 2u);  // retired kind, non-kOk status
+  EXPECT_EQ(st.persist_digest_dropped, 1u);   // stale model CRC
+
+  const QueryResponse resp = router.Query(req);
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  EXPECT_FALSE(resp.query_cache_hit);
+  EXPECT_GT(Dispatches(router), 0u);
+  ExpectBitwiseEqual(good, resp);
 }
 
 }  // namespace

@@ -401,10 +401,6 @@ std::vector<Payload> EveryMessage() {
   ping.shards_healthy = 2;
   ping.shards_total = 3;
   ping.model_crc = 0x5eed;
-  RouterPathValue rv;
-  rv.model_version = 4;
-  rv.model_crc = 0xc0ffee;
-  rv.estimate = SamplePathEstimate();
   return {
       Make("QueryRequest", EncodeQueryRequest(SampleRequest()), DecodeQueryRequest),
       Make("QueryResponse", EncodeQueryResponse(SampleResponse()), DecodeQueryResponse),
@@ -416,7 +412,6 @@ std::vector<Payload> EveryMessage() {
       Make("ShardQueryResponse", EncodeShardQueryResponse(sr), DecodeShardQueryResponse),
       Make("PathEstimateValue", EncodePathEstimateValue(SamplePathEstimate()),
            DecodePathEstimateValue),
-      Make("RouterPathValue", EncodeRouterPathValue(rv), DecodeRouterPathValue),
   };
 }
 

@@ -16,8 +16,9 @@
 # purpose: fork() and ThreadSanitizer do not mix. Last, the distributed
 # tier: a real m3d_router over three real m3d shards serving load-gen while
 # one shard is SIGKILLed mid-load — every query must come back answered
-# (ok or degraded, never failed) and the whole fleet must shut down without
-# orphans. Finally the overload tier: a deliberately undersized m3d driven
+# (ok or degraded, never failed) — then the same load with caching on,
+# which must also be answered in full and hit the router's query cache;
+# the whole fleet must shut down without orphans. Finally the overload tier: a deliberately undersized m3d driven
 # at ~4x its capacity with per-query deadlines — every query must resolve
 # (answered or shed with a typed status, zero failed, zero silent
 # timeouts), the p99 of admitted queries must stay under the deadline, and
@@ -188,30 +189,48 @@ for _ in $(seq 1 100); do
   sleep 0.2
 done
 
-# SIGKILL one shard by its exact pid one second into the load (never
+# SIGKILL one shard by its exact pid 0.3 s into the load (never
 # pkill -f here: the router's argv contains every shard's socket path).
 VICTIM_PID="$(echo "$SHARD_PIDS" | awk '{print $2}')"
-( sleep 1; kill -KILL "$VICTIM_PID" 2>/dev/null || true ) &
+( sleep 0.3; kill -KILL "$VICTIM_PID" 2>/dev/null || true ) &
 KILLER_PID=$!
+
+# Load-gen through the router; every query must come back answered. $1
+# names the leg, the remaining arguments are extra m3_client flags.
+dist_load() {
+  local leg="$1" json total answered failed
+  shift
+  json="$(./build/tools/m3_client --socket "$DIST_DIR/router.sock" \
+    --flows 4000 --paths 32 --concurrency 4 --repeat 25 --retries 6 --json "$@")"
+  echo "$json"
+  total="$(echo "$json" | sed -E 's/.*"total": ([0-9]+).*/\1/')"
+  answered="$(echo "$json" | sed -E 's/.*"answered": ([0-9]+).*/\1/')"
+  failed="$(echo "$json" | sed -E 's/.*"failed": ([0-9]+).*/\1/')"
+  if [ "$failed" != 0 ] || [ "$total" != "$answered" ]; then
+    echo "distributed ($leg): $failed failed, $answered/$total answered" >&2
+    exit 1
+  fi
+}
 
 # The distributed contract: with a shard dying mid-load, every query is
 # still answered — rerouted to a replica or flowSim-degraded, never failed.
-DIST_JSON="$(./build/tools/m3_client --socket "$DIST_DIR/router.sock" \
-  --flows 4000 --paths 32 --no-cache --concurrency 4 --repeat 25 \
-  --retries 6 --json)"
-echo "$DIST_JSON"
+dist_load shard-kill --no-cache
 wait "$KILLER_PID" 2>/dev/null || true
-dist_total="$(echo "$DIST_JSON" | sed -E 's/.*"total": ([0-9]+).*/\1/')"
-dist_answered="$(echo "$DIST_JSON" | sed -E 's/.*"answered": ([0-9]+).*/\1/')"
-dist_failed="$(echo "$DIST_JSON" | sed -E 's/.*"failed": ([0-9]+).*/\1/')"
-if [ "$dist_failed" != 0 ] || [ "$dist_total" != "$dist_answered" ]; then
-  echo "distributed: $dist_failed failed, $dist_answered/$dist_total answered" >&2
-  exit 1
-fi
 
 # The router stays up and reports fleet health after the loss.
 ./build/tools/m3_client --socket "$DIST_DIR/router.sock" --ping
 ./build/tools/m3_client --socket "$DIST_DIR/router.sock" --stats > /dev/null
+
+# Cached leg: the same load with caching on, on the surviving fleet. Exact
+# repeats must come from the router's query cache (the scraped key is a
+# metric name from serve/metrics.h).
+dist_load cached
+DIST_STATS="$(./build/tools/m3_client --socket "$DIST_DIR/router.sock" --stats --json)"
+dist_hits="$(echo "$DIST_STATS" | sed -E 's/.*"query_cache":\{"hits":([0-9]+).*/\1/')"
+if [ "$dist_hits" -eq 0 ]; then
+  echo "distributed (cached): no router query-cache hits: $DIST_STATS" >&2
+  exit 1
+fi
 
 kill -TERM "$ROUTER_PID"
 wait "$ROUTER_PID"

@@ -1,10 +1,11 @@
 // m3d-router: the scatter-gather front-end of a sharded m3d fleet.
 //
 // Speaks the same client-facing protocol as m3d (query / stats / ping),
-// but instead of computing, it decomposes each query into its
-// deterministic path sample, consistent-hashes every sample slot to a
-// backend shard by path-content, scatters ShardQueryRequests, and merges
-// the partial estimates into one answer. See serve/router.h for the
+// but instead of computing, it answers exact repeats from its query cache,
+// decomposes every other query into its deterministic path sample,
+// consistent-hashes every sample slot to a backend shard by the path's
+// link list, scatters ShardQueryRequests, and merges the partial
+// estimates into one answer. See serve/router.h for the
 // placement and degradation-ladder design, DESIGN.md §12 for the
 // architecture.
 //
@@ -52,19 +53,20 @@ constexpr const char* kUsage =
     "  --breaker-cooloff S     open time before a half-open probe    (2)\n"
     "  --fallback-threads N    flowSim fallback threads, 0 = all     (0)\n"
     "  --pool N             idle connections kept per shard          (4)\n"
-    "  --path-cache N       router-side per-path result cache entries,\n"
-    "                       consulted before scatter, >= 0           (4096)\n"
-    "  --cache-dir PATH     durable cache directory: the path cache is\n"
+    "  --query-cache N      whole-query cache entries, consulted\n"
+    "                       before anything else, >= 0               (256)\n"
+    "  --cache-dir PATH     durable cache directory: the query cache is\n"
     "                       spilled here and recovered warm on restart\n"
     "                       (off). Created if missing; locked against\n"
     "                       sharing by a second daemon.\n"
     "  --cache-flush-interval SECS   background cache flush cadence  (2)\n"
     "  --help               show this message\n"
     "\n"
-    "Slots are placed by path-content hashing, so each shard's per-path\n"
-    "cache concentrates on its ring segment; a model reload does not\n"
-    "reshuffle placement. A fault-free scattered answer is bitwise\n"
-    "identical to a single m3d's.\n";
+    "Slots are placed by hashing their path's link list, so each shard's\n"
+    "per-path cache concentrates on its ring segment; a model reload does\n"
+    "not reshuffle placement. An exact repeat is answered from the query\n"
+    "cache while the fleet serves the model it was computed with. A\n"
+    "fault-free scattered answer is bitwise identical to a single m3d's.\n";
 
 [[noreturn]] void UsageError(const std::string& msg) {
   std::fprintf(stderr, "m3d_router: %s\n\n%s", msg.c_str(), kUsage);
@@ -140,7 +142,7 @@ int main(int argc, char** argv) {
     else if (key == "--breaker-cooloff") opts.breaker.cooloff_seconds = ParseSeconds(key, v, 0.01);
     else if (key == "--fallback-threads") opts.fallback_threads = static_cast<unsigned>(ParseInt(key, v, 0, 1024));
     else if (key == "--pool") opts.pool_per_shard = static_cast<std::size_t>(ParseInt(key, v, 0, 1024));
-    else if (key == "--path-cache") opts.path_cache_entries = static_cast<std::size_t>(ParseInt(key, v, 0, 1 << 24));
+    else if (key == "--query-cache") opts.query_cache_entries = static_cast<std::size_t>(ParseInt(key, v, 0, 1 << 24));
     else if (key == "--cache-dir") opts.cache_dir = v;
     else if (key == "--cache-flush-interval") opts.cache_flush_interval_seconds = ParseSeconds(key, v, 0.001);
     else UsageError("unknown flag '" + key + "'");
@@ -195,7 +197,7 @@ int main(int argc, char** argv) {
                 s.healthy ? "healthy" : "unreachable");
   }
   if (!opts.cache_dir.empty()) {
-    std::printf("m3d_router: durable path cache in %s (flush every %.3gs), "
+    std::printf("m3d_router: durable query cache in %s (flush every %.3gs), "
                 "recovering in background\n",
                 opts.cache_dir.c_str(), opts.cache_flush_interval_seconds);
   }
