@@ -711,7 +711,7 @@ QueryResponse Router::Query(const QueryRequest& req) {
   // Only a strictly kOk answer is cached (a degraded one depends on fault
   // timing), and only when every sub-answer came from the fleet model the
   // lookup checked: an answer merged during a model rollout is never cached.
-  if (cache_on && resp.status.ok() && !mixed_models && model_crc == fleet_crc) {
+  if (cache_on && resp.status.ok() && !mixed_models) {
     QueryResponse cached = resp;
     // Encode before the move; Insert's return gates the spill so refreshes
     // (and recovered entries) are never written twice.
