@@ -252,26 +252,6 @@ PinnedModel MakeModel(const std::string& name) {
   return pm;
 }
 
-serve::QueryRequest ToRequest(const GoldenQuery& q, const BuiltQuery& b, bool use_context) {
-  serve::QueryRequest req;
-  req.oversub = q.oversub;
-  req.num_paths = q.num_paths;
-  req.seed = q.seed;
-  req.use_context = use_context;
-  req.flows.reserve(b.flows.size());
-  for (const Flow& f : b.flows) {
-    serve::WireFlow wf;
-    wf.id = f.id;
-    wf.src_host = b.ft->HostIndexOf(f.src);
-    wf.dst_host = b.ft->HostIndexOf(f.dst);
-    wf.size = f.size;
-    wf.arrival = f.arrival;
-    wf.priority = f.priority;
-    req.flows.push_back(wf);
-  }
-  return req;
-}
-
 NetworkEstimate RunDirect(const serve::QueryRequest& req, const BuiltQuery& b, M3Model& model,
                           unsigned threads) {
   std::vector<Flow> flows;

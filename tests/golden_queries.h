@@ -1,7 +1,8 @@
 // The six fixed golden queries shared by the pipeline pins
 // (golden_pipeline_test.cc) and the model-answer pins
 // (golden_model_test.cc), with the builder that turns one into a fat tree
-// and its routed flows, and the answer hash both suites pin.
+// and its routed flows, its wire request, and the answer hash both suites
+// pin.
 #pragma once
 
 #include <cstddef>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/aggregate.h"
+#include "serve/wire.h"
 #include "topo/fat_tree.h"
 #include "util/hash.h"
 #include "workload/generator.h"
@@ -66,6 +68,27 @@ inline BuiltQuery BuildGoldenQuery(const GoldenQuery& q) {
     }
   }
   return b;
+}
+
+/// The wire request that asks a server for `q`'s answer over `b`'s flows.
+inline serve::QueryRequest ToRequest(const GoldenQuery& q, const BuiltQuery& b, bool use_context) {
+  serve::QueryRequest req;
+  req.oversub = q.oversub;
+  req.num_paths = q.num_paths;
+  req.seed = q.seed;
+  req.use_context = use_context;
+  req.flows.reserve(b.flows.size());
+  for (const Flow& f : b.flows) {
+    serve::WireFlow wf;
+    wf.id = f.id;
+    wf.src_host = b.ft->HostIndexOf(f.src);
+    wf.dst_host = b.ft->HostIndexOf(f.dst);
+    wf.size = f.size;
+    wf.arrival = f.arrival;
+    wf.priority = f.priority;
+    req.flows.push_back(wf);
+  }
+  return req;
 }
 
 /// Absorbs a network-wide answer (bucket percentiles, totals, combined
