@@ -75,6 +75,31 @@ void ExpectTensorsEq(const ml::Tensor& a, const ml::Tensor& b, const char* what)
   }
 }
 
+// Bit-at-a-time reflected CRC-32, the definition the table-driven
+// ml::Crc32 must reproduce.
+std::uint32_t BitwiseCrc32(const unsigned char* p, std::size_t n) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Checkpoint, Crc32MatchesBytewiseReference) {
+  EXPECT_EQ(ml::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(ml::Crc32(nullptr, 0), 0u);
+  Rng rng(91);
+  std::vector<unsigned char> bytes(64 + 8);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.NextU64());
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(ml::Crc32(bytes.data() + start, len), BitwiseCrc32(bytes.data() + start, len))
+          << "start " << start << " length " << len;
+    }
+  }
+}
+
 TEST(CheckpointV2, RoundTripWithOptimizerAndTrainerState) {
   const std::string path = ScratchDir("roundtrip") + "/m.ckpt";
   ml::Parameter a = MakeParam("layer.a", 3, 4, 11);
