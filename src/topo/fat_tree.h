@@ -73,9 +73,15 @@ class FatTree {
   std::vector<NodeId> hosts_;
   std::vector<int> host_index_;  // node id -> host index (-1 for switches)
   std::vector<NodeId> tors_;
-  // fabric_[pod][plane], spines_[plane][index]
-  std::vector<std::vector<NodeId>> fabric_;
-  std::vector<std::vector<NodeId>> spines_;
+  // Link ids per tier, filled as the constructor adds each link, so a route
+  // is read from tables instead of searched for (up = toward the spines):
+  //   host_up_/host_down_[host]                          host <-> its ToR
+  //   tor_up_/tor_down_[rack * planes + plane]           ToR <-> pod fabric
+  //   fabric_up_/fabric_down_[(pod * planes + plane) * spines_per_plane + s]
+  //                                                      fabric <-> spine
+  std::vector<LinkId> host_up_, host_down_;
+  std::vector<LinkId> tor_up_, tor_down_;
+  std::vector<LinkId> fabric_up_, fabric_down_;
 };
 
 }  // namespace m3

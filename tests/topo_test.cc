@@ -170,6 +170,67 @@ TEST(FatTree, ShortestPathCountMatchesStructure) {
   EXPECT_DOUBLE_EQ(CountShortestPaths(ft.topo(), ft.host(0), ft.host(1)), 1.0);
 }
 
+// The route FatTree::RouteBetween must give, walked switch by switch with
+// Topology::FindLink: the constructor adds the spines plane by plane, then
+// each pod's fabric switches plane by plane, and ECMP picks the plane, then
+// the spine, from SplitMix64(key ^ hop * golden ratio).
+Route FindLinkWalk(const FatTree& ft, int src_host, int dst_host, std::uint64_t key) {
+  const FatTreeConfig& cfg = ft.config();
+  const auto ecmp = [key](std::uint64_t hop) {
+    return SplitMix64(key ^ (hop * 0x9e3779b97f4a7c15ULL)).Next();
+  };
+  const auto spine = [&cfg](int plane, int index) {
+    return static_cast<NodeId>(plane * cfg.spines_per_plane + index);
+  };
+  const auto fabric = [&cfg](int pod, int plane) {
+    return static_cast<NodeId>(cfg.fabric_per_pod * cfg.spines_per_plane +
+                               pod * cfg.fabric_per_pod + plane);
+  };
+  const Topology& t = ft.topo();
+  const int src_rack = ft.RackOfHost(src_host), dst_rack = ft.RackOfHost(dst_host);
+  const NodeId src_tor = ft.tor(src_rack), dst_tor = ft.tor(dst_rack);
+  Route r{t.FindLink(ft.host(src_host), src_tor)};
+  if (src_rack != dst_rack) {
+    const int plane = static_cast<int>(ecmp(1) % static_cast<std::uint64_t>(cfg.fabric_per_pod));
+    const NodeId up = fabric(ft.PodOfRack(src_rack), plane);
+    NodeId down = up;
+    r.push_back(t.FindLink(src_tor, up));
+    if (ft.PodOfRack(src_rack) != ft.PodOfRack(dst_rack)) {
+      const NodeId sp = spine(
+          plane, static_cast<int>(ecmp(2) % static_cast<std::uint64_t>(cfg.spines_per_plane)));
+      down = fabric(ft.PodOfRack(dst_rack), plane);
+      r.push_back(t.FindLink(up, sp));
+      r.push_back(t.FindLink(sp, down));
+    }
+    r.push_back(t.FindLink(down, dst_tor));
+  }
+  r.push_back(t.FindLink(dst_tor, ft.host(dst_host)));
+  return r;
+}
+
+TEST(FatTree, RouteTablesMatchFindLinkWalk) {
+  FatTreeConfig odd;
+  odd.pods = 3;
+  odd.racks_per_pod = 4;
+  odd.hosts_per_rack = 3;
+  odd.fabric_per_pod = 3;
+  odd.spines_per_plane = 5;
+  for (const FatTreeConfig& cfg : {FatTreeConfig::Small(2.0), odd}) {
+    const FatTree ft(cfg);
+    const std::uint64_t keys[] = {0, 7, 0x9e3779b97f4a7c15ULL};
+    for (int a = 0; a < ft.num_hosts(); ++a) {
+      for (int b = 0; b < ft.num_hosts(); ++b) {
+        if (a == b) continue;
+        for (std::uint64_t key : keys) {
+          const Route r = ft.RouteBetween(a, b, key);
+          ASSERT_TRUE(ft.topo().ValidateRoute(ft.host(a), ft.host(b), r)) << a << "->" << b;
+          ASSERT_EQ(r, FindLinkWalk(ft, a, b, key)) << a << "->" << b << " key " << key;
+        }
+      }
+    }
+  }
+}
+
 TEST(FatTree, RejectsInvalidConfig) {
   FatTreeConfig cfg;
   cfg.pods = 0;
