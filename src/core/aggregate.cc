@@ -65,10 +65,27 @@ std::vector<double> CombineBuckets(
     if (pct.empty() || w <= 0.0) continue;
     for (double v : pct) weighted.emplace_back(v, w / static_cast<double>(pct.size()));
   }
-  std::vector<double> out;
-  out.reserve(kNumPercentiles);
+  // WeightedPercentile(weighted, p) for p = 1..100, with one sort: each of
+  // its calls sorts the same pairs and scans the same running sum for the
+  // first `cum >= target`, and the targets only grow with p, so one sweep
+  // resumes where the previous percentile stopped.
+  std::vector<double> out(kNumPercentiles, 0.0);
+  if (weighted.empty()) return out;
+  std::sort(weighted.begin(), weighted.end());
+  double total = 0.0;
+  for (const auto& [v, w] : weighted) total += w;
+  if (total <= 0.0) return out;
+  std::size_t i = 0;
+  double cum = weighted[0].second;
   for (int p = 1; p <= kNumPercentiles; ++p) {
-    out.push_back(WeightedPercentile(weighted, static_cast<double>(p)));
+    const double target = std::clamp(static_cast<double>(p), 0.0, 100.0) / 100.0 * total;
+    // !(cum >= target) rather than cum < target: a NaN sum must run to the
+    // end, as it does in WeightedPercentile.
+    while (i < weighted.size() && !(cum >= target)) {
+      if (++i < weighted.size()) cum += weighted[i].second;
+    }
+    out[static_cast<std::size_t>(p - 1)] =
+        i < weighted.size() ? weighted[i].first : weighted.back().first;
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/aggregate.h"
 #include "core/dataset.h"
@@ -384,6 +385,44 @@ TEST(Aggregate, CombineBucketsMixesByCount) {
   ASSERT_EQ(combined.size(), 100u);
   EXPECT_DOUBLE_EQ(combined[49], 2.0);   // median from the dominant bucket
   EXPECT_DOUBLE_EQ(combined[98], 8.0);   // tail from the rare-but-slow bucket
+}
+
+// CombineBuckets sorts once and sweeps; it must give bit for bit the 100
+// WeightedPercentile calls it replaces, on the pairs it documents.
+TEST(Aggregate, CombineBucketsSweepEqualsPerPercentile) {
+  Rng rng(20);
+  const double tiny_weights[] = {0.0, 1e-300, 1e-12, 3.0, 1e6, -2.0};
+  for (int trial = 0; trial < 300; ++trial) {
+    std::array<std::vector<double>, kNumOutputBuckets> bucket_pct;
+    std::array<double, kNumOutputBuckets> counts{};
+    for (int b = 0; b < kNumOutputBuckets; ++b) {
+      const auto ub = static_cast<std::size_t>(b);
+      const std::size_t sizes[] = {0, 1, 7, 100, 100};
+      bucket_pct[ub].resize(sizes[rng.NextBounded(5)]);
+      for (double& v : bucket_pct[ub]) {
+        // Half the values come from a 4-value grid, so ties are common.
+        v = rng.NextBounded(2) == 0 ? 1.0 + 0.5 * static_cast<double>(rng.NextBounded(4))
+                                    : 1.0 + 20.0 * rng.NextDouble();
+      }
+      counts[ub] = rng.NextBounded(3) == 0 ? tiny_weights[rng.NextBounded(6)]
+                                           : 1.0 + 1000.0 * rng.NextDouble();
+    }
+    std::vector<std::pair<double, double>> weighted;
+    for (int b = 0; b < kNumOutputBuckets; ++b) {
+      const auto& pct = bucket_pct[static_cast<std::size_t>(b)];
+      const double w = counts[static_cast<std::size_t>(b)];
+      if (pct.empty() || w <= 0.0) continue;
+      for (double v : pct) weighted.emplace_back(v, w / static_cast<double>(pct.size()));
+    }
+    const std::vector<double> swept = CombineBuckets(bucket_pct, counts);
+    ASSERT_EQ(swept.size(), static_cast<std::size_t>(kNumPercentiles));
+    for (int p = 1; p <= kNumPercentiles; ++p) {
+      const double want = WeightedPercentile(weighted, static_cast<double>(p));
+      const double got = swept[static_cast<std::size_t>(p - 1)];
+      ASSERT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+          << "trial " << trial << " p" << p << ": " << got << " vs " << want;
+    }
+  }
 }
 
 TEST(Aggregate, BucketSlowdownsSplitsBySize) {
