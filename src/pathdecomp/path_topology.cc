@@ -14,7 +14,7 @@ PathScenario BuildPathScenario(const Topology& topo, const std::vector<Flow>& fl
 void BuildPathScenario(const Topology& topo, const std::vector<Flow>& flows,
                        const PathDecomposition& decomp, std::size_t path_idx,
                        PathScenario* into) {
-  const PathInfo& info = decomp.path(path_idx);
+  const PathInfo info = decomp.path(path_idx);
   const int n = static_cast<int>(info.links.size());
   // Throws for paths over 32 hops, before `*into` is touched.
   const std::vector<BgFlowOnPath> background = decomp.BackgroundFlows(path_idx);

@@ -379,9 +379,8 @@ QueryResponse Router::Query(const QueryRequest& req) {
   const std::size_t replicas = static_cast<std::size_t>(std::max(1, opts_.replicas));
   std::vector<std::vector<int>> pref(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const Route& links = decomp.path(sample[i]).links;
-    pref[i] = ring_->Preference(HashBytes(links.data(), links.size() * sizeof(links[0])),
-                                replicas);
+    const std::span<const LinkId> links = decomp.path(sample[i]).links;
+    pref[i] = ring_->Preference(HashBytes(links.data(), links.size_bytes()), replicas);
   }
 
   // Availability snapshot: one breaker decision per shard per query — an
