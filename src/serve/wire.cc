@@ -1,5 +1,6 @@
 #include "serve/wire.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -19,7 +20,7 @@ constexpr std::size_t kPathKeyLinkBytes = 4 + 4 + 8 + 8;
 constexpr std::size_t kPathKeyFlowBytes = 4 + 4 + 8 + 8 + 1 + 1 + 4 + 4 + 8;
 
 // Little-endian field writer over a buffer sized up front (no bounds checks:
-// PathCacheKey computes the exact size).
+// PathCacheKey computes the exact size, QueryCacheKey fills a fixed chunk).
 struct KeyBytes {
   unsigned char* p;
   template <typename T>
@@ -695,8 +696,25 @@ Hash128 QueryCacheKey(const QueryRequest& req, const Hash128& model_digest) {
   h.I32(req.num_paths);
   h.U64(req.seed);
   h.U64(req.flows.size());
-  for (const WireFlow& f : req.flows) {
-    h.I32(f.id).I32(f.src_host).I32(f.dst_host).I64(f.size).I64(f.arrival).U8(f.priority);
+  // Each flow's fields, packed as a run of i32 id, src, dst; i64 size,
+  // arrival; u8 priority, go through a fixed chunk absorbed by one Bytes call
+  // per kChunkFlows flows. The hash does not depend on how the stream is
+  // split across calls, so this equals absorbing each field on its own.
+  constexpr std::size_t kChunkFlows = 256;
+  std::array<unsigned char, kChunkFlows * kWireFlowBytes> chunk;
+  for (std::size_t begin = 0; begin < req.flows.size(); begin += kChunkFlows) {
+    const std::size_t end = std::min(req.flows.size(), begin + kChunkFlows);
+    KeyBytes w{chunk.data()};
+    for (std::size_t i = begin; i < end; ++i) {
+      const WireFlow& f = req.flows[i];
+      w.Put<std::int32_t>(f.id);
+      w.Put<std::int32_t>(f.src_host);
+      w.Put<std::int32_t>(f.dst_host);
+      w.Put<std::int64_t>(f.size);
+      w.Put<std::int64_t>(f.arrival);
+      w.Put<std::uint8_t>(f.priority);
+    }
+    h.Bytes(chunk.data(), static_cast<std::size_t>(w.p - chunk.data()));
   }
   return h.Finish();
 }
