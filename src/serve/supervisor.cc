@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "serve/worker.h"
 #include "util/fault.h"
@@ -313,7 +314,9 @@ void WorkerSupervisor::ReaperLoop() {
   while (!stopping_) {
     const auto now = Clock::now();
     bool spawned = false;
-    std::optional<Hash128> tripped;
+    // Every trip of this pass: a later death in the same pass finds the
+    // digest already quarantined and must not hide the trip.
+    std::vector<Hash128> tripped;
     for (Slot& s : slots_) {
       // Only the reaper calls waitpid, per-pid with WNOHANG — never -1,
       // so unrelated children of an embedding process are left alone.
@@ -334,7 +337,9 @@ void WorkerSupervisor::ReaperLoop() {
                                          opts_.backoff_max_ms),
                           jitter_seed_, static_cast<std::uint64_t>(&s - slots_.data()),
                           static_cast<std::uint64_t>(s.consecutive_failures)));
-            tripped = RecordFailureLocked(s.snap_digest);
+            if (std::optional<Hash128> t = RecordFailureLocked(s.snap_digest)) {
+              tripped.push_back(*t);
+            }
           }
           s.pid = -1;
           s.state = SlotState::kWaitRespawn;
@@ -348,12 +353,11 @@ void WorkerSupervisor::ReaperLoop() {
       }
     }
     if (spawned) lease_cv_.notify_all();
-    if (tripped.has_value() && on_trip_) {
-      // Fire the trip callback off the lock: it re-enters the supervisor
+    if (!tripped.empty() && on_trip_) {
+      // Fire the trip callbacks off the lock: they re-enter the supervisor
       // (RestartWorkers) and the registry.
-      const Hash128 digest = *tripped;
       lock.unlock();
-      on_trip_(digest);
+      for (const Hash128& digest : tripped) on_trip_(digest);
       lock.lock();
       continue;
     }

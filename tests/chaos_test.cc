@@ -18,6 +18,7 @@
 #include <signal.h>
 #include <sys/types.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -484,6 +485,46 @@ TEST(Supervisor, BreakerTripsOnCrashingModelAndRollsBackToLastGood) {
         return svc.Query(probe).status.ok();
       },
       std::chrono::milliseconds(30000)));
+  svc.Stop();
+}
+
+TEST(Supervisor, TripIsReportedWhenSeveralIdleWorkersDieInOneReaperPass) {
+  FaultGuard guard;
+  // Threshold 1: the first death the reaper charges to B trips the breaker
+  // and every later one in the same pass finds B already quarantined. The
+  // trip must still reach the service, which rolls back to A.
+  ServiceOptions so = WorkerServiceOptions(4);
+  so.supervisor.breaker_threshold = 1;
+  so.supervisor.breaker_window_seconds = 60.0;
+  EstimationService svc(so);
+  ASSERT_TRUE(svc.ReloadModel(SmallCheckpoint()).ok());
+  ASSERT_TRUE(svc.Start().ok());
+  WorkerSupervisor* sup = svc.supervisor();
+  ASSERT_TRUE(WaitFor([&] { return sup->worker_pids().size() == 4; },
+                      std::chrono::milliseconds(5000)));
+  const std::uint32_t crc_a = svc.Stats().model_crc;
+  const std::vector<pid_t> a_pids = sup->worker_pids();
+  ASSERT_TRUE(svc.ReloadModel(SmallCheckpointB()).ok());
+  ASSERT_NE(svc.Stats().model_crc, crc_a);
+
+  // Wait until every slot runs a worker forked for B, then kill them all
+  // at once, while idle.
+  std::vector<pid_t> b_pids;
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        b_pids = sup->worker_pids();
+        return b_pids.size() == 4 &&
+               std::none_of(b_pids.begin(), b_pids.end(), [&](pid_t p) {
+                 return std::find(a_pids.begin(), a_pids.end(), p) != a_pids.end();
+               });
+      },
+      std::chrono::milliseconds(5000)));
+  for (const pid_t pid : b_pids) ASSERT_EQ(::kill(pid, SIGKILL), 0);
+
+  ASSERT_TRUE(WaitFor([&] { return sup->stats().breaker_trips >= 1; },
+                      std::chrono::milliseconds(5000)));
+  EXPECT_TRUE(WaitFor([&] { return svc.Stats().model_crc == crc_a; },
+                      std::chrono::milliseconds(5000)));
   svc.Stop();
 }
 
