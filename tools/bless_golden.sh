@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates the model-answer pins (kModelPins in
 # tests/golden_model_test.cc) for every kernel tier this CPU supports.
-# GoldenModel.RunM3OneThreadMatchesThePins prints one
+# GoldenModel.RunM3OneThreadMatchesThePins and
+# GoldenModel.IdentityMatchesThePins print one
 # `golden-model <flavor> <model> <query> <tier> <hex>` line per stale pin;
 # this script pastes each hex back into its table row. Run it only for a
 # deliberate change of model answers, and say so in CHANGES.md. Rows of a
@@ -16,7 +17,8 @@ BUILD="${1:-build}"
 
 cmake --build "$BUILD" --target m3_tests
 lines="$(env -u M3_KERNEL "$BUILD/tests/m3_tests" \
-  --gtest_filter='*GoldenModel.RunM3OneThreadMatchesThePins*' | grep '^golden-model ' || true)"
+  --gtest_filter='*GoldenModel.RunM3OneThreadMatchesThePins*:*GoldenModel.IdentityMatchesThePins*' |
+  grep '^golden-model ' || true)"
 if [ -z "$lines" ]; then
   echo "bless_golden: every pin already matches"
   exit 0
