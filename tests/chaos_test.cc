@@ -33,6 +33,7 @@
 #include "serve/supervisor.h"
 #include "serve/wire.h"
 #include "serve/worker.h"
+#include "temp_path.h"
 #include "topo/fat_tree.h"
 #include "util/fault.h"
 #include "util/socket.h"
@@ -61,7 +62,7 @@ M3ModelConfig SmallModel() {
 
 std::string SmallCheckpoint() {
   static const std::string path = [] {
-    const std::string p = ::testing::TempDir() + "/chaos_small_model.ckpt";
+    const std::string p = TempPath("chaos_small_model.ckpt");
     M3Model model(SmallModel());
     model.Save(p);
     return p;
@@ -72,7 +73,7 @@ std::string SmallCheckpoint() {
 // A second valid checkpoint with different weights (rollback target).
 std::string SmallCheckpointB() {
   static const std::string path = [] {
-    const std::string p = ::testing::TempDir() + "/chaos_small_model_b.ckpt";
+    const std::string p = TempPath("chaos_small_model_b.ckpt");
     M3ModelConfig mcfg = SmallModel();
     mcfg.init_seed = 777;
     M3Model model(mcfg);
@@ -183,7 +184,7 @@ TEST(SocketTimeout, ClearingTimeoutRestoresBlockingReads) {
 TEST(SocketTimeout, ConnectTimeoutToMissingSocketFailsFast) {
   const auto t0 = std::chrono::steady_clock::now();
   StatusOr<UnixFd> fd =
-      ConnectUnixTimeout(::testing::TempDir() + "/chaos_no_such.sock", 0.5);
+      ConnectUnixTimeout(TempPath("chaos_no_such.sock"), 0.5);
   const double waited =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   EXPECT_FALSE(fd.ok());

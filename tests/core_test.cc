@@ -9,6 +9,7 @@
 #include "core/model.h"
 #include "core/scenario.h"
 #include "core/trainer.h"
+#include "temp_path.h"
 #include "topo/fat_tree.h"
 #include "workload/generator.h"
 
@@ -303,7 +304,7 @@ TEST(Model, SaveLoadPreservesPredictions) {
   ml::Tensor fg(1, kFeatureDim), bg(2, kFeatureDim), spec(1, kSpecDim);
   fg.Fill(0.3f);
   const auto before = model.Predict(fg, bg, spec);
-  const std::string path = testing::TempDir() + "/m3_model_test.ckpt";
+  const std::string path = TempPath("m3_model_test.ckpt");
   model.Save(path);
 
   M3ModelConfig cfg2 = cfg;

@@ -10,8 +10,6 @@
 // exception is OverloadWire, which the ASan tier runs with the other
 // decoder suites.
 #include <gtest/gtest.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -27,6 +25,7 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/wire.h"
+#include "temp_path.h"
 #include "topo/fat_tree.h"
 #include "util/socket.h"
 #include "workload/generator.h"
@@ -48,8 +47,7 @@ M3ModelConfig TinyModel() {
 
 std::string TinyCheckpoint() {
   static const std::string path = [] {
-    const std::string p = ::testing::TempDir() + "/overload_tiny_model." +
-                          std::to_string(static_cast<long>(::getpid())) + ".ckpt";
+    const std::string p = TempPath("overload_tiny_model.ckpt");
     M3Model model(TinyModel());
     model.Save(p);
     return p;
@@ -596,8 +594,7 @@ RouterOptions OneShardRouter(const std::string& path) {
 }
 
 TEST(OverloadRouterBudget, RemainingDeadlinePropagatesIntoSubRequests) {
-  const std::string path = ::testing::TempDir() + "/overload_shard." +
-                           std::to_string(static_cast<long>(::getpid())) + ".sock";
+  const std::string path = TempPath("overload_shard.sock");
   RecordingShard shard(path);
   ASSERT_TRUE(shard.start_status().ok()) << shard.start_status().ToString();
   Router router(OneShardRouter(path));
@@ -629,8 +626,7 @@ TEST(OverloadRouterBudget, RemainingDeadlinePropagatesIntoSubRequests) {
 }
 
 TEST(OverloadRouterBudget, ShedsTypedWhenBudgetCannotCoverDispatch) {
-  const std::string path = ::testing::TempDir() + "/overload_shard2." +
-                           std::to_string(static_cast<long>(::getpid())) + ".sock";
+  const std::string path = TempPath("overload_shard2.sock");
   RecordingShard shard(path);
   ASSERT_TRUE(shard.start_status().ok()) << shard.start_status().ToString();
   Router router(OneShardRouter(path));

@@ -24,6 +24,7 @@
 #include "serve/persist.h"
 #include "serve/service.h"
 #include "serve/wire.h"
+#include "temp_path.h"
 #include "topo/fat_tree.h"
 #include "util/fault.h"
 #include "util/hash.h"
@@ -43,7 +44,7 @@ class FaultGuard {
 
 // Fresh scratch directory per test so segment sequences don't collide.
 std::string ScratchDir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/m3_persist_" + name;
+  const std::string dir = TempPath("m3_persist_" + name);
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
@@ -487,7 +488,7 @@ M3ModelConfig SmallModel() {
 
 std::string SmallCheckpoint() {
   static const std::string path = [] {
-    const std::string p = ::testing::TempDir() + "/persist_small_model.ckpt";
+    const std::string p = TempPath("persist_small_model.ckpt");
     M3Model model(SmallModel());
     model.Save(p);
     return p;
@@ -603,7 +604,7 @@ TEST(PersistService, ModelSwapAcrossRestartDropsRecoveredEntries) {
   // digest mismatches, not served.
   M3ModelConfig other = SmallModel();
   other.init_seed = 777;
-  const std::string other_ckpt = testing::TempDir() + "/persist_other_model.ckpt";
+  const std::string other_ckpt = TempPath("persist_other_model.ckpt");
   M3Model(other).Save(other_ckpt);
 
   EstimationService s2(PersistServiceOptions(dir));

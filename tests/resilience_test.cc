@@ -15,6 +15,7 @@
 #include "core/estimator.h"
 #include "core/validate.h"
 #include "serve/wire.h"
+#include "temp_path.h"
 #include "topo/fat_tree.h"
 #include "util/fault.h"
 #include "util/status.h"
@@ -742,7 +743,7 @@ TEST(AggregationGuard, ClampsNonFiniteAndNonPositiveValues) {
 
 TEST(CheckpointResilience, TryLoadClassifiesFailures) {
   M3Model model(QueryFixture::SmallModel());
-  const std::string dir = ::testing::TempDir() + "/resilience_ckpt";
+  const std::string dir = TempPath("resilience_ckpt");
   const std::string path = dir + "/model.ckpt";
 
   // Missing file -> kNotFound.

@@ -12,8 +12,6 @@
 // belongs in the plain and chaos tiers.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -32,6 +30,7 @@
 #include "serve/service.h"
 #include "serve/shardmap.h"
 #include "serve/wire.h"
+#include "temp_path.h"
 #include "topo/fat_tree.h"
 #include "wire_samples.h"
 #include "workload/generator.h"
@@ -396,8 +395,7 @@ M3ModelConfig TinyModel() {
 // Per-process path: ctest runs each test in its own process, and a shared
 // name races the save's tmp+rename under a parallel run.
 std::string SaveTinyModel(const char* tag, std::uint64_t init_seed) {
-  const std::string p = ::testing::TempDir() + "/router_tiny_model_" + tag + "." +
-                        std::to_string(static_cast<long>(::getpid())) + ".ckpt";
+  const std::string p = TempPath(std::string("router_tiny_model_") + tag + ".ckpt");
   M3ModelConfig mcfg = TinyModel();
   mcfg.init_seed = init_seed;
   M3Model model(mcfg);
@@ -553,7 +551,7 @@ RouterOptions FastRouterOptions(const std::vector<std::string>& shards) {
 std::vector<std::string> FleetPaths(const char* tag, int n) {
   std::vector<std::string> paths;
   for (int i = 0; i < n; ++i) {
-    paths.push_back(::testing::TempDir() + "/" + tag + std::to_string(i) + ".sock");
+    paths.push_back(TempPath(tag + std::to_string(i) + ".sock"));
   }
   return paths;
 }
@@ -720,7 +718,7 @@ TEST(RouterChaos, RouterCacheServesRepeatsAndSurvivesRestart) {
   TestShard shards[2];
   for (int i = 0; i < 2; ++i) shards[i].Start(paths[i]);
 
-  const std::string cache_dir = ::testing::TempDir() + "/rc_warm_cache";
+  const std::string cache_dir = TempPath("rc_warm_cache");
   std::filesystem::remove_all(cache_dir);
   RouterOptions ro = FastRouterOptions(paths);
   ro.cache_dir = cache_dir;
@@ -879,7 +877,7 @@ TEST(RouterChaos, InvalidPersistedRecordsAreCountedAndNeverServed) {
   // Records a careless recovery would serve for `req`: each sits under the
   // live key and model term (the router keys its query cache with the
   // fleet's model CRC in place of a model digest).
-  const std::string cache_dir = ::testing::TempDir() + "/rc_badrec_cache";
+  const std::string cache_dir = TempPath("rc_badrec_cache");
   std::filesystem::remove_all(cache_dir);
   {
     const Hash128 live_digest{0, crc};

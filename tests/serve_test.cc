@@ -28,6 +28,7 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/wire.h"
+#include "temp_path.h"
 #include "topo/fat_tree.h"
 #include "util/fault.h"
 #include "util/hash.h"
@@ -635,7 +636,7 @@ M3ModelConfig SmallModel() {
 
 std::string SmallCheckpoint() {
   static const std::string path = [] {
-    const std::string p = ::testing::TempDir() + "/serve_small_model.ckpt";
+    const std::string p = TempPath("serve_small_model.ckpt");
     M3Model model(SmallModel());
     model.Save(p);
     return p;
@@ -646,7 +647,7 @@ std::string SmallCheckpoint() {
 // A second valid checkpoint with different weights (hot-reload target).
 std::string SmallCheckpointB() {
   static const std::string path = [] {
-    const std::string p = ::testing::TempDir() + "/serve_small_model_b.ckpt";
+    const std::string p = TempPath("serve_small_model_b.ckpt");
     M3ModelConfig mcfg = SmallModel();
     mcfg.init_seed = 777;
     M3Model model(mcfg);
@@ -658,7 +659,7 @@ std::string SmallCheckpointB() {
 
 std::string CorruptCheckpoint() {
   static const std::string path = [] {
-    const std::string p = ::testing::TempDir() + "/serve_corrupt.ckpt";
+    const std::string p = TempPath("serve_corrupt.ckpt");
     std::ofstream f(p, std::ios::binary);
     f << "this is not a checkpoint";
     return p;
@@ -1078,7 +1079,7 @@ TEST(SocketServer, EndToEndQueryStatsAndReload) {
   ASSERT_TRUE(service.ReloadModel(SmallCheckpoint()).ok());
   ASSERT_TRUE(service.Start().ok());
   SocketServer server(service);
-  const std::string sock = ::testing::TempDir() + "/serve_test.sock";
+  const std::string sock = TempPath("serve_test.sock");
   ASSERT_TRUE(server.Start(sock).ok());
 
   StatusOr<UnixFd> fd = ConnectUnix(sock);
@@ -1144,7 +1145,7 @@ TEST(SocketServer, MalformedQueryGetsErrorResponseUnknownTypeHangsUp) {
   EstimationService service(SmallServiceOptions());
   ASSERT_TRUE(service.ReloadModel(SmallCheckpoint()).ok());
   SocketServer server(service);
-  const std::string sock = ::testing::TempDir() + "/serve_test2.sock";
+  const std::string sock = TempPath("serve_test2.sock");
   ASSERT_TRUE(server.Start(sock).ok());
 
   {
@@ -1180,7 +1181,7 @@ TEST(SocketServer, ServesUnixAndTcpListenersSimultaneously) {
   EstimationService service(SmallServiceOptions());
   ASSERT_TRUE(service.ReloadModel(SmallCheckpoint()).ok());
   SocketServer server(service);
-  const std::string sock = ::testing::TempDir() + "/serve_test_dual.sock";
+  const std::string sock = TempPath("serve_test_dual.sock");
   ASSERT_TRUE(server.Start(sock).ok());
   Endpoint tcp;
   tcp.kind = Endpoint::Kind::kTcp;
@@ -1220,7 +1221,7 @@ TEST(SocketServer, EmptyHooksAnswerUnavailableNotCrash) {
   // A router exposes no reload and a plain shard no shard-query handler;
   // both must answer a clean typed kUnavailable instead of hanging up.
   SocketServer server(ServerHooks{});  // every hook empty
-  const std::string sock = ::testing::TempDir() + "/serve_test_hookless.sock";
+  const std::string sock = TempPath("serve_test_hookless.sock");
   ASSERT_TRUE(server.Start(sock).ok());
   StatusOr<UnixFd> fd = ConnectUnix(sock);
   ASSERT_TRUE(fd.ok());
@@ -1255,7 +1256,7 @@ TEST(SocketServer, ShardQueryOverSocketMatchesInProcessExecution) {
   EstimationService service(SmallServiceOptions());
   ASSERT_TRUE(service.ReloadModel(SmallCheckpoint()).ok());
   SocketServer server(service);
-  const std::string sock = ::testing::TempDir() + "/serve_test_shardq.sock";
+  const std::string sock = TempPath("serve_test_shardq.sock");
   ASSERT_TRUE(server.Start(sock).ok());
 
   ShardQueryRequest sq;
@@ -1294,7 +1295,7 @@ TEST(SocketServer, FinishedConnectionThreadsAreReaped) {
   EstimationService service(SmallServiceOptions());
   ASSERT_TRUE(service.ReloadModel(SmallCheckpoint()).ok());
   SocketServer server(service);
-  const std::string sock = ::testing::TempDir() + "/serve_test3.sock";
+  const std::string sock = TempPath("serve_test3.sock");
   ASSERT_TRUE(server.Start(sock).ok());
 
   for (int i = 0; i < 16; ++i) {

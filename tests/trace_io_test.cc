@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "temp_path.h"
 #include "workload/generator.h"
 #include "workload/size_dist.h"
 #include "workload/trace_io.h"
@@ -19,7 +20,7 @@ TEST(TraceIo, RoundTripPreservesFlows) {
   auto wl = GenerateWorkload(ft, tm, *sizes, spec);
   wl.flows[3].priority = 2;
 
-  const std::string path = testing::TempDir() + "/m3_trace_test.txt";
+  const std::string path = TempPath("m3_trace_test.txt");
   SaveTrace(path, ft, wl.flows);
   const auto loaded = LoadTrace(path, ft);
   ASSERT_EQ(loaded.size(), wl.flows.size());
@@ -37,7 +38,7 @@ TEST(TraceIo, RoundTripPreservesFlows) {
 
 TEST(TraceIo, RejectsCorruptInput) {
   const FatTree ft(FatTreeConfig::Small(1.0));
-  const std::string path = testing::TempDir() + "/m3_trace_bad.txt";
+  const std::string path = TempPath("m3_trace_bad.txt");
 
   auto write = [&](const char* body) {
     FILE* f = std::fopen(path.c_str(), "w");
@@ -58,7 +59,7 @@ TEST(TraceIo, RejectsCorruptInput) {
 
 TEST(TraceIo, CommentsAndBlankLinesIgnored) {
   const FatTree ft(FatTreeConfig::Small(1.0));
-  const std::string path = testing::TempDir() + "/m3_trace_comments.txt";
+  const std::string path = TempPath("m3_trace_comments.txt");
   FILE* f = std::fopen(path.c_str(), "w");
   std::fputs("m3-trace v1\n# comment\n\n7 0 9 1234 5000 1\n", f);
   std::fclose(f);
@@ -72,7 +73,7 @@ TEST(TraceIo, CommentsAndBlankLinesIgnored) {
 
 TEST(TraceIo, StatusCodesClassifyFailures) {
   const FatTree ft(FatTreeConfig::Small(1.0));
-  const std::string path = testing::TempDir() + "/m3_trace_status.txt";
+  const std::string path = TempPath("m3_trace_status.txt");
   auto write = [&](const char* body) {
     FILE* f = std::fopen(path.c_str(), "w");
     std::fputs(body, f);
@@ -101,7 +102,7 @@ TEST(TraceIo, StatusCodesClassifyFailures) {
 
 TEST(TraceIo, TruncatedFinalRecordIsDataLoss) {
   const FatTree ft(FatTreeConfig::Small(1.0));
-  const std::string path = testing::TempDir() + "/m3_trace_trunc.txt";
+  const std::string path = TempPath("m3_trace_trunc.txt");
   FILE* f = std::fopen(path.c_str(), "w");
   // A valid record followed by a record cut mid-field with no trailing
   // newline: the signature of an interrupted copy.
@@ -131,7 +132,7 @@ TEST(TraceIo, SaveTraceOrRejectsForeignEndpoints) {
   f.src = ft.tor(0);  // a switch, not a host: no host index
   f.dst = ft.host(1);
   f.size = 100;
-  const std::string path = testing::TempDir() + "/m3_trace_foreign.txt";
+  const std::string path = TempPath("m3_trace_foreign.txt");
   EXPECT_EQ(SaveTraceOr(path, ft, {f}).code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
