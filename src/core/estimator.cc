@@ -469,7 +469,7 @@ std::array<double, kNumOutputBuckets> NetworkEstimate::BucketP99() const {
 }
 
 NetworkEstimate RunM3(const Topology& topo, const std::vector<Flow>& flows,
-                      const NetConfig& cfg, M3Model& model, const M3Options& opts) {
+                      const NetConfig& cfg, const M3Model& model, const M3Options& opts) {
   // Everything a path needs from its scenario before the model forward.
   struct PathInputs {
     ml::Tensor fg_feat, bg_seq, spec, baseline;

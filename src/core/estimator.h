@@ -137,7 +137,7 @@ struct NetworkEstimate {
 
 /// Full m3 pipeline with a trained model.
 NetworkEstimate RunM3(const Topology& topo, const std::vector<Flow>& flows,
-                      const NetConfig& cfg, M3Model& model, const M3Options& opts);
+                      const NetConfig& cfg, const M3Model& model, const M3Options& opts);
 
 /// ns-3-path: identical sampling/aggregation, but each path is simulated at
 /// packet level (the decomposition-only upper bound on m3's accuracy).

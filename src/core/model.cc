@@ -40,9 +40,18 @@ M3Model::M3Model(const M3ModelConfig& cfg) : cfg_(cfg) {
   Rng rng(cfg.init_seed);
   Rng enc_rng = rng.Fork(1);
   Rng head_rng = rng.Fork(2);
-  bg_encoder_ = ml::TransformerEncoder("bg", EncoderConfig(cfg), enc_rng);
-  head_ = ml::Mlp("head", cfg.feat_dim + cfg.d_model + cfg.spec_dim, cfg.mlp_hidden,
-                  cfg.out_dim, head_rng);
+  ml::RandomParams encoder(enc_rng), head(head_rng);
+  Build(encoder, head);
+}
+
+M3Model::M3Model(const M3ModelConfig& cfg, ml::ParamSource& params) : cfg_(cfg) {
+  Build(params, params);
+}
+
+void M3Model::Build(ml::ParamSource& encoder, ml::ParamSource& head) {
+  bg_encoder_ = ml::TransformerEncoder("bg", EncoderConfig(cfg_), encoder);
+  head_ = ml::Mlp("head", cfg_.feat_dim + cfg_.d_model + cfg_.spec_dim, cfg_.mlp_hidden,
+                  cfg_.out_dim, head);
 }
 
 ml::Var M3Model::Forward(ml::Graph& g, const ml::Tensor& fg_feat, const ml::Tensor& bg_seq,
@@ -141,7 +150,7 @@ void M3Model::InferPass(std::span<const Input> inputs, bool use_context, float* 
 
 std::array<std::array<double, kNumPercentiles>, kNumOutputBuckets> M3Model::Predict(
     const ml::Tensor& fg_feat, const ml::Tensor& bg_seq, const ml::Tensor& spec,
-    bool use_context, const ml::Tensor* baseline, int* num_nonfinite) {
+    bool use_context, const ml::Tensor* baseline, int* num_nonfinite) const {
   const Input in{&fg_feat, &bg_seq, &spec, baseline};
   ml::Tensor raw(1, cfg_.out_dim);
   Infer({&in, 1}, use_context, raw.data());
@@ -160,7 +169,13 @@ std::vector<ml::Parameter*> M3Model::params() {
   return out;
 }
 
-std::size_t M3Model::num_parameters() {
+std::vector<const ml::Parameter*> M3Model::params() const {
+  // CollectParams only hands out addresses; nothing here writes.
+  const std::vector<ml::Parameter*> all = const_cast<M3Model*>(this)->params();
+  return {all.begin(), all.end()};
+}
+
+std::size_t M3Model::num_parameters() const {
   std::size_t n = 0;
   for (const ml::Parameter* p : params()) n += p->value.size();
   return n;

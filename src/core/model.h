@@ -35,7 +35,12 @@ struct M3ModelConfig {
 
 class M3Model {
  public:
+  /// A fresh model, randomly initialized from cfg.init_seed.
   explicit M3Model(const M3ModelConfig& cfg = M3ModelConfig());
+  /// A model whose every parameter comes from `params`: a parsed checkpoint
+  /// (ml::CheckpointParams) for a served load, which draws no random
+  /// number and allocates no training state.
+  M3Model(const M3ModelConfig& cfg, ml::ParamSource& params);
 
   /// One path's inputs to Infer (not owned).
   struct Input {
@@ -79,10 +84,12 @@ class M3Model {
   std::array<std::array<double, kNumPercentiles>, kNumOutputBuckets> Predict(
       const ml::Tensor& fg_feat, const ml::Tensor& bg_seq, const ml::Tensor& spec,
       bool use_context = true, const ml::Tensor* baseline = nullptr,
-      int* num_nonfinite = nullptr);
+      int* num_nonfinite = nullptr) const;
 
+  /// Every parameter in a fixed order (the checkpoint and identity order).
   std::vector<ml::Parameter*> params();
-  std::size_t num_parameters();
+  std::vector<const ml::Parameter*> params() const;
+  std::size_t num_parameters() const;
 
   /// Writes a params-only checkpoint (atomic; parent directories are
   /// created). TrainModel's checkpoint_path saves carry optimizer/trainer
@@ -102,6 +109,7 @@ class M3Model {
   const M3ModelConfig& config() const { return cfg_; }
 
  private:
+  void Build(ml::ParamSource& encoder, ml::ParamSource& head);
   // One stacked forward over checked inputs (Infer splits the batch).
   void InferPass(std::span<const Input> inputs, bool use_context, float* raw) const;
 

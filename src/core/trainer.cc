@@ -61,6 +61,7 @@ class GradSlots {
   void ReduceIntoParams(std::size_t slots_used, float alpha) {
     std::array<float*, kGradSlots> srcs;
     for (std::size_t i = 0; i < params_.size(); ++i) {
+      if (params_[i]->grad.empty()) params_[i]->ZeroGrad();
       for (std::size_t s = 0; s < slots_used; ++s) srcs[s] = grads_[s][i].data();
       ml::kernels::ReduceScaleAndZero(params_[i]->grad.data(), srcs.data(), slots_used,
                                       grads_[0][i].size(), alpha);

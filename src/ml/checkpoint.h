@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ml/tensor.h"
@@ -81,13 +82,50 @@ struct CheckpointInfo {
 void SaveCheckpoint(const std::string& path, const std::vector<Parameter*>& params,
                     const CheckpointExtra* extra = nullptr);
 
-/// Loads a checkpoint into the given parameters. Parameters are matched by
-/// name; every parameter must be present with a matching shape. The file is
-/// fully parsed and validated (magic, version, CRC, every declared length
-/// checked against the actual payload) *before* any parameter is touched, so
-/// a corrupt file throws std::runtime_error and leaves `params` unchanged.
-/// If the optimizer section is present, Adam moments are restored; otherwise
-/// they are reset to zero. Gradients are always zeroed.
+/// A checkpoint file read, validated and parsed once, as a ParamSource:
+/// a model built from it takes each tensor by name, moved into place, so a
+/// served load never random-initializes and copies each weight once (from
+/// the file buffer into its final Tensor).
+///
+/// The constructor reads `path` and validates it fully (magic, version,
+/// CRC, every declared length checked against the actual payload); it
+/// throws CheckpointError (kNotFound, kDataLoss, kInvalidArgument for an
+/// unsupported version). The optimizer section's Adam moments become
+/// tensors only with `optimizer_state`; otherwise they are bounds-checked
+/// and skipped, and the taken Parameters carry values alone.
+class CheckpointParams final : public ParamSource {
+ public:
+  explicit CheckpointParams(const std::string& path, bool optimizer_state = false);
+
+  /// Moves out the file's tensor `name`, which must be [rows, cols];
+  /// otherwise throws CheckpointError(kInvalidArgument). `init` is unused.
+  Parameter Take(std::string name, int rows, int cols, Init init) override;
+
+  /// Throws CheckpointError(kInvalidArgument) if the file holds a tensor no
+  /// Take claimed (another architecture, or a duplicate name).
+  void CheckAllTaken() const;
+
+  /// What the file carried.
+  const CheckpointInfo& info() const { return info_; }
+  /// XOR of the CRC32 of each tensor's values (a served model's param_crc),
+  /// computed within the payload CRC pass.
+  std::uint32_t value_crc() const { return value_crc_; }
+
+ private:
+  CheckpointInfo info_;
+  std::vector<Parameter> tensors_;                      // file order
+  std::unordered_map<std::string, std::size_t> index_;  // untaken, by name
+  std::size_t taken_ = 0;
+  std::uint32_t value_crc_ = 0;
+};
+
+/// Loads a checkpoint into the given parameters (CheckpointParams with the
+/// optimizer state). Parameters are matched by name; every parameter must
+/// be present with a matching shape, and every tensor in the file must be
+/// claimed. Everything is validated *before* any parameter is touched, so a
+/// failing load throws CheckpointError and leaves `params` unchanged. If
+/// the optimizer section is present, Adam moments are restored; otherwise
+/// they are left empty, which resets them to zero. Gradients are reset too.
 CheckpointInfo LoadCheckpoint(const std::string& path,
                               const std::vector<Parameter*>& params);
 
@@ -121,8 +159,13 @@ RecoveredCheckpoint LoadNewestValidCheckpoint(const std::string& path,
                                               const std::vector<Parameter*>& params,
                                               int keep = 3);
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320). Exposed for tests that craft
-/// checkpoint payloads by hand.
-std::uint32_t Crc32(const void* data, std::size_t n);
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320). `crc` is the CRC of the bytes
+/// before `data` (0 for none), so a buffer can be CRC'd in pieces. Exposed
+/// for tests that craft checkpoint payloads by hand.
+std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t crc = 0);
+
+/// The CRC-32 of A followed by B, from crc_a = Crc32(A), crc_b = Crc32(B)
+/// and B's length, without reading either again.
+std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b, std::uint64_t len_b);
 
 }  // namespace m3::ml

@@ -6,9 +6,9 @@
 
 namespace m3::ml {
 
-Linear::Linear(const std::string& name, int in, int out, Rng& rng)
-    : w_(name + ".w", Tensor::Randn(in, out, rng, 1.0f / std::sqrt(static_cast<float>(in)))),
-      b_(name + ".b", Tensor::Zeros(1, out)) {}
+Linear::Linear(const std::string& name, int in, int out, ParamSource& params)
+    : w_(params.Take(name + ".w", in, out, {.stddev = 1.0f / std::sqrt(static_cast<float>(in))})),
+      b_(params.Take(name + ".b", 1, out, {})) {}
 
 Var Linear::operator()(Graph& g, Var x, Act act) {
   return g.Linear(x, g.Param(&w_), g.Param(&b_), act);
@@ -31,10 +31,8 @@ void Linear::CollectParams(std::vector<Parameter*>& out) {
   out.push_back(&b_);
 }
 
-RmsNormLayer::RmsNormLayer(const std::string& name, int dim)
-    : gain_(name + ".gain", Tensor::Zeros(1, dim)) {
-  gain_.value.Fill(1.0f);
-}
+RmsNormLayer::RmsNormLayer(const std::string& name, int dim, ParamSource& params)
+    : gain_(params.Take(name + ".gain", 1, dim, {.fill = 1.0f})) {}
 
 Var RmsNormLayer::operator()(Graph& g, Var x) { return g.RmsNorm(x, g.Param(&gain_)); }
 
@@ -45,8 +43,8 @@ void RmsNormLayer::Infer(const float* x, int rows, float* out, float* inv_r) con
 
 void RmsNormLayer::CollectParams(std::vector<Parameter*>& out) { out.push_back(&gain_); }
 
-Mlp::Mlp(const std::string& name, int in, int hidden, int out, Rng& rng)
-    : fc1_(name + ".fc1", in, hidden, rng), fc2_(name + ".fc2", hidden, out, rng) {}
+Mlp::Mlp(const std::string& name, int in, int hidden, int out, ParamSource& params)
+    : fc1_(name + ".fc1", in, hidden, params), fc2_(name + ".fc2", hidden, out, params) {}
 
 Var Mlp::operator()(Graph& g, Var x) { return fc2_(g, fc1_(g, x, Act::kRelu)); }
 

@@ -24,6 +24,7 @@ void Adam::ScaleGrads(float factor) {
 }
 
 void Adam::Step() {
+  for (Parameter* p : params_) p->AllocTrainingState();
   ++step_;
   const float bc1 = 1.0f - std::pow(opts_.beta1, static_cast<float>(step_));
   const float bc2 = 1.0f - std::pow(opts_.beta2, static_cast<float>(step_));

@@ -40,12 +40,27 @@ void Tensor::AddInPlace(const Tensor& other) {
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
 }
 
-Parameter::Parameter(std::string n, Tensor v) : name(std::move(n)), value(std::move(v)) {
-  grad = Tensor::Zeros(value.rows(), value.cols());
-  adam_m = Tensor::Zeros(value.rows(), value.cols());
-  adam_v = Tensor::Zeros(value.rows(), value.cols());
+Parameter::Parameter(std::string n, Tensor v) : name(std::move(n)), value(std::move(v)) {}
+
+void Parameter::ZeroGrad() {
+  if (grad.empty()) {
+    grad = Tensor::Zeros(value.rows(), value.cols());
+  } else {
+    grad.Fill(0.0f);
+  }
 }
 
-void Parameter::ZeroGrad() { grad.Fill(0.0f); }
+void Parameter::AllocTrainingState() {
+  for (Tensor* t : {&grad, &adam_m, &adam_v}) {
+    if (t->empty()) *t = Tensor::Zeros(value.rows(), value.cols());
+  }
+}
+
+Parameter RandomParams::Take(std::string name, int rows, int cols, Init init) {
+  if (init.stddev > 0.0f) return {std::move(name), Tensor::Randn(rows, cols, rng_, init.stddev)};
+  Tensor t(rows, cols);
+  t.Fill(init.fill);
+  return {std::move(name), std::move(t)};
+}
 
 }  // namespace m3::ml

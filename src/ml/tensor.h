@@ -103,18 +103,50 @@ class Tensor {
   FloatVec data_;
 };
 
-/// Named trainable parameter with gradient accumulator and Adam state.
+/// Named trainable parameter. Its training state (the gradient accumulator
+/// and the Adam moments) is allocated, as zeros, only by the code that
+/// trains: an empty grad, adam_m or adam_v means zero. A served model holds
+/// values alone.
 struct Parameter {
   std::string name;
   Tensor value;
-  Tensor grad;
-  Tensor adam_m;
+  Tensor grad;    // empty until a gradient first reaches it
+  Tensor adam_m;  // empty until the first optimizer step or a restore
   Tensor adam_v;
 
   Parameter() = default;
   Parameter(std::string n, Tensor v);
 
+  /// Zero-fills grad, allocating it if it is empty.
   void ZeroGrad();
+  /// Allocates each empty training tensor as zeros of value's shape.
+  void AllocTrainingState();
+};
+
+/// How a freshly drawn parameter starts: Gaussian(0, stddev) when stddev
+/// is positive, otherwise every value equal to `fill`.
+struct Init {
+  float stddev = 0.0f;
+  float fill = 0.0f;
+};
+
+/// Where a layer's parameters come from. Each layer's one constructor asks
+/// its source for every tensor, by name and shape, in a fixed order.
+class ParamSource {
+ public:
+  virtual ~ParamSource() = default;
+  virtual Parameter Take(std::string name, int rows, int cols, Init init) = 0;
+};
+
+/// Fresh parameters as `init` asks, Gaussians drawn from `rng` in the order
+/// the tensors are taken (the model's default init).
+class RandomParams final : public ParamSource {
+ public:
+  explicit RandomParams(Rng& rng) : rng_(rng) {}
+  Parameter Take(std::string name, int rows, int cols, Init init) override;
+
+ private:
+  Rng& rng_;
 };
 
 }  // namespace m3::ml

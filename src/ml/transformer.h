@@ -31,7 +31,7 @@ struct TransformerConfig {
 class TransformerBlock {
  public:
   TransformerBlock() = default;
-  TransformerBlock(const std::string& name, const TransformerConfig& cfg, Rng& rng);
+  TransformerBlock(const std::string& name, const TransformerConfig& cfg, ParamSource& params);
 
   Var operator()(Graph& g, Var x);  // [n, d] -> [n, d]
   /// In place on x [sum of lengths, d]: consecutive runs of `lengths`
@@ -51,7 +51,8 @@ class TransformerBlock {
 class TransformerEncoder {
  public:
   TransformerEncoder() = default;
-  TransformerEncoder(const std::string& name, const TransformerConfig& cfg, Rng& rng);
+  TransformerEncoder(const std::string& name, const TransformerConfig& cfg,
+                     ParamSource& params);
 
   /// Encodes a [n, input_dim] sequence into a [1, d_model] context vector.
   /// n must be in [1, max_seq].

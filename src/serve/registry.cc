@@ -6,20 +6,17 @@
 namespace m3::serve {
 namespace {
 
-void ComputeIdentity(M3Model& model, std::uint32_t* crc, Hash128* digest) {
+// The content digest of (name, shape, data) per parameter, in params()
+// order (a canonical traversal: the order is fixed by the layer structure).
+Hash128 ParamDigest(const M3Model& model) {
   Hasher h;
-  std::uint32_t running_crc = 0;
-  // Parameter order is fixed by the model's layer structure, so iterating
-  // params() is a canonical traversal.
   for (const ml::Parameter* p : model.params()) {
     h.Str(p->name);
     h.I32(p->value.rows());
     h.I32(p->value.cols());
     h.Bytes(p->value.data(), p->value.size() * sizeof(float));
-    running_crc ^= ml::Crc32(p->value.data(), p->value.size() * sizeof(float));
   }
-  *crc = running_crc;
-  *digest = h.Finish();
+  return h.Finish();
 }
 
 }  // namespace
@@ -54,16 +51,28 @@ StatusOr<std::shared_ptr<ModelSnapshot>> ModelRegistry::LoadLocked(
   }
 
   // Load off to the side: in-flight queries keep their snapshot, and a
-  // failure here publishes nothing.
-  auto snap = std::make_shared<ModelSnapshot>(cfg_);
-  StatusOr<ml::CheckpointInfo> info = snap->model.TryLoad(path);
-  if (!info.ok()) {
-    reloads_failed_.fetch_add(1, std::memory_order_relaxed);
-    return info.status();
+  // failure here publishes nothing. The model is built from the parsed
+  // checkpoint; param_crc (the XOR of each tensor's CRC32) came with the
+  // payload CRC.
+  std::shared_ptr<ModelSnapshot> snap;
+  Status failed;
+  try {
+    ml::CheckpointParams params(path);
+    snap = std::make_shared<ModelSnapshot>(cfg_, params);
+    params.CheckAllTaken();
+    snap->info = params.info();
+    snap->param_crc = params.value_crc();
+  } catch (const ml::CheckpointError& e) {
+    failed = Status(e.code(), e.what());
+  } catch (const std::exception& e) {
+    failed = Status::Internal(e.what());
   }
-  snap->info = *info;
+  if (!failed.ok()) {
+    reloads_failed_.fetch_add(1, std::memory_order_relaxed);
+    return failed.Annotate("loading " + path);
+  }
   snap->checkpoint_path = path;
-  ComputeIdentity(snap->model, &snap->param_crc, &snap->digest);
+  snap->digest = ParamDigest(snap->model);
   return snap;
 }
 

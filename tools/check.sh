@@ -53,11 +53,13 @@ echo "== ASan: checkpoint/trainer robustness + path pipeline + wire decoder suit
 # pins and the graph-free inference suites (GoldenModel, ModelInfer): the
 # stacked row offsets of the batched forward are another such place.
 # SocketServer runs here too, so LeakSanitizer sees the socket helpers (its
-# TSan run cannot).
+# TSan run cannot). ModelRegistry runs here because a served load builds the
+# model straight from the parsed checkpoint (ml::CheckpointParams), and its
+# suites feed that path truncated, bit-flipped and hostile files.
 cmake -B build-asan -S . -DM3_SANITIZE=address "$@"
 cmake --build build-asan -j"$JOBS" --target m3_tests
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|GoldenPipeline|FlowIds|GoldenModel|ModelInfer|SocketServer|Wire\.|OverloadWire|FatTree|Aggregate'
+  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|GoldenPipeline|FlowIds|GoldenModel|ModelInfer|SocketServer|ModelRegistry|Wire\.|OverloadWire|FatTree|Aggregate'
 
 echo "== kernels: SIMD parity suites under ASan+UBSan for every M3_KERNEL =="
 # Every dispatchable tier (including forced-but-unavailable values, which
