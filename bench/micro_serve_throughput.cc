@@ -1,7 +1,6 @@
 // Serving-throughput microbenchmark: cold (compute) vs warm (content-
 // addressed cache hit) queries through the in-process EstimationService,
-// the per-path cache's cross-query reuse, and the warm-restart point — a
-// fresh service on the same --cache-dir recovering its working set from
+// and the warm-restart point — a fresh service on the same --cache-dir recovering its working set from
 // disk (serve/persist.h) instead of recomputing it.
 //
 // Emits JSON on stdout; the checked-in snapshot lives in
@@ -158,11 +157,6 @@ int main(int argc, char** argv) {
   const Phase cold = TimeQueries(num_queries, run);
   // Warm: identical queries — whole-query cache hits.
   const Phase warm = TimeQueries(num_queries, run);
-  // Path-reuse: query cache dropped, per-path cache kept, so the pipeline
-  // runs but every sampled path is a content-addressed hit.
-  service.ClearQueryCache();
-  const Phase path_reuse = TimeQueries(num_queries, run);
-
   const ServerStatsWire s = service.Stats();
 
   // Warm restart: spill the working set, tear the service down, and bring
@@ -207,8 +201,6 @@ int main(int argc, char** argv) {
               cold.qps, cold.p50_ms, cold.p99_ms);
   std::printf("  \"warm\":       {\"qps\": %.2f, \"p50_ms\": %.2f, \"p99_ms\": %.2f},\n",
               warm.qps, warm.p50_ms, warm.p99_ms);
-  std::printf("  \"path_reuse\": {\"qps\": %.2f, \"p50_ms\": %.2f, \"p99_ms\": %.2f},\n",
-              path_reuse.qps, path_reuse.p50_ms, path_reuse.p99_ms);
   std::printf("  \"warm_restart\": {\"qps\": %.2f, \"p50_ms\": %.2f, \"p99_ms\": %.2f},\n",
               warm_restart.qps, warm_restart.p50_ms, warm_restart.p99_ms);
   std::printf("  \"warm_over_cold\": %.1f,\n", warm.qps / cold.qps);
@@ -218,14 +210,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(entries_flushed),
               static_cast<unsigned long long>(rs.persist_entries_loaded),
               static_cast<unsigned long long>(rs.persist_records_corrupt));
-  std::printf("  \"query_cache\": {\"hits\": %llu, \"misses\": %llu, \"entries\": %llu},\n",
+  std::printf("  \"query_cache\": {\"hits\": %llu, \"misses\": %llu, \"entries\": %llu}\n",
               static_cast<unsigned long long>(s.query_cache[0]),
               static_cast<unsigned long long>(s.query_cache[1]),
               static_cast<unsigned long long>(s.query_cache[4]));
-  std::printf("  \"path_cache\": {\"hits\": %llu, \"misses\": %llu, \"entries\": %llu}\n",
-              static_cast<unsigned long long>(s.path_cache[0]),
-              static_cast<unsigned long long>(s.path_cache[1]),
-              static_cast<unsigned long long>(s.path_cache[4]));
   std::printf("}\n");
   return 0;
 }

@@ -8,7 +8,6 @@
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <span>
 
 #include "core/dataset.h"
@@ -111,8 +110,6 @@ class LazyScenario {
 // One path's climb up the degradation ladder.
 struct PathRun {
   PathEstimate result{};
-  std::optional<Hash128> key;  // path-cache key, when a cache is attached
-  bool cached = false;
   int attempts = 0;  // primary attempts started
   int exceptions = 0, nonfinite = 0;
   Status last_fail;
@@ -149,12 +146,12 @@ bool AttemptEstimate(PathRun& run, const PathFn& fn, LazyScenario& scenario) {
 // keep zero bucket counts, so aggregation reweights around them.
 //
 // With `split`, the primary runs in two phases. Phase 1, per path under
-// ParallelFor: cache lookup, scenario build and split->prepare, retried in
-// place. Phase 2: one split->forward over every prepared path, then a
-// finish step per prepared path in work order (path-index order unless
-// opts.sample_slots lists slots out of order): split->finish, and on
-// failure a retry of the whole one-phase `estimate_path` for that path,
-// the fallback, the cache insert and the report.
+// ParallelFor: scenario build and split->prepare, retried in place. Phase
+// 2: one split->forward over every prepared path, then a finish step per
+// prepared path in work order (path-index order unless opts.sample_slots
+// lists slots out of order): split->finish, and on failure a retry of the
+// whole one-phase `estimate_path` for that path, the fallback and the
+// report.
 NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& flows,
                                 const NetConfig& cfg, const M3Options& opts,
                                 const PathFn& estimate_path, const PathFn& fallback,
@@ -222,7 +219,6 @@ NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& f
   auto book = [&](std::size_t i, const PathRun& run, bool ok, bool degraded, bool dropped) {
     std::lock_guard<std::mutex> lock(mu);
     rep.paths_ok += ok ? 1 : 0;
-    rep.paths_cached += run.cached ? 1 : 0;
     rep.paths_retried += run.attempts > 1 ? 1 : 0;
     rep.paths_degraded += degraded ? 1 : 0;
     rep.paths_dropped += dropped ? 1 : 0;
@@ -235,17 +231,9 @@ NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& f
   };
 
   // The end of work item w's ladder once its primary attempts are over:
-  // cache insert on success (never after a fallback), else strict cancel,
-  // fallback or drop; then the path's report.
-  const PathCacheHooks* cache = opts.path_cache;
+  // on failure, strict cancel, fallback or drop; then the path's report.
   auto complete = [&](std::size_t w, PathRun& run, bool ok, LazyScenario& scenario) {
     const std::size_t i = work[w];
-    if (ok && !run.cached && run.key.has_value() && cache->insert) {
-      try {
-        cache->insert(*run.key, run.result);
-      } catch (...) {
-      }
-    }
     bool degraded = false, dropped = false;
     if (!ok) {
       if (opts.strict) {
@@ -264,31 +252,11 @@ NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& f
     book(i, run, ok, degraded, dropped);
   };
 
-  // Per-path reuse: a cache hit bypasses the whole ladder. Hook failures
-  // are swallowed — the cache accelerates, it never fails a path (see
-  // PathCacheHooks).
-  auto lookup = [&](PathRun& run) {
-    if (run.key.has_value() && cache->lookup) {
-      try {
-        if (std::optional<PathEstimate> hit = cache->lookup(*run.key)) {
-          run.result = *hit;
-          run.cached = true;
-        }
-      } catch (...) {
-      }
-    }
-    return run.cached;
-  };
-
-  // Where a work item finishes: in phase 1, or in phase 2 after the
-  // stacked forward (kPrepared) or after the earlier item that shares its
-  // path-cache key has inserted its estimate (kRepeat), which is where a
-  // one-thread, one-phase run would have found it in the cache.
-  enum Finish : char { kPhase1 = 0, kPrepared = 1, kRepeat = 2 };
   std::vector<PathRun> runs(work.size());
-  std::vector<char> finish_in(work.size(), kPhase1);
+  // Set when phase 1 prepared the work item: it finishes in phase 2, after
+  // the stacked forward.
+  std::vector<char> prepared(work.size(), 0);
   if (split != nullptr) split->begin(sample.size());
-  std::set<Hash128> claimed;  // keys some item computes in phase 2, guarded by mu
   ParallelFor(
       work.size(),
       [&](std::size_t w) {
@@ -305,26 +273,13 @@ NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& f
         }
         PathRun& run = runs[w];
         LazyScenario scenario(topo, flows, decomp, sample[i]);
-        if (cache != nullptr && cache->key) {
-          try {
-            run.key = cache->key(scenario.get());
-          } catch (...) {
-          }
-        }
-        bool ok = lookup(run);
-        if (!ok && split != nullptr) {
-          if (run.key.has_value() && cache->insert) {
-            std::lock_guard<std::mutex> lock(mu);
-            if (!claimed.insert(*run.key).second) {
-              finish_in[w] = kRepeat;
-              return;
-            }
-          }
+        bool ok = false;
+        if (split != nullptr) {
           for (; run.attempts < opts.max_attempts && !ok; ++run.attempts) {
             ok = Attempt(run, [&] { split->prepare(i, scenario.get()); });
           }
           if (ok) {
-            finish_in[w] = kPrepared;
+            prepared[w] = 1;
             return;
           }
         }
@@ -337,12 +292,11 @@ NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& f
 
   if (split != nullptr) {
     std::vector<std::size_t> items;  // phase-2 work items, in work order
-    for (std::size_t w = 0; w < work.size(); ++w) {
-      if (finish_in[w] != kPhase1) items.push_back(w);
-    }
     std::vector<std::size_t> slots;
-    for (std::size_t w : items) {
-      if (finish_in[w] == kPrepared) slots.push_back(work[w]);
+    for (std::size_t w = 0; w < work.size(); ++w) {
+      if (!prepared[w]) continue;
+      items.push_back(w);
+      slots.push_back(work[w]);
     }
     Status forward_fail;
     if (!slots.empty()) {
@@ -367,9 +321,7 @@ NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& f
       }
       LazyScenario scenario(topo, flows, decomp, sample[i]);
       bool ok = false;
-      if (finish_in[w] == kRepeat) {
-        ok = lookup(run);
-      } else if (forward_fail.ok()) {
+      if (forward_fail.ok()) {
         ok = Attempt(run, [&] {
           PathEstimate pe = split->finish(i);
           if (const int bad = CountNonFinite(pe); bad > 0) throw NonFiniteOutput(bad);
@@ -419,10 +371,7 @@ NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& f
 }  // namespace
 
 std::string DegradationReport::ToString() const {
-  std::string s = "paths: " + std::to_string(paths_ok) + " ok" +
-                  (paths_cached > 0 ? " (" + std::to_string(paths_cached) + " cached)"
-                                    : std::string()) +
-                  ", " +
+  std::string s = "paths: " + std::to_string(paths_ok) + " ok, " +
                   std::to_string(paths_retried) + " retried, " +
                   std::to_string(paths_degraded) + " degraded, " +
                   std::to_string(paths_dropped) + " dropped (" +

@@ -7,8 +7,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,27 +15,9 @@
 #include "pathdecomp/decompose.h"
 #include "pathdecomp/sampling.h"
 #include "pktsim/config.h"
-#include "util/hash.h"
 #include "util/status.h"
 
 namespace m3 {
-
-/// Cross-query reuse hooks for per-path estimates (the serving layer's
-/// content-addressed path cache plugs in here; see src/serve/service.h).
-/// `key` addresses a path scenario and runs once per path (no key, no
-/// reuse); `lookup` and `insert` both receive that key. `lookup` runs
-/// before the primary estimator — returning a value skips all compute for
-/// that path and counts it as ok. `insert` runs after a successful
-/// *primary* estimate only, never after a fallback, so degraded answers are
-/// never cached. All are called concurrently from path workers and must be
-/// thread-safe. The cache is an accelerator, never a correctness
-/// dependency: a hook that throws is treated as a miss (key, lookup) or a
-/// no-op (insert) and the path proceeds normally.
-struct PathCacheHooks {
-  std::function<Hash128(const PathScenario&)> key;
-  std::function<std::optional<PathEstimate>(const Hash128&)> lookup;
-  std::function<void(const Hash128&, const PathEstimate&)> insert;
-};
 
 struct M3Options {
   int num_paths = 100;       // paper: 500 bounds p99 error to ~10% (Fig. 5)
@@ -57,11 +37,6 @@ struct M3Options {
   // retry, the default degradation ladder).
   int max_attempts = 2;
 
-  // Optional per-path result reuse (not owned; must outlive the call).
-  // nullptr disables reuse. Hit paths are reported in
-  // DegradationReport::paths_cached.
-  const PathCacheHooks* path_cache = nullptr;
-
   // --- distributed serving ---
   // When non-null, only these sample slots (positions in the deterministic
   // SamplePaths order, each in [0, num_paths)) are estimated; every other
@@ -79,7 +54,7 @@ struct M3Options {
 /// paths that needed more than one primary attempt (whatever the outcome).
 struct DegradationReport {
   int paths_ok = 0;        // primary estimator produced the estimate
-  int paths_cached = 0;    // served from M3Options::path_cache (subset of ok)
+  int paths_cached = 0;    // always 0: no per-path reuse; kept for the wire format
   int paths_retried = 0;   // needed >= 1 retry (may still be ok)
   int paths_degraded = 0;  // fell back to the flowSim-only estimate
   int paths_dropped = 0;   // no estimate; aggregation reweights around them

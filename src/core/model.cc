@@ -196,4 +196,18 @@ StatusOr<ml::CheckpointInfo> M3Model::TryLoad(const std::string& path) {
   }
 }
 
+StatusOr<std::unique_ptr<M3Model>> LoadInferenceModel(const std::string& path,
+                                                      const M3ModelConfig& cfg) {
+  try {
+    ml::CheckpointParams params(path);
+    auto model = std::make_unique<M3Model>(cfg, params);
+    params.CheckAllTaken();
+    return model;
+  } catch (const ml::CheckpointError& e) {
+    return Status(e.code(), e.what()).Annotate("loading " + path);
+  } catch (const std::exception& e) {
+    return Status::Internal(e.what()).Annotate("loading " + path);
+  }
+}
+
 }  // namespace m3

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -117,5 +118,11 @@ class M3Model {
   ml::TransformerEncoder bg_encoder_;
   ml::Mlp head_;
 };
+
+/// A model for inference straight from a checkpoint, built as a served load
+/// builds it (ml::CheckpointParams): no random init, no training state.
+/// Errors are TryLoad's, with the same codes and messages.
+StatusOr<std::unique_ptr<M3Model>> LoadInferenceModel(const std::string& path,
+                                                      const M3ModelConfig& cfg = M3ModelConfig());
 
 }  // namespace m3

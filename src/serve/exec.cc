@@ -184,29 +184,6 @@ void StampBrownout(std::uint8_t level, int paths_brownout, NetworkEstimate* est)
   }
 }
 
-// The per-path cache hooks of a query (all empty when it bypasses the
-// cache). Each computed path hashes its PathCacheKey once, for both the
-// lookup and the insert.
-PathCacheHooks PathCacheHooksFor(const QueryRequest& req, const ModelSnapshot& snap,
-                                 const ExecContext& ctx) {
-  PathCacheHooks hooks;
-  if (req.no_cache || ctx.path_cache == nullptr) return hooks;
-  hooks.key = [&req, &snap](const PathScenario& sc) {
-    return PathCacheKey(sc, req.cfg, req.use_context, snap.digest);
-  };
-  hooks.lookup = [&ctx](const Hash128& key) { return ctx.path_cache->Lookup(key); };
-  if (req.brownout < 2) {
-    // flowSim-substitute estimates must never be cached under the
-    // model-digest key (a later full-quality query would replay them).
-    hooks.insert = [&ctx, &snap](const Hash128& key, const PathEstimate& pe) {
-      if (ctx.path_cache->Insert(key, pe) && ctx.persist_path) {
-        ctx.persist_path(key, snap.digest, pe);
-      }
-    };
-  }
-  return hooks;
-}
-
 }  // namespace
 
 QueryResponse ExecuteQueryOnSnapshot(const QueryRequest& req, const ModelSnapshot& snap,
@@ -232,9 +209,6 @@ QueryResponse ExecuteQueryOnSnapshot(const QueryRequest& req, const ModelSnapsho
       paths_brownout = static_cast<int>(req.num_paths - reduced);
     }
   }
-
-  const PathCacheHooks hooks = PathCacheHooksFor(req, snap, ctx);
-  if (hooks.key) p.mopts.path_cache = &hooks;
 
   // Brownout level 2: substitute flowSim for the model — Parsimon's bet
   // that a cheap flow-level estimate beats a timeout under overload.
@@ -283,9 +257,6 @@ ShardQueryResponse ExecuteShardOnSnapshot(const ShardQueryRequest& req,
   } else {
     p.mopts.sample_slots = &req.slots;
   }
-
-  const PathCacheHooks hooks = PathCacheHooksFor(req.query, snap, ctx);
-  if (hooks.key) p.mopts.path_cache = &hooks;
 
   NetworkEstimate est =
       req.query.brownout >= 2

@@ -13,13 +13,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
-#include "serve/cache.h"
 #include "serve/registry.h"
 #include "serve/wire.h"
 #include "topo/fat_tree.h"
@@ -57,21 +55,15 @@ class TopoMemo {
 
 /// Caller-owned resources ExecuteQueryOnSnapshot draws on.
 struct ExecContext {
-  TopoMemo* topos = nullptr;                     // required
-  LruCache<PathEstimate>* path_cache = nullptr;  // nullptr = no path reuse
-  unsigned threads_per_query = 1;                // M3Options::num_threads
-  // Invoked once per *newly inserted* path-cache entry with (cache key,
-  // model digest, estimate) — the durable-cache spill hook (serve/persist.h).
-  // Refreshes and recovered entries never re-fire it, which is what bounds
-  // write amplification to the fresh-compute rate.
-  std::function<void(const Hash128&, const Hash128&, const PathEstimate&)> persist_path;
+  TopoMemo* topos = nullptr;       // required
+  unsigned threads_per_query = 1;  // M3Options::num_threads
 };
 
 /// Runs one query against one model snapshot on the calling thread:
 /// oversub/flow validation, ECMP route re-derivation, RunM3 with the
-/// request's options and (unless no_cache) the shared per-path cache.
-/// Fills every QueryResponse field except `stats` and `query_cache_hit`
-/// (model_version/model_crc come from `snap`). Never throws.
+/// request's options. Fills every QueryResponse field except `stats` and
+/// `query_cache_hit` (model_version/model_crc come from `snap`). Never
+/// throws.
 QueryResponse ExecuteQueryOnSnapshot(const QueryRequest& req, const ModelSnapshot& snap,
                                      const ExecContext& ctx);
 
@@ -88,7 +80,7 @@ ShardQueryResponse ExecuteShardOnSnapshot(const ShardQueryRequest& req,
 /// Validates the request's topology terms (oversub range for the default
 /// shape; per-field and total-size bounds for an explicit shape) and
 /// returns the memoized fat tree. Shared by the daemon execution path and
-/// the router's decomposition step so both sides of a scattered query build
+/// the router's flowSim fallback so both sides of a scattered query build
 /// the identical tree.
 StatusOr<std::shared_ptr<const FatTree>> TopoForRequest(const QueryRequest& req,
                                                         TopoMemo* memo);

@@ -75,7 +75,7 @@ struct MetricDesc {
   X(std::uint32_t, queue_capacity, kGauge, NoLabels, "admission queue bound")             \
   X(std::uint32_t, workers, kGauge, NoLabels, "scheduler threads")                        \
   X(std::uint64_t, query_cache, kCounter, CacheOpLabels, "whole-query result cache")      \
-  X(std::uint64_t, path_cache, kCounter, CacheOpLabels, "per-path result cache")          \
+  X(std::uint64_t, path_cache, kCounter, CacheOpLabels, "retired path cache: always 0")   \
   X(std::uint64_t, model_version, kGauge, NoLabels, "serving model load counter")         \
   X(std::uint32_t, model_crc, kGauge, NoLabels, "serving model parameter CRC")            \
   X(std::string, model_path, kGauge, NoLabels, "serving checkpoint")                      \

@@ -62,11 +62,12 @@ struct PersistStats {
 };
 
 /// Which cache a persisted record belongs to. Values are on-disk ABI.
+/// Only kQuery is written. The retired per-path kinds keep their values
+/// reserved: old records are counted corrupt on recovery, never served.
 enum class CacheKind : std::uint8_t {
   kQuery = 1,       // whole-query cache (EstimationService and m3d_router)
-  kPath = 2,        // EstimationService per-path cache
-  kRouterPath = 3,  // retired m3d_router per-path cache: never written; old
-                    // records are counted corrupt on recovery, never served
+  kPath = 2,        // retired EstimationService per-path cache
+  kRouterPath = 3,  // retired m3d_router per-path cache
 };
 
 /// Holds the flock on a cache directory's LOCK file. Move-only; releases

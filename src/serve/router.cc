@@ -9,9 +9,7 @@
 #include <utility>
 
 #include "core/validate.h"
-#include "pathdecomp/decompose.h"
-#include "pathdecomp/sampling.h"
-#include "util/rng.h"
+#include "util/hash.h"
 
 namespace m3::serve {
 namespace {
@@ -33,6 +31,13 @@ double Elapsed(Clock::time_point t0) {
 // (the router never sees a digest). A fleet model swap moves every key, as a
 // reload moves the service's; LruCache::Insert never overwrites an entry.
 Hash128 FleetDigest(std::uint32_t crc) { return Hash128{0, crc}; }
+
+// The ring key of sample slot `s` of the query keyed `query_key`: slots
+// spread over the fleet with no decomposition, and a repeat of the query
+// places them as before.
+Hash128 SlotKey(const Hash128& query_key, std::size_t s) {
+  return Hasher().U64(query_key.hi).U64(query_key.lo).U64(s).Finish();
+}
 
 bool HasWeight(const PathEstimate& pe) {
   for (double c : pe.counts) {
@@ -305,15 +310,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
   queries_received_.fetch_add(1, std::memory_order_relaxed);
   QueryResponse resp;
 
-  const auto fail = [&](const Status& st) {
-    resp.status = st;
-    resp.degradation.errors_validation = 1;
-    resp.degradation.first_error = st.ToString();
-    resp.wall_seconds = Elapsed(t0);
-    queries_failed_.fetch_add(1, std::memory_order_relaxed);
-    return resp;
-  };
-
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!started_) {
@@ -323,16 +319,16 @@ QueryResponse Router::Query(const QueryRequest& req) {
     }
   }
 
-  // ---- router query cache, consulted before validation ----
+  // ---- router query cache, consulted before anything else ----
   // An exact repeat never touches the fleet. Entries are valid only while
   // their model *content CRC* matches the live fleet's (the registry
-  // version is per-process and cannot survive a shard restart).
+  // version is per-process and cannot survive a shard restart). The key
+  // also places the slots, so every query computes it.
   const std::pair<std::uint64_t, std::uint32_t> fleet_model = FleetModel();
   const std::uint32_t fleet_crc = fleet_model.second;
   const bool cache_on = !req.no_cache && query_cache_.capacity() > 0 && fleet_crc != 0;
-  Hash128 query_key;
+  const Hash128 query_key = QueryCacheKey(req, FleetDigest(fleet_crc));
   if (cache_on) {
-    query_key = QueryCacheKey(req, FleetDigest(fleet_crc));
     try {
       if (std::optional<QueryResponse> hit = query_cache_.Lookup(query_key);
           hit && hit->model_crc == fleet_crc) {
@@ -348,39 +344,43 @@ QueryResponse Router::Query(const QueryRequest& req) {
     }
   }
 
-  // ---- validation + the deterministic sample (identical to any shard) ----
-  StatusOr<std::shared_ptr<const FatTree>> ft_or = TopoForRequest(req, &topos_);
-  if (!ft_or.ok()) return fail(ft_or.status());
-  const std::shared_ptr<const FatTree> ft = std::move(*ft_or);
-  std::vector<Flow> flows;
-  if (Status st = BuildRequestFlows(req, *ft, &flows); !st.ok()) return fail(st);
+  // Validation is the shards' (and the flowSim fallback's) job. A request
+  // it rejects is the client's fault: the query ends with the validator's
+  // status and report, uncached, and no shard's breaker is charged.
+  const auto reject = [&](const Status& st, const DegradationReport& d) {
+    resp = QueryResponse{};
+    resp.status = st;
+    resp.degradation = d;
+    resp.degradation.errors_validation = 1;
+    resp.model_version = fleet_model.first;
+    resp.model_crc = fleet_crc;
+    resp.wall_seconds = Elapsed(t0);
+    queries_failed_.fetch_add(1, std::memory_order_relaxed);
+    return resp;
+  };
 
-  M3Options mopts;
+  // ---- slot count, bounded (with the other estimator options) before
+  // any per-slot array is sized ----
+  M3Options mopts;  // the fallback's options
   mopts.num_paths = req.num_paths;
   mopts.seed = req.seed;
   mopts.use_context = req.use_context;
-  mopts.strict = req.strict;
   mopts.deadline_seconds = req.deadline_seconds;
   mopts.max_attempts = req.max_attempts;
   mopts.num_threads = opts_.fallback_threads;
-  if (Status st = ValidateEstimatorInputs(ft->topo(), flows, req.cfg, mopts); !st.ok()) {
-    return fail(st);
+  if (Status st = ValidateM3Options(mopts); !st.ok()) {
+    DegradationReport d;
+    d.first_error = st.ToString();
+    return reject(st, d);
   }
+  // No flows, no sampled path: a query with no flows has no slots.
+  const std::size_t n = req.flows.empty() ? 0 : static_cast<std::size_t>(req.num_paths);
 
-  PathDecomposition decomp(ft->topo(), flows);
-  Rng rng(mopts.seed);
-  const std::vector<std::size_t> sample = SamplePaths(decomp, mopts.num_paths, rng);
-  const std::size_t n = sample.size();
-
-  // ---- placement: each slot's link list -> ring preference list ----
-  // The path's identity is enough to place it; no scenario is built here.
-  // Duplicate slots (sampling is with replacement) land on one shard, and
-  // the same path in another query reaches the same shard's path cache.
+  // ---- placement: slot s goes to the ring owner of (query key, s) ----
   const std::size_t replicas = static_cast<std::size_t>(std::max(1, opts_.replicas));
   std::vector<std::vector<int>> pref(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::span<const LinkId> links = decomp.path(sample[i]).links;
-    pref[i] = ring_->Preference(HashBytes(links.data(), links.size_bytes()), replicas);
+    pref[i] = ring_->Preference(SlotKey(query_key, i), replicas);
   }
 
   // Availability snapshot: one breaker decision per shard per query — an
@@ -444,10 +444,10 @@ QueryResponse Router::Query(const QueryRequest& req) {
     return has_deadline ? req.deadline_seconds - Elapsed(t0) : kInfSeconds;
   };
 
-  // Router-level shed: if validation + placement already consumed the whole
-  // deadline budget, dispatching would only burn shard capacity on answers
-  // nobody can use. Answer typed immediately (ShedReason kRouterBudget)
-  // without touching the fleet.
+  // Router-level shed: if the cache lookup and placement already consumed
+  // the whole deadline budget, dispatching would only burn shard capacity
+  // on answers nobody can use. Answer typed immediately (ShedReason
+  // kRouterBudget) without touching the fleet.
   if (has_deadline && remaining() <= 0.0) {
     resp.status = Status::DeadlineExceeded(
         "router shed: deadline of " + std::to_string(req.deadline_seconds) +
@@ -507,6 +507,9 @@ QueryResponse Router::Query(const QueryRequest& req) {
       bool as_hedge = false;
       if (results[d].ok()) {
         ShardQueryResponse& r = *results[d];
+        if (r.status.code() == StatusCode::kInvalidArgument) {
+          return reject(r.status, r.degradation);
+        }
         if (IsAnsweredCode(r.status.code())) {
           s.breaker.RecordSuccess();
           s.healthy.store(true, std::memory_order_relaxed);
@@ -527,7 +530,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
           // not summed — they re-enter the router's own ladder below and
           // land in exactly one merged class (no double counting).
           rep.paths_ok += r.degradation.paths_ok;
-          rep.paths_cached += r.degradation.paths_cached;
           rep.paths_retried += r.degradation.paths_retried;
           rep.paths_degraded += r.degradation.paths_degraded;
           rep.errors_exception += r.degradation.errors_exception;
@@ -547,9 +549,9 @@ QueryResponse Router::Query(const QueryRequest& req) {
             if (!got[slot]) push_missing(slot);  // shard-dropped
           }
         } else {
-          // The shard answered "can't" (no model, version skew, strict
-          // fault). Charged like a failure so a persistently unready shard
-          // opens its breaker; the slots move to the next replica.
+          // The shard answered "can't" (no model, strict fault). Charged
+          // like a failure so a persistently unready shard opens its
+          // breaker; the slots move to the next replica.
           s.breaker.RecordFailure();
           if (shard_error.empty()) shard_error = "shard " + s.name + ": " + r.status.ToString();
           if (req.strict) {
@@ -629,6 +631,9 @@ QueryResponse Router::Query(const QueryRequest& req) {
   }
 
   // ---- degradation ladder for unserved slots: flowSim, then drop ----
+  // The only place the router builds the tree and flows. It validates them
+  // as a shard would, which also covers the requests no shard has checked:
+  // one with no slots, or one whose every slot missed the fleet.
   std::sort(missing.begin(), missing.end());
   const auto drop_slot = [&](std::uint32_t slot) {
     const std::size_t owner = static_cast<std::size_t>(pref[slot][0]);
@@ -636,17 +641,27 @@ QueryResponse Router::Query(const QueryRequest& req) {
     report[owner].slots_dropped++;
     shards_[owner]->slots_dropped.fetch_add(1, std::memory_order_relaxed);
   };
-  if (!missing.empty() && strict_abort.ok() && !req.strict) {
+  // Strict mode never substitutes an estimator: unserved slots are dropped
+  // (and the answer reweighted), whether the shards were unreachable or
+  // answered with their own error.
+  const bool fallback = !missing.empty() && strict_abort.ok() && !req.strict;
+  if (n == 0 || fallback) {
     const double rem = remaining();
     if (rem <= 0.0) {
       deadline_hit = true;
       for (std::uint32_t slot : missing) drop_slot(slot);
     } else {
+      StatusOr<std::shared_ptr<const FatTree>> ft = TopoForRequest(req, &topos_);
+      std::vector<Flow> flows;
+      const Status built = ft.ok() ? BuildRequestFlows(req, **ft, &flows) : ft.status();
+      if (!built.ok()) return reject(built, DegradationReport{});
       M3Options fopts = mopts;
       fopts.sample_slots = &missing;
-      fopts.strict = false;
       if (has_deadline) fopts.deadline_seconds = rem;
-      NetworkEstimate fb = RunFlowSimOnly(ft->topo(), flows, req.cfg, fopts);
+      NetworkEstimate fb = RunFlowSimOnly((*ft)->topo(), flows, req.cfg, fopts);
+      if (fb.status.code() == StatusCode::kInvalidArgument) {
+        return reject(fb.status, fb.degradation);
+      }
       rep.errors_exception += fb.degradation.errors_exception;
       rep.errors_nonfinite += fb.degradation.errors_nonfinite;
       rep.errors_deadline += fb.degradation.errors_deadline;
@@ -664,10 +679,7 @@ QueryResponse Router::Query(const QueryRequest& req) {
         }
       }
     }
-  } else if (!missing.empty()) {
-    // Strict mode never substitutes an estimator: unserved slots are
-    // dropped (and the answer reweighted), whether the shards were
-    // unreachable or answered with their own error.
+  } else {
     for (std::uint32_t slot : missing) drop_slot(slot);
   }
 
@@ -698,7 +710,7 @@ QueryResponse Router::Query(const QueryRequest& req) {
   } else if (deadline_hit) {
     resp.status = Status::DeadlineExceeded("deadline of " + std::to_string(req.deadline_seconds) +
                                            "s expired; " + rep.ToString());
-    if (rep.paths_ok == 0 && rep.paths_cached == 0 && rep.paths_degraded == 0) {
+    if (rep.paths_ok == 0 && rep.paths_degraded == 0) {
       // Nothing was served before the budget ran out: this is a router
       // shed (typed, attributed), not a partially-degraded answer.
       resp.shed_reason = static_cast<std::uint8_t>(ShedReason::kRouterBudget);

@@ -1,14 +1,12 @@
 // m3d-router: a failure-tolerant scatter-gather front-end over N shard
 // m3d daemons.
 //
-// The router addresses and merges; it never builds a path scenario. One
-// client query is decomposed exactly as a single daemon would — the
-// deterministic (topology, flows, seed, num_paths) path sample — and each
-// sample slot is placed on the consistent-hash ring by a hash of its
-// path's link list. Placing by path identity, not by slot index, means the
-// same path lands on the same shard across queries: each shard's per-path
-// LRU concentrates on its ring segment and the fleet's effective cache is
-// the sum of the shards', not N copies of one working set.
+// The router addresses and merges; it never decomposes a query or builds a
+// path scenario. A query's `num_paths` sample slots (none when it has no
+// flows) are placed on the consistent-hash ring by a hash of (query key,
+// slot): one query's slots spread over the fleet, and a repeat places them
+// as before. Validation stays on the shards: a request their validator
+// rejects ends with that status and charges no breaker.
 //
 // Exact repeats are answered from a whole-query cache in front of
 // everything else, with the service's key, value and persistence
@@ -34,8 +32,9 @@
 //                        a straggler shard's slots are re-dispatched to the
 //                        next replica without charging its breaker.
 //   degradation ladder — slots no replica could serve fall back to a
-//                        router-side flowSim estimate (counted degraded),
-//                        then to a reweighted drop; the merged
+//                        router-side flowSim estimate (counted degraded;
+//                        the only time the router builds the tree and
+//                        flows), then to a reweighted drop; the merged
 //                        DegradationReport plus per-shard ShardReportWire
 //                        rows attribute every slot.
 //

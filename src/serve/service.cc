@@ -10,9 +10,9 @@
 namespace m3::serve {
 namespace {
 
-// Both caches share one injection site: an armed "serve/cache_lookup"
-// fault makes every lookup fail, and the service must degrade to plain
-// recompute (same answer, no reuse) rather than failing queries.
+// An armed "serve/cache_lookup" fault makes every query-cache lookup fail,
+// and the service must degrade to plain recompute (same answer, no reuse)
+// rather than failing queries.
 constexpr const char* kCacheFaultSite = "serve/cache_lookup";
 
 }  // namespace
@@ -20,8 +20,7 @@ constexpr const char* kCacheFaultSite = "serve/cache_lookup";
 EstimationService::EstimationService(const ServiceOptions& opts)
     : opts_(opts),
       registry_(opts.model_config),
-      query_cache_(opts.query_cache_entries, kCacheFaultSite),
-      path_cache_(opts.path_cache_entries, kCacheFaultSite) {
+      query_cache_(opts.query_cache_entries, kCacheFaultSite) {
   cost_budget_ = opts_.cost_budget > 0
                      ? opts_.cost_budget
                      : static_cast<double>(opts_.queue_capacity +
@@ -32,7 +31,6 @@ EstimationService::EstimationService(const ServiceOptions& opts)
     SupervisorOptions sopts = opts_.supervisor;
     sopts.num_workers = opts_.worker_processes;
     sopts.threads_per_query = opts_.threads_per_query;
-    sopts.path_cache_entries = opts_.path_cache_entries;
     supervisor_ = std::make_unique<WorkerSupervisor>(
         sopts, [this] { return registry_.Current(); });
     supervisor_->set_trip_callback([this](const Hash128& d) { OnBreakerTrip(d); });
@@ -177,27 +175,17 @@ void EstimationService::RecoverPersistedCaches() {
     if (snap == nullptr || !(digest == snap->digest)) {
       return CachePersister::Recovered::kDigestMismatch;
     }
-    switch (kind) {
-      case CacheKind::kQuery: {
-        StatusOr<QueryResponse> qr = DecodeQueryResponse(value);
-        // Only full-quality kOk answers were ever written; anything else
-        // surviving the framing checks is still not servable.
-        if (!qr.ok() || !qr->status.ok()) return CachePersister::Recovered::kCorrupt;
-        qr->model_version = snap->version;
-        qr->model_crc = snap->param_crc;
-        query_cache_.Insert(key, std::move(*qr));
-        return CachePersister::Recovered::kLoaded;
-      }
-      case CacheKind::kPath: {
-        StatusOr<PathEstimate> pe = DecodePathEstimateValue(value);
-        if (!pe.ok()) return CachePersister::Recovered::kCorrupt;
-        path_cache_.Insert(key, std::move(*pe));
-        return CachePersister::Recovered::kLoaded;
-      }
-      default:
-        // Retired kRouterPath records and unknown kinds are not servable.
-        return CachePersister::Recovered::kCorrupt;
-    }
+    // Retired kPath / kRouterPath records and unknown kinds are not
+    // servable.
+    if (kind != CacheKind::kQuery) return CachePersister::Recovered::kCorrupt;
+    StatusOr<QueryResponse> qr = DecodeQueryResponse(value);
+    // Only full-quality kOk answers were ever written; anything else
+    // surviving the framing checks is still not servable.
+    if (!qr.ok() || !qr->status.ok()) return CachePersister::Recovered::kCorrupt;
+    qr->model_version = snap->version;
+    qr->model_crc = snap->param_crc;
+    query_cache_.Insert(key, std::move(*qr));
+    return CachePersister::Recovered::kLoaded;
   });
 }
 
@@ -224,13 +212,10 @@ double EstimationService::EstimateCost(const QueryRequest& req) const {
     return probes == 0 ? 0.0 : static_cast<double>(s.hits) / static_cast<double>(probes);
   };
   const double q_hit = req.no_cache ? 0.0 : hit_rate(query_cache_.stats());
-  const double p_hit = req.no_cache ? 0.0 : hit_rate(path_cache_.stats());
   const double paths = static_cast<double>(std::max<std::int32_t>(req.num_paths, 0));
-  // Base work + flow ingestion + per-path model work, each discounted by
-  // the chance the cache absorbs it (a query-cache hit skips everything; a
-  // path-cache hit skips ~90% of that path's cost).
-  return 1.0 + static_cast<double>(req.flows.size()) / 10000.0 +
-         (1.0 - q_hit) * paths * (1.0 - 0.9 * p_hit);
+  // Base work + flow ingestion + per-path model work, the last discounted
+  // by the chance a query-cache hit skips it.
+  return 1.0 + static_cast<double>(req.flows.size()) / 10000.0 + (1.0 - q_hit) * paths;
 }
 
 void EstimationService::ReapExpiredLocked(std::chrono::steady_clock::time_point now,
@@ -483,14 +468,7 @@ ShardQueryResponse EstimationService::ExecuteShard(const ShardQueryRequest& req)
   }
   ExecContext ctx;
   ctx.topos = &topos_;
-  ctx.path_cache = opts_.path_cache_entries > 0 ? &path_cache_ : nullptr;
   ctx.threads_per_query = opts_.threads_per_query;
-  if (persister_ != nullptr) {
-    ctx.persist_path = [this](const Hash128& key, const Hash128& digest,
-                              const PathEstimate& pe) {
-      persister_->Enqueue(CacheKind::kPath, digest, key, EncodePathEstimateValue(pe));
-    };
-  }
   resp = ExecuteShardOnSnapshot(req, *snap, ctx);
   (IsAnsweredCode(resp.status.code()) ? queries_ok_ : queries_failed_)
       .fetch_add(1, std::memory_order_relaxed);
@@ -528,21 +506,11 @@ QueryResponse EstimationService::Execute(const QueryRequest& req) {
   }
 
   if (supervisor_ != nullptr) {
-    // Worker subprocesses keep private path caches that die with them;
-    // only the daemon-level query cache (below) persists in this mode.
     resp = supervisor_->Execute(req);
   } else {
     ExecContext ctx;
     ctx.topos = &topos_;
-    ctx.path_cache = opts_.path_cache_entries > 0 ? &path_cache_ : nullptr;
     ctx.threads_per_query = opts_.threads_per_query;
-    if (persister_ != nullptr) {
-      ctx.persist_path = [this](const Hash128& key, const Hash128& digest,
-                                const PathEstimate& pe) {
-        persister_->Enqueue(CacheKind::kPath, digest, key,
-                            EncodePathEstimateValue(pe));
-      };
-    }
     resp = ExecuteQueryOnSnapshot(req, *snap, ctx);
   }
 
@@ -581,7 +549,6 @@ ServerStatsWire EstimationService::Stats() const {
   }
   s.brownout_queries = brownout_queries_.load(std::memory_order_relaxed);
   s.query_cache = CacheOpValues(query_cache_.stats());
-  s.path_cache = CacheOpValues(path_cache_.stats());
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     s.queue_depth = static_cast<std::uint32_t>(QueueDepthLocked());
@@ -634,11 +601,6 @@ PingResponse EstimationService::Ping() const {
   return p;
 }
 
-void EstimationService::ClearCaches() {
-  query_cache_.Clear();
-  path_cache_.Clear();
-}
-
-void EstimationService::ClearQueryCache() { query_cache_.Clear(); }
+void EstimationService::ClearCaches() { query_cache_.Clear(); }
 
 }  // namespace m3::serve

@@ -10,15 +10,12 @@
 //                       FIFO rejection (DESIGN.md §13); per-request
 //                       deadlines map onto M3Options::deadline_seconds and
 //                       expired queued requests are reaped eagerly
-//   result caches     — whole-query and per-path content-addressed LRUs
+//   result cache      — a whole-query content-addressed LRU
 //                       (serve/cache.h); only full-quality kOk answers are
 //                       cached, so a hit is always bitwise identical to a
 //                       fault-free recompute
 //
-// Cross-query batching happens at two levels: concurrent queries share the
-// process-wide ThreadPool for their path work, and the per-path cache lets
-// overlapping queries reuse each other's path estimates (the paper's §3.1
-// decomposition makes paths the natural unit of reuse).
+// Concurrent queries share the process-wide ThreadPool for their path work.
 //
 // Threading: Submit/Query/Stats/ReloadModel are all thread-safe. Workers
 // execute queries with `threads_per_query` pool threads each (default 1:
@@ -52,7 +49,6 @@ struct ServiceOptions {
   int num_workers = 2;
   std::size_t queue_capacity = 64;
   std::size_t query_cache_entries = 256;
-  std::size_t path_cache_entries = 4096;
   // ThreadPool width per query (M3Options::num_threads); 0 = full pool.
   unsigned threads_per_query = 1;
   // Compiled model dimensions; checkpoints must match (tests use small ones).
@@ -63,14 +59,14 @@ struct ServiceOptions {
   // Fault-free answers are bitwise identical either way (both run
   // serve/exec.h on the same snapshot).
   int worker_processes = 0;
-  // Supervisor tuning for worker mode. num_workers / threads_per_query /
-  // path_cache_entries inside are overridden from the fields above.
+  // Supervisor tuning for worker mode. num_workers / threads_per_query
+  // inside are overridden from the fields above.
   SupervisorOptions supervisor;
 
   // ---- Overload control (DESIGN.md §13) ----
   // In-flight cost budget for cost-aware admission. Each query's cost is
-  // estimated from its flow/path counts discounted by the measured cache
-  // hit rates; admission rejects (kResourceExhausted, ShedReason
+  // estimated from its flow/path counts discounted by the measured query
+  // cache hit rate; admission rejects (kResourceExhausted, ShedReason
   // kCostBudget) when admitting would push the committed cost past the
   // budget. <= 0 picks the default (queue_capacity + workers) * 128, which
   // is deliberately generous: it exists to stop a burst of maximum-size
@@ -96,7 +92,7 @@ struct ServiceOptions {
   // bounds recovery time back to full quality.
   double brownout_hold_seconds = 2.0;
 
-  // ---- Durable result caches (DESIGN.md §14) ----
+  // ---- Durable result cache (DESIGN.md §14) ----
   // Directory for append-only cache segments. Empty (default) disables
   // persistence entirely. Start() validates it (create-if-missing, reject
   // unwritable, refuse a directory another live daemon holds locked) and
@@ -157,7 +153,7 @@ class EstimationService {
 
   /// Executes a shard's share of a scattered query (serve/exec.h
   /// ExecuteShardOnSnapshot) on the calling thread against the current
-  /// snapshot, with the shared path cache. Runs in-process even in worker
+  /// snapshot. Runs in-process even in worker
   /// mode: the fleet's crash-failure domain is the whole shard daemon, and
   /// m3d-router — not this process — supervises it. Admission control for
   /// shard queries is likewise the router's job (it bounds in-flight
@@ -173,8 +169,6 @@ class EstimationService {
 
   /// Drops every cached result (test/ops hook; counters are kept).
   void ClearCaches();
-  /// Drops only the whole-query cache (lets tests drive path-cache hits).
-  void ClearQueryCache();
 
   /// Synchronously spills everything queued for persistence (no-op without
   /// --cache-dir). Test/shutdown hook; the background flusher normally
@@ -219,9 +213,8 @@ class EstimationService {
   QueryResponse Execute(const QueryRequest& req);
 
   /// Admission-time cost estimate for cost-aware admission: base work plus
-  /// flow-count and path-count terms discounted by measured cache hit
-  /// rates (a likely query-cache hit is nearly free; path-cache hits make
-  /// each path cheaper).
+  /// a flow-count term plus a path-count term discounted by the measured
+  /// query-cache hit rate (a likely query-cache hit is nearly free).
   double EstimateCost(const QueryRequest& req) const;
   /// Removes queued entries whose deadline already expired (they can no
   /// longer be answered in time) into *reaped. Caller answers them outside
@@ -252,7 +245,6 @@ class EstimationService {
   const ServiceOptions opts_;
   ModelRegistry registry_;
   LruCache<QueryResponse> query_cache_;
-  LruCache<PathEstimate> path_cache_;
   std::unique_ptr<WorkerSupervisor> supervisor_;  // null in in-process mode
 
   // Durable-cache persistence (null / unheld without --cache-dir).

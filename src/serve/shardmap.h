@@ -5,11 +5,9 @@
 // mapping is stable across router restarts and across routers pointed at
 // the same fleet); a key is owned by the first point clockwise from it.
 // Preference(key) walks further clockwise collecting *distinct* shards —
-// the retry/hedge order for that key. The router's keys are hashes of each
-// sampled path's link list, so one path always lands on one shard. Adding
-// or removing one shard moves only the keys that shard owned (the property
-// that makes a shard bounce cheap: every other shard's path-cache working
-// set is untouched).
+// the retry/hedge order for that key. The router's keys are hashes of
+// (query key, sample slot). Adding or removing one shard moves only the
+// keys that shard owned.
 //
 // ShardBreaker: a recoverable circuit breaker, one per shard. Unlike the
 // supervisor's per-model-digest breaker (serve/supervisor.h) — where a

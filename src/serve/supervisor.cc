@@ -123,7 +123,6 @@ bool WorkerSupervisor::SpawnLocked(Slot& s) {
 
   WorkerOptions wopts;
   wopts.threads_per_query = opts_.threads_per_query;
-  wopts.path_cache_entries = opts_.path_cache_entries;
 
   // Hold the fault-registry lock across fork(): another thread may be
   // inside a fault point, and the child must not inherit a mid-held mutex

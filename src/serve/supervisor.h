@@ -61,7 +61,6 @@ namespace m3::serve {
 struct SupervisorOptions {
   int num_workers = 2;
   unsigned threads_per_query = 1;
-  std::size_t path_cache_entries = 4096;  // per worker (worker-local LRU)
   // Respawn backoff: delay after the k-th consecutive failure of one slot
   // is min(backoff_max_ms, backoff_initial_ms * 2^(k-1)), then scaled by a
   // jitter factor in [0.5, 1.5) drawn deterministically from

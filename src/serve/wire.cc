@@ -669,21 +669,6 @@ StatusOr<ShardQueryResponse> DecodeShardQueryResponse(const std::string& payload
   return resp;
 }
 
-std::string EncodePathEstimateValue(const PathEstimate& pe) {
-  Writer w = Versioned();
-  EncodePathEstimate(w, pe);
-  return w.Take();
-}
-
-StatusOr<PathEstimate> DecodePathEstimateValue(const std::string& payload) {
-  Reader r(payload);
-  M3_RETURN_IF_ERROR(ReadVersion(r));
-  PathEstimate pe{};
-  M3_RETURN_IF_ERROR(DecodePathEstimate(r, &pe));
-  M3_RETURN_IF_ERROR(r.ExpectEnd());
-  return pe;
-}
-
 Hash128 QueryCacheKey(const QueryRequest& req, const Hash128& model_digest) {
   Hasher h;
   h.Str(kQueryKeySchema);

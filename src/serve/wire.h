@@ -276,13 +276,6 @@ StatusOr<ShardQueryRequest> DecodeShardQueryRequest(const std::string& payload);
 std::string EncodeShardQueryResponse(const ShardQueryResponse& resp);
 StatusOr<ShardQueryResponse> DecodeShardQueryResponse(const std::string& payload);
 
-// ----- persisted cache values (serve/persist.h segment payloads) -----
-
-/// Standalone PathEstimate codec for the durable per-path cache. Same
-/// field order as the in-response encoding; versioned like every payload.
-std::string EncodePathEstimateValue(const PathEstimate& pe);
-StatusOr<PathEstimate> DecodePathEstimateValue(const std::string& payload);
-
 // ----- cache keys -----
 
 /// Whole-query content address (definition at the top of this header).
@@ -290,17 +283,11 @@ StatusOr<PathEstimate> DecodePathEstimateValue(const std::string& payload);
 /// its place.
 Hash128 QueryCacheKey(const QueryRequest& req, const Hash128& model_digest);
 
-/// Per-path content address over the materialized scenario. Shared across
-/// queries that sample the same path with the same flows — e.g. the same
-/// workload queried with a different `num_paths` or sampling seed still
-/// reuses every overlapping path.
-///
-/// Only the shard side computes it (serve/exec.cc); the router places
-/// slots by link list and never builds a scenario.
-///
-/// Compatibility contract: persisted path caches depend on these exact
-/// bytes, so changing them means bumping the schema tag. The key hashes,
-/// little-endian, in order:
+/// Per-path content address over the materialized scenario: equal exactly
+/// when two path scenarios are bitwise equal under one config and model.
+/// Nothing serves from it; it is a test identity (the golden pipeline pins
+/// every sampled path's key) and a stage the benchmark times. The key
+/// hashes, little-endian, in order:
 ///   Str(schema tag) · U64 digest.hi · U64 digest.lo · U8 use_context ·
 ///   NetConfig (HashNetConfig order) · I32 num_links ·
 ///   U64 lot link count, then per lot link in id order

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "serve/cache.h"
 #include "serve/exec.h"
 #include "serve/wire.h"
 #include "util/fault.h"
@@ -57,14 +56,11 @@ void PrepareWorkerChild(int keep_fd) {
 }
 
 void WorkerMain(const UnixFd& fd, const ModelSnapshot& snap, const WorkerOptions& opts) {
-  // Worker-local execution resources. The parent's shared path cache is
-  // not reachable across the process boundary; each worker warms its own
-  // (the parent-side whole-query cache still provides cross-query reuse).
+  // Worker-local execution resources (the parent-side whole-query cache
+  // provides cross-query reuse).
   TopoMemo topos;
-  LruCache<PathEstimate> path_cache(opts.path_cache_entries, "serve/cache_lookup");
   ExecContext ctx;
   ctx.topos = &topos;
-  ctx.path_cache = opts.path_cache_entries > 0 ? &path_cache : nullptr;
   ctx.threads_per_query = opts.threads_per_query;
 
   for (;;) {

@@ -22,8 +22,6 @@
 //   serve/worker_garbage_reply — answer with unframed junk bytes
 #pragma once
 
-#include <cstddef>
-
 #include "serve/registry.h"
 #include "util/socket.h"
 
@@ -34,8 +32,7 @@ inline constexpr const char* kWorkerHangSite = "serve/worker_hang";
 inline constexpr const char* kWorkerGarbageSite = "serve/worker_garbage_reply";
 
 struct WorkerOptions {
-  unsigned threads_per_query = 1;     // M3Options::num_threads
-  std::size_t path_cache_entries = 4096;  // worker-local per-path LRU
+  unsigned threads_per_query = 1;  // M3Options::num_threads
 };
 
 /// Post-fork hygiene for a child that will never exec: closes every fd

@@ -5,8 +5,8 @@
 //
 // Every pinned hash is independent of the ML kernel, so it holds for every
 // M3_KERNEL value. Refactors and optimizations of these stages must
-// reproduce the pins bit for bit; persisted path caches are keyed on the
-// same scenario numbering (serve::PathCacheKey). On a deliberate behaviour
+// reproduce the pins bit for bit; the pinned path keys (serve::PathCacheKey)
+// cover the same scenario numbering. On a deliberate behaviour
 // change, the failing EXPECT_EQ prints the new hex to paste here. The
 // ScenarioReuse suite checks, on the same queries, that building into a
 // reused workspace gives exactly the freshly built scenario.

@@ -21,6 +21,10 @@
 #include <utility>
 #include <vector>
 
+#include "pathdecomp/decompose.h"
+#include "pathdecomp/path_topology.h"
+#include "pathdecomp/sampling.h"
+#include "serve/exec.h"
 #include "serve/persist.h"
 #include "serve/service.h"
 #include "serve/wire.h"
@@ -641,30 +645,31 @@ TEST(PersistService, RetiredWireVersionEntriesAreCountedCorruptNeverServed) {
   // them corrupt and never serve them; a current-version entry beside them
   // still loads.
   const QueryRequest req = SmallQuery();
+  const QueryRequest other = SmallQuery(/*wl_seed=*/4);
   Hash128 digest;
-  QueryResponse answer;
+  QueryResponse answer, other_answer;
   {
     EstimationService probe(PersistServiceOptions(""));
     ASSERT_TRUE(probe.ReloadModel(SmallCheckpoint()).ok());
     digest = probe.registry().Current()->digest;
     answer = probe.ExecuteInline(req);
     ASSERT_TRUE(answer.status.ok()) << answer.status.ToString();
+    other_answer = probe.ExecuteInline(other);
+    ASSERT_TRUE(other_answer.status.ok()) << other_answer.status.ToString();
   }
   const auto retag = [](std::string blob) {
     const std::uint32_t retired = kWireVersion - 1;
     std::memcpy(&blob[0], &retired, 4);
     return blob;
   };
-  PathEstimate pe{};
-  pe.counts[0] = 3.0;
   const std::string dir = ScratchDir("service_retired");
   {
     CachePersister p(Opts(dir));
     ASSERT_TRUE(p.Start().ok());
     p.Enqueue(CacheKind::kQuery, digest, QueryCacheKey(req, digest),
               retag(EncodeQueryResponse(answer)));
-    p.Enqueue(CacheKind::kPath, digest, K(1, 1), retag(EncodePathEstimateValue(pe)));
-    p.Enqueue(CacheKind::kPath, digest, K(2, 2), EncodePathEstimateValue(pe));
+    p.Enqueue(CacheKind::kQuery, digest, QueryCacheKey(other, digest),
+              EncodeQueryResponse(other_answer));
     ASSERT_TRUE(p.FlushNow().ok());
     p.Stop();
   }
@@ -674,13 +679,78 @@ TEST(PersistService, RetiredWireVersionEntriesAreCountedCorruptNeverServed) {
   ASSERT_TRUE(s.Start().ok());
   s.WaitForPersistRecovery();
   const ServerStatsWire st = s.Stats();
-  EXPECT_EQ(st.persist_records_corrupt, 2u);
+  EXPECT_EQ(st.persist_records_corrupt, 1u);
   EXPECT_EQ(st.persist_entries_loaded, 1u);
   const QueryResponse resp = s.Query(req);
   ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
   EXPECT_FALSE(resp.query_cache_hit) << "a retired-version entry was served";
   EXPECT_EQ(s.Stats().query_cache[0], st.query_cache[0]);
   ExpectBitwiseEqual(resp, answer);
+  s.Stop();
+}
+
+// Per-path records from a build that still had a path cache (CacheKind
+// kPath, the current wire version, a PathCacheKey under the live digest):
+// recovery counts them corrupt, and the answers are a cold service's.
+TEST(PersistService, RetiredPathRecordsAreCountedCorruptNeverServed) {
+  const QueryRequest req = SmallQuery();
+  Hash128 digest;
+  QueryResponse cold;
+  {
+    EstimationService probe(PersistServiceOptions(""));
+    ASSERT_TRUE(probe.ReloadModel(SmallCheckpoint()).ok());
+    digest = probe.registry().Current()->digest;
+    cold = probe.ExecuteInline(req);
+    ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  }
+
+  // The record format of that build: the wire version, then every pct
+  // value and every count as F64 bits. The values are wrong on purpose,
+  // so a served record would show in the answer.
+  std::string value(4, '\0');
+  std::memcpy(&value[0], &kWireVersion, 4);
+  const auto f64 = [&value](double v) {
+    char b[8];
+    std::memcpy(b, &v, 8);
+    value.append(b, 8);
+  };
+  for (int b = 0; b < kNumOutputBuckets; ++b) {
+    for (int q = 0; q < kNumPercentiles; ++q) f64(42.0);
+  }
+  for (int b = 0; b < kNumOutputBuckets; ++b) f64(1.0);
+
+  const FatTree ft(FatTreeConfig::Small(req.oversub));
+  std::vector<Flow> flows;
+  ASSERT_TRUE(BuildRequestFlows(req, ft, &flows).ok());
+  PathDecomposition decomp(ft.topo(), flows);
+  Rng rng(req.seed);
+  const std::vector<std::size_t> sample = SamplePaths(decomp, req.num_paths, rng);
+  ASSERT_EQ(sample.size(), static_cast<std::size_t>(req.num_paths));
+  const std::string dir = ScratchDir("service_retired_path");
+  {
+    CachePersister p(Opts(dir));
+    ASSERT_TRUE(p.Start().ok());
+    PathScenario sc;
+    for (std::size_t path : sample) {
+      BuildPathScenario(ft.topo(), flows, decomp, path, &sc);
+      p.Enqueue(CacheKind::kPath, digest, PathCacheKey(sc, req.cfg, req.use_context, digest),
+                value);
+    }
+    ASSERT_TRUE(p.FlushNow().ok());
+    p.Stop();
+  }
+
+  EstimationService s(PersistServiceOptions(dir));
+  ASSERT_TRUE(s.ReloadModel(SmallCheckpoint()).ok());
+  ASSERT_TRUE(s.Start().ok());
+  s.WaitForPersistRecovery();
+  const ServerStatsWire st = s.Stats();
+  EXPECT_EQ(st.persist_records_corrupt, sample.size());
+  EXPECT_EQ(st.persist_entries_loaded, 0u);
+  const QueryResponse resp = s.Query(req);
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  EXPECT_FALSE(resp.query_cache_hit);
+  ExpectBitwiseEqual(resp, cold);
   s.Stop();
 }
 
@@ -695,24 +765,6 @@ TEST(PersistService, SecondServiceRefusesSharedCacheDir) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kUnavailable);
   s1.Stop();
-}
-
-// ----------------------------------------------------------- wire codecs --
-
-TEST(Persist, PathEstimateValueCodecRoundTrips) {
-  PathEstimate pe;
-  for (std::size_t b = 0; b < pe.counts.size(); ++b) {
-    pe.counts[b] = static_cast<double>(b) * 1.5;
-    for (std::size_t q = 0; q < pe.pct[b].size(); ++q) {
-      pe.pct[b][q] = static_cast<double>(b * 100 + q) * 0.25;
-    }
-  }
-  const std::string blob = EncodePathEstimateValue(pe);
-  StatusOr<PathEstimate> back = DecodePathEstimateValue(blob);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->counts, pe.counts);
-  EXPECT_EQ(back->pct, pe.pct);
-  EXPECT_FALSE(DecodePathEstimateValue(blob.substr(0, blob.size() - 1)).ok());
 }
 
 }  // namespace

@@ -8,13 +8,9 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <map>
-#include <mutex>
-#include <optional>
 
 #include "core/estimator.h"
 #include "core/validate.h"
-#include "serve/wire.h"
 #include "temp_path.h"
 #include "topo/fat_tree.h"
 #include "util/fault.h"
@@ -598,32 +594,9 @@ TEST(EstimatorResilience, BatchedStrictNanDropsTheLaterPaths) {
   }
 }
 
-// A thread-safe in-memory path cache.
-struct MapCache {
-  std::mutex mu;
-  std::map<Hash128, PathEstimate> entries;
-  int inserts = 0;
-  PathCacheHooks hooks;
-
-  MapCache() {
-    hooks.key = [](const PathScenario& sc) {
-      return serve::PathCacheKey(sc, NetConfig{}, true, Hash128{});
-    };
-    hooks.lookup = [this](const Hash128& key) -> std::optional<PathEstimate> {
-      std::lock_guard<std::mutex> lock(mu);
-      const auto it = entries.find(key);
-      if (it == entries.end()) return std::nullopt;
-      return it->second;
-    };
-    hooks.insert = [this](const Hash128& key, const PathEstimate& pe) {
-      std::lock_guard<std::mutex> lock(mu);
-      entries[key] = pe;
-      ++inserts;
-    };
-  }
-};
-
-TEST(EstimatorResilience, BatchedCacheMixAndSlotSubsetsKeepTheBits) {
+// An unsorted slot subset estimates exactly those slots, with the bits of
+// the whole query.
+TEST(EstimatorResilience, BatchedUnsortedSlotSubsetKeepsTheBits) {
   for (unsigned threads : {1u, 4u}) {
     QueryFixture q;
     q.opts.num_paths = 12;
@@ -631,53 +604,15 @@ TEST(EstimatorResilience, BatchedCacheMixAndSlotSubsetsKeepTheBits) {
     const NetworkEstimate clean = q.Run();
     ASSERT_TRUE(clean.status.ok()) << clean.status.ToString();
 
-    // Warm the cache with the even slots only (an unsorted slot subset).
-    MapCache cache;
     const std::vector<std::uint32_t> evens = {10, 0, 4, 2, 8, 6};
     M3Options sub = q.opts;
-    sub.path_cache = &cache.hooks;
     sub.sample_slots = &evens;
-    const NetworkEstimate warm = RunM3(q.ft.topo(), q.flows, q.cfg, q.model, sub);
-    EXPECT_TRUE(warm.status.ok()) << warm.status.ToString();
-    EXPECT_EQ(warm.degradation.paths_ok, 6);
-    for (std::size_t i = 0; i < warm.paths.size(); ++i) {
-      ExpectSamePath(warm.paths[i], i % 2 == 0 ? clean.paths[i] : PathEstimate{}, i);
+    const NetworkEstimate est = RunM3(q.ft.topo(), q.flows, q.cfg, q.model, sub);
+    EXPECT_TRUE(est.status.ok()) << est.status.ToString();
+    EXPECT_EQ(est.degradation.paths_ok, 6);
+    for (std::size_t i = 0; i < est.paths.size(); ++i) {
+      ExpectSamePath(est.paths[i], i % 2 == 0 ? clean.paths[i] : PathEstimate{}, i);
     }
-
-    // The whole query: even slots hit, odd slots are computed and inserted.
-    M3Options full = q.opts;
-    full.path_cache = &cache.hooks;
-    const int inserts_before = cache.inserts;
-    const NetworkEstimate mixed = RunM3(q.ft.topo(), q.flows, q.cfg, q.model, full);
-    EXPECT_TRUE(mixed.status.ok()) << mixed.status.ToString();
-    EXPECT_EQ(mixed.degradation.paths_ok, 12);
-    EXPECT_GE(mixed.degradation.paths_cached, 6);
-    EXPECT_EQ(mixed.degradation.paths_cached + (cache.inserts - inserts_before), 12);
-    EXPECT_EQ(mixed.combined_pct, clean.combined_pct);
-    EXPECT_EQ(mixed.bucket_pct, clean.bucket_pct);
-    for (std::size_t i = 0; i < mixed.paths.size(); ++i) {
-      ExpectSamePath(mixed.paths[i], clean.paths[i], i);
-    }
-  }
-}
-
-// A path that repeats an earlier path's scenario is served from the cache
-// entry that earlier path inserts, as in a one-path-at-a-time run.
-TEST(EstimatorResilience, BatchedRepeatedPathsHitTheirFirstEstimate) {
-  QueryFixture q;
-  q.opts.num_paths = 64;  // 400 flows: the sample repeats paths
-  const NetworkEstimate clean = q.Run();
-  MapCache cache;
-  M3Options opts = q.opts;
-  opts.path_cache = &cache.hooks;
-  const NetworkEstimate est = RunM3(q.ft.topo(), q.flows, q.cfg, q.model, opts);
-  ASSERT_TRUE(est.status.ok()) << est.status.ToString();
-  const int distinct = static_cast<int>(cache.entries.size());
-  ASSERT_LT(distinct, 64) << "no repeated path in the sample";
-  EXPECT_EQ(cache.inserts, distinct);
-  EXPECT_EQ(est.degradation.paths_cached, 64 - distinct);
-  for (std::size_t i = 0; i < est.paths.size(); ++i) {
-    ExpectSamePath(est.paths[i], clean.paths[i], i);
   }
 }
 

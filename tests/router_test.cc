@@ -918,5 +918,99 @@ TEST(RouterChaos, InvalidPersistedRecordsAreCountedAndNeverServed) {
   ExpectBitwiseEqual(good, resp);
 }
 
+// A request the shards' validator rejects is the client's fault: the query
+// ends with that status, is never cached, and charges no breaker however
+// often it is sent.
+TEST(RouterChaos, InvalidFlowEndsTheQueryWithoutChargingBreakers) {
+  const std::vector<std::string> paths = FleetPaths("rc_invalid", 3);
+  TestShard shards[3];
+  for (int i = 0; i < 3; ++i) shards[i].Start(paths[i]);
+
+  const RouterOptions ro = FastRouterOptions(paths);
+  Router router(ro);
+  ASSERT_TRUE(router.Start().ok());
+  QueryRequest bad = FleetQuery(6);
+  bad.flows[5].dst_host = bad.flows[5].src_host;
+  for (int i = 0; i < ro.breaker.threshold + 2; ++i) {
+    const std::uint64_t dispatched = Dispatches(router);
+    const QueryResponse resp = router.Query(bad);
+    EXPECT_EQ(resp.status.code(), StatusCode::kInvalidArgument) << resp.status.ToString();
+    EXPECT_NE(resp.status.message().find("flows[5].dst"), std::string::npos)
+        << resp.status.ToString();
+    EXPECT_EQ(resp.degradation.errors_validation, 1);
+    EXPECT_EQ(resp.degradation.paths_degraded, 0);
+    EXPECT_TRUE(resp.combined_pct.empty());
+    EXPECT_FALSE(resp.query_cache_hit);
+    EXPECT_GT(Dispatches(router), dispatched) << "an invalid answer was cached";
+  }
+  const ServerStatsWire st = router.Stats();
+  EXPECT_EQ(st.queries_failed, static_cast<std::uint64_t>(ro.breaker.threshold + 2));
+  for (const ShardHealthWire& sh : st.shards) {
+    EXPECT_FALSE(sh.breaker_open) << sh.address;
+    EXPECT_TRUE(sh.healthy) << sh.address;
+    EXPECT_EQ(sh.failures, 0u) << sh.address;
+    EXPECT_EQ(sh.retries, 0u) << sh.address;
+    EXPECT_EQ(sh.slots_fallback, 0u) << sh.address;
+  }
+
+  // The fleet still serves full quality.
+  const QueryResponse good = router.Query(FleetQuery(6));
+  ASSERT_TRUE(good.status.ok()) << good.status.ToString();
+  EXPECT_EQ(good.degradation.paths_ok, 6);
+}
+
+// An out-of-range slot count is rejected before placement: nothing is
+// sized for it and no shard sees it.
+TEST(RouterChaos, OutOfRangeNumPathsIsRejectedBeforePlacement) {
+  const std::vector<std::string> paths = FleetPaths("rc_npaths", 2);
+  TestShard shards[2];
+  for (int i = 0; i < 2; ++i) shards[i].Start(paths[i]);
+
+  Router router(FastRouterOptions(paths));
+  ASSERT_TRUE(router.Start().ok());
+  for (const std::int32_t num_paths : {0, -1, 10'000'001}) {
+    QueryRequest req = FleetQuery(6);
+    req.num_paths = num_paths;
+    const QueryResponse resp = router.Query(req);
+    EXPECT_EQ(resp.status.code(), StatusCode::kInvalidArgument) << num_paths;
+    EXPECT_NE(resp.status.message().find("options.num_paths"), std::string::npos)
+        << resp.status.ToString();
+    EXPECT_EQ(resp.degradation.errors_validation, 1);
+    EXPECT_TRUE(resp.shards.empty());
+  }
+  EXPECT_EQ(Dispatches(router), 0u);
+}
+
+// A query with no flows has no slots; the fleet answers it exactly as one
+// daemon does (the validator rejects it).
+TEST(RouterChaos, EmptyFlowListIsAnsweredAsOneDaemonAnswersIt) {
+  QueryRequest req = FleetQuery(6);
+  req.flows.clear();
+  ServiceOptions so;
+  so.model_config = TinyModel();
+  EstimationService single(so);
+  ASSERT_TRUE(single.ReloadModel(TinyCheckpoint()).ok());
+  const QueryResponse direct = single.ExecuteInline(req);
+  ASSERT_EQ(direct.status.code(), StatusCode::kInvalidArgument) << direct.status.ToString();
+
+  for (const int n : {1, 3}) {
+    const std::vector<std::string> paths = FleetPaths(n == 1 ? "rc_empty1_" : "rc_empty3_", n);
+    std::vector<TestShard> shards(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) shards[static_cast<std::size_t>(i)].Start(paths[i]);
+    Router router(FastRouterOptions(paths));
+    ASSERT_TRUE(router.Start().ok());
+    for (int rep = 0; rep < 2; ++rep) {
+      const QueryResponse routed = router.Query(req);
+      EXPECT_EQ(routed.status, direct.status) << n << " shards";
+      EXPECT_EQ(routed.degradation.errors_validation, direct.degradation.errors_validation);
+      EXPECT_EQ(routed.degradation.first_error, direct.degradation.first_error);
+      EXPECT_EQ(routed.model_version, direct.model_version);
+      EXPECT_EQ(routed.model_crc, direct.model_crc);
+      EXPECT_FALSE(routed.query_cache_hit);
+      ExpectBitwiseEqual(routed, direct);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace m3::serve

@@ -1,7 +1,7 @@
 // Serving-subsystem tests: content hashing, the wire codecs, cache-key
 // sensitivity, the bounded LRU, the model registry's hot-reload semantics,
 // the EstimationService (admission control, cache hits bitwise-identical to
-// recompute, per-path reuse, fault-injected cache outages), and the socket
+// recompute, fault-injected cache outages), and the socket
 // server end-to-end.
 //
 // The hot-reload and concurrent-query tests are the designated TSan
@@ -411,8 +411,6 @@ std::vector<Payload> EveryMessage() {
       Make("PingResponse", EncodePingResponse(ping), DecodePingResponse),
       Make("ShardQueryRequest", EncodeShardQueryRequest(sq), DecodeShardQueryRequest),
       Make("ShardQueryResponse", EncodeShardQueryResponse(sr), DecodeShardQueryResponse),
-      Make("PathEstimateValue", EncodePathEstimateValue(SamplePathEstimate()),
-           DecodePathEstimateValue),
   };
 }
 
@@ -861,43 +859,20 @@ TEST(Service, CacheHitsMatchAcrossThreadCounts) {
   ExpectBitwiseEqual(r1, r4);
 }
 
-TEST(Service, PathCacheReusesAcrossQueryCacheMisses) {
-  EstimationService service(SmallServiceOptions());
-  ASSERT_TRUE(service.ReloadModel(SmallCheckpoint()).ok());
-  const QueryRequest req = SmallQuery();
-
-  const QueryResponse first = service.ExecuteInline(req);
-  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
-  EXPECT_EQ(first.degradation.paths_cached, 0);
-
-  // Clearing only the query cache forces a repeat query back through the
-  // estimator, where every sampled path should now be a per-path hit.
-  service.ClearQueryCache();
-  const QueryResponse second = service.ExecuteInline(req);
-  ASSERT_TRUE(second.status.ok()) << second.status.ToString();
-  EXPECT_FALSE(second.query_cache_hit);
-  EXPECT_EQ(second.degradation.paths_cached, req.num_paths);
-  ExpectBitwiseEqual(second, first);
-
-  const ServerStatsWire s = service.Stats();
-  EXPECT_GE(s.path_cache[0], static_cast<std::uint64_t>(req.num_paths));
-}
-
 TEST(Service, CacheOutageDegradesToRecomputeNotFailure) {
   FaultGuard guard;
   EstimationService service(SmallServiceOptions());
   ASSERT_TRUE(service.ReloadModel(SmallCheckpoint()).ok());
   const QueryRequest req = SmallQuery();
 
-  const QueryResponse warm = service.ExecuteInline(req);  // populates caches
+  const QueryResponse warm = service.ExecuteInline(req);  // populates the cache
   ASSERT_TRUE(warm.status.ok());
 
-  // Every cache lookup now throws; both layers must swallow it.
+  // Every cache lookup now throws; the service must swallow it.
   FaultRegistry::Instance().Arm("serve/cache_lookup");
   const QueryResponse resp = service.ExecuteInline(req);
   ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
   EXPECT_FALSE(resp.query_cache_hit);
-  EXPECT_EQ(resp.degradation.paths_cached, 0);
   EXPECT_EQ(resp.degradation.paths_degraded, 0);  // full quality, no reuse
   ExpectBitwiseEqual(resp, warm);
 }

@@ -85,8 +85,8 @@ ctest --test-dir build-ubsan --output-on-failure -j"$JOBS" \
   -R 'Status|FaultRegistry|Validate|EstimatorResilience|AggregationGuard|CheckpointResilience|TraceIo'
 
 echo "== TSan: serving / hot-reload / scheduler suites =="
-# ScenarioReuse joins them: the path pipeline and the router build scenarios
-# into thread_local workspaces under a concurrent ParallelFor. ModelInfer
+# ScenarioReuse joins them: the path pipeline builds scenarios into
+# thread_local workspaces under a concurrent ParallelFor. ModelInfer
 # does too: threads share one model's parameters and keep thread_local
 # inference scratch.
 cmake -B build-tsan -S . -DM3_SANITIZE=thread "$@"

@@ -87,19 +87,17 @@ Args Parse(int argc, char** argv) {
 int main(int argc, char** argv) {
   const Args a = Parse(argc, argv);
 
-  M3Model model;
-  {
-    StatusOr<ml::CheckpointInfo> info = model.TryLoad(a.model_path);
-    if (!info.ok()) {
-      std::fprintf(stderr, "eval_model: %s\n", info.status().ToString().c_str());
-      if (info.status().code() == StatusCode::kNotFound) {
-        std::fprintf(stderr, "eval_model: run tools/train_m3 first to produce %s\n",
-                     a.model_path.c_str());
-        return 4;
-      }
-      return 5;
+  StatusOr<std::unique_ptr<M3Model>> loaded = LoadInferenceModel(a.model_path);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "eval_model: %s\n", loaded.status().ToString().c_str());
+    if (loaded.status().code() == StatusCode::kNotFound) {
+      std::fprintf(stderr, "eval_model: run tools/train_m3 first to produce %s\n",
+                   a.model_path.c_str());
+      return 4;
     }
+    return 5;
   }
+  const M3Model& model = **loaded;
 
   // Held-out synthetic paths (fixed eval seed).
   DatasetOptions eopts;

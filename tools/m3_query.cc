@@ -202,17 +202,14 @@ int main(int argc, char** argv) {
     flows = GenerateWorkload(ft, tm, *sizes, wspec).flows;
   }
 
-  M3Model model;
-  {
-    StatusOr<ml::CheckpointInfo> info = model.TryLoad(a.model_path);
-    if (!info.ok()) {
-      std::fprintf(stderr, "m3_query: %s\n", info.status().ToString().c_str());
-      if (info.status().code() == StatusCode::kNotFound) {
-        std::fprintf(stderr, "m3_query: run tools/train_m3 first to produce %s\n",
-                     a.model_path.c_str());
-      }
-      return ExitCodeFor(info.status().code());
+  StatusOr<std::unique_ptr<M3Model>> model = LoadInferenceModel(a.model_path);
+  if (!model.ok()) {
+    std::fprintf(stderr, "m3_query: %s\n", model.status().ToString().c_str());
+    if (model.status().code() == StatusCode::kNotFound) {
+      std::fprintf(stderr, "m3_query: run tools/train_m3 first to produce %s\n",
+                   a.model_path.c_str());
     }
+    return ExitCodeFor(model.status().code());
   }
 
   NetConfig cfg;
@@ -225,7 +222,7 @@ int main(int argc, char** argv) {
   opts.num_paths = a.paths;
   opts.strict = a.strict;
   opts.deadline_seconds = a.deadline;
-  const NetworkEstimate est = RunM3(ft.topo(), flows, cfg, model, opts);
+  const NetworkEstimate est = RunM3(ft.topo(), flows, cfg, **model, opts);
 
   if (!est.status.ok() && est.status.code() != StatusCode::kDegraded &&
       est.status.code() != StatusCode::kDeadlineExceeded) {

@@ -1,7 +1,7 @@
 // m3d: the long-running m3 estimation daemon.
 //
 // Loads a model checkpoint into the ModelRegistry, starts the scheduler
-// workers and result caches, and serves the serve/wire.h protocol on a
+// workers and the query cache, and serves the serve/wire.h protocol on a
 // Unix-domain socket until SIGINT/SIGTERM. Clients (tools/m3_client, or
 // anything speaking the framed protocol) submit query / stats / hot-reload
 // requests; see DESIGN.md §9.
@@ -38,7 +38,6 @@ constexpr const char* kUsage =
     "  --workers N         supervised worker subprocesses   (2; 0 = in-process)\n"
     "  --queue N           request queue capacity, >= 1     (64)\n"
     "  --query-cache N     whole-query cache entries, >= 0  (256)\n"
-    "  --path-cache N      per-path cache entries, >= 0     (4096)\n"
     "  --threads-per-query N   pool threads per query, >= 0 (1; 0 = full pool)\n"
     "  --watchdog SECS     watchdog for deadline-less queries, > 0 (120)\n"
     "  --grace SECS        kill grace past a query deadline, > 0   (2)\n"
@@ -48,7 +47,7 @@ constexpr const char* kUsage =
     "                      waited this long (CoDel-style; 0 = off)\n"
     "  --brownout MODE     on|off: reduce quality (fewer paths, then\n"
     "                      flowSim) under sustained pressure (on)\n"
-    "  --cache-dir PATH    durable result-cache directory: caches are spilled\n"
+    "  --cache-dir PATH    durable cache directory: the query cache is spilled\n"
     "                      here and recovered warm on restart (off). Created\n"
     "                      if missing; locked against sharing by a second\n"
     "                      daemon.\n"
@@ -130,7 +129,6 @@ int main(int argc, char** argv) {
     else if (key == "--workers") opts.worker_processes = static_cast<int>(ParseInt(key, v, 0, 256));
     else if (key == "--queue") opts.queue_capacity = static_cast<std::size_t>(ParseInt(key, v, 1, 1 << 20));
     else if (key == "--query-cache") opts.query_cache_entries = static_cast<std::size_t>(ParseInt(key, v, 0, 1 << 24));
-    else if (key == "--path-cache") opts.path_cache_entries = static_cast<std::size_t>(ParseInt(key, v, 0, 1 << 24));
     else if (key == "--threads-per-query") opts.threads_per_query = static_cast<unsigned>(ParseInt(key, v, 0, 1024));
     else if (key == "--watchdog") opts.supervisor.default_watchdog_seconds = ParseSeconds(key, v);
     else if (key == "--grace") opts.supervisor.grace_seconds = ParseSeconds(key, v);
@@ -207,16 +205,16 @@ int main(int argc, char** argv) {
 
   if (opts.worker_processes > 0) {
     std::printf("m3d: serving %s (model v%llu crc %08x) on %s — %d worker processes "
-                "(supervised), queue %zu, caches %zu query / %zu path\n",
+                "(supervised), queue %zu, query cache %zu\n",
                 model_path.c_str(), static_cast<unsigned long long>(boot.model_version),
                 boot.model_crc, socket_path.c_str(), opts.worker_processes,
-                opts.queue_capacity, opts.query_cache_entries, opts.path_cache_entries);
+                opts.queue_capacity, opts.query_cache_entries);
   } else {
     std::printf("m3d: serving %s (model v%llu crc %08x) on %s — in-process, %d scheduler "
-                "threads, queue %zu, caches %zu query / %zu path\n",
+                "threads, queue %zu, query cache %zu\n",
                 model_path.c_str(), static_cast<unsigned long long>(boot.model_version),
                 boot.model_crc, socket_path.c_str(), opts.num_workers, opts.queue_capacity,
-                opts.query_cache_entries, opts.path_cache_entries);
+                opts.query_cache_entries);
   }
   if (!listen_tcp.empty()) {
     std::printf("m3d: also listening on %s\n", tcp_ep.ToString().c_str());

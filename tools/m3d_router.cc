@@ -2,9 +2,8 @@
 //
 // Speaks the same client-facing protocol as m3d (query / stats / ping),
 // but instead of computing, it answers exact repeats from its query cache,
-// decomposes every other query into its deterministic path sample,
-// consistent-hashes every sample slot to a backend shard by the path's
-// link list, scatters ShardQueryRequests, and merges the partial
+// consistent-hashes every other query's sample slots to backend shards by
+// (query key, slot), scatters ShardQueryRequests, and merges the partial
 // estimates into one answer. See serve/router.h for the
 // placement and degradation-ladder design, DESIGN.md §12 for the
 // architecture.
@@ -62,11 +61,11 @@ constexpr const char* kUsage =
     "  --cache-flush-interval SECS   background cache flush cadence  (2)\n"
     "  --help               show this message\n"
     "\n"
-    "Slots are placed by hashing their path's link list, so each shard's\n"
-    "per-path cache concentrates on its ring segment; a model reload does\n"
-    "not reshuffle placement. An exact repeat is answered from the query\n"
-    "cache while the fleet serves the model it was computed with. A\n"
-    "fault-free scattered answer is bitwise identical to a single m3d's.\n";
+    "Slots are placed by hashing (query key, slot), so one query spreads\n"
+    "over the fleet; the router never decomposes a query, and the shards\n"
+    "validate it. An exact repeat is answered from the query cache while\n"
+    "the fleet serves the model it was computed with. A fault-free\n"
+    "scattered answer is bitwise identical to a single m3d's.\n";
 
 [[noreturn]] void UsageError(const std::string& msg) {
   std::fprintf(stderr, "m3d_router: %s\n\n%s", msg.c_str(), kUsage);
