@@ -1,5 +1,6 @@
 // Golden pins for the path pipeline: decomposition order, weighted path
-// sampling, path-scenario wiring, flowSim and the flowSim-only answer.
+// sampling, path-scenario wiring, flowSim, the feature maps the model reads
+// and the flowSim-only answer.
 // It also pins serve::QueryCacheKey, the whole-query cache address that
 // on-disk query records and the router's query cache are stored under.
 //
@@ -23,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/dataset.h"
 #include "core/estimator.h"
 #include "golden_queries.h"
 #include "flowsim/flowsim.h"
@@ -40,12 +42,13 @@ namespace {
 
 // Pinned hex digests of each golden query (same order as kGoldenQueries).
 struct PipelinePins {
-  const char* sample;   // SamplePaths indices
-  const char* keys;     // zero-digest PathCacheKey of every sampled slot
-  const char* flowsim;  // RunPathFlowSim results of every sampled slot
-  const char* answer;   // RunFlowSimOnly bucket/total/combined percentiles
-  const char* fabric;   // RunFlowSim on the full fabric, first 600 flows
+  const char* sample;     // SamplePaths indices
+  const char* keys;       // zero-digest PathCacheKey of every sampled slot
+  const char* flowsim;    // RunPathFlowSim results of every sampled slot
+  const char* answer;     // RunFlowSimOnly bucket/total/combined percentiles
+  const char* fabric;     // RunFlowSim on the full fabric, first 600 flows
   const char* query_key;  // QueryCacheKey of the wire request, kKeyDigest
+  const char* features;   // ExtractFeatures of every sampled slot
 };
 
 // A fixed stand-in model digest for the query-key pins.
@@ -58,40 +61,65 @@ const PipelinePins kPins[] = {
      "406dbee6ea650073194d119177dbe229",
      "78d6eb19f0a7c74aaeff879162acee67",
      "46041025b47bf6130e855d013a0299c1",
-     "4c607d92408f4ac6e4d416a7471b976d"},
+     "4c607d92408f4ac6e4d416a7471b976d",
+     "0a58edfd9b6836cc9b9f115ae740a5dc"},
     {"d5117b55536a5926a80a9b525bad234a",  // cache_A_x1
      "f524a868897bb56a50387eec1be4b349",
      "8f1604fdaf397e86340e85de753ca962",
      "47fa21c9d552bc239884af86f9821f53",
      "65c3be071dbdc53f9015a5e9e0be3516",
-     "7e960d0826f9db289532a950d94d1644"},
+     "7e960d0826f9db289532a950d94d1644",
+     "71929c49cea60df8c14f570fc1048dbe"},
     {"c28c4e71c83b0a74121d0ec7f892c317",  // hadoop_C_x4
      "7a2af4514d128285a5d5c1bc0d428f08",
      "4367f0b2da8384d70a93b5590a939f46",
      "fc61ca7010576fbc9b685042383850c9",
      "2d92a3b219eff05a52eb5d4b62bebfda",
-     "dae9c0d7d4f3e06b38535e5a71e7f944"},
+     "dae9c0d7d4f3e06b38535e5a71e7f944",
+     "8d2b746886a326497fb905ab484f664c"},
     {"0fff7799c3722dd9254b03983fbcccaa",  // web_B_prio
      "e3446b217fd0896178cd66ca5d7cbc87",
      "4b8f4011eb987d38d9c808ffea782e1e",
      "762b96f9d3ba6743e7118cf154dea345",
      "22fda7289e1c4ba6368f393d91e1fdf8",
-     "595870e10d4aa0651d174e7ab7754299"},
+     "595870e10d4aa0651d174e7ab7754299",
+     "ce9f183ee7e174a26a5b8a0ace2e2b7e"},
     {"8ac34a349d83fbdbc203ff3a75ab27e4",  // web_A_p100
      "36ce9021497595c1a794a4aa0faa83be",
      "aa992d0d25c149d4cc4e19e57af4c0e1",
      "e5c31156f76dbb6e15ad86b6bd1ed598",
      "30aba16f91e4f126a9988dc6087c7c3c",
-     "f6036e7b8d7a65d4f1917e799fbb60ba"},
+     "f6036e7b8d7a65d4f1917e799fbb60ba",
+     "a3596695a20273fa539773786a190050"},
     {"d0e09b1d9ad35f1098ad07167c15e751",  // cache_C_prio_p8
      "e3845152c9239359d0c345172e7e6bde",
      "1236fefbc4b6d5259943ec0ed83d571b",
      "d65c7456399f3b42cc8d39da39c90f71",
      "56d4fbd25b4c8432a39c1c2c97e0574d",
-     "f338fe679f735fa52bee35eb50d58451"},
+     "f338fe679f735fa52bee35eb50d58451",
+     "16f7f2a63968268f7265af29ca4eaf08"},
 };
 // clang-format on
 static_assert(std::size(kPins) == std::size(kGoldenQueries));
+
+void AbsorbTensor(Hasher& h, const ml::Tensor& t) {
+  h.I32(t.rows()).I32(t.cols());
+  for (int r = 0; r < t.rows(); ++r) {
+    for (int c = 0; c < t.cols(); ++c) h.F32(t.at(r, c));
+  }
+}
+
+// Every byte a model forward reads from flowSim: the fg and per-hop bg
+// feature rows and the flowSim fg distribution (the residual baseline).
+void AbsorbFeatures(Hasher& h, const ScenarioFeatures& f) {
+  AbsorbTensor(h, f.fg_feat);
+  AbsorbTensor(h, f.bg_seq);
+  for (int b = 0; b < kNumOutputBuckets; ++b) {
+    const auto bi = static_cast<std::size_t>(b);
+    h.Bool(f.flowsim_fg.has[bi]).F64(f.flowsim_fg.counts[bi]);
+    for (double v : f.flowsim_fg.pct[bi]) h.F64(v);
+  }
+}
 
 void AbsorbResults(Hasher& h, const std::vector<FlowResult>& results) {
   h.U64(results.size());
@@ -129,17 +157,20 @@ TEST_P(GoldenPipeline, PinnedHashes) {
   const std::vector<std::size_t> sample = SamplePaths(decomp, q.num_paths, rng);
   ASSERT_EQ(sample.size(), static_cast<std::size_t>(q.num_paths));
 
-  Hasher hs, hk, hf;
+  Hasher hs, hk, hf, hfeat;
   for (std::size_t idx : sample) {
     hs.U64(idx);
     const PathScenario sc = BuildPathScenario(topo, b.flows, decomp, idx);
     const Hash128 key = serve::PathCacheKey(sc, NetConfig{}, true, Hash128{});
     hk.U64(key.hi).U64(key.lo);
-    AbsorbResults(hf, RunPathFlowSim(sc));
+    const std::vector<FlowResult> fluid = RunPathFlowSim(sc);
+    AbsorbResults(hf, fluid);
+    AbsorbFeatures(hfeat, ExtractFeatures(sc, fluid));
   }
   EXPECT_EQ(hs.Finish().ToHex(), pin.sample) << q.name << " sample";
   EXPECT_EQ(hk.Finish().ToHex(), pin.keys) << q.name << " path keys";
   EXPECT_EQ(hf.Finish().ToHex(), pin.flowsim) << q.name << " flowsim";
+  EXPECT_EQ(hfeat.Finish().ToHex(), pin.features) << q.name << " features";
 
   M3Options opts;
   opts.num_paths = q.num_paths;
