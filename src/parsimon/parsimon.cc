@@ -19,7 +19,7 @@ std::vector<LinkDelta> SimulateLink(const Topology& topo, const std::vector<Flow
                                     LinkId link, const std::vector<FlowId>& on_link,
                                     const NetConfig& cfg) {
   const Link& lk = topo.link(link);
-  ParkingLot lot({lk.rate}, {lk.delay});
+  ParkingLot lot(std::span(&lk.rate, 1), std::span(&lk.delay, 1));
 
   std::vector<Flow> local;
   local.reserve(on_link.size());

@@ -11,12 +11,12 @@ ParkingLot::ParkingLot(int num_links, Bpns link_rate, Ns delay, bool hosts_at_en
                  std::vector<Ns>(static_cast<std::size_t>(num_links), delay),
                  hosts_at_ends) {}
 
-ParkingLot::ParkingLot(const std::vector<Bpns>& rates, const std::vector<Ns>& delays,
+ParkingLot::ParkingLot(std::span<const Bpns> rates, std::span<const Ns> delays,
                        bool hosts_at_ends, std::size_t max_endpoints) {
   Reset(rates, delays, hosts_at_ends, max_endpoints);
 }
 
-void ParkingLot::Reset(const std::vector<Bpns>& rates, const std::vector<Ns>& delays,
+void ParkingLot::Reset(std::span<const Bpns> rates, std::span<const Ns> delays,
                        bool hosts_at_ends, std::size_t max_endpoints) {
   if (rates.empty() || rates.size() != delays.size()) {
     throw std::invalid_argument("ParkingLot: rates/delays must be non-empty and equal-sized");

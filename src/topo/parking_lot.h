@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "topo/topology.h"
@@ -25,13 +26,13 @@ class ParkingLot {
   /// path in a full topology). `max_endpoints`, an upper bound on the
   /// AttachHost calls that will follow (or 0), reserves room for the
   /// attached hosts up front.
-  ParkingLot(const std::vector<Bpns>& rates, const std::vector<Ns>& delays,
+  ParkingLot(std::span<const Bpns> rates, std::span<const Ns> delays,
              bool hosts_at_ends = false, std::size_t max_endpoints = 0);
 
   /// Rebuilds the lot in place exactly as the constructor above would:
   /// same node and link numbering, no attached hosts. Storage is kept, so a
   /// lot reset to a similar size allocates nothing.
-  void Reset(const std::vector<Bpns>& rates, const std::vector<Ns>& delays,
+  void Reset(std::span<const Bpns> rates, std::span<const Ns> delays,
              bool hosts_at_ends = false, std::size_t max_endpoints = 0);
 
   Topology& topo() { return topo_; }

@@ -83,6 +83,11 @@ bool Topology::ValidateRoute(NodeId src, NodeId dst, const Route& route) const {
 
 Ns IdealFct(const Topology& topo, const Route& route, Bytes size, Bytes mtu,
             Bytes hdr) {
+  return IdealFct(topo, route, size, mtu, hdr, topo.RouteMinRate(route));
+}
+
+Ns IdealFct(const Topology& topo, const Route& route, Bytes size, Bytes mtu, Bytes hdr,
+            Bpns bottleneck) {
   if (route.empty() || size <= 0) return 0;
   const Bytes first_payload = std::min(size, mtu);
   Ns fct = 0;
@@ -95,7 +100,6 @@ Ns IdealFct(const Topology& topo, const Route& route, Bytes size, Bytes mtu,
   // one MTU-sized frame at a time (last frame may be short).
   Bytes remaining = size - first_payload;
   if (remaining > 0) {
-    const Bpns bottleneck = topo.RouteMinRate(route);
     const Bytes full_frames = remaining / mtu;
     const Bytes tail = remaining % mtu;
     fct += full_frames * TransmissionTime(mtu + hdr, bottleneck);

@@ -84,5 +84,8 @@ class Topology {
 /// Both the packet simulator and flowSim normalize slowdowns by this value.
 Ns IdealFct(const Topology& topo, const Route& route, Bytes size, Bytes mtu = 1000,
             Bytes hdr = 48);
+/// The same, given the route's RouteMinRate as `bottleneck`.
+Ns IdealFct(const Topology& topo, const Route& route, Bytes size, Bytes mtu, Bytes hdr,
+            Bpns bottleneck);
 
 }  // namespace m3

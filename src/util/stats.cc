@@ -5,7 +5,11 @@
 
 namespace m3 {
 
-double PercentileOfSorted(const std::vector<double>& sorted, double p) {
+namespace {
+
+// The one percentile interpolation; inline so the 100-percentile loop below
+// runs without a call per percentile.
+inline double Interpolate(std::span<const double> sorted, double p) {
   if (sorted.empty()) return 0.0;
   if (sorted.size() == 1) return sorted[0];
   const double clamped = std::clamp(p, 0.0, 100.0);
@@ -16,19 +20,28 @@ double PercentileOfSorted(const std::vector<double>& sorted, double p) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
+}  // namespace
+
+double PercentileOfSorted(std::span<const double> sorted, double p) {
+  return Interpolate(sorted, p);
+}
+
 double Percentile(std::vector<double> values, double p) {
   std::sort(values.begin(), values.end());
   return PercentileOfSorted(values, p);
 }
 
-std::vector<double> PercentileVector100(std::vector<double> values) {
-  std::vector<double> out;
-  if (values.empty()) return out;
-  std::sort(values.begin(), values.end());
-  out.reserve(100);
+void Percentiles100OfSorted(std::span<const double> sorted, std::span<double, 100> out) {
   for (int p = 1; p <= 100; ++p) {
-    out.push_back(PercentileOfSorted(values, static_cast<double>(p)));
+    out[static_cast<std::size_t>(p - 1)] = Interpolate(sorted, static_cast<double>(p));
   }
+}
+
+std::vector<double> PercentileVector100(std::vector<double> values) {
+  if (values.empty()) return {};
+  std::sort(values.begin(), values.end());
+  std::vector<double> out(100);
+  Percentiles100OfSorted(values, std::span<double, 100>(out.data(), 100));
   return out;
 }
 

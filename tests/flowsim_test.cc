@@ -169,6 +169,87 @@ TEST(FlowSim, ResultsAlignWithInputOrder) {
   EXPECT_EQ(res[0].size, 5000);
 }
 
+// Whenever one flow is active flowSim sets its rate without the waterfill.
+// The active set here goes 0 -> 1 -> 2 -> 1 -> 0 over two flows whose lone
+// bottleneck is their access link, while together the shared link is B's
+// bottleneck. Every FCT must be the waterfill's bitwise: the expectations
+// replay the simulator's arithmetic with the waterfill's rates.
+TEST(FlowSim, LoneFlowRateIsTheWaterfillsBitForBit) {
+  Topology topo;
+  const NodeId ha = topo.AddNode(NodeKind::kHost);
+  const NodeId hb = topo.AddNode(NodeKind::kHost);
+  const NodeId sw = topo.AddNode(NodeKind::kSwitch);
+  const NodeId dst = topo.AddNode(NodeKind::kHost);
+  const Bpns rate_a = GbpsToBpns(10), rate_b = GbpsToBpns(12), rate_shared = GbpsToBpns(15);
+  const LinkId up_a = topo.AddLink(ha, sw, rate_a, 1000);
+  const LinkId up_b = topo.AddLink(hb, sw, rate_b, 700);
+  const LinkId shared = topo.AddLink(sw, dst, rate_shared, 1500);
+
+  Flow a{0, ha, dst, 3 * kMB, 0, {up_a, shared}};
+  a.priority = 0;
+  Flow b{1, hb, dst, 5 * kMB, 400 * kUs, {up_b, shared}};
+  b.priority = 3;  // beyond the last class: served as the lowest
+  const std::vector<FlowResult> res = RunFlowSim(topo, {a, b});
+  ASSERT_EQ(res.size(), 2u);
+
+  const double eff = 1000.0 / 1048.0;
+  // Waterfill rates: alone, each flow's minimum of cap / 1 over its links;
+  // together, class 0 (a) first, then b on the shared link's leftover.
+  const double lone_a = std::min(rate_a * eff, rate_shared * eff);
+  const double lone_b = std::min(rate_b * eff, rate_shared * eff);
+  const double both_b = std::min(rate_b * eff, rate_shared * eff - lone_a);
+  ASSERT_LT(both_b, lone_b);  // the shared link binds only while both run
+  const auto base = [&](const Flow& f) {
+    const double ideal = static_cast<double>(IdealFct(topo, f.path, f.size));
+    return std::max(0.0, ideal - static_cast<double>(f.size) / (topo.RouteMinRate(f.path) * eff));
+  };
+
+  double now = 0.0;
+  double rem_a = static_cast<double>(a.size);
+  double rem_b = static_cast<double>(b.size);
+  // a alone until b arrives.
+  const double t_b = static_cast<double>(b.arrival);
+  ASSERT_LT(t_b, now + rem_a / lone_a);
+  rem_a -= lone_a * (t_b - now);
+  now = t_b;
+  // Both active until a completes (a keeps lone_a: class 0 is served first).
+  const double t_a_done = now + rem_a / lone_a;
+  ASSERT_LT(t_a_done, now + rem_b / both_b);
+  rem_b -= both_b * (t_a_done - now);
+  now = t_a_done;
+  const double fct_a = (now - static_cast<double>(a.arrival)) + base(a);
+  // b alone until it completes.
+  now = now + rem_b / lone_b;
+  const double fct_b = (now - static_cast<double>(b.arrival)) + base(b);
+
+  EXPECT_EQ(res[0].fct, static_cast<Ns>(std::llround(fct_a)));
+  EXPECT_EQ(res[0].slowdown, fct_a / static_cast<double>(res[0].ideal_fct));
+  EXPECT_EQ(res[1].fct, static_cast<Ns>(std::llround(fct_b)));
+  EXPECT_EQ(res[1].slowdown, fct_b / static_cast<double>(res[1].ideal_fct));
+  EXPECT_EQ(res[0].ideal_fct, IdealFct(topo, a.path, a.size));
+  EXPECT_EQ(res[1].ideal_fct, IdealFct(topo, b.path, b.size));
+}
+
+// A route that crosses a link twice splits that link between its two
+// crossings in the waterfill (cap / 2), so a lone flow on it does not run at
+// its route's minimum rate.
+TEST(FlowSim, LoneFlowCrossingALinkTwiceKeepsTheWaterfillShare) {
+  SingleLink net;
+  const LinkId ba = net.topo.FindLink(net.b, net.a);
+  Flow f = net.MakeFlow(0, 200000, 0);
+  f.path = {net.ab, ba, net.ab};
+  const std::vector<FlowResult> res = RunFlowSim(net.topo, {f});
+  ASSERT_EQ(res.size(), 1u);
+
+  const double eff = 1000.0 / 1048.0;
+  const double cap = GbpsToBpns(10.0) * eff;
+  const double ideal = static_cast<double>(IdealFct(net.topo, f.path, f.size));
+  const double base = std::max(0.0, ideal - static_cast<double>(f.size) / cap);
+  const double fct = static_cast<double>(f.size) / (cap / 2) + base;
+  EXPECT_EQ(res[0].fct, static_cast<Ns>(std::llround(fct)));
+  EXPECT_EQ(res[0].slowdown, fct / ideal);
+}
+
 TEST(FlowSim, RejectsFlowsWithoutPath) {
   SingleLink net;
   Flow f = net.MakeFlow(0, 1000, 0);

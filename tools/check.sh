@@ -46,10 +46,12 @@ echo "== ASan: checkpoint/trainer robustness + path pipeline + wire decoder suit
 # The path-pipeline suites (decomposition, sampling, scenario wiring,
 # reused scenario workspaces, the parking-lot endpoint table, the hasher
 # behind the one-pass path key, flowSim, golden pins, hostile flow ids, the
-# fat-tree route tables, the one-sort percentile sweep) run here because
-# their index arithmetic (per-link and per-path CSR lists, position-indexed
-# flows, reused flowSim and scenario workspaces, per-tier link tables) is
-# exactly where an out-of-bounds access would hide. So do the model-answer
+# fat-tree route tables, the one-sort percentile sweep, the percentile and
+# feature-row writers) run here because their index arithmetic (per-link
+# and per-path CSR lists, position-indexed flows, reused flowSim and
+# scenario workspaces, per-tier link tables, per-(hop, bucket) offsets into
+# the reused feature buffers) is exactly where an out-of-bounds access
+# would hide. So do the model-answer
 # pins and the graph-free inference suites (GoldenModel, ModelInfer): the
 # stacked row offsets of the batched forward are another such place.
 # SocketServer runs here too, so LeakSanitizer sees the socket helpers (its
@@ -59,7 +61,7 @@ echo "== ASan: checkpoint/trainer robustness + path pipeline + wire decoder suit
 cmake -B build-asan -S . -DM3_SANITIZE=address "$@"
 cmake --build build-asan -j"$JOBS" --target m3_tests
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|GoldenPipeline|FlowIds|GoldenModel|ModelInfer|SocketServer|ModelRegistry|Wire\.|OverloadWire|FatTree|Aggregate'
+  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|PercentileWriter|FeatureWriter|GoldenPipeline|FlowIds|GoldenModel|ModelInfer|SocketServer|ModelRegistry|Wire\.|OverloadWire|FatTree|Aggregate'
 
 echo "== kernels: SIMD parity suites under ASan+UBSan for every M3_KERNEL =="
 # Every dispatchable tier (including forced-but-unavailable values, which
