@@ -24,17 +24,6 @@ struct Sample {
   TargetDist flowsim;  // flowSim's own fg distribution (ablation baseline)
 };
 
-/// Extracts the model inputs from a scenario given flowSim results: the
-/// foreground feature map and one background feature map per chain link
-/// (flows whose span covers that link).
-struct ScenarioFeatures {
-  ml::Tensor fg_feat;
-  ml::Tensor bg_seq;
-  TargetDist flowsim_fg;  // flowSim's fg distribution
-};
-ScenarioFeatures ExtractFeatures(const PathScenario& scenario,
-                                 const std::vector<FlowResult>& flowsim_results);
-
 /// Runs flowSim + packet simulator on the scenario and assembles a sample.
 Sample BuildSample(const PathScenario& scenario, const NetConfig& cfg);
 
