@@ -366,19 +366,14 @@ NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& f
 }  // namespace
 
 std::string DegradationReport::ToString() const {
-  std::string s = "paths: " + std::to_string(paths_ok) + " ok, " +
-                  std::to_string(paths_retried) + " retried, " +
-                  std::to_string(paths_degraded) + " degraded, " +
-                  std::to_string(paths_dropped) + " dropped (" +
-                  std::to_string(errors_exception) + " exceptions, " +
-                  std::to_string(errors_nonfinite) + " non-finite, " +
-                  std::to_string(errors_deadline) + " deadline); " +
-                  std::to_string(clamped_values) + " values clamped";
-  if (brownout_level > 0 || paths_brownout > 0) {
-    s += "; brownout level " + std::to_string(brownout_level) + " (" +
-         std::to_string(paths_brownout) + " paths reduced)";
-  }
-  return s;
+  return "paths: " + std::to_string(paths_ok) + " ok, " +
+         std::to_string(paths_retried) + " retried, " +
+         std::to_string(paths_degraded) + " degraded, " +
+         std::to_string(paths_dropped) + " dropped (" +
+         std::to_string(errors_exception) + " exceptions, " +
+         std::to_string(errors_nonfinite) + " non-finite, " +
+         std::to_string(errors_deadline) + " deadline); " +
+         std::to_string(clamped_values) + " values clamped";
 }
 
 long long ClampPathEstimates(std::vector<PathEstimate>& paths) {

@@ -74,18 +74,8 @@ struct DegradationReport {
   // First failure observed (lowest path index), as "path 12: INTERNAL: ...".
   std::string first_error;
 
-  // Brownout attribution (serving overload control, DESIGN.md §13): level 0
-  // means full quality; level 1 means the path sample was reduced; level 2
-  // means flowSim substituted for the model. `paths_brownout` counts paths
-  // whose quality the brownout reduced (the skipped sample slots at level
-  // 1; every estimated path at level 2). A browned-out answer is never
-  // silent: Degraded() is true and the serving layer forces kDegraded.
-  int brownout_level = 0;
-  int paths_brownout = 0;
-
   bool Degraded() const {
-    return paths_degraded > 0 || paths_dropped > 0 || clamped_values > 0 ||
-           brownout_level > 0 || paths_brownout > 0;
+    return paths_degraded > 0 || paths_dropped > 0 || clamped_values > 0;
   }
   /// One-line summary, e.g. "paths: 98 ok, 1 retried, 1 degraded, 1 dropped
   /// (2 exceptions, 0 non-finite, 1 deadline); 0 values clamped".

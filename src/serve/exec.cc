@@ -1,6 +1,5 @@
 #include "serve/exec.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <string>
@@ -168,22 +167,6 @@ PreparedQuery PrepareQuery(const QueryRequest& req, const ExecContext& ctx) {
   return p;
 }
 
-// Brownout attribution + status upgrade (DESIGN.md §13). A browned-out
-// answer is never silent: even when the reduced-quality run succeeds, the
-// status is forced to kDegraded with the brownout named, and the
-// DegradationReport carries the level and affected path count. Since only
-// kOk answers are cached, a browned-out answer can never poison a cache.
-void StampBrownout(std::uint8_t level, int paths_brownout, NetworkEstimate* est) {
-  if (level == 0) return;
-  est->degradation.brownout_level = level;
-  est->degradation.paths_brownout = paths_brownout;
-  if (est->status.ok()) {
-    est->status = Status::Degraded(
-        level >= 2 ? "brownout level 2: flowSim substituted for the model"
-                   : "brownout level 1: path sample reduced under load");
-  }
-}
-
 }  // namespace
 
 QueryResponse ExecuteQueryOnSnapshot(const QueryRequest& req, const ModelSnapshot& snap,
@@ -199,27 +182,7 @@ QueryResponse ExecuteQueryOnSnapshot(const QueryRequest& req, const ModelSnapsho
     return resp;
   }
 
-  // Brownout level 1: halve the path sample (floor 16) — fewer model
-  // invocations, wider per-path weights, same estimator ladder.
-  int paths_brownout = 0;
-  if (req.brownout == 1) {
-    const std::int32_t reduced = std::max<std::int32_t>(16, req.num_paths / 2);
-    if (reduced < req.num_paths) {
-      p.mopts.num_paths = reduced;
-      paths_brownout = static_cast<int>(req.num_paths - reduced);
-    }
-  }
-
-  // Brownout level 2: substitute flowSim for the model — Parsimon's bet
-  // that a cheap flow-level estimate beats a timeout under overload.
-  NetworkEstimate est =
-      req.brownout >= 2
-          ? RunFlowSimOnly(p.ft->topo(), p.flows, req.cfg, p.mopts)
-          : RunM3(p.ft->topo(), p.flows, req.cfg, snap.model, p.mopts);
-  StampBrownout(req.brownout,
-                req.brownout >= 2 ? static_cast<int>(p.mopts.num_paths)
-                                  : paths_brownout,
-                &est);
+  NetworkEstimate est = RunM3(p.ft->topo(), p.flows, req.cfg, snap.model, p.mopts);
 
   resp.status = est.status;
   resp.bucket_pct = std::move(est.bucket_pct);
@@ -242,30 +205,8 @@ ShardQueryResponse ExecuteShardOnSnapshot(const ShardQueryRequest& req,
     resp.degradation.errors_validation = 1;
     return resp;
   }
-  // Shard brownout level 1 must not touch num_paths (slot indices are
-  // derived from the full sample); instead serve only the first half of
-  // the requested slots. The router's own ladder covers the omitted rest,
-  // so the *shard's* model work halves while every slot still resolves.
-  std::vector<std::uint32_t> reduced_slots;
-  int paths_brownout = 0;
-  if (req.query.brownout == 1 && req.slots.size() > 1) {
-    reduced_slots.assign(req.slots.begin(),
-                         req.slots.begin() +
-                             static_cast<std::ptrdiff_t>((req.slots.size() + 1) / 2));
-    paths_brownout = static_cast<int>(req.slots.size() - reduced_slots.size());
-    p.mopts.sample_slots = &reduced_slots;
-  } else {
-    p.mopts.sample_slots = &req.slots;
-  }
-
-  NetworkEstimate est =
-      req.query.brownout >= 2
-          ? RunFlowSimOnly(p.ft->topo(), p.flows, req.query.cfg, p.mopts)
-          : RunM3(p.ft->topo(), p.flows, req.query.cfg, snap.model, p.mopts);
-  StampBrownout(req.query.brownout,
-                req.query.brownout >= 2 ? static_cast<int>(req.slots.size())
-                                        : paths_brownout,
-                &est);
+  p.mopts.sample_slots = &req.slots;
+  NetworkEstimate est = RunM3(p.ft->topo(), p.flows, req.query.cfg, snap.model, p.mopts);
 
   resp.status = est.status;
   resp.degradation = est.degradation;

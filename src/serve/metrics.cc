@@ -12,11 +12,6 @@ namespace {
 std::string Literal(std::uint64_t v) { return std::to_string(v); }
 std::string Literal(std::uint32_t v) { return std::to_string(v); }
 std::string Literal(bool v) { return v ? "true" : "false"; }
-std::string Literal(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 std::string Literal(const std::string& v) {
   std::string out = "\"";
   for (const char c : v) {

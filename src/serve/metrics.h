@@ -42,8 +42,8 @@ struct CacheOpLabels {
 /// Indexed by ShedReason (serve/wire.h, which static_asserts the count).
 struct ShedReasonLabels {
   static constexpr const char* key = "reason";
-  static constexpr std::array<const char*, 7> names = {
-      "none", "queue_full", "priority", "expired", "sojourn", "cost_budget", "router_budget"};
+  static constexpr std::array<const char*, 4> names = {"none", "queue_full", "expired",
+                                                        "router_budget"};
 };
 
 /// A metric's member type: T, or one T per label.
@@ -67,10 +67,6 @@ struct MetricDesc {
   X(std::uint64_t, queries_failed, kCounter, NoLabels, "validation/no-model/internal")    \
   X(std::uint64_t, queries_shed, kCounter, NoLabels, "admitted, then shed")               \
   X(std::uint64_t, shed_by_reason, kCounter, ShedReasonLabels, "sheds and rejections")    \
-  X(std::uint64_t, brownout_queries, kCounter, NoLabels, "run at brownout level >= 1")    \
-  X(std::uint32_t, brownout_level, kGauge, NoLabels, "0 = full quality")                  \
-  X(double, in_flight_cost, kGauge, NoLabels, "admitted-but-unanswered cost units")       \
-  X(double, cost_budget, kGauge, NoLabels, "admission cost budget")                       \
   X(std::uint32_t, queue_depth, kGauge, NoLabels, "queued queries")                       \
   X(std::uint32_t, queue_capacity, kGauge, NoLabels, "admission queue bound")             \
   X(std::uint32_t, workers, kGauge, NoLabels, "scheduler threads")                        \

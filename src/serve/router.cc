@@ -537,11 +537,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
           rep.errors_deadline += r.degradation.errors_deadline;
           rep.errors_validation += r.degradation.errors_validation;
           rep.clamped_values += r.degradation.clamped_values;
-          // Brownout attribution survives the scatter: the merged answer
-          // reports the worst level any shard served at, and the total
-          // paths served at reduced quality.
-          rep.brownout_level = std::max(rep.brownout_level, r.degradation.brownout_level);
-          rep.paths_brownout += r.degradation.paths_brownout;
           if (rep.first_error.empty() && !r.degradation.first_error.empty()) {
             rep.first_error = r.degradation.first_error;
           }

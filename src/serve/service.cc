@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstring>
 #include <future>
 #include <utility>
 
@@ -21,12 +19,6 @@ EstimationService::EstimationService(const ServiceOptions& opts)
     : opts_(opts),
       registry_(opts.model_config),
       query_cache_(opts.query_cache_entries, kCacheFaultSite) {
-  cost_budget_ = opts_.cost_budget > 0
-                     ? opts_.cost_budget
-                     : static_cast<double>(opts_.queue_capacity +
-                                           static_cast<std::size_t>(
-                                               std::max(1, opts_.num_workers))) *
-                           128.0;
   if (opts_.worker_processes > 0) {
     SupervisorOptions sopts = opts_.supervisor;
     sopts.num_workers = opts_.worker_processes;
@@ -195,36 +187,12 @@ std::size_t EstimationService::QueueDepthLocked() const {
   return depth;
 }
 
-double EstimationService::OldestSojournLocked(
-    std::chrono::steady_clock::time_point now) const {
-  double oldest = 0.0;
-  for (const std::deque<Pending>& q : queues_) {
-    if (q.empty()) continue;
-    const double age = std::chrono::duration<double>(now - q.front().enqueued).count();
-    oldest = std::max(oldest, age);
-  }
-  return oldest;
-}
-
-double EstimationService::EstimateCost(const QueryRequest& req) const {
-  const auto hit_rate = [](const CacheStats& s) {
-    const std::uint64_t probes = s.hits + s.misses;
-    return probes == 0 ? 0.0 : static_cast<double>(s.hits) / static_cast<double>(probes);
-  };
-  const double q_hit = req.no_cache ? 0.0 : hit_rate(query_cache_.stats());
-  const double paths = static_cast<double>(std::max<std::int32_t>(req.num_paths, 0));
-  // Base work + flow ingestion + per-path model work, the last discounted
-  // by the chance a query-cache hit skips it.
-  return 1.0 + static_cast<double>(req.flows.size()) / 10000.0 + (1.0 - q_hit) * paths;
-}
-
 void EstimationService::ReapExpiredLocked(std::chrono::steady_clock::time_point now,
                                           std::vector<Pending>* reaped) {
   for (std::deque<Pending>& q : queues_) {
     for (auto it = q.begin(); it != q.end();) {
       const double age = std::chrono::duration<double>(now - it->enqueued).count();
       if (it->req.deadline_seconds > 0 && age >= it->req.deadline_seconds) {
-        in_flight_cost_ = std::max(0.0, in_flight_cost_ - it->cost);
         reaped->push_back(std::move(*it));
         it = q.erase(it);
       } else {
@@ -234,54 +202,21 @@ void EstimationService::ReapExpiredLocked(std::chrono::steady_clock::time_point 
   }
 }
 
-void EstimationService::UpdateBrownoutLocked(
-    double sojourn_seconds, bool escalate,
-    std::chrono::steady_clock::time_point now) {
-  if (!opts_.brownout_enabled) return;
-  int observed = 0;
-  if (sojourn_seconds >= opts_.brownout2_sojourn_seconds) {
-    observed = 2;
-  } else if (sojourn_seconds >= opts_.brownout1_sojourn_seconds) {
-    observed = 1;
-  }
-  if (escalate) observed = std::max(observed, 1);
-  if (observed >= brownout_level_) {
-    // Pressure persists (or worsens): move to the observed level and
-    // restart the hold window.
-    if (observed > 0) {
-      brownout_level_ = observed;
-      brownout_until_ =
-          now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(opts_.brownout_hold_seconds));
-    }
-  } else if (now >= brownout_until_) {
-    // Pressure subsided and the hold expired: recover (possibly straight
-    // to full quality).
-    brownout_level_ = observed;
-  }
-}
-
-void EstimationService::AnswerShed(Pending p, ShedReason reason) {
+void EstimationService::AnswerExpired(Pending p) {
   queries_shed_.fetch_add(1, std::memory_order_relaxed);
-  shed_by_reason_[static_cast<std::size_t>(reason)].fetch_add(
+  shed_by_reason_[static_cast<std::size_t>(ShedReason::kExpired)].fetch_add(
       1, std::memory_order_relaxed);
   if (!p.done) return;
   QueryResponse resp;
-  resp.shed_reason = static_cast<std::uint8_t>(reason);
-  if (reason == ShedReason::kExpired) {
-    resp.status = Status::DeadlineExceeded(
-        "shed: deadline expired while queued (never executed)");
-  } else {
-    resp.status = Status::ResourceExhausted(
-        "shed: displaced by a higher-priority request");
-  }
+  resp.shed_reason = static_cast<std::uint8_t>(ShedReason::kExpired);
+  resp.status =
+      Status::DeadlineExceeded("shed: deadline expired while queued (never executed)");
   p.done(std::move(resp));
 }
 
 void EstimationService::WorkerLoop() {
   for (;;) {
     Pending p;
-    bool expired = false;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock, [&] { return stopping_ || QueueDepthLocked() > 0; });
@@ -294,48 +229,22 @@ void EstimationService::WorkerLoop() {
         q.pop_front();
         break;
       }
-      const auto now = std::chrono::steady_clock::now();
-      const double sojourn =
-          std::chrono::duration<double>(now - p.enqueued).count();
-      UpdateBrownoutLocked(sojourn, /*escalate=*/false, now);
-      expired = p.req.deadline_seconds > 0 && sojourn >= p.req.deadline_seconds;
-      if (expired) {
-        in_flight_cost_ = std::max(0.0, in_flight_cost_ - p.cost);
-      } else if (brownout_level_ > 0 &&
-                 p.req.priority <
-                     static_cast<std::uint8_t>(Priority::kCritical) &&
-                 p.req.brownout == 0) {
-        // Brownout applies only below kCritical, and never overrides a
-        // level the client pinned explicitly (tests do).
-        p.req.brownout = static_cast<std::uint8_t>(brownout_level_);
-      }
     }
-    if (expired) {
+    const double waited =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - p.enqueued)
+            .count();
+    if (p.req.deadline_seconds > 0 && waited >= p.req.deadline_seconds) {
       // Its deadline is already blown; executing would only burn budget
       // other queries still need. Answer typed, immediately.
-      AnswerShed(std::move(p), ShedReason::kExpired);
+      AnswerExpired(std::move(p));
       continue;
     }
-    if (p.req.brownout > 0) {
-      brownout_queries_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (p.req.deadline_seconds > 0) {
-      // The client's deadline covers time spent queued behind other work,
-      // not just compute; shrink the budget Execute may spend by the
-      // observed wait. A fully blown deadline keeps a nominal budget so
-      // the estimator's own deadline machinery reports it uniformly
-      // (kDeadlineExceeded with a partial estimate).
-      const double waited =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - p.enqueued)
-              .count();
-      p.req.deadline_seconds = std::max(p.req.deadline_seconds - waited, 1e-9);
-    }
+    // The client's deadline covers time spent queued behind other work,
+    // not just compute; shrink the budget Execute may spend by the
+    // observed wait (positive: a blown deadline was answered above).
+    if (p.req.deadline_seconds > 0) p.req.deadline_seconds -= waited;
     if (pre_execute_hook_) pre_execute_hook_(p.req);
     QueryResponse resp = Execute(p.req);
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      in_flight_cost_ = std::max(0.0, in_flight_cost_ - p.cost);
-    }
     if (p.done) p.done(std::move(resp));
   }
 }
@@ -347,83 +256,31 @@ Status EstimationService::Submit(QueryRequest req, DoneFn done,
   const int cls = std::min<int>(req.priority, kNumPriorityClasses - 1);
   req.priority = static_cast<std::uint8_t>(cls);
 
-  std::vector<Pending> shed;  // answered outside queue_mu_ (AnswerShed → Stats)
-  Status result = Status::Ok();
-  ShedReason reason = ShedReason::kNone;
-  bool displaced_victim = false;
+  std::vector<Pending> expired;  // answered outside queue_mu_
+  bool full = false;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (!running_ || stopping_) {
+      // Query() can race Stop() to here; the outcome still counts, so
+      // received = ok + rejected + failed + shed holds through shutdown.
+      queries_rejected_.fetch_add(1, std::memory_order_relaxed);
       return Status::Unavailable("estimation service is not running");
     }
     const auto now = std::chrono::steady_clock::now();
-    // Satellite fix: expired entries stop displacing admissible work the
-    // moment any new work arrives, not when a worker finally reaches them.
-    ReapExpiredLocked(now, &shed);
-
-    const bool critical =
-        cls == static_cast<int>(Priority::kCritical);
-    const double cost = EstimateCost(req);
-    if (!critical && opts_.shed_sojourn_seconds > 0 &&
-        OldestSojournLocked(now) >= opts_.shed_sojourn_seconds) {
-      // CoDel-style: queue *delay*, not queue length, is the overload
-      // signal — once standing sojourn passes the target, adding more
-      // work only pushes everyone past their deadline.
-      reason = ShedReason::kSojourn;
-      result = Status::ResourceExhausted(
-          "admission control: queue sojourn above shed threshold (" +
-          std::to_string(opts_.shed_sojourn_seconds) + "s)");
-    } else if (!critical && in_flight_cost_ > 0.0 &&
-               in_flight_cost_ + cost > cost_budget_) {
-      reason = ShedReason::kCostBudget;
-      result = Status::ResourceExhausted(
-          "admission control: in-flight cost budget exhausted");
-    } else if (QueueDepthLocked() >= opts_.queue_capacity) {
-      // Full queue: displace the newest entry of the lowest class that is
-      // strictly below this request's class; same-or-higher classes are
-      // never displaced, so a same-class burst still sees the original
-      // FIFO queue-full rejection.
-      int victim_cls = -1;
-      for (int c = 0; c < cls; ++c) {
-        if (!queues_[c].empty()) {
-          victim_cls = c;
-          break;
-        }
-      }
-      if (victim_cls >= 0) {
-        Pending victim = std::move(queues_[victim_cls].back());
-        queues_[victim_cls].pop_back();
-        in_flight_cost_ = std::max(0.0, in_flight_cost_ - victim.cost);
-        shed.push_back(std::move(victim));
-        displaced_victim = true;
-        // Displacement is a pressure signal: brown out before sojourns grow.
-        UpdateBrownoutLocked(0.0, /*escalate=*/true, now);
-      } else {
-        reason = ShedReason::kQueueFull;
-        result = Status::ResourceExhausted(
-            "admission control: request queue full (" +
-            std::to_string(opts_.queue_capacity) + " pending)");
-      }
-    }
-    if (result.ok()) {
-      in_flight_cost_ += cost;
-      queues_[cls].push_back(
-          Pending{std::move(req), std::move(done), now, cost});
-    }
+    // Expired entries free their slots the moment any new work arrives,
+    // not when a worker finally reaches them.
+    ReapExpiredLocked(now, &expired);
+    full = QueueDepthLocked() >= opts_.queue_capacity;
+    if (!full) queues_[cls].push_back(Pending{std::move(req), std::move(done), now});
   }
-  // Everything reaped is kExpired; the displaced victim (appended last,
-  // if any) is kPriority.
-  const std::size_t expired_count = shed.size() - (displaced_victim ? 1 : 0);
-  for (std::size_t i = 0; i < shed.size(); ++i) {
-    AnswerShed(std::move(shed[i]),
-               i < expired_count ? ShedReason::kExpired : ShedReason::kPriority);
-  }
-  if (!result.ok()) {
+  for (Pending& p : expired) AnswerExpired(std::move(p));
+  if (full) {
     queries_rejected_.fetch_add(1, std::memory_order_relaxed);
-    shed_by_reason_[static_cast<std::size_t>(reason)].fetch_add(
+    shed_by_reason_[static_cast<std::size_t>(ShedReason::kQueueFull)].fetch_add(
         1, std::memory_order_relaxed);
-    if (shed_out != nullptr) *shed_out = reason;
-    return result;
+    if (shed_out != nullptr) *shed_out = ShedReason::kQueueFull;
+    return Status::ResourceExhausted("admission control: request queue full (" +
+                                     std::to_string(opts_.queue_capacity) + " pending)");
   }
   queue_cv_.notify_one();
   return Status::Ok();
@@ -547,14 +404,10 @@ ServerStatsWire EstimationService::Stats() const {
   for (std::size_t i = 0; i < kNumShedReasons; ++i) {
     s.shed_by_reason[i] = shed_by_reason_[i].load(std::memory_order_relaxed);
   }
-  s.brownout_queries = brownout_queries_.load(std::memory_order_relaxed);
   s.query_cache = CacheOpValues(query_cache_.stats());
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     s.queue_depth = static_cast<std::uint32_t>(QueueDepthLocked());
-    s.brownout_level = static_cast<std::uint32_t>(brownout_level_);
-    s.in_flight_cost = in_flight_cost_;
-    s.cost_budget = cost_budget_;
   }
   s.queue_capacity = static_cast<std::uint32_t>(opts_.queue_capacity);
   s.workers = static_cast<std::uint32_t>(std::max(1, opts_.num_workers));

@@ -5,11 +5,11 @@
 //
 //   ModelRegistry     — shared immutable model snapshots, atomic hot-reload
 //   request scheduler — bounded MPMC per-priority-class queues + worker
-//                       threads; admission control sheds by priority class,
-//                       cost budget, and queue sojourn instead of plain
-//                       FIFO rejection (DESIGN.md §13); per-request
-//                       deadlines map onto M3Options::deadline_seconds and
-//                       expired queued requests are reaped eagerly
+//                       threads; a full queue rejects new work, workers
+//                       drain the highest class first (DESIGN.md §13);
+//                       per-request deadlines map onto
+//                       M3Options::deadline_seconds and expired queued
+//                       requests are reaped eagerly
 //   result cache      — a whole-query content-addressed LRU
 //                       (serve/cache.h); only full-quality kOk answers are
 //                       cached, so a hit is always bitwise identical to a
@@ -63,35 +63,6 @@ struct ServiceOptions {
   // inside are overridden from the fields above.
   SupervisorOptions supervisor;
 
-  // ---- Overload control (DESIGN.md §13) ----
-  // In-flight cost budget for cost-aware admission. Each query's cost is
-  // estimated from its flow/path counts discounted by the measured query
-  // cache hit rate; admission rejects (kResourceExhausted, ShedReason
-  // kCostBudget) when admitting would push the committed cost past the
-  // budget. <= 0 picks the default (queue_capacity + workers) * 128, which
-  // is deliberately generous: it exists to stop a burst of maximum-size
-  // queries from monopolizing the daemon, not to meter normal load. A
-  // kCritical query, or any query arriving when nothing is in flight, is
-  // always admitted.
-  double cost_budget = 0.0;
-  // CoDel-style sojourn gate: when > 0 and the oldest queued request has
-  // already waited longer than this, new non-critical arrivals are shed at
-  // admission (ShedReason kSojourn) *before* the queue fills — bounding
-  // queue delay instead of queue length. 0 (default) disables the gate.
-  double shed_sojourn_seconds = 0.0;
-  // Brownout: under sustained pressure (observed dequeue sojourn past the
-  // thresholds below, or priority displacement) the service stamps
-  // QueryRequest::brownout on non-critical queries so exec reduces the
-  // path sample (level 1) or substitutes flowSim (level 2). Browned-out
-  // answers are always kDegraded with brownout attribution in the
-  // DegradationReport — never silent, never cached.
-  bool brownout_enabled = true;
-  double brownout1_sojourn_seconds = 0.25;  // sojourn that triggers level 1
-  double brownout2_sojourn_seconds = 1.0;   // sojourn that triggers level 2
-  // How long a brownout level is held after the pressure signal stops;
-  // bounds recovery time back to full quality.
-  double brownout_hold_seconds = 2.0;
-
   // ---- Durable result cache (DESIGN.md §14) ----
   // Directory for append-only cache segments. Empty (default) disables
   // persistence entirely. Start() validates it (create-if-missing, reject
@@ -128,17 +99,14 @@ class EstimationService {
   using DoneFn = std::function<void(QueryResponse)>;
 
   /// Admission-controlled enqueue. `done` is invoked exactly once on a
-  /// worker thread. Returns kResourceExhausted (and does not invoke `done`)
-  /// when admission sheds the request — queue full with no lower-priority
-  /// victim, sojourn gate, or cost budget — and kUnavailable when the
-  /// service is not running. `shed_out` (optional) reports why a rejected
-  /// submission was shed so callers can surface a typed status. A full
-  /// queue with a strictly lower-priority entry queued admits the new
-  /// request and sheds the victim instead: the victim's `done` fires with
-  /// kResourceExhausted / ShedReason kPriority. Expired queued requests
-  /// are reaped eagerly on every Submit (and at dequeue) so they stop
-  /// displacing admissible work; their `done` fires with
-  /// kDeadlineExceeded / ShedReason kExpired.
+  /// worker thread. Returns kResourceExhausted / ShedReason kQueueFull (and
+  /// does not invoke `done`) when the queue is full, whatever the request's
+  /// class, and kUnavailable when the service is not running; both count
+  /// as rejected. `shed_out` (optional) reports why a rejected submission
+  /// was shed so callers can surface a typed status. Expired queued
+  /// requests are reaped eagerly on every Submit (and at dequeue) so they
+  /// stop holding queue slots; their `done` fires with kDeadlineExceeded /
+  /// ShedReason kExpired.
   Status Submit(QueryRequest req, DoneFn done, ShedReason* shed_out = nullptr);
 
   /// Synchronous query: through the scheduler when running (admission
@@ -202,9 +170,6 @@ class EstimationService {
     // When the request was admitted; queue wait counts against the
     // client's deadline (WorkerLoop shrinks deadline_seconds by it).
     std::chrono::steady_clock::time_point enqueued;
-    // Admission-time cost estimate; released from in_flight_cost_ when the
-    // request is answered or shed.
-    double cost = 0.0;
   };
 
   void WorkerLoop();
@@ -212,10 +177,6 @@ class EstimationService {
   /// (or, in worker mode, dispatch to a supervised subprocess).
   QueryResponse Execute(const QueryRequest& req);
 
-  /// Admission-time cost estimate for cost-aware admission: base work plus
-  /// a flow-count term plus a path-count term discounted by the measured
-  /// query-cache hit rate (a likely query-cache hit is nearly free).
-  double EstimateCost(const QueryRequest& req) const;
   /// Removes queued entries whose deadline already expired (they can no
   /// longer be answered in time) into *reaped. Caller answers them outside
   /// queue_mu_. Requires queue_mu_ held.
@@ -223,17 +184,9 @@ class EstimationService {
                          std::vector<Pending>* reaped);
   /// Total entries across all priority class queues. Requires queue_mu_.
   std::size_t QueueDepthLocked() const;
-  /// Age of the oldest queued entry, in seconds. Requires queue_mu_.
-  double OldestSojournLocked(std::chrono::steady_clock::time_point now) const;
-  /// Feeds one observed dequeue sojourn into the brownout controller;
-  /// escalate=true forces at least level 1 (priority displacement is a
-  /// pressure signal even when sojourns are still short). Requires
-  /// queue_mu_.
-  void UpdateBrownoutLocked(double sojourn_seconds, bool escalate,
-                            std::chrono::steady_clock::time_point now);
-  /// Builds the typed response for a shed request and fires its done
-  /// callback. Must be called *without* queue_mu_ held (fills stats).
-  void AnswerShed(Pending p, ShedReason reason);
+  /// Answers a request whose deadline expired while queued (kExpired) and
+  /// fires its done callback. Must be called *without* queue_mu_ held.
+  void AnswerExpired(Pending p);
   /// Circuit-breaker trip handler: rolls back to the last good snapshot
   /// when the freshly published model is the one killing workers.
   void OnBreakerTrip(const Hash128& digest);
@@ -263,17 +216,11 @@ class EstimationService {
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   // One FIFO per priority class; workers drain the highest non-empty
-  // class first, and a full queue sheds from the lowest class first.
+  // class first.
   std::deque<Pending> queues_[kNumPriorityClasses];
   bool running_ = false;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
-
-  // ---- Overload control state (guarded by queue_mu_) ----
-  double in_flight_cost_ = 0.0;  // committed cost: queued + executing
-  double cost_budget_ = 0.0;     // resolved from opts (default if <= 0)
-  int brownout_level_ = 0;       // 0 none, 1 reduced paths, 2 flowSim
-  std::chrono::steady_clock::time_point brownout_until_{};
 
   std::function<void(const QueryRequest&)> pre_execute_hook_;
 
@@ -285,12 +232,11 @@ class EstimationService {
   std::atomic<std::uint64_t> queries_ok_{0};
   std::atomic<std::uint64_t> queries_rejected_{0};
   std::atomic<std::uint64_t> queries_failed_{0};
-  // Admitted-then-shed (priority displacement, expiry reap); disjoint from
-  // queries_rejected_ (turned away at the admission gate). The serving
-  // invariant: received = ok + rejected + failed + shed.
+  // Admitted-then-shed (expiry reap); disjoint from queries_rejected_
+  // (turned away at Submit). The serving invariant:
+  // received = ok + rejected + failed + shed.
   std::atomic<std::uint64_t> queries_shed_{0};
   std::atomic<std::uint64_t> shed_by_reason_[kNumShedReasons] = {};
-  std::atomic<std::uint64_t> brownout_queries_{0};
 };
 
 }  // namespace m3::serve

@@ -67,7 +67,6 @@ class Writer {
   void Field(std::uint64_t v) { U64(v); }
   void Field(std::uint32_t v) { U32(v); }
   void Field(bool v) { Bool(v); }
-  void Field(double v) { F64(v); }
   void Field(const std::string& v) { Str(v); }
   template <typename T, std::size_t N>
   void Field(const std::array<T, N>& a) {
@@ -133,7 +132,6 @@ class Reader {
   Status Field(std::uint64_t* v) { return U64(v); }
   Status Field(std::uint32_t* v) { return U32(v); }
   Status Field(bool* v) { return Bool(v); }
-  Status Field(double* v) { return F64(v); }
   Status Field(std::string* v) { return Str(v); }
   template <typename T, std::size_t N>
   Status Field(std::array<T, N>* a) {
@@ -343,8 +341,6 @@ void EncodeDegradation(Writer& w, const DegradationReport& d) {
   w.I32(d.errors_validation);
   w.I64(d.clamped_values);
   w.Str(d.first_error);
-  w.I32(d.brownout_level);
-  w.I32(d.paths_brownout);
 }
 
 Status DecodeDegradation(Reader& r, DegradationReport* d) {
@@ -361,8 +357,6 @@ Status DecodeDegradation(Reader& r, DegradationReport* d) {
   M3_RETURN_IF_ERROR(r.I64(&clamped));
   d->clamped_values = clamped;
   M3_RETURN_IF_ERROR(r.Str(&d->first_error));
-  M3_RETURN_IF_ERROR(r.I32(&d->brownout_level));
-  M3_RETURN_IF_ERROR(r.I32(&d->paths_brownout));
   return Status::Ok();
 }
 
@@ -420,7 +414,6 @@ std::string EncodeQueryRequest(const QueryRequest& req) {
   w.I32(req.max_attempts);
   w.Bool(req.no_cache);
   w.U8(req.priority);
-  w.U8(req.brownout);
   w.U64(req.flows.size());
   for (const WireFlow& f : req.flows) {
     w.I32(f.id);
@@ -450,10 +443,6 @@ StatusOr<QueryRequest> DecodeQueryRequest(const std::string& payload) {
   M3_RETURN_IF_ERROR(r.U8(&req.priority));
   if (req.priority >= kNumPriorityClasses) {
     return Status::InvalidArgument("wire: priority class " + std::to_string(req.priority));
-  }
-  M3_RETURN_IF_ERROR(r.U8(&req.brownout));
-  if (req.brownout > 2) {
-    return Status::InvalidArgument("wire: brownout level " + std::to_string(req.brownout));
   }
   std::uint64_t n;
   M3_RETURN_IF_ERROR(r.U64(&n));

@@ -30,8 +30,7 @@
 // Deliberately *excluded* from both keys: strict, deadline_seconds,
 // max_attempts (they shape fault handling, not the fault-free answer — and
 // only full-quality kOk answers are ever cached), the no_cache flag, and
-// the overload fields (priority, brownout): they are serving policy, and
-// a browned-out answer is never kOk, so it can never poison the cache.
+// priority: it orders the scheduler's queues, never the answer.
 // The model digest term means a hot-reload implicitly invalidates every
 // cached result; stale entries age out via LRU.
 #pragma once
@@ -50,8 +49,10 @@ namespace m3::serve {
 
 /// The one wire version this build speaks. v5 dropped the stats block
 /// from QueryResponse and made every earlier optional field unconditional;
-/// v4 and older payloads (including persisted cache entries) are rejected.
-constexpr std::uint32_t kWireVersion = 5;
+/// v6 dropped QueryRequest::brownout, the DegradationReport brownout
+/// fields and the priority / sojourn / cost-budget shed reasons. v5 and
+/// older payloads (including persisted cache entries) are rejected.
+constexpr std::uint32_t kWireVersion = 6;
 
 /// Frame types (util/socket.h `type` field).
 enum class MsgType : std::uint32_t {
@@ -102,8 +103,8 @@ struct WireTopo {
   }
 };
 
-/// Request priority classes. Under overload the service sheds lower
-/// classes first; kCritical is never displaced and never browned out.
+/// Request priority classes. The service's workers take queued requests
+/// from the highest class first (FIFO within a class).
 enum class Priority : std::uint8_t {
   kBackground = 0,
   kNormal = 1,      // the default
@@ -114,19 +115,16 @@ constexpr std::uint8_t kNumPriorityClasses = 4;
 
 /// Why a query was shed instead of computed (QueryResponse). kNone on
 /// every computed answer. Shed answers always carry a non-OK status too
-/// (kResourceExhausted or kDeadlineExceeded); the reason says which rung of
-/// the overload ladder fired, so load generators and dashboards can tell a
-/// full queue from a priority eviction from an expired wait.
+/// (kResourceExhausted or kDeadlineExceeded); the reason says which check
+/// fired, so load generators and dashboards can tell a full queue from an
+/// expired wait.
 enum class ShedReason : std::uint8_t {
   kNone = 0,
-  kQueueFull = 1,     // admission: queue full, no lower-class victim
-  kPriority = 2,      // admitted, then displaced by a higher class
-  kExpired = 3,       // deadline expired while queued; reaped unexecuted
-  kSojourn = 4,       // CoDel-style: queue sojourn over threshold at admit
-  kCostBudget = 5,    // admission: in-flight cost budget exhausted
-  kRouterBudget = 6,  // router: deadline budget spent before dispatch
+  kQueueFull = 1,     // admission: queue full
+  kExpired = 2,       // deadline expired while queued; reaped unexecuted
+  kRouterBudget = 3,  // router: deadline budget spent before dispatch
 };
-constexpr std::uint8_t kNumShedReasons = 7;
+constexpr std::uint8_t kNumShedReasons = 4;
 static_assert(ShedReasonLabels::names.size() == kNumShedReasons,
               "shed_by_reason has one label per ShedReason");
 
@@ -146,11 +144,6 @@ struct QueryRequest {
   bool no_cache = false;
   // Priority class; see Priority.
   std::uint8_t priority = static_cast<std::uint8_t>(Priority::kNormal);
-  // Brownout level this query executes at: 0 full quality, 1 reduced
-  // path sample, 2 flowSim substitute. Stamped by the *service* under
-  // sustained pressure — clients send 0; a non-zero value in a client
-  // request is honored (useful for tests) but never required.
-  std::uint8_t brownout = 0;
 };
 
 /// Per-shard attribution for one answer assembled by m3d-router (empty when

@@ -347,13 +347,10 @@ bool IsRouterWay(Way w) {
          w == Way::kRouterRestart;
 }
 
-// Pin services run with brownout off: a browned-out answer is degraded on
-// purpose and would not be a pin mismatch.
 serve::ServiceOptions PinServiceOptions(const PinnedModel& pm) {
   serve::ServiceOptions so;
   so.model_config = pm.cfg;
   so.num_workers = 1;
-  so.brownout_enabled = false;
   return so;
 }
 

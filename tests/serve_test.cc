@@ -224,12 +224,10 @@ QueryResponse SampleResponse() {
   resp.degradation.paths_degraded = 1;
   resp.degradation.paths_cached = 2;
   resp.degradation.first_error = "path 0: injected";
-  resp.degradation.brownout_level = 1;
-  resp.degradation.paths_brownout = 2;
   resp.model_version = 5;
   resp.model_crc = 0xdeadbeef;
   resp.query_cache_hit = true;
-  resp.shed_reason = static_cast<std::uint8_t>(ShedReason::kSojourn);
+  resp.shed_reason = static_cast<std::uint8_t>(ShedReason::kExpired);
   for (int i = 0; i < 2; ++i) {
     ShardReportWire row;
     row.shard = "unix:/tmp/s" + std::to_string(i) + ".sock";
@@ -256,8 +254,6 @@ TEST(Wire, QueryResponseRoundTrip) {
   EXPECT_EQ(got->degradation.paths_degraded, 1);
   EXPECT_EQ(got->degradation.paths_cached, 2);
   EXPECT_EQ(got->degradation.first_error, resp.degradation.first_error);
-  EXPECT_EQ(got->degradation.brownout_level, 1);
-  EXPECT_EQ(got->degradation.paths_brownout, 2);
   EXPECT_EQ(got->model_version, 5u);
   EXPECT_EQ(got->model_crc, 0xdeadbeefu);
   EXPECT_TRUE(got->query_cache_hit);

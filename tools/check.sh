@@ -268,10 +268,10 @@ cleanup_ovl() {
 trap 'cleanup_soak; cleanup_dist; cleanup_ovl' EXIT
 
 ./build/tools/train_m3 2 10 1 "$OVL_DIR/model.ckpt" > /dev/null
-# Deliberately undersized: 2 workers, an 8-deep queue, a 0.5s sojourn shed
-# gate, and brownout on — the shape overload control is built for.
+# Deliberately undersized: 2 workers and an 8-deep queue, so the burst
+# below overflows the queue and must be shed queue_full.
 ./build/tools/m3d --socket "$OVL_SOCK" --model "$OVL_DIR/model.ckpt" \
-  --workers 2 --queue 8 --shed-sojourn 0.5 --brownout on \
+  --workers 2 --queue 8 \
   > "$OVL_DIR/m3d.log" 2>&1 &
 OVL_PID=$!
 for _ in $(seq 1 100); do
@@ -308,9 +308,7 @@ if ! awk -v p99="$ovl_p99" -v lim="$OVL_DEADLINE_MS" 'BEGIN { exit !(p99 < lim) 
   exit 1
 fi
 
-# Recovery: within 5s of the burst ending, a polite load sheds nothing and
-# serves at full quality (3s waits out the 2s default brownout hold).
-sleep 3
+# Recovery: once the burst has ended, a polite load sheds nothing.
 OVL_CALM="$(./build/tools/m3_client --socket "$OVL_SOCK" \
   --flows 2000 --paths 16 --no-cache --concurrency 1 --repeat 4 \
   --deadline 10 --retries 0 --json)"
@@ -318,9 +316,8 @@ echo "$OVL_CALM"
 calm_total="$(echo "$OVL_CALM" | sed -E 's/.*"total": ([0-9]+).*/\1/')"
 calm_answered="$(echo "$OVL_CALM" | sed -E 's/.*"answered": ([0-9]+).*/\1/')"
 calm_shed="$(echo "$OVL_CALM" | sed -E 's/.*"shed": ([0-9]+).*/\1/')"
-calm_brownout="$(echo "$OVL_CALM" | sed -E 's/.*"brownout": ([0-9]+).*/\1/')"
-if [ "$calm_shed" != 0 ] || [ "$calm_brownout" != 0 ] || [ "$calm_total" != "$calm_answered" ]; then
-  echo "overload: no recovery after burst: $calm_shed shed, $calm_brownout browned out, $calm_answered/$calm_total answered" >&2
+if [ "$calm_shed" != 0 ] || [ "$calm_total" != "$calm_answered" ]; then
+  echo "overload: no recovery after burst: $calm_shed shed, $calm_answered/$calm_total answered" >&2
   exit 1
 fi
 ./build/tools/m3_client --socket "$OVL_SOCK" --stats

@@ -83,7 +83,7 @@ constexpr const char* kUsage =
     "  --strict                 fail on the first path fault\n"
     "  --deadline SECONDS       daemon-side wall-clock budget\n"
     "  --priority CLASS         background|normal|interactive|critical or 0-3\n"
-    "                           (normal; admission sheds lower classes first)\n"
+    "                           (normal; the daemon runs higher classes first)\n"
     "  --no-cache               bypass the daemon's result caches\n"
     "\n"
     "Resilience:\n"
@@ -317,14 +317,12 @@ struct WorkerResult {
   long ok = 0;
   long degraded = 0;
   long deadline = 0;
-  // Typed sheds (response carried a ShedReason): displaced, expired, or
-  // admission-gated. Broken out so overload control is visible instead of
+  // Typed sheds (response carried a ShedReason): queue-full, expired, or
+  // router-budget. Broken out so overload control is visible instead of
   // being folded into `failed`. rejected/expired are subsets of shed.
   long shed = 0;
-  long rejected = 0;  // gate sheds: queue-full / sojourn / cost-budget
+  long rejected = 0;  // queue-full at admission
   long expired = 0;   // deadline expired while queued (never executed)
-  // Answered queries served under brownout (subset of degraded/deadline).
-  long brownout = 0;
   int failed = 0;
   std::uint64_t retries = 0;
   // Summed DegradationReport path classes over answered queries.
@@ -332,12 +330,6 @@ struct WorkerResult {
   long long paths_dropped = 0;
   Status first_failure;
 };
-
-bool IsGateShed(std::uint8_t reason) {
-  return reason == static_cast<std::uint8_t>(ShedReason::kQueueFull) ||
-         reason == static_cast<std::uint8_t>(ShedReason::kSojourn) ||
-         reason == static_cast<std::uint8_t>(ShedReason::kCostBudget);
-}
 
 }  // namespace
 
@@ -499,7 +491,9 @@ int main(int argc, char** argv) {
                         : static_cast<std::uint8_t>(ShedReason::kNone);
           if (shed_reason != static_cast<std::uint8_t>(ShedReason::kNone)) {
             ++r.shed;
-            if (IsGateShed(shed_reason)) ++r.rejected;
+            if (shed_reason == static_cast<std::uint8_t>(ShedReason::kQueueFull)) {
+              ++r.rejected;
+            }
             if (shed_reason == static_cast<std::uint8_t>(ShedReason::kExpired)) {
               ++r.expired;
             }
@@ -516,7 +510,6 @@ int main(int argc, char** argv) {
           if (code == StatusCode::kOk) ++r.ok;
           else if (code == StatusCode::kDegraded) ++r.degraded;
           else ++r.deadline;
-          if (resp->degradation.brownout_level > 0) ++r.brownout;
           r.paths_degraded += resp->degradation.paths_degraded;
           r.paths_dropped += resp->degradation.paths_dropped;
           r.latencies_ms.push_back(
@@ -530,7 +523,7 @@ int main(int argc, char** argv) {
 
     std::vector<double> lat;
     long ok = 0, degraded = 0, deadline = 0;
-    long shed = 0, rejected = 0, expired = 0, brownout = 0;
+    long shed = 0, rejected = 0, expired = 0;
     long long paths_degraded = 0, paths_dropped = 0;
     int failed = 0;
     std::uint64_t total_retries = 0;
@@ -543,7 +536,6 @@ int main(int argc, char** argv) {
       shed += r.shed;
       rejected += r.rejected;
       expired += r.expired;
-      brownout += r.brownout;
       paths_degraded += r.paths_degraded;
       paths_dropped += r.paths_dropped;
       failed += r.failed;
@@ -566,14 +558,13 @@ int main(int argc, char** argv) {
       // percentiles cover *answered* queries only — admitted goodput).
       std::printf("{\"total\": %ld, \"answered\": %zu, \"ok\": %ld, "
                   "\"degraded\": %ld, \"deadline\": %ld, \"shed\": %ld, "
-                  "\"rejected\": %ld, \"expired\": %ld, "
-                  "\"brownout\": %ld, \"failed\": %d, "
+                  "\"rejected\": %ld, \"expired\": %ld, \"failed\": %d, "
                   "\"retries\": %llu, \"paths_degraded\": %lld, "
                   "\"paths_dropped\": %lld, \"wall_s\": %.3f, "
                   "\"throughput_qps\": %.2f, \"p50_ms\": %.3f, "
                   "\"p99_ms\": %.3f, \"max_ms\": %.3f}\n",
                   total, lat.size(), ok, degraded, deadline, shed,
-                  rejected, expired, brownout, failed,
+                  rejected, expired, failed,
                   static_cast<unsigned long long>(total_retries),
                   paths_degraded, paths_dropped, wall,
                   lat.empty() ? 0.0 : static_cast<double>(lat.size()) / wall,
@@ -584,13 +575,9 @@ int main(int argc, char** argv) {
                   a.concurrency, a.repeat, total, ok, degraded, deadline, shed,
                   failed);
       if (shed > 0) {
-        std::printf("shed: %ld admission-rejected (queue/sojourn/cost), "
-                    "%ld expired in queue, %ld displaced/router\n",
+        std::printf("shed: %ld rejected (queue full), %ld expired in queue, "
+                    "%ld router budget\n",
                     rejected, expired, shed - rejected - expired);
-      }
-      if (brownout > 0) {
-        std::printf("brownout: %ld answered queries served at reduced quality\n",
-                    brownout);
       }
       std::printf("wall: %.2fs  throughput: %.1f q/s\n", wall,
                   lat.empty() ? 0.0 : static_cast<double>(lat.size()) / wall);
@@ -622,9 +609,8 @@ int main(int argc, char** argv) {
   }
   const QueryResponse& est = *got;
   if (est.shed_reason != static_cast<std::uint8_t>(ShedReason::kNone)) {
-    static const char* kShedNames[kNumShedReasons] = {
-        "none",    "queue-full", "priority-displaced", "expired-in-queue",
-        "sojourn", "cost-budget", "router-budget"};
+    static const char* kShedNames[kNumShedReasons] = {"none", "queue-full",
+                                                      "expired-in-queue", "router-budget"};
     std::fprintf(stderr, "m3_client: shed by overload control (%s): %s\n",
                  kShedNames[est.shed_reason % kNumShedReasons],
                  est.status.ToString().c_str());

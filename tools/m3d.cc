@@ -41,12 +41,6 @@ constexpr const char* kUsage =
     "  --threads-per-query N   pool threads per query, >= 0 (1; 0 = full pool)\n"
     "  --watchdog SECS     watchdog for deadline-less queries, > 0 (120)\n"
     "  --grace SECS        kill grace past a query deadline, > 0   (2)\n"
-    "  --cost-budget C     in-flight admission cost budget, > 0\n"
-    "                      (0 = default: (queue + workers) * 128)\n"
-    "  --shed-sojourn SECS shed non-critical arrivals once queued work has\n"
-    "                      waited this long (CoDel-style; 0 = off)\n"
-    "  --brownout MODE     on|off: reduce quality (fewer paths, then\n"
-    "                      flowSim) under sustained pressure (on)\n"
     "  --cache-dir PATH    durable cache directory: the query cache is spilled\n"
     "                      here and recovered warm on restart (off). Created\n"
     "                      if missing; locked against sharing by a second\n"
@@ -57,6 +51,11 @@ constexpr const char* kUsage =
     "With --workers N > 0 queries execute in forked worker subprocesses: a\n"
     "crash or hang takes down one worker (respawned with backoff), never the\n"
     "daemon. --workers 0 executes queries in-process.\n"
+    "\n"
+    "Overload: a full queue rejects new queries of every priority class\n"
+    "(shed reason queue_full); workers take the highest class first; a\n"
+    "queued query whose deadline expires is answered unexecuted (expired),\n"
+    "and a query's deadline counts its queue wait.\n"
     "\n"
     "Hot reload: m3_client --reload <checkpoint> swaps the model without\n"
     "dropping in-flight queries; a corrupt checkpoint keeps the old model.\n";
@@ -132,21 +131,6 @@ int main(int argc, char** argv) {
     else if (key == "--threads-per-query") opts.threads_per_query = static_cast<unsigned>(ParseInt(key, v, 0, 1024));
     else if (key == "--watchdog") opts.supervisor.default_watchdog_seconds = ParseSeconds(key, v);
     else if (key == "--grace") opts.supervisor.grace_seconds = ParseSeconds(key, v);
-    else if (key == "--cost-budget") {
-      char* end = nullptr;
-      errno = 0;
-      const double b = std::strtod(v, &end);
-      if (end == v || *end != '\0' || errno == ERANGE || b < 0) {
-        UsageError("invalid --cost-budget '" + std::string(v) + "' (expected >= 0)");
-      }
-      opts.cost_budget = b;
-    } else if (key == "--shed-sojourn") {
-      opts.shed_sojourn_seconds = std::strcmp(v, "0") == 0 ? 0.0 : ParseSeconds(key, v);
-    } else if (key == "--brownout") {
-      if (std::strcmp(v, "on") == 0) opts.brownout_enabled = true;
-      else if (std::strcmp(v, "off") == 0) opts.brownout_enabled = false;
-      else UsageError("invalid --brownout '" + std::string(v) + "' (expected on|off)");
-    }
     else if (key == "--cache-dir") opts.cache_dir = v;
     else if (key == "--cache-flush-interval") opts.cache_flush_interval_seconds = ParseSeconds(key, v);
     else UsageError("unknown flag '" + key + "'");
