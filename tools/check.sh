@@ -41,8 +41,10 @@ cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
 echo "== ASan: checkpoint/trainer robustness + path pipeline + wire decoder suites =="
-# The client-protocol decoders (Wire, OverloadWire) run here because they
-# parse hostile bytes off a socket and out of persisted cache segments.
+# The wire decoders (Wire, OverloadWire, ShardWire) run here because they
+# parse hostile bytes off a socket and out of persisted cache segments;
+# CacheKey because the query key fills its flow chunks through the same
+# field lists.
 # The path-pipeline suites (decomposition, sampling, scenario wiring,
 # reused scenario workspaces, the parking-lot endpoint table, the hasher
 # behind the one-pass path key, flowSim, golden pins, hostile flow ids, the
@@ -61,7 +63,7 @@ echo "== ASan: checkpoint/trainer robustness + path pipeline + wire decoder suit
 cmake -B build-asan -S . -DM3_SANITIZE=address "$@"
 cmake --build build-asan -j"$JOBS" --target m3_tests
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|PercentileWriter|FeatureWriter|GoldenPipeline|FlowIds|GoldenModel|ModelInfer|SocketServer|ModelRegistry|Wire\.|OverloadWire|FatTree|Aggregate'
+  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|PercentileWriter|FeatureWriter|GoldenPipeline|FlowIds|GoldenModel|ModelInfer|SocketServer|ModelRegistry|Wire\.|OverloadWire|ShardWire|CacheKey|FatTree|Aggregate'
 
 echo "== kernels: SIMD parity suites under ASan+UBSan for every M3_KERNEL =="
 # Every dispatchable tier (including forced-but-unavailable values, which
