@@ -8,8 +8,18 @@
 // INVALID_ARGUMENT naming both, so a mismatched peer (or a cache entry
 // persisted by another build) fails cleanly instead of mis-parsing. There
 // is no version echo and no length-gated optional tail; every field is
-// always present. Decoding is fully bounds-checked: a truncated or hostile
-// payload yields kDataLoss / kInvalidArgument, never an overread.
+// always present.
+//
+// Each struct's fields are listed once, in wire order (`Fields` in
+// wire.cc); the encoder, the decoder and the query key all walk that list.
+// The decoder's reader keeps its first failure and turns every later read
+// into a no-op, so a field list reads straight through. Every read is
+// bounds-checked (a truncated payload is kDataLoss, never an overread).
+// Values are checked in two places only: an enum at or past its limit is
+// kInvalidArgument, and a length prefix over its cap is kInvalidArgument
+// or longer than the rest of the payload can hold is kDataLoss, before
+// anything is sized from it. An accepted payload re-encodes to the same
+// bytes.
 //
 // Answers carry no stats: serving counters travel only in the
 // kStatsRequest / kStatsResponse pair (schema in serve/metrics.h).
@@ -282,7 +292,7 @@ Hash128 QueryCacheKey(const QueryRequest& req, const Hash128& model_digest);
 /// every sampled path's key) and a stage the benchmark times. The key
 /// hashes, little-endian, in order:
 ///   Str(schema tag) · U64 digest.hi · U64 digest.lo · U8 use_context ·
-///   NetConfig (HashNetConfig order) · I32 num_links ·
+///   NetConfig (in wire order) · I32 num_links ·
 ///   U64 lot link count, then per lot link in id order
 ///     I32 src · I32 dst · F64 rate · I64 delay                  (24 B) ·
 ///   U64 flow count, then per flow in scenario order
