@@ -1,5 +1,5 @@
 // ML compute-backend microbenchmark: GEMM GFLOP/s for every available
-// kernel implementation (naive seed loops, tiled, AVX2, AVX-512) on the
+// kernel implementation (naive seed loops, AVX2, AVX-512) on the
 // model's hot shapes, the default model's forward pass over 100 paths
 // (training graph per path vs graph-free per path vs one stacked
 // M3Model::Infer), and end-to-end TrainModel samples/sec for
@@ -17,8 +17,8 @@
 // BENCH_ml_speed.json so the perf trajectory is tracked across PRs.
 //
 //   ./micro_ml_speed [trainer_samples] [trainer_epochs]
-//   ./micro_ml_speed N E naive|tiled|avx2|avx512   (profiling mode: one
-//                                                   serial trainer run)
+//   ./micro_ml_speed N E naive|avx2|avx512   (profiling mode: one serial
+//                                             trainer run)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -48,8 +48,7 @@ double SecondsSince(Clock::time_point t0) {
 
 std::vector<KernelImpl> AvailableImpls() {
   std::vector<KernelImpl> impls;
-  for (KernelImpl impl : {KernelImpl::kNaive, KernelImpl::kTiled, KernelImpl::kAvx2,
-                          KernelImpl::kAvx512}) {
+  for (KernelImpl impl : {KernelImpl::kNaive, KernelImpl::kAvx2, KernelImpl::kAvx512}) {
     if (ml::kernels::KernelImplAvailable(impl)) impls.push_back(impl);
   }
   return impls;
@@ -240,7 +239,7 @@ int main(int argc, char** argv) {
   if (argc > 3) {
     m3::ml::kernels::KernelImpl impl;
     if (!m3::ml::kernels::ParseKernelImpl(argv[3], &impl)) {
-      std::fprintf(stderr, "unknown impl %s (want naive|tiled|avx2|avx512)\n", argv[3]);
+      std::fprintf(stderr, "unknown impl %s (want naive|avx2|avx512)\n", argv[3]);
       return 1;
     }
     const double sec = m3::BenchTrainerOnly(trainer_samples, trainer_epochs, impl);
@@ -267,9 +266,7 @@ int main(int argc, char** argv) {
   std::vector<m3::TrainerRow> rows;
   rows.push_back(m3::BenchTrainerRow("seed_serial", cfg, samples, trainer_epochs,
                                      KernelImpl::kNaive, 1, kRepeats));
-  rows.push_back(m3::BenchTrainerRow("tiled_serial", cfg, samples, trainer_epochs,
-                                     KernelImpl::kTiled, 1, kRepeats));
-  if (active != KernelImpl::kTiled && active != KernelImpl::kNaive) {
+  if (active != KernelImpl::kNaive) {
     std::string label = std::string(m3::ml::kernels::KernelImplName(active)) + "_serial";
     rows.push_back(m3::BenchTrainerRow(label.c_str(), cfg, samples, trainer_epochs, active,
                                        1, kRepeats));

@@ -1,27 +1,16 @@
-// Dispatch layer + tiled kernel implementations. This translation unit is
-// compiled with aggressive optimization flags (see src/CMakeLists.txt,
-// M3_KERNEL_NATIVE), so the loops below are written to autovectorize:
-// contiguous unit-stride inner loops, restrict-qualified pointers, and
-// register-resident accumulator tiles with compile-time extents. The
-// hand-vectorized AVX2/AVX-512 tiers live in kernels_avx2.cc /
-// kernels_avx512.cc behind the same dispatch.
+// Dispatch layer: resolves the active tier once and forwards every kernel
+// to that tier's table (ml/kernels_impl.h). This translation unit holds no
+// kernel code and is built with the project's portable flags; each tier's
+// kernels live in their own unit, compiled with that tier's ISA flags.
 #include "ml/kernels.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "ml/kernels_impl.h"
 #include "util/cpu_features.h"
-
-#if defined(__GNUC__)
-#define M3_RESTRICT __restrict__
-#else
-#define M3_RESTRICT
-#endif
 
 namespace m3::ml::kernels {
 
@@ -35,31 +24,34 @@ namespace {
 // threads installs the same value.
 std::atomic<int> g_impl{-1};
 
+// The tier's kernels, or null when the tier was not compiled in or the
+// CPU lacks its ISA.
+const KernelTable* TierKernels(KernelImpl impl) {
+  switch (impl) {
+    case KernelImpl::kNaive: return naive::kKernels;
+    case KernelImpl::kAvx2: return CpuSupportsAvx2Fma() ? avx2::kKernels : nullptr;
+    case KernelImpl::kAvx512: return CpuSupportsAvx512() ? avx512::kKernels : nullptr;
+  }
+  return nullptr;
+}
+
 KernelImpl BestAvailableImpl() {
   if (KernelImplAvailable(KernelImpl::kAvx512)) return KernelImpl::kAvx512;
   if (KernelImplAvailable(KernelImpl::kAvx2)) return KernelImpl::kAvx2;
-  return KernelImpl::kTiled;
+  return KernelImpl::kNaive;
 }
+
+// The active tier's kernels; GetKernelImpl only ever yields an available
+// tier, so this is never null.
+const KernelTable& Active() { return *TierKernels(GetKernelImpl()); }
 
 }  // namespace
 
-bool KernelImplAvailable(KernelImpl impl) {
-  switch (impl) {
-    case KernelImpl::kNaive:
-    case KernelImpl::kTiled:
-      return true;
-    case KernelImpl::kAvx2:
-      return avx2::Compiled() && CpuSupportsAvx2Fma();
-    case KernelImpl::kAvx512:
-      return avx512::Compiled() && CpuSupportsAvx512();
-  }
-  return false;
-}
+bool KernelImplAvailable(KernelImpl impl) { return TierKernels(impl) != nullptr; }
 
 const char* KernelImplName(KernelImpl impl) {
   switch (impl) {
     case KernelImpl::kNaive: return "naive";
-    case KernelImpl::kTiled: return "tiled";
     case KernelImpl::kAvx2: return "avx2";
     case KernelImpl::kAvx512: return "avx512";
   }
@@ -68,8 +60,7 @@ const char* KernelImplName(KernelImpl impl) {
 
 bool ParseKernelImpl(const char* name, KernelImpl* out) {
   if (name == nullptr || out == nullptr) return false;
-  for (KernelImpl impl : {KernelImpl::kNaive, KernelImpl::kTiled, KernelImpl::kAvx2,
-                          KernelImpl::kAvx512}) {
+  for (KernelImpl impl : {KernelImpl::kNaive, KernelImpl::kAvx2, KernelImpl::kAvx512}) {
     if (std::strcmp(name, KernelImplName(impl)) == 0) {
       *out = impl;
       return true;
@@ -85,7 +76,7 @@ KernelImpl ResolveKernelImpl(const char* env_value) {
     static std::atomic<bool> warned{false};
     if (!warned.exchange(true)) {
       std::fprintf(stderr,
-                   "m3: unrecognized M3_KERNEL=\"%s\" (want naive|tiled|avx2|avx512); "
+                   "m3: unrecognized M3_KERNEL=\"%s\" (want naive|avx2|avx512); "
                    "using %s\n",
                    env_value, KernelImplName(BestAvailableImpl()));
     }
@@ -115,424 +106,86 @@ KernelImpl SetKernelImpl(KernelImpl impl) {
 }
 
 // ----------------------------------------------------------------------
-// Tiled GEMM family
-// ----------------------------------------------------------------------
-namespace tiled {
-namespace {
-
-// Micro-tile extents. kMr rows of C are updated at once so each loaded
-// B-row segment is reused kMr times; kNc columns of C live in a local
-// accumulator that stays in L1/registers across the whole k loop instead
-// of being streamed through memory once per k step.
-constexpr int kMr = 4;
-constexpr int kNc = 64;
-
-// C[i0..i0+ib, j0..j0+jb) += A[i0.., :] * B[:, j0..) with the C tile held
-// in `acc` (fixed stride kNc so the compiler sees constant offsets).
-inline void MicroKernel(const float* M3_RESTRICT a, const float* M3_RESTRICT b,
-                        float* M3_RESTRICT c, int m, int k, int n, int i0, int ib,
-                        int j0, int jb) {
-  float acc[kMr * kNc];
-  for (int r = 0; r < ib; ++r) {
-    std::memcpy(acc + r * kNc, c + static_cast<std::size_t>(i0 + r) * n + j0,
-                static_cast<std::size_t>(jb) * sizeof(float));
-  }
-  if (ib == kMr) {
-    // Full-height tile: fixed row count lets the compiler keep all four
-    // broadcast scalars live and fuse the four AXPYs into one pass over b.
-    for (int p = 0; p < k; ++p) {
-      const float* M3_RESTRICT bp = b + static_cast<std::size_t>(p) * n + j0;
-      const float a0 = a[static_cast<std::size_t>(i0 + 0) * k + p];
-      const float a1 = a[static_cast<std::size_t>(i0 + 1) * k + p];
-      const float a2 = a[static_cast<std::size_t>(i0 + 2) * k + p];
-      const float a3 = a[static_cast<std::size_t>(i0 + 3) * k + p];
-      for (int j = 0; j < jb; ++j) {
-        const float bv = bp[j];
-        acc[0 * kNc + j] += a0 * bv;
-        acc[1 * kNc + j] += a1 * bv;
-        acc[2 * kNc + j] += a2 * bv;
-        acc[3 * kNc + j] += a3 * bv;
-      }
-    }
-  } else {
-    for (int p = 0; p < k; ++p) {
-      const float* M3_RESTRICT bp = b + static_cast<std::size_t>(p) * n + j0;
-      for (int r = 0; r < ib; ++r) {
-        const float av = a[static_cast<std::size_t>(i0 + r) * k + p];
-        float* M3_RESTRICT accr = acc + r * kNc;
-        for (int j = 0; j < jb; ++j) accr[j] += av * bp[j];
-      }
-    }
-  }
-  for (int r = 0; r < ib; ++r) {
-    std::memcpy(c + static_cast<std::size_t>(i0 + r) * n + j0, acc + r * kNc,
-                static_cast<std::size_t>(jb) * sizeof(float));
-  }
-  (void)m;
-}
-
-}  // namespace
-
-void GemmAccum(const float* M3_RESTRICT a, const float* M3_RESTRICT b,
-               float* M3_RESTRICT c, int m, int k, int n) {
-  for (int j0 = 0; j0 < n; j0 += kNc) {
-    const int jb = std::min(kNc, n - j0);
-    for (int i0 = 0; i0 < m; i0 += kMr) {
-      const int ib = std::min(kMr, m - i0);
-      MicroKernel(a, b, c, m, k, n, i0, ib, j0, jb);
-    }
-  }
-}
-
-// dA[i,p] = dot(dC[i,:], B[p,:]) — both operands walked with unit stride
-// (the seed's loop nest walked B column-wise with stride n). Four B rows
-// are processed per pass so each loaded dC segment is reused, and eight
-// independent accumulators per dot product keep the reduction vectorizable
-// without reassociating a single serial sum.
-void GemmAccumNT(const float* M3_RESTRICT dc, const float* M3_RESTRICT b,
-                 float* M3_RESTRICT da, int m, int n, int k) {
-  constexpr int kPr = 4;   // B rows (= dA columns) per pass
-  constexpr int kLanes = 8;
-  for (int i = 0; i < m; ++i) {
-    const float* M3_RESTRICT gi = dc + static_cast<std::size_t>(i) * n;
-    float* M3_RESTRICT dai = da + static_cast<std::size_t>(i) * k;
-    int p0 = 0;
-    for (; p0 + kPr <= k; p0 += kPr) {
-      float lanes[kPr][kLanes] = {};
-      int j = 0;
-      for (; j + kLanes <= n; j += kLanes) {
-        for (int r = 0; r < kPr; ++r) {
-          const float* M3_RESTRICT bp = b + static_cast<std::size_t>(p0 + r) * n + j;
-          const float* M3_RESTRICT gj = gi + j;
-          for (int l = 0; l < kLanes; ++l) lanes[r][l] += gj[l] * bp[l];
-        }
-      }
-      for (; j < n; ++j) {
-        for (int r = 0; r < kPr; ++r) {
-          lanes[r][0] += gi[j] * b[static_cast<std::size_t>(p0 + r) * n + j];
-        }
-      }
-      for (int r = 0; r < kPr; ++r) {
-        float s = 0.0f;
-        for (int l = 0; l < kLanes; ++l) s += lanes[r][l];
-        dai[p0 + r] += s;
-      }
-    }
-    for (; p0 < k; ++p0) {
-      const float* M3_RESTRICT bp = b + static_cast<std::size_t>(p0) * n;
-      float lanes[kLanes] = {};
-      int j = 0;
-      for (; j + kLanes <= n; j += kLanes) {
-        for (int l = 0; l < kLanes; ++l) lanes[l] += gi[j + l] * bp[j + l];
-      }
-      for (; j < n; ++j) lanes[0] += gi[j] * bp[j];
-      float s = 0.0f;
-      for (int l = 0; l < kLanes; ++l) s += lanes[l];
-      dai[p0] += s;
-    }
-  }
-}
-
-// dB[p,:] += sum_i A[i,p] * dC[i,:] — same register-tile shape as the
-// forward kernel with the roles of A and C swapped: a kMr-column strip of
-// A drives rank-1 updates into a dB tile held in local accumulators.
-void GemmAccumTN(const float* M3_RESTRICT a, const float* M3_RESTRICT dc,
-                 float* M3_RESTRICT db, int m, int k, int n) {
-  if (m <= 16) {
-    // Short-m fast path (the common case here: m is a sequence length or
-    // 1). dB is the large streamed operand; each of its rows is read and
-    // written exactly once while all m dC rows stay in L1, and the tile
-    // buffer round-trip above would only add copy traffic.
-    for (int p = 0; p < k; ++p) {
-      float* M3_RESTRICT dbrow = db + static_cast<std::size_t>(p) * n;
-      for (int i = 0; i < m; ++i) {
-        const float av = a[static_cast<std::size_t>(i) * k + p];
-        const float* M3_RESTRICT gi = dc + static_cast<std::size_t>(i) * n;
-        for (int j = 0; j < n; ++j) dbrow[j] += av * gi[j];
-      }
-    }
-    return;
-  }
-  for (int j0 = 0; j0 < n; j0 += kNc) {
-    const int jb = std::min(kNc, n - j0);
-    for (int p0 = 0; p0 < k; p0 += kMr) {
-      const int pb = std::min(kMr, k - p0);
-      float acc[kMr * kNc];
-      for (int r = 0; r < pb; ++r) {
-        std::memcpy(acc + r * kNc, db + static_cast<std::size_t>(p0 + r) * n + j0,
-                    static_cast<std::size_t>(jb) * sizeof(float));
-      }
-      if (pb == kMr) {
-        for (int i = 0; i < m; ++i) {
-          const float* M3_RESTRICT gi = dc + static_cast<std::size_t>(i) * n + j0;
-          const float* ap = a + static_cast<std::size_t>(i) * k + p0;
-          const float a0 = ap[0], a1 = ap[1], a2 = ap[2], a3 = ap[3];
-          for (int j = 0; j < jb; ++j) {
-            const float gv = gi[j];
-            acc[0 * kNc + j] += a0 * gv;
-            acc[1 * kNc + j] += a1 * gv;
-            acc[2 * kNc + j] += a2 * gv;
-            acc[3 * kNc + j] += a3 * gv;
-          }
-        }
-      } else {
-        for (int i = 0; i < m; ++i) {
-          const float* M3_RESTRICT gi = dc + static_cast<std::size_t>(i) * n + j0;
-          const float* ap = a + static_cast<std::size_t>(i) * k + p0;
-          for (int r = 0; r < pb; ++r) {
-            const float av = ap[r];
-            float* M3_RESTRICT accr = acc + r * kNc;
-            for (int j = 0; j < jb; ++j) accr[j] += av * gi[j];
-          }
-        }
-      }
-      for (int r = 0; r < pb; ++r) {
-        std::memcpy(db + static_cast<std::size_t>(p0 + r) * n + j0, acc + r * kNc,
-                    static_cast<std::size_t>(jb) * sizeof(float));
-      }
-    }
-  }
-}
-
-}  // namespace tiled
-
-// ----------------------------------------------------------------------
-// Scalar elementwise reference loops (autovectorized under the tiled TU's
-// flags; the hand-vectorized versions live in the AVX TUs).
-// ----------------------------------------------------------------------
-namespace scalar {
-
-void BiasAddRows(float* out, const float* x, const float* bias, int rows, int cols) {
-  for (int r = 0; r < rows; ++r) {
-    float* M3_RESTRICT orow = out + static_cast<std::size_t>(r) * cols;
-    const float* M3_RESTRICT xrow = x + static_cast<std::size_t>(r) * cols;
-    for (int j = 0; j < cols; ++j) orow[j] = xrow[j] + bias[j];
-  }
-}
-
-void ColSumAccum(float* bg, const float* go, int rows, int cols) {
-  for (int r = 0; r < rows; ++r) {
-    const float* M3_RESTRICT grow = go + static_cast<std::size_t>(r) * cols;
-    for (int j = 0; j < cols; ++j) bg[j] += grow[j];
-  }
-}
-
-void AxpyAccum(float* y, const float* x, float alpha, std::size_t size) {
-  float* M3_RESTRICT yp = y;
-  const float* M3_RESTRICT xp = x;
-  for (std::size_t i = 0; i < size; ++i) yp[i] += alpha * xp[i];
-}
-
-void AddAndZero(float* dst, float* src, std::size_t size) {
-  float* M3_RESTRICT d = dst;
-  float* M3_RESTRICT s = src;
-  for (std::size_t i = 0; i < size; ++i) {
-    d[i] += s[i];
-    s[i] = 0.0f;
-  }
-}
-
-void ReduceScaleAndZero(float* dst, float* const* srcs, std::size_t nsrcs, std::size_t size,
-                        float alpha) {
-  for (std::size_t i = 0; i < size; ++i) {
-    float acc = 0.0f;
-    for (std::size_t s = 0; s < nsrcs; ++s) {
-      acc += srcs[s][i];
-      srcs[s][i] = 0.0f;
-    }
-    dst[i] = acc * alpha;
-  }
-}
-
-}  // namespace scalar
-
-// ----------------------------------------------------------------------
 // Dispatching wrappers
 // ----------------------------------------------------------------------
 
 void GemmAccum(const float* a, const float* b, float* c, int m, int k, int n) {
-  switch (GetKernelImpl()) {
-    case KernelImpl::kNaive: GemmAccumNaive(a, b, c, m, k, n); return;
-    case KernelImpl::kTiled: tiled::GemmAccum(a, b, c, m, k, n); return;
-    case KernelImpl::kAvx2: avx2::GemmAccum(a, b, c, m, k, n); return;
-    case KernelImpl::kAvx512: avx512::GemmAccum(a, b, c, m, k, n); return;
-  }
+  Active().GemmAccum(a, b, c, m, k, n);
 }
 
 void GemmAccumNT(const float* dc, const float* b, float* da, int m, int n, int k) {
-  switch (GetKernelImpl()) {
-    case KernelImpl::kNaive: GemmAccumNTNaive(dc, b, da, m, n, k); return;
-    case KernelImpl::kTiled: tiled::GemmAccumNT(dc, b, da, m, n, k); return;
-    case KernelImpl::kAvx2: avx2::GemmAccumNT(dc, b, da, m, n, k); return;
-    case KernelImpl::kAvx512: avx512::GemmAccumNT(dc, b, da, m, n, k); return;
-  }
+  Active().GemmAccumNT(dc, b, da, m, n, k);
 }
 
 void GemmAccumTN(const float* a, const float* dc, float* db, int m, int k, int n) {
-  switch (GetKernelImpl()) {
-    case KernelImpl::kNaive: GemmAccumTNNaive(a, dc, db, m, k, n); return;
-    case KernelImpl::kTiled: tiled::GemmAccumTN(a, dc, db, m, k, n); return;
-    case KernelImpl::kAvx2: avx2::GemmAccumTN(a, dc, db, m, k, n); return;
-    case KernelImpl::kAvx512: avx512::GemmAccumTN(a, dc, db, m, k, n); return;
-  }
+  Active().GemmAccumTN(a, dc, db, m, k, n);
 }
 
 void BiasAddRows(float* out, const float* x, const float* bias, int rows, int cols) {
-  switch (GetKernelImpl()) {
-    case KernelImpl::kAvx2: avx2::BiasAddRows(out, x, bias, rows, cols); return;
-    case KernelImpl::kAvx512: avx512::BiasAddRows(out, x, bias, rows, cols); return;
-    default: scalar::BiasAddRows(out, x, bias, rows, cols); return;
-  }
+  Active().BiasAddRows(out, x, bias, rows, cols);
+}
+
+void FillRowsWithBias(float* out, const float* bias, int rows, int cols) {
+  Active().FillRowsWithBias(out, bias, rows, cols);
 }
 
 void ColSumAccum(float* bg, const float* go, int rows, int cols) {
-  switch (GetKernelImpl()) {
-    case KernelImpl::kAvx2: avx2::ColSumAccum(bg, go, rows, cols); return;
-    case KernelImpl::kAvx512: avx512::ColSumAccum(bg, go, rows, cols); return;
-    default: scalar::ColSumAccum(bg, go, rows, cols); return;
-  }
+  Active().ColSumAccum(bg, go, rows, cols);
 }
 
 void AxpyAccum(float* y, const float* x, float alpha, std::size_t size) {
-  switch (GetKernelImpl()) {
-    case KernelImpl::kAvx2: avx2::AxpyAccum(y, x, alpha, size); return;
-    case KernelImpl::kAvx512: avx512::AxpyAccum(y, x, alpha, size); return;
-    default: scalar::AxpyAccum(y, x, alpha, size); return;
-  }
+  Active().AxpyAccum(y, x, alpha, size);
 }
 
 void AddAndZero(float* dst, float* src, std::size_t size) {
-  switch (GetKernelImpl()) {
-    case KernelImpl::kAvx2: avx2::AddAndZero(dst, src, size); return;
-    case KernelImpl::kAvx512: avx512::AddAndZero(dst, src, size); return;
-    default: scalar::AddAndZero(dst, src, size); return;
-  }
+  Active().AddAndZero(dst, src, size);
 }
 
 void ReduceScaleAndZero(float* dst, float* const* srcs, std::size_t nsrcs, std::size_t size,
                         float alpha) {
-  switch (GetKernelImpl()) {
-    case KernelImpl::kAvx2: avx2::ReduceScaleAndZero(dst, srcs, nsrcs, size, alpha); return;
-    case KernelImpl::kAvx512: avx512::ReduceScaleAndZero(dst, srcs, nsrcs, size, alpha); return;
-    default: scalar::ReduceScaleAndZero(dst, srcs, nsrcs, size, alpha); return;
-  }
-}
-
-// ----------------------------------------------------------------------
-// Shared kernels (single implementation; autovectorized here)
-// ----------------------------------------------------------------------
-namespace {
-
-inline float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
-}  // namespace
-
-void FillRowsWithBias(float* out, const float* bias, int rows, int cols) {
-  for (int r = 0; r < rows; ++r) {
-    std::memcpy(out + static_cast<std::size_t>(r) * cols, bias,
-                static_cast<std::size_t>(cols) * sizeof(float));
-  }
+  Active().ReduceScaleAndZero(dst, srcs, nsrcs, size, alpha);
 }
 
 void ScaleInPlace(float* x, float alpha, std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) x[i] *= alpha;
+  Active().ScaleInPlace(x, alpha, size);
 }
 
-double SumSquares(const float* x, std::size_t size) {
-  if (GetKernelImpl() == KernelImpl::kNaive) return SumSquaresNaive(x, size);
-  // Eight independent double accumulators so the reduction vectorizes
-  // without changing the (documented, deterministic) summation order from
-  // run to run.
-  constexpr std::size_t kLanes = 8;
-  double lanes[kLanes] = {};
-  std::size_t i = 0;
-  for (; i + kLanes <= size; i += kLanes) {
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const double g = static_cast<double>(x[i + l]);
-      lanes[l] += g * g;
-    }
-  }
-  for (; i < size; ++i) {
-    const double g = static_cast<double>(x[i]);
-    lanes[0] += g * g;
-  }
-  double total = 0.0;
-  for (std::size_t l = 0; l < kLanes; ++l) total += lanes[l];
-  return total;
-}
+double SumSquares(const float* x, std::size_t size) { return Active().SumSquares(x, size); }
 
 void AdamStep(float* value, float* grad, float* m, float* v, std::size_t size,
               float lr, float beta1, float beta2, float eps, float bc1, float bc2,
               float gscale) {
-  float* M3_RESTRICT val = value;
-  float* M3_RESTRICT g = grad;
-  float* M3_RESTRICT mp = m;
-  float* M3_RESTRICT vp = v;
-  const float om1 = 1.0f - beta1;
-  const float om2 = 1.0f - beta2;
-  for (std::size_t i = 0; i < size; ++i) {
-    const float gi = g[i] * gscale;
-    g[i] = 0.0f;
-    const float mi = beta1 * mp[i] + om1 * gi;
-    const float vi = beta2 * vp[i] + om2 * gi * gi;
-    mp[i] = mi;
-    vp[i] = vi;
-    val[i] -= lr * (mi / bc1) / (std::sqrt(vi / bc2) + eps);
-  }
+  Active().AdamStep(value, grad, m, v, size, lr, beta1, beta2, eps, bc1, bc2, gscale);
 }
 
 void ReluForward(float* dst, const float* src, std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
+  Active().ReluForward(dst, src, size);
 }
 
 void ReluBackwardAccum(float* ga, const float* go, const float* x, std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) {
-    if (x[i] > 0.0f) ga[i] += go[i];
-  }
+  Active().ReluBackwardAccum(ga, go, x, size);
 }
 
 void ReluBackwardInto(float* dst, const float* go, const float* x, std::size_t size) {
-  float* M3_RESTRICT d = dst;
-  for (std::size_t i = 0; i < size; ++i) d[i] = x[i] > 0.0f ? go[i] : 0.0f;
+  Active().ReluBackwardInto(dst, go, x, size);
 }
 
 void GeluForward(float* dst, const float* src, std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) dst[i] = src[i] * Sigmoid(1.702f * src[i]);
+  Active().GeluForward(dst, src, size);
 }
 
 void GeluBackwardAccum(float* ga, const float* go, const float* x, std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) {
-    const float s = Sigmoid(1.702f * x[i]);
-    ga[i] += go[i] * (s + x[i] * 1.702f * s * (1.0f - s));
-  }
+  Active().GeluBackwardAccum(ga, go, x, size);
 }
 
 void GeluBackwardInto(float* dst, const float* go, const float* x, std::size_t size) {
-  float* M3_RESTRICT d = dst;
-  for (std::size_t i = 0; i < size; ++i) {
-    const float s = Sigmoid(1.702f * x[i]);
-    d[i] = go[i] * (s + x[i] * 1.702f * s * (1.0f - s));
-  }
+  Active().GeluBackwardInto(dst, go, x, size);
 }
 
 void SoftmaxRows(float* data, int rows, int cols) { SoftmaxScaledRows(data, rows, cols, 1.0f); }
 
 void SoftmaxScaledRows(float* data, int rows, int cols, float scale) {
-  for (int r = 0; r < rows; ++r) {
-    float* M3_RESTRICT row = data + static_cast<std::size_t>(r) * cols;
-    float mx = row[0];
-    for (int j = 1; j < cols; ++j) mx = std::max(mx, row[j]);
-    // softmax(scale*x) == exp(scale*(x - max)) / sum: folding the scale
-    // into the exponent keeps one pass and is max-shifted for stability
-    // (scale is positive here: 1/sqrt(d_head) or 1).
-    float sum = 0.0f;
-    for (int j = 0; j < cols; ++j) {
-      row[j] = std::exp(scale * (row[j] - mx));
-      sum += row[j];
-    }
-    const float inv = 1.0f / sum;
-    for (int j = 0; j < cols; ++j) row[j] *= inv;
-  }
+  Active().SoftmaxScaledRows(data, rows, cols, scale);
 }
 
 void SoftmaxBackwardAccum(float* ga, const float* go, const float* y, int rows, int cols) {
@@ -541,44 +194,17 @@ void SoftmaxBackwardAccum(float* ga, const float* go, const float* y, int rows, 
 
 void SoftmaxScaledBackwardAccum(float* ga, const float* go, const float* y, int rows,
                                 int cols, float scale) {
-  for (int r = 0; r < rows; ++r) {
-    const float* M3_RESTRICT yrow = y + static_cast<std::size_t>(r) * cols;
-    const float* M3_RESTRICT grow = go + static_cast<std::size_t>(r) * cols;
-    float* M3_RESTRICT garow = ga + static_cast<std::size_t>(r) * cols;
-    float dot = 0.0f;
-    for (int j = 0; j < cols; ++j) dot += grow[j] * yrow[j];
-    for (int j = 0; j < cols; ++j) garow[j] += scale * yrow[j] * (grow[j] - dot);
-  }
+  Active().SoftmaxScaledBackwardAccum(ga, go, y, rows, cols, scale);
 }
 
 void RmsNormForward(float* out, float* inv_r, const float* x, const float* gain,
                     int rows, int cols, float eps) {
-  for (int r = 0; r < rows; ++r) {
-    const float* M3_RESTRICT xrow = x + static_cast<std::size_t>(r) * cols;
-    float* M3_RESTRICT orow = out + static_cast<std::size_t>(r) * cols;
-    float ss = 0.0f;
-    for (int j = 0; j < cols; ++j) ss += xrow[j] * xrow[j];
-    const float ir = 1.0f / std::sqrt(ss / static_cast<float>(cols) + eps);
-    inv_r[r] = ir;
-    for (int j = 0; j < cols; ++j) orow[j] = gain[j] * xrow[j] * ir;
-  }
+  Active().RmsNormForward(out, inv_r, x, gain, rows, cols, eps);
 }
 
 void RmsNormBackwardAccum(float* gx, float* ggain, const float* go, const float* x,
                           const float* gain, const float* inv_r, int rows, int cols) {
-  for (int r = 0; r < rows; ++r) {
-    const float* M3_RESTRICT grow = go + static_cast<std::size_t>(r) * cols;
-    const float* M3_RESTRICT xrow = x + static_cast<std::size_t>(r) * cols;
-    float* M3_RESTRICT gxrow = gx + static_cast<std::size_t>(r) * cols;
-    const float ir = inv_r[r];
-    float s = 0.0f;
-    for (int j = 0; j < cols; ++j) s += grow[j] * gain[j] * xrow[j];
-    const float c = s * ir * ir * ir / static_cast<float>(cols);
-    for (int j = 0; j < cols; ++j) {
-      gxrow[j] += grow[j] * gain[j] * ir - xrow[j] * c;
-      ggain[j] += grow[j] * xrow[j] * ir;
-    }
-  }
+  Active().RmsNormBackwardAccum(gx, ggain, go, x, gain, inv_r, rows, cols);
 }
 
 }  // namespace m3::ml::kernels

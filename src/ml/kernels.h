@@ -3,13 +3,15 @@
 // vectorizable elementwise loops. autograd.cc routes every hot loop
 // through this layer.
 //
-// Four implementations sit behind a runtime dispatch (see DESIGN.md §11):
-//   - naive:  the seed's original triple loops (kernels_naive.cc), the
-//             parity reference and in-process "seed baseline" for
+// Three implementations sit behind a runtime dispatch (see DESIGN.md §11):
+//   - naive:  the seed's original loops (kernels_naive.cc, no ISA flags),
+//             the parity reference and in-process "seed baseline" for
 //             bench/micro_ml_speed.cc;
-//   - tiled:  register/cache-blocked portable kernels (kernels.cc);
 //   - avx2:   256-bit FMA microkernels (kernels_avx2.cc, -mavx2 -mfma);
 //   - avx512: 512-bit microkernels (kernels_avx512.cc, -mavx512f).
+// Each tier's translation unit also builds its own copy of the shared
+// elementwise kernels (kernels_shared.inc) with that tier's flags, so no
+// code outside the AVX units needs more than baseline x86-64.
 // The active implementation is an atomic process-wide setting: it defaults
 // to the best tier the CPU supports (CPUID-gated, util/cpu_features.h) and
 // can be forced with the M3_KERNEL environment variable or SetKernelImpl.
@@ -33,9 +35,8 @@ namespace m3::ml::kernels {
 
 enum class KernelImpl : int {
   kNaive = 0,   // seed reference loops
-  kTiled = 1,   // portable cache-blocked
-  kAvx2 = 2,    // 256-bit FMA
-  kAvx512 = 3,  // 512-bit
+  kAvx2 = 1,    // 256-bit FMA
+  kAvx512 = 2,  // 512-bit
 };
 
 /// True when `impl` was compiled in and the executing CPU supports it.
@@ -51,7 +52,7 @@ KernelImpl SetKernelImpl(KernelImpl impl);
 /// CPUID, see ResolveKernelImpl).
 KernelImpl GetKernelImpl();
 
-/// Lower-case name ("naive", "tiled", "avx2", "avx512").
+/// Lower-case name ("naive", "avx2", "avx512").
 const char* KernelImplName(KernelImpl impl);
 
 /// Parses a name as accepted by M3_KERNEL. Returns false on garbage.

@@ -1,8 +1,9 @@
 // 256-bit AVX2/FMA kernel tier. Compiled with -mavx2 -mfma when the
 // compiler supports it (src/CMakeLists.txt defines M3_KERNELS_AVX2); the
 // dispatcher in kernels.cc additionally gates on runtime CPUID, so these
-// bodies only ever execute on hardware with AVX2+FMA. Without the define
-// the TU degrades to stubs so the build stays portable.
+// bodies only ever execute on hardware with AVX2+FMA. The shared kernels
+// (kernels_shared.inc) are built into this TU with the same flags. Without
+// the define the TU exports a null table so the build stays portable.
 //
 // Layout notes shared by all three GEMM entry points:
 //   - everything is row-major and accumulates into the output;
@@ -20,8 +21,6 @@
 #include <cstdint>
 
 namespace m3::ml::kernels::avx2 {
-
-bool Compiled() { return true; }
 
 namespace {
 
@@ -176,6 +175,11 @@ inline void Gemv(const float* a, const float* b, float* c, int k, int n) {
 
 }  // namespace
 
+// Defined with the elementwise kernels below. Declared here so the TN
+// GEMM's rank-1 path calls this tier's copy, not the ml/kernels.h
+// dispatcher that unqualified lookup would otherwise find.
+void AxpyAccum(float* y, const float* x, float alpha, std::size_t size);
+
 void GemmAccum(const float* a, const float* b, float* c, int m, int k, int n) {
   if (m == 1) {
     Gemv(a, b, c, k, n);
@@ -271,7 +275,7 @@ void GemmAccumNT(const float* dc, const float* b, float* da, int m, int n, int k
 // ----------------------------------------------------------------------
 // Elementwise kernels. Scalar tails replicate the reference loops exactly,
 // and lanes are independent elements, so these are bitwise identical to
-// kernels.cc's scalar namespace except where FMA contraction applies
+// the naive tier's scalar loops except where FMA contraction applies
 // (AxpyAccum), which the parity tests cover with a tolerance.
 // ----------------------------------------------------------------------
 
@@ -350,26 +354,15 @@ void ReduceScaleAndZero(float* dst, float* const* srcs, std::size_t nsrcs, std::
 
 }  // namespace m3::ml::kernels::avx2
 
-#else  // !M3_KERNELS_AVX2 — compiler cannot target AVX2; stub tier.
+#define M3_KERNEL_TIER avx2
+#include "ml/kernels_shared.inc"
 
-#include <cstdlib>
+#else  // !M3_KERNELS_AVX2 — compiler cannot target AVX2; stub tier.
 
 namespace m3::ml::kernels::avx2 {
 
-bool Compiled() { return false; }
-
-// The dispatcher never routes here when Compiled() is false; reaching a
-// stub is a dispatch bug, so fail loudly.
-void GemmAccum(const float*, const float*, float*, int, int, int) { std::abort(); }
-void GemmAccumNT(const float*, const float*, float*, int, int, int) { std::abort(); }
-void GemmAccumTN(const float*, const float*, float*, int, int, int) { std::abort(); }
-void BiasAddRows(float*, const float*, const float*, int, int) { std::abort(); }
-void ColSumAccum(float*, const float*, int, int) { std::abort(); }
-void AxpyAccum(float*, const float*, float, std::size_t) { std::abort(); }
-void AddAndZero(float*, float*, std::size_t) { std::abort(); }
-void ReduceScaleAndZero(float*, float* const*, std::size_t, std::size_t, float) {
-  std::abort();
-}
+// The dispatcher never selects a tier whose table is null.
+extern const KernelTable* const kKernels = nullptr;
 
 }  // namespace m3::ml::kernels::avx2
 

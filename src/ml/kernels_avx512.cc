@@ -2,9 +2,9 @@
 // twice the lane width; column remainders use the native k-mask registers
 // (__mmask16) instead of vector maskload, so every loop body has exactly
 // one masked epilogue form and never touches memory past a row's end.
-// Compiled with -mavx512f when the compiler supports it
-// (M3_KERNELS_AVX512); stubs otherwise. Runtime CPUID gating lives in the
-// dispatcher.
+// Compiled, with the shared kernels of kernels_shared.inc, with -mavx512f
+// when the compiler supports it (M3_KERNELS_AVX512); a null table
+// otherwise. Runtime CPUID gating lives in the dispatcher.
 #include "ml/kernels_impl.h"
 
 #if defined(M3_KERNELS_AVX512)
@@ -14,8 +14,6 @@
 #include <cstddef>
 
 namespace m3::ml::kernels::avx512 {
-
-bool Compiled() { return true; }
 
 namespace {
 
@@ -165,6 +163,11 @@ inline void Gemv(const float* a, const float* b, float* c, int k, int n) {
 }
 
 }  // namespace
+
+// Defined with the elementwise kernels below. Declared here so the TN
+// GEMM's rank-1 path calls this tier's copy, not the ml/kernels.h
+// dispatcher that unqualified lookup would otherwise find.
+void AxpyAccum(float* y, const float* x, float alpha, std::size_t size);
 
 void GemmAccum(const float* a, const float* b, float* c, int m, int k, int n) {
   if (m == 1) {
@@ -330,24 +333,14 @@ void ReduceScaleAndZero(float* dst, float* const* srcs, std::size_t nsrcs, std::
 
 }  // namespace m3::ml::kernels::avx512
 
-#else  // !M3_KERNELS_AVX512 — stub tier; see kernels_avx2.cc.
+#define M3_KERNEL_TIER avx512
+#include "ml/kernels_shared.inc"
 
-#include <cstdlib>
+#else  // !M3_KERNELS_AVX512 — stub tier; see kernels_avx2.cc.
 
 namespace m3::ml::kernels::avx512 {
 
-bool Compiled() { return false; }
-
-void GemmAccum(const float*, const float*, float*, int, int, int) { std::abort(); }
-void GemmAccumNT(const float*, const float*, float*, int, int, int) { std::abort(); }
-void GemmAccumTN(const float*, const float*, float*, int, int, int) { std::abort(); }
-void BiasAddRows(float*, const float*, const float*, int, int) { std::abort(); }
-void ColSumAccum(float*, const float*, int, int) { std::abort(); }
-void AxpyAccum(float*, const float*, float, std::size_t) { std::abort(); }
-void AddAndZero(float*, float*, std::size_t) { std::abort(); }
-void ReduceScaleAndZero(float*, float* const*, std::size_t, std::size_t, float) {
-  std::abort();
-}
+extern const KernelTable* const kKernels = nullptr;
 
 }  // namespace m3::ml::kernels::avx512
 

@@ -1,16 +1,19 @@
-// Naive reference GEMM kernels: the seed revision's exact loop nests,
-// kept in a separate translation unit compiled with the project's default
-// flags (no M3_KERNEL_NATIVE treatment) so that parity tests and
-// bench/micro_ml_speed.cc compare the tiled kernels against a faithful
-// in-process reproduction of the seed's serial compute path.
-#include "ml/kernels.h"
-
+// Naive kernel tier: the seed revision's exact GEMM loop nests and the
+// scalar elementwise loops, plus the shared kernels of kernels_shared.inc,
+// all compiled with the base kernel options and no ISA flags
+// (src/CMakeLists.txt). Parity tests and bench/micro_ml_speed.cc compare
+// the AVX tiers against this faithful in-process reproduction of the
+// seed's serial compute path, and it is the tier a CPU without AVX2 runs.
 #include <cmath>
 #include <cstddef>
 
-namespace m3::ml::kernels {
+#include "ml/kernels.h"
+#include "ml/kernels_impl.h"
 
-void GemmAccumNaive(const float* a, const float* b, float* c, int m, int k, int n) {
+namespace m3::ml::kernels {
+namespace naive {
+
+void GemmAccum(const float* a, const float* b, float* c, int m, int k, int n) {
   for (int i = 0; i < m; ++i) {
     for (int p = 0; p < k; ++p) {
       const float av = a[static_cast<std::size_t>(i) * k + p];
@@ -22,7 +25,7 @@ void GemmAccumNaive(const float* a, const float* b, float* c, int m, int k, int 
   }
 }
 
-void GemmAccumNTNaive(const float* dc, const float* b, float* da, int m, int n, int k) {
+void GemmAccumNT(const float* dc, const float* b, float* da, int m, int n, int k) {
   // Seed loop: for each dC element, scatter into dA walking B column-wise.
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
@@ -34,7 +37,7 @@ void GemmAccumNTNaive(const float* dc, const float* b, float* da, int m, int n, 
   }
 }
 
-void GemmAccumTNNaive(const float* a, const float* dc, float* db, int m, int k, int n) {
+void GemmAccumTN(const float* a, const float* dc, float* db, int m, int k, int n) {
   for (int p = 0; p < k; ++p) {
     for (int i = 0; i < m; ++i) {
       const float av = a[static_cast<std::size_t>(i) * k + p];
@@ -44,6 +47,62 @@ void GemmAccumTNNaive(const float* a, const float* dc, float* db, int m, int k, 
       for (int j = 0; j < n; ++j) dbrow[j] += av * grow[j];
     }
   }
+}
+
+void BiasAddRows(float* out, const float* x, const float* bias, int rows, int cols) {
+  for (int r = 0; r < rows; ++r) {
+    float* M3_RESTRICT orow = out + static_cast<std::size_t>(r) * cols;
+    const float* M3_RESTRICT xrow = x + static_cast<std::size_t>(r) * cols;
+    for (int j = 0; j < cols; ++j) orow[j] = xrow[j] + bias[j];
+  }
+}
+
+void ColSumAccum(float* bg, const float* go, int rows, int cols) {
+  for (int r = 0; r < rows; ++r) {
+    const float* M3_RESTRICT grow = go + static_cast<std::size_t>(r) * cols;
+    for (int j = 0; j < cols; ++j) bg[j] += grow[j];
+  }
+}
+
+void AxpyAccum(float* y, const float* x, float alpha, std::size_t size) {
+  float* M3_RESTRICT yp = y;
+  const float* M3_RESTRICT xp = x;
+  for (std::size_t i = 0; i < size; ++i) yp[i] += alpha * xp[i];
+}
+
+void AddAndZero(float* dst, float* src, std::size_t size) {
+  float* M3_RESTRICT d = dst;
+  float* M3_RESTRICT s = src;
+  for (std::size_t i = 0; i < size; ++i) {
+    d[i] += s[i];
+    s[i] = 0.0f;
+  }
+}
+
+void ReduceScaleAndZero(float* dst, float* const* srcs, std::size_t nsrcs, std::size_t size,
+                        float alpha) {
+  for (std::size_t i = 0; i < size; ++i) {
+    float acc = 0.0f;
+    for (std::size_t s = 0; s < nsrcs; ++s) {
+      acc += srcs[s][i];
+      srcs[s][i] = 0.0f;
+    }
+    dst[i] = acc * alpha;
+  }
+}
+
+}  // namespace naive
+
+void GemmAccumNaive(const float* a, const float* b, float* c, int m, int k, int n) {
+  naive::GemmAccum(a, b, c, m, k, n);
+}
+
+void GemmAccumNTNaive(const float* dc, const float* b, float* da, int m, int n, int k) {
+  naive::GemmAccumNT(dc, b, da, m, n, k);
+}
+
+void GemmAccumTNNaive(const float* a, const float* dc, float* db, int m, int k, int n) {
+  naive::GemmAccumTN(a, dc, db, m, k, n);
 }
 
 void AdamStepNaive(float* value, const float* grad, float* m, float* v, std::size_t size,
@@ -67,3 +126,6 @@ double SumSquaresNaive(const float* x, std::size_t size) {
 }
 
 }  // namespace m3::ml::kernels
+
+#define M3_KERNEL_TIER naive
+#include "ml/kernels_shared.inc"

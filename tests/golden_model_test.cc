@@ -1,6 +1,6 @@
 // Golden pins for model answers: the RunM3 answer on the six golden
 // queries (golden_queries.h), hashed over use_context on and off, pinned
-// per kernel implementation for two models:
+// per kernel tier (naive, avx2, avx512) for two models:
 //   - "init":    the default M3ModelConfig at its fixed init_seed;
 //   - "trained": a small model trained here by TrainModel with a fixed seed
 //                (training is bitwise deterministic per kernel tier, so
@@ -53,8 +53,9 @@ namespace {
 using ml::kernels::KernelImpl;
 
 // Build flavor of the pins: "opt" is the plain optimized build; "san" the
-// sanitizer builds (M3_SANITIZE), whose kernels round a few multiply-adds
-// differently (see the top-level CMakeLists.txt).
+// sanitizer builds (M3_SANITIZE), whose AVX kernel tiers round a few
+// multiply-adds differently (see the top-level CMakeLists.txt). The naive
+// tier has no FMA to contract, so its "opt" and "san" rows are equal.
 #ifdef M3_SANITIZED_BUILD
 constexpr const char* kFlavor = "san";
 #else
@@ -73,115 +74,87 @@ struct ModelPin {
 // clang-format off
 const ModelPin kModelPins[] = {
     {"opt", "init", "web_B_x2", "naive", "571900127489c0ee1420165527f92de7"},
-    {"opt", "init", "web_B_x2", "tiled", "a18e087cad8bf15114a0f0803d49d956"},
     {"opt", "init", "web_B_x2", "avx2", "d3de4ff55511edcd135fba42df32ebb3"},
     {"opt", "init", "web_B_x2", "avx512", "3862121f004706b0bbb0aca36dc6808c"},
     {"opt", "init", "cache_A_x1", "naive", "7dbb49f5de2536bb076e9f70f65f27ee"},
-    {"opt", "init", "cache_A_x1", "tiled", "8ac42e2332ba2fff66a3f876bcc21652"},
     {"opt", "init", "cache_A_x1", "avx2", "daea39f1f07fb469df91aaeace15f894"},
     {"opt", "init", "cache_A_x1", "avx512", "b8ccf2b7d91b99675589e89d3183ec87"},
     {"opt", "init", "hadoop_C_x4", "naive", "f8606549869a1ebd8590f33fb9799f89"},
-    {"opt", "init", "hadoop_C_x4", "tiled", "30b74d49f958deacd259eaf41d55c899"},
     {"opt", "init", "hadoop_C_x4", "avx2", "0b10093f4a730f22b46c55a39d538d93"},
     {"opt", "init", "hadoop_C_x4", "avx512", "ce6fad4c950f40c7acc363b773601dd1"},
     {"opt", "init", "web_B_prio", "naive", "45d3415919b1e511a8c85ff12e1a8695"},
-    {"opt", "init", "web_B_prio", "tiled", "e4f8f2b2391a5511f78ae4c9c4627c65"},
     {"opt", "init", "web_B_prio", "avx2", "3db4debb9a6c0debb0a0790fa6aaab43"},
     {"opt", "init", "web_B_prio", "avx512", "bf7230f082aa3a869efc95b04f520ae9"},
     {"opt", "init", "web_A_p100", "naive", "bea06dfb86fdd46c6776dbd4eac3279a"},
-    {"opt", "init", "web_A_p100", "tiled", "8490309152064d78846c141ad58bfa03"},
     {"opt", "init", "web_A_p100", "avx2", "f088ef79c23ad3f89ce0e9e85c3e0de6"},
     {"opt", "init", "web_A_p100", "avx512", "eeef9065e1ccf5ea07c76c1556779806"},
     {"opt", "init", "cache_C_prio_p8", "naive", "edc508973e731d30511c036e0b38ac36"},
-    {"opt", "init", "cache_C_prio_p8", "tiled", "f1e53c137859b3ca415da6ea2eca22b9"},
     {"opt", "init", "cache_C_prio_p8", "avx2", "ee644d2e3a679202ee07eb02aacd5bae"},
     {"opt", "init", "cache_C_prio_p8", "avx512", "66d511a880d005e2e1c14865fbfc96a4"},
-    {"opt", "trained", "web_B_x2", "naive", "4fec9e832fa41eaf9aca4455352e34f3"},
-    {"opt", "trained", "web_B_x2", "tiled", "8b7c0ac9d38b81dec83ee59a9aa6441e"},
-    {"opt", "trained", "web_B_x2", "avx2", "af12d96111baab816722d8675a71f0b2"},
+    {"opt", "trained", "web_B_x2", "naive", "d96a59fe06264d52beb22b43e387f291"},
+    {"opt", "trained", "web_B_x2", "avx2", "0bd26b662cc34ad7421fcb442115911f"},
     {"opt", "trained", "web_B_x2", "avx512", "e24823de5faf9ffc6f6d31cd1de7d151"},
-    {"opt", "trained", "cache_A_x1", "naive", "ed0103e0be8e2b8c5b1500b841c27795"},
-    {"opt", "trained", "cache_A_x1", "tiled", "7859821ae82accf6573376f7fb24eb74"},
-    {"opt", "trained", "cache_A_x1", "avx2", "a1e44d80f33d168f817c1e5343df1183"},
+    {"opt", "trained", "cache_A_x1", "naive", "3562a359ccdb8fa152b9deb6065d77e1"},
+    {"opt", "trained", "cache_A_x1", "avx2", "f67c2b37005d969f180fe983069eeca5"},
     {"opt", "trained", "cache_A_x1", "avx512", "12f98fd0ed5e2159ba2a9003d5130670"},
-    {"opt", "trained", "hadoop_C_x4", "naive", "de3182d9bc53c59f8d7df3c66accbf56"},
-    {"opt", "trained", "hadoop_C_x4", "tiled", "4ee8e36b845b502505c445d9027082c1"},
-    {"opt", "trained", "hadoop_C_x4", "avx2", "f8e0e666a8c71137fb3a4f1fa3367486"},
+    {"opt", "trained", "hadoop_C_x4", "naive", "8563fbbd2e7734c057796cd30767202a"},
+    {"opt", "trained", "hadoop_C_x4", "avx2", "c28b587edf05ace8f0a397230b32a92b"},
     {"opt", "trained", "hadoop_C_x4", "avx512", "6a1c29ecb158c970661b7119dfe8c512"},
-    {"opt", "trained", "web_B_prio", "naive", "ba1ccf415ecde3937b3ac92170aa6a47"},
-    {"opt", "trained", "web_B_prio", "tiled", "d3b1c92f7dfac52934c25c85110540e4"},
-    {"opt", "trained", "web_B_prio", "avx2", "8fe6d049de7ac9eb9522e882e28cfd98"},
+    {"opt", "trained", "web_B_prio", "naive", "64ab9863002f4b0a38a91a978a8edd3d"},
+    {"opt", "trained", "web_B_prio", "avx2", "f439403ed380db0a9b89d0cb68acf7c8"},
     {"opt", "trained", "web_B_prio", "avx512", "f1f5d0c6b43f00359f424defec2f49b8"},
-    {"opt", "trained", "web_A_p100", "naive", "f2f3c536d7a4067183141d991917fd0f"},
-    {"opt", "trained", "web_A_p100", "tiled", "9645cb3fdd3e2a18096de78a2750c54f"},
-    {"opt", "trained", "web_A_p100", "avx2", "9c3dbd40b3fd98881c8ccf98364f3483"},
+    {"opt", "trained", "web_A_p100", "naive", "16cdc8d8030c55ae7c19b07fd4ea4aff"},
+    {"opt", "trained", "web_A_p100", "avx2", "758871f8b0ebb7bc1c3547792193ab18"},
     {"opt", "trained", "web_A_p100", "avx512", "60a1c3878983f1e6e68285c842230180"},
-    {"opt", "trained", "cache_C_prio_p8", "naive", "e209bb41255c6a164e66e9cd2c58ca32"},
-    {"opt", "trained", "cache_C_prio_p8", "tiled", "a54f01b1782952f8ec730950d89cbf65"},
-    {"opt", "trained", "cache_C_prio_p8", "avx2", "327ff3e0a3a6ade81069bf01f818a81d"},
+    {"opt", "trained", "cache_C_prio_p8", "naive", "8946d4e0576a345e3f4a4a9fe2bf9a99"},
+    {"opt", "trained", "cache_C_prio_p8", "avx2", "032400a8ff1b5ce295297414ea5e3953"},
     {"opt", "trained", "cache_C_prio_p8", "avx512", "296174abb10631f53e0934180c1f41fe"},
-    {"san", "init", "web_B_x2", "naive", "3bdd2606829e7b7259de1a9cc981be5f"},
-    {"san", "init", "web_B_x2", "tiled", "8577aa42e0a7c5da0845b4f9e4f33967"},
+    {"san", "init", "web_B_x2", "naive", "571900127489c0ee1420165527f92de7"},
     {"san", "init", "web_B_x2", "avx2", "090704ee660dff2ef801e069a69e327a"},
     {"san", "init", "web_B_x2", "avx512", "c1815070dd04b15340941bd5b649eb36"},
-    {"san", "init", "cache_A_x1", "naive", "97503d4ebb8e63cbe30d5f4b8d7fbc9d"},
-    {"san", "init", "cache_A_x1", "tiled", "221894c6472b8a3d2559b43cb3b12d50"},
+    {"san", "init", "cache_A_x1", "naive", "7dbb49f5de2536bb076e9f70f65f27ee"},
     {"san", "init", "cache_A_x1", "avx2", "6c6c8aeb1916313e9d6407bffac0e06e"},
     {"san", "init", "cache_A_x1", "avx512", "407572d14c31567f4b5c8de85ac4f141"},
-    {"san", "init", "hadoop_C_x4", "naive", "1295cfd2884e229f7605d7aed0547a38"},
-    {"san", "init", "hadoop_C_x4", "tiled", "6397d7aadef870d80b2a4a489c09c598"},
+    {"san", "init", "hadoop_C_x4", "naive", "f8606549869a1ebd8590f33fb9799f89"},
     {"san", "init", "hadoop_C_x4", "avx2", "1776aa5c5fa89f9a8e2b2a21f7f20296"},
     {"san", "init", "hadoop_C_x4", "avx512", "36b452306fd143e88ed75138d7a1fca0"},
-    {"san", "init", "web_B_prio", "naive", "b05958118a420acf55fd36a2b7acb956"},
-    {"san", "init", "web_B_prio", "tiled", "22eb8077adcb4ec45790c4ed40b7d053"},
+    {"san", "init", "web_B_prio", "naive", "45d3415919b1e511a8c85ff12e1a8695"},
     {"san", "init", "web_B_prio", "avx2", "f82ced7eccec637c15d58f575b43feb2"},
     {"san", "init", "web_B_prio", "avx512", "1a7b4cb36459b4a247ca07e6a290dd01"},
-    {"san", "init", "web_A_p100", "naive", "36038343c17ddd2acf500489dbba67f8"},
-    {"san", "init", "web_A_p100", "tiled", "77854011ce0767cb54dae6dec045dbf5"},
+    {"san", "init", "web_A_p100", "naive", "bea06dfb86fdd46c6776dbd4eac3279a"},
     {"san", "init", "web_A_p100", "avx2", "9ba90960edc213aebe7e377178bb1af8"},
     {"san", "init", "web_A_p100", "avx512", "2d75288afa284779f8b15cbe6a66d30b"},
-    {"san", "init", "cache_C_prio_p8", "naive", "15fea94ad70d7cae607f6648efaa006f"},
-    {"san", "init", "cache_C_prio_p8", "tiled", "08ba91472b1d850ef908580d44b34a8a"},
+    {"san", "init", "cache_C_prio_p8", "naive", "edc508973e731d30511c036e0b38ac36"},
     {"san", "init", "cache_C_prio_p8", "avx2", "d8d2536e53611663e74cab0ceecf5c1d"},
     {"san", "init", "cache_C_prio_p8", "avx512", "8f4d9b42f110fc6241e2d27835521ab9"},
-    {"san", "trained", "web_B_x2", "naive", "2122b5a660ef9c3e5511b1ab2448eef2"},
-    {"san", "trained", "web_B_x2", "tiled", "89c8e579efc914ba8789c5ae6ebaf423"},
+    {"san", "trained", "web_B_x2", "naive", "d96a59fe06264d52beb22b43e387f291"},
     {"san", "trained", "web_B_x2", "avx2", "20a5f7b63e20025e94bd9df0741439be"},
     {"san", "trained", "web_B_x2", "avx512", "a483420e67a36b825495d70d2270dcc2"},
-    {"san", "trained", "cache_A_x1", "naive", "37c5e37792a411b634c63194f262ca3b"},
-    {"san", "trained", "cache_A_x1", "tiled", "67cd6221d990d1bceefbed400240b409"},
+    {"san", "trained", "cache_A_x1", "naive", "3562a359ccdb8fa152b9deb6065d77e1"},
     {"san", "trained", "cache_A_x1", "avx2", "b75547b289df66504b35160b4929fd0a"},
     {"san", "trained", "cache_A_x1", "avx512", "abe893987806a99152f74bf5d8589030"},
-    {"san", "trained", "hadoop_C_x4", "naive", "627cd6200a40d8f6d9f7acb16aa3a119"},
-    {"san", "trained", "hadoop_C_x4", "tiled", "0552689ba28270457dcefa732839111f"},
+    {"san", "trained", "hadoop_C_x4", "naive", "8563fbbd2e7734c057796cd30767202a"},
     {"san", "trained", "hadoop_C_x4", "avx2", "ffdfde018d71903ea19adc328c983f3e"},
     {"san", "trained", "hadoop_C_x4", "avx512", "78fb8ea6e4feebad5699f1ff91ed78d3"},
-    {"san", "trained", "web_B_prio", "naive", "def5cea1605d9bdaae52e2dd1690407e"},
-    {"san", "trained", "web_B_prio", "tiled", "a592e17e543a84ebbba73f84c2bfaf66"},
+    {"san", "trained", "web_B_prio", "naive", "64ab9863002f4b0a38a91a978a8edd3d"},
     {"san", "trained", "web_B_prio", "avx2", "ec7b35cc73b9b5db84dd18de3c63136e"},
     {"san", "trained", "web_B_prio", "avx512", "577d188cabccca306ba498d236b235b7"},
-    {"san", "trained", "web_A_p100", "naive", "fc220d8760203034364eb8126c318e18"},
-    {"san", "trained", "web_A_p100", "tiled", "c8083bc2370fef92dd7b6d2fbf52317b"},
+    {"san", "trained", "web_A_p100", "naive", "16cdc8d8030c55ae7c19b07fd4ea4aff"},
     {"san", "trained", "web_A_p100", "avx2", "14d305dab07eb41b2c08c0366d0ab2d0"},
     {"san", "trained", "web_A_p100", "avx512", "df1557bd53477a7bcf24a901caf87b74"},
-    {"san", "trained", "cache_C_prio_p8", "naive", "726bbc1eb2e4bb734ee08f522acd8d55"},
-    {"san", "trained", "cache_C_prio_p8", "tiled", "1420be82b7cd5d57c9544ef6e72fc2a8"},
+    {"san", "trained", "cache_C_prio_p8", "naive", "8946d4e0576a345e3f4a4a9fe2bf9a99"},
     {"san", "trained", "cache_C_prio_p8", "avx2", "3a4f9d9c65d95b1522ccb6aee60d1740"},
     {"san", "trained", "cache_C_prio_p8", "avx512", "d6341b72d7e35cecfb1187250a804778"},
     {"opt", "init", "identity", "naive", "bb3b89b446fc5fb51a1c0eaebcd44f6a00375ce3"},
-    {"opt", "init", "identity", "tiled", "bb3b89b446fc5fb51a1c0eaebcd44f6a00375ce3"},
     {"opt", "init", "identity", "avx2", "bb3b89b446fc5fb51a1c0eaebcd44f6a00375ce3"},
     {"opt", "init", "identity", "avx512", "bb3b89b446fc5fb51a1c0eaebcd44f6a00375ce3"},
-    {"opt", "trained", "identity", "naive", "56aef94375b786b0f23d2c2c629b676c43be4a2c"},
-    {"opt", "trained", "identity", "tiled", "f41e51bd6b78c654a3ec6bd73c30c40793d31b18"},
-    {"opt", "trained", "identity", "avx2", "694ac071c31267db14e0ed4e94ecacb3f4cfd0fc"},
+    {"opt", "trained", "identity", "naive", "b3cb0d72aee9e813f64f0f8f5a124945c03abf13"},
+    {"opt", "trained", "identity", "avx2", "0bc93b4d75be2bfb2dd80082b46cd0342372b904"},
     {"opt", "trained", "identity", "avx512", "2595528e5c7059137d8e89e10150e29cc34e1c48"},
     {"san", "init", "identity", "naive", "bb3b89b446fc5fb51a1c0eaebcd44f6a00375ce3"},
-    {"san", "init", "identity", "tiled", "bb3b89b446fc5fb51a1c0eaebcd44f6a00375ce3"},
     {"san", "init", "identity", "avx2", "bb3b89b446fc5fb51a1c0eaebcd44f6a00375ce3"},
     {"san", "init", "identity", "avx512", "bb3b89b446fc5fb51a1c0eaebcd44f6a00375ce3"},
-    {"san", "trained", "identity", "naive", "bdbeb03148d33c18878276ea5412ba0e13b44fc1"},
-    {"san", "trained", "identity", "tiled", "12cf4eb579a0e7e61452c93a461033d5e9db38cd"},
+    {"san", "trained", "identity", "naive", "b3cb0d72aee9e813f64f0f8f5a124945c03abf13"},
     {"san", "trained", "identity", "avx2", "3837eff268bc340f90d3740f044a99e736d711f1"},
     {"san", "trained", "identity", "avx512", "aa7cf6c8f8ece77e298c0bb97da2c8c847df9597"},
 };
@@ -214,8 +187,7 @@ std::vector<KernelImpl> PinnedTiers() {
   const char* forced = std::getenv("M3_KERNEL");
   if (forced != nullptr && *forced != '\0') return {ml::kernels::GetKernelImpl()};
   std::vector<KernelImpl> tiers;
-  for (KernelImpl impl : {KernelImpl::kNaive, KernelImpl::kTiled, KernelImpl::kAvx2,
-                          KernelImpl::kAvx512}) {
+  for (KernelImpl impl : {KernelImpl::kNaive, KernelImpl::kAvx2, KernelImpl::kAvx512}) {
     if (ml::kernels::KernelImplAvailable(impl)) {
       tiers.push_back(impl);
     } else {

@@ -48,15 +48,14 @@ class ImplGuard {
 
 std::vector<KernelImpl> AvailableImpls() {
   std::vector<KernelImpl> impls;
-  for (KernelImpl impl : {KernelImpl::kNaive, KernelImpl::kTiled, KernelImpl::kAvx2,
-                          KernelImpl::kAvx512}) {
+  for (KernelImpl impl : {KernelImpl::kNaive, KernelImpl::kAvx2, KernelImpl::kAvx512}) {
     if (kernels::KernelImplAvailable(impl)) impls.push_back(impl);
   }
   return impls;
 }
 
 // Shapes chosen to cover ragged tiles: below, at, and across every
-// implementation's blocking (tiled 4x64; AVX2 strips 24/16/8 + <8 mask,
+// implementation's blocking (AVX2 strips 24/16/8 + <8 mask,
 // GEMV strips 64/32/8; AVX-512 strips 48/32/16 + k-mask, GEMV 128/64/16),
 // plus the model's real shapes (seq x feat, head fc1/fc2, seq_in_proj).
 struct Shape {
@@ -434,20 +433,19 @@ TEST(KernelDispatch, ParseKernelImpl) {
   KernelImpl impl;
   EXPECT_TRUE(kernels::ParseKernelImpl("naive", &impl));
   EXPECT_EQ(impl, KernelImpl::kNaive);
-  EXPECT_TRUE(kernels::ParseKernelImpl("tiled", &impl));
-  EXPECT_EQ(impl, KernelImpl::kTiled);
   EXPECT_TRUE(kernels::ParseKernelImpl("avx2", &impl));
   EXPECT_EQ(impl, KernelImpl::kAvx2);
   EXPECT_TRUE(kernels::ParseKernelImpl("avx512", &impl));
   EXPECT_EQ(impl, KernelImpl::kAvx512);
+  // Older scripts may still set M3_KERNEL=tiled; it names no tier.
+  EXPECT_FALSE(kernels::ParseKernelImpl("tiled", &impl));
   EXPECT_FALSE(kernels::ParseKernelImpl("sse9", &impl));
   EXPECT_FALSE(kernels::ParseKernelImpl("", &impl));
   EXPECT_FALSE(kernels::ParseKernelImpl(nullptr, &impl));
 }
 
 TEST(KernelDispatch, NameRoundTrip) {
-  for (KernelImpl impl : {KernelImpl::kNaive, KernelImpl::kTiled, KernelImpl::kAvx2,
-                          KernelImpl::kAvx512}) {
+  for (KernelImpl impl : {KernelImpl::kNaive, KernelImpl::kAvx2, KernelImpl::kAvx512}) {
     KernelImpl parsed;
     ASSERT_TRUE(kernels::ParseKernelImpl(kernels::KernelImplName(impl), &parsed));
     EXPECT_EQ(parsed, impl);
@@ -455,19 +453,26 @@ TEST(KernelDispatch, NameRoundTrip) {
 }
 
 TEST(KernelDispatch, ResolveHonorsAvailableRequests) {
-  // naive and tiled are always available, so forcing them must stick.
+  // naive is always available, so forcing it must stick.
   EXPECT_EQ(kernels::ResolveKernelImpl("naive"), KernelImpl::kNaive);
-  EXPECT_EQ(kernels::ResolveKernelImpl("tiled"), KernelImpl::kTiled);
+  // A script that still sets M3_KERNEL=tiled keeps running, on the best tier.
+  EXPECT_EQ(kernels::ResolveKernelImpl("tiled"), kernels::ResolveKernelImpl(nullptr));
 }
 
 TEST(KernelDispatch, ResolveFallsBackForUnavailableOrGarbage) {
   const KernelImpl best = kernels::ResolveKernelImpl(nullptr);
   EXPECT_TRUE(kernels::KernelImplAvailable(best));
-  EXPECT_NE(best, KernelImpl::kNaive);  // tiled at minimum
+  // The default is the highest available tier in the order avx512 > avx2 > naive.
+  KernelImpl want = KernelImpl::kNaive;
+  for (KernelImpl impl : {KernelImpl::kAvx2, KernelImpl::kAvx512}) {
+    if (kernels::KernelImplAvailable(impl)) want = impl;
+  }
+  EXPECT_EQ(best, want);
   EXPECT_EQ(kernels::ResolveKernelImpl(""), best);
   EXPECT_EQ(kernels::ResolveKernelImpl("bogus-isa"), best);
+  EXPECT_EQ(kernels::ResolveKernelImpl("tiled"), best);
   // Requesting every tier resolves to something available.
-  for (const char* name : {"naive", "tiled", "avx2", "avx512"}) {
+  for (const char* name : {"naive", "avx2", "avx512"}) {
     EXPECT_TRUE(kernels::KernelImplAvailable(kernels::ResolveKernelImpl(name))) << name;
   }
 }

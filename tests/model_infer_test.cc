@@ -42,8 +42,7 @@ class ImplGuard {
 
 std::vector<KernelImpl> AvailableImpls() {
   std::vector<KernelImpl> impls;
-  for (KernelImpl impl : {KernelImpl::kNaive, KernelImpl::kTiled, KernelImpl::kAvx2,
-                          KernelImpl::kAvx512}) {
+  for (KernelImpl impl : {KernelImpl::kNaive, KernelImpl::kAvx2, KernelImpl::kAvx512}) {
     if (ml::kernels::KernelImplAvailable(impl)) impls.push_back(impl);
   }
   return impls;

@@ -40,6 +40,20 @@ cmake -B build -S . "$@"
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
+echo "== ISA gate: no VEX/EVEX code outside the AVX kernel tiers =="
+# The binaries must run on any x86-64 CPU. Only the avx2/avx512 kernel
+# namespaces, which the dispatcher enters after a CPUID check, may hold a
+# VEX or EVEX instruction: a v-prefixed mnemonic or a %ymm, %zmm or %k
+# operand. Anywhere else it would fault on a CPU without the extension.
+for bin in m3d m3d_router m3_query; do
+  objdump -d -C --no-show-raw-insn "build/tools/$bin" | awk -v bin="$bin" '
+    /^[0-9a-f]+ <.*>:$/ { fn = substr($0, index($0, "<"))
+                          allowed = fn ~ /m3::ml::kernels::avx(2|512)::/; next }
+    !allowed && /^ *[0-9a-f]+:/ && ($2 ~ /^v/ || /%[yz]mm|%k[0-7]/) { bad[fn]++ }
+    END { for (f in bad) { print bin ": " bad[f] " VEX/EVEX instructions in " f; n++ }
+          exit n > 0 }'
+done
+
 echo "== ASan: checkpoint/trainer robustness + path pipeline + wire decoder suites =="
 # The wire decoders (Wire, OverloadWire, ShardWire) run here because they
 # parse hostile bytes off a socket and out of persisted cache segments;
@@ -75,7 +89,7 @@ echo "== kernels: SIMD parity suites under ASan+UBSan for every M3_KERNEL =="
 # only that tier).
 cmake -B build-ubsan -S . -DM3_SANITIZE=undefined "$@"
 cmake --build build-ubsan -j"$JOBS" --target m3_tests
-for kernel_impl in naive tiled avx2 avx512; do
+for kernel_impl in naive avx2 avx512; do
   for san_build in build-asan build-ubsan; do
     echo "--  M3_KERNEL=$kernel_impl ($san_build)"
     M3_KERNEL="$kernel_impl" ctest --test-dir "$san_build" --output-on-failure -j"$JOBS" \
