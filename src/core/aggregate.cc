@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/parallel.h"
 #include "util/stats.h"
 
 namespace m3 {
@@ -21,37 +22,47 @@ double WeightedPercentile(std::vector<std::pair<double, double>> weighted, doubl
   return weighted.back().first;
 }
 
-std::array<std::vector<double>, kNumOutputBuckets> AggregateBuckets(
-    const std::vector<PathEstimate>& paths) {
-  std::array<std::vector<double>, kNumOutputBuckets> out;
-  for (int b = 0; b < kNumOutputBuckets; ++b) {
-    std::vector<std::pair<double, double>> weighted;
-    for (const PathEstimate& pe : paths) {
-      const double w = pe.counts[static_cast<std::size_t>(b)];
-      if (w <= 0.0) continue;
-      for (int p = 0; p < kNumPercentiles; ++p) {
-        weighted.emplace_back(pe.pct[static_cast<std::size_t>(b)][static_cast<std::size_t>(p)],
-                              w / kNumPercentiles);
-      }
-    }
-    auto& pct = out[static_cast<std::size_t>(b)];
-    pct.reserve(kNumPercentiles);
-    if (weighted.empty()) continue;
-    std::sort(weighted.begin(), weighted.end());
-    double total = 0.0;
-    for (const auto& [v, w] : weighted) total += w;
-    // Single sweep for all 100 percentiles.
-    double cum = 0.0;
-    std::size_t idx = 0;
-    for (int p = 1; p <= kNumPercentiles; ++p) {
-      const double target = static_cast<double>(p) / 100.0 * total;
-      while (idx < weighted.size() && cum + weighted[idx].second < target) {
-        cum += weighted[idx].second;
-        ++idx;
-      }
-      pct.push_back(weighted[std::min(idx, weighted.size() - 1)].first);
+namespace {
+
+// Bucket b of AggregateBuckets: its 100 percentiles over every path's
+// (value, count / 100) pairs.
+std::vector<double> AggregateBucket(const std::vector<PathEstimate>& paths, std::size_t b) {
+  std::vector<std::pair<double, double>> weighted;
+  for (const PathEstimate& pe : paths) {
+    const double w = pe.counts[b];
+    if (w <= 0.0) continue;
+    for (int p = 0; p < kNumPercentiles; ++p) {
+      weighted.emplace_back(pe.pct[b][static_cast<std::size_t>(p)], w / kNumPercentiles);
     }
   }
+  std::vector<double> pct;
+  pct.reserve(kNumPercentiles);
+  if (weighted.empty()) return pct;
+  std::sort(weighted.begin(), weighted.end());
+  double total = 0.0;
+  for (const auto& [v, w] : weighted) total += w;
+  // Single sweep for all 100 percentiles.
+  double cum = 0.0;
+  std::size_t idx = 0;
+  for (int p = 1; p <= kNumPercentiles; ++p) {
+    const double target = static_cast<double>(p) / 100.0 * total;
+    while (idx < weighted.size() && cum + weighted[idx].second < target) {
+      cum += weighted[idx].second;
+      ++idx;
+    }
+    pct.push_back(weighted[std::min(idx, weighted.size() - 1)].first);
+  }
+  return pct;
+}
+
+}  // namespace
+
+std::array<std::vector<double>, kNumOutputBuckets> AggregateBuckets(
+    const std::vector<PathEstimate>& paths, unsigned num_threads) {
+  std::array<std::vector<double>, kNumOutputBuckets> out;
+  ParallelFor(
+      kNumOutputBuckets, [&](std::size_t b) { out[b] = AggregateBucket(paths, b); },
+      num_threads);
   return out;
 }
 

@@ -21,9 +21,12 @@ struct PathEstimate {
 /// Network-wide per-bucket percentile vectors. Each path contributes its
 /// 100 percentile values weighted by its per-bucket flow count (the path
 /// sample itself is already flow-weighted, so pooling is uniform across
-/// sample entries, weighted only within by bucket occupancy).
+/// sample entries, weighted only within by bucket occupancy). The buckets
+/// are independent and run on up to `num_threads` pool threads
+/// (M3Options::num_threads semantics, 0 = the full pool); every width
+/// gives the same bits.
 std::array<std::vector<double>, kNumOutputBuckets> AggregateBuckets(
-    const std::vector<PathEstimate>& paths);
+    const std::vector<PathEstimate>& paths, unsigned num_threads = 1);
 
 /// Count-weighted mixture of the bucket distributions: a single 100-point
 /// percentile vector of the network-wide slowdown distribution.

@@ -1,6 +1,7 @@
 #include "core/estimator.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -339,7 +340,7 @@ NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& f
   }
 
   rep.clamped_values = ClampPathEstimates(est.paths);
-  est.bucket_pct = AggregateBuckets(est.paths);
+  est.bucket_pct = AggregateBuckets(est.paths, opts.num_threads);
   for (const PathEstimate& pe : est.paths) {
     for (int b = 0; b < kNumOutputBuckets; ++b) {
       est.total_counts[static_cast<std::size_t>(b)] += pe.counts[static_cast<std::size_t>(b)];
@@ -443,11 +444,17 @@ NetworkEstimate RunM3(const Topology& topo, const std::vector<Flow>& flows,
   // The same primary split at the forward: phase 1 keeps each path's
   // inputs, phase 2 stacks them into one forward whose row blocks are
   // spread over the pool (rows are independent, so any split of the batch
-  // gives the same bits).
+  // gives the same bits). Each block also decodes its rows, so `finish`
+  // only books them.
   const int out_dim = model.config().out_dim;
   std::vector<std::optional<PathInputs>> inputs;
   std::vector<std::size_t> row_of;
   std::vector<float> raw;
+  struct DecodedRow {
+    std::array<std::array<double, kNumPercentiles>, kNumOutputBuckets> pct;
+    int bad_raw = 0;  // raw values that were not finite
+  };
+  std::vector<DecodedRow> decoded;  // by batch row
   SplitPrimary split;
   split.begin = [&](std::size_t slots) {
     inputs.resize(slots);
@@ -466,6 +473,7 @@ NetworkEstimate RunM3(const Topology& topo, const std::vector<Flow>& flows,
       batch.push_back(inputs[slot]->model_input());
     }
     raw.assign(batch.size() * static_cast<std::size_t>(out_dim), 0.0f);
+    decoded.resize(batch.size());
     unsigned width = ThreadPool::Instance().num_threads();
     if (opts.num_threads != 0) width = std::min(width, opts.num_threads);
     const std::size_t blocks = std::min<std::size_t>(batch.size(), std::max(width, 1u));
@@ -476,21 +484,27 @@ NetworkEstimate RunM3(const Topology& topo, const std::vector<Flow>& flows,
           const std::size_t hi = batch.size() * (b + 1) / blocks;
           model.Infer(std::span<const M3Model::Input>(batch).subspan(lo, hi - lo),
                       opts.use_context, raw.data() + lo * static_cast<std::size_t>(out_dim));
+          ml::Tensor row(1, out_dim);
+          for (std::size_t r = lo; r < hi; ++r) {
+            std::copy_n(raw.data() + r * static_cast<std::size_t>(out_dim), out_dim, row.data());
+            decoded[r].pct = DecodeOutput(row, &decoded[r].bad_raw);
+          }
         },
         opts.num_threads);
   };
   split.finish = [&](std::size_t slot) {
-    ml::Tensor row(1, out_dim);
-    std::copy_n(raw.data() + row_of[slot] * static_cast<std::size_t>(out_dim), out_dim,
-                row.data());
+    const DecodedRow& d = decoded[row_of[slot]];
+    PathEstimate pe;
+    pe.pct = d.pct;
+    int bad_raw = d.bad_raw;
+    // Here, in work order, so each hit maps to the same path at any width.
     if (M3_FAULT_POINT_NAN("model/forward")) {
       // Fault injection: a poisoned forward pass, as a diverged or
       // corrupted model would produce (the same site as in Predict).
+      ml::Tensor row(1, out_dim);
       row.Fill(std::numeric_limits<float>::quiet_NaN());
+      pe.pct = DecodeOutput(row, &bad_raw);
     }
-    PathEstimate pe;
-    int bad_raw = 0;
-    pe.pct = DecodeOutput(row, &bad_raw);
     if (bad_raw > 0) throw NonFiniteOutput(bad_raw);
     pe.counts = inputs[slot]->counts;
     inputs[slot].reset();

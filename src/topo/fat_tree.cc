@@ -116,6 +116,13 @@ FatTree::FatTree(const FatTreeConfig& cfg) : cfg_(cfg) {
 }
 
 Route FatTree::RouteBetween(int src_host, int dst_host, std::uint64_t flow_key) const {
+  Route route;
+  RouteBetween(src_host, dst_host, flow_key, &route);
+  return route;
+}
+
+void FatTree::RouteBetween(int src_host, int dst_host, std::uint64_t flow_key,
+                           Route* out) const {
   if (src_host == dst_host) {
     throw std::invalid_argument("RouteBetween: src and dst hosts must differ");
   }
@@ -125,21 +132,27 @@ Route FatTree::RouteBetween(int src_host, int dst_host, std::uint64_t flow_key) 
   const int dst_pod = PodOfRack(dst_rack);
   const LinkId up = host_up_[static_cast<std::size_t>(src_host)];
   const LinkId down = host_down_[static_cast<std::size_t>(dst_host)];
-  if (src_rack == dst_rack) return {up, down};
+  if (src_rack == dst_rack) {
+    out->assign({up, down});
+    return;
+  }
 
   const auto planes = static_cast<std::size_t>(cfg_.fabric_per_pod);
   const std::size_t plane = EcmpHash(flow_key, 1) % planes;
   const LinkId tor_up = tor_up_[static_cast<std::size_t>(src_rack) * planes + plane];
   const LinkId tor_down = tor_down_[static_cast<std::size_t>(dst_rack) * planes + plane];
-  if (src_pod == dst_pod) return {up, tor_up, tor_down, down};
+  if (src_pod == dst_pod) {
+    out->assign({up, tor_up, tor_down, down});
+    return;
+  }
 
   const auto spines = static_cast<std::size_t>(cfg_.spines_per_plane);
   const std::size_t spine = EcmpHash(flow_key, 2) % spines;
   const auto fabric_at = [&](int pod) {
     return (static_cast<std::size_t>(pod) * planes + plane) * spines + spine;
   };
-  return {up, tor_up, fabric_up_[fabric_at(src_pod)], fabric_down_[fabric_at(dst_pod)], tor_down,
-          down};
+  out->assign({up, tor_up, fabric_up_[fabric_at(src_pod)], fabric_down_[fabric_at(dst_pod)],
+               tor_down, down});
 }
 
 }  // namespace m3

@@ -66,6 +66,8 @@ class FatTree {
   /// Same-host src/dst is invalid. Paths have 2 links (same rack), 4 links
   /// (same pod), or 6 links (cross-pod).
   Route RouteBetween(int src_host, int dst_host, std::uint64_t flow_key) const;
+  /// The same route, written into `*out` (reusing its capacity).
+  void RouteBetween(int src_host, int dst_host, std::uint64_t flow_key, Route* out) const;
 
  private:
   FatTreeConfig cfg_;

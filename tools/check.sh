@@ -63,11 +63,12 @@ echo "== ASan: checkpoint/trainer robustness + path pipeline + wire decoder suit
 # reused scenario workspaces, the parking-lot endpoint table, the hasher
 # behind the one-pass path key, flowSim, golden pins, hostile flow ids, the
 # fat-tree route tables, the one-sort percentile sweep, the percentile and
-# feature-row writers) run here because their index arithmetic (per-link
-# and per-path CSR lists, position-indexed flows, reused flowSim and
-# scenario workspaces, per-tier link tables, per-(hop, bucket) offsets into
-# the reused feature buffers) is exactly where an out-of-bounds access
-# would hide. So do the model-answer
+# feature-row writers, the in-place request-flow build) run here because
+# their index arithmetic (per-link and per-path CSR lists, position-indexed
+# flows, reused flowSim and scenario workspaces, per-tier link tables,
+# per-(hop, bucket) offsets into the reused feature buffers, flows and
+# routes rebuilt over a buffer's earlier contents) is exactly where an
+# out-of-bounds access would hide. So do the model-answer
 # pins and the graph-free inference suites (GoldenModel, ModelInfer): the
 # stacked row offsets of the batched forward are another such place.
 # SocketServer runs here too, so LeakSanitizer sees the socket helpers (its
@@ -77,7 +78,7 @@ echo "== ASan: checkpoint/trainer robustness + path pipeline + wire decoder suit
 cmake -B build-asan -S . -DM3_SANITIZE=address "$@"
 cmake --build build-asan -j"$JOBS" --target m3_tests
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|PercentileWriter|FeatureWriter|GoldenPipeline|FlowIds|GoldenModel|ModelInfer|SocketServer|ModelRegistry|Wire\.|OverloadWire|ShardWire|CacheKey|FatTree|Aggregate'
+  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|PercentileWriter|FeatureWriter|GoldenPipeline|FlowIds|GoldenModel|ModelInfer|SocketServer|ModelRegistry|Wire\.|OverloadWire|ShardWire|CacheKey|FatTree|Aggregate|RequestFlows'
 
 echo "== kernels: SIMD parity suites under ASan+UBSan for every M3_KERNEL =="
 # Every dispatchable tier (including forced-but-unavailable values, which
@@ -106,7 +107,8 @@ echo "== TSan: serving / hot-reload / scheduler suites =="
 # ScenarioReuse joins them: the path pipeline builds scenarios into
 # thread_local workspaces under a concurrent ParallelFor. ModelInfer
 # does too: threads share one model's parameters and keep thread_local
-# inference scratch.
+# inference scratch. The Service pattern also covers each service worker
+# thread's thread_local request flows.
 cmake -B build-tsan -S . -DM3_SANITIZE=thread "$@"
 cmake --build build-tsan -j"$JOBS" --target m3_tests
 ctest --test-dir build-tsan --output-on-failure -j"$JOBS" \
