@@ -133,8 +133,6 @@ RouterOptions FleetOptions(const std::vector<std::string>& socks, std::size_t n)
   ro.shards.assign(socks.begin(), socks.begin() + static_cast<std::ptrdiff_t>(n));
   ro.replicas = 2;
   ro.health_interval_seconds = 0.2;
-  ro.retry_backoff_ms = 10.0;
-  ro.breaker.cooloff_seconds = 1.0;
   ro.fallback_threads = 0;  // all cores: placement hashing must not bottleneck
   return ro;
 }

@@ -1,6 +1,7 @@
 #include "core/aggregate.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/parallel.h"
 #include "util/stats.h"
@@ -99,6 +100,45 @@ std::vector<double> CombineBuckets(
         i < weighted.size() ? weighted[i].first : weighted.back().first;
   }
   return out;
+}
+
+bool HasWeight(const PathEstimate& pe) {
+  for (double c : pe.counts) {
+    if (c > 0.0) return true;
+  }
+  return false;
+}
+
+long long ClampPathEstimates(std::vector<PathEstimate>& paths) {
+  long long clamped = 0;
+  for (PathEstimate& pe : paths) {
+    for (int b = 0; b < kNumOutputBuckets; ++b) {
+      if (pe.counts[static_cast<std::size_t>(b)] <= 0.0) continue;
+      for (int p = 0; p < kNumPercentiles; ++p) {
+        double& v = pe.pct[static_cast<std::size_t>(b)][static_cast<std::size_t>(p)];
+        // Only non-finite and physically impossible (<= 0) values are
+        // corrupt; finite values in (0, 1) are flowSim rounding.
+        if (!std::isfinite(v) || v <= 0.0) {
+          v = 1.0;
+          ++clamped;
+        }
+      }
+    }
+  }
+  return clamped;
+}
+
+PathAggregate AggregatePaths(std::vector<PathEstimate>& paths, unsigned num_threads) {
+  PathAggregate agg;
+  agg.clamped_values = ClampPathEstimates(paths);
+  agg.bucket_pct = AggregateBuckets(paths, num_threads);
+  for (const PathEstimate& pe : paths) {
+    for (int b = 0; b < kNumOutputBuckets; ++b) {
+      agg.total_counts[static_cast<std::size_t>(b)] += pe.counts[static_cast<std::size_t>(b)];
+    }
+  }
+  agg.combined_pct = CombineBuckets(agg.bucket_pct, agg.total_counts);
+  return agg;
 }
 
 std::array<std::vector<double>, kNumOutputBuckets> BucketSlowdowns(

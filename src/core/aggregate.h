@@ -34,6 +34,31 @@ std::vector<double> CombineBuckets(
     const std::array<std::vector<double>, kNumOutputBuckets>& bucket_pct,
     const std::array<double, kNumOutputBuckets>& total_counts);
 
+/// True when `pe` holds a foreground flow in some bucket. A dropped or
+/// skipped sample slot is all-zero and holds none.
+bool HasWeight(const PathEstimate& pe);
+
+/// Aggregation guard: clamps non-finite or non-positive slowdown values in
+/// the populated buckets of `paths` to the 1.0 floor so a stray NaN can
+/// never poison combined_pct. Finite values in (0, 1) pass through: flowSim
+/// emits slowdowns a few ulps below 1.0 (fct/ideal rounding), and clamping
+/// those would break bitwise reproducibility of fault-free runs. Returns
+/// the number of values clamped.
+long long ClampPathEstimates(std::vector<PathEstimate>& paths);
+
+/// The network-wide answer over one path sample.
+struct PathAggregate {
+  std::array<std::vector<double>, kNumOutputBuckets> bucket_pct;  // 100 each
+  std::array<double, kNumOutputBuckets> total_counts{};
+  std::vector<double> combined_pct;  // 100 points
+  long long clamped_values = 0;      // ClampPathEstimates' count
+};
+
+/// The aggregation tail of every answer, single-host or merged from shards:
+/// ClampPathEstimates on `paths` (in place), AggregateBuckets at
+/// `num_threads`, the summed per-bucket counts, then CombineBuckets.
+PathAggregate AggregatePaths(std::vector<PathEstimate>& paths, unsigned num_threads = 1);
+
 /// Weighted percentile over (value, weight) pairs; p in [0, 100].
 double WeightedPercentile(std::vector<std::pair<double, double>> weighted, double p);
 

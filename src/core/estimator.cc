@@ -339,14 +339,11 @@ NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& f
                       first_error_status.ToString();
   }
 
-  rep.clamped_values = ClampPathEstimates(est.paths);
-  est.bucket_pct = AggregateBuckets(est.paths, opts.num_threads);
-  for (const PathEstimate& pe : est.paths) {
-    for (int b = 0; b < kNumOutputBuckets; ++b) {
-      est.total_counts[static_cast<std::size_t>(b)] += pe.counts[static_cast<std::size_t>(b)];
-    }
-  }
-  est.combined_pct = CombineBuckets(est.bucket_pct, est.total_counts);
+  PathAggregate agg = AggregatePaths(est.paths, opts.num_threads);
+  rep.clamped_values = agg.clamped_values;
+  est.bucket_pct = std::move(agg.bucket_pct);
+  est.total_counts = agg.total_counts;
+  est.combined_pct = std::move(agg.combined_pct);
 
   est.degradation = rep;
   const int cause = cancel.load(std::memory_order_relaxed);
@@ -375,28 +372,6 @@ std::string DegradationReport::ToString() const {
          std::to_string(errors_nonfinite) + " non-finite, " +
          std::to_string(errors_deadline) + " deadline); " +
          std::to_string(clamped_values) + " values clamped";
-}
-
-long long ClampPathEstimates(std::vector<PathEstimate>& paths) {
-  long long clamped = 0;
-  for (PathEstimate& pe : paths) {
-    for (int b = 0; b < kNumOutputBuckets; ++b) {
-      if (pe.counts[static_cast<std::size_t>(b)] <= 0.0) continue;
-      for (int p = 0; p < kNumPercentiles; ++p) {
-        double& v = pe.pct[static_cast<std::size_t>(b)][static_cast<std::size_t>(p)];
-        // flowSim legitimately emits slowdowns a few ulps below 1.0
-        // (fct/ideal rounding), so finite values in (0, 1) pass through
-        // unchanged — clamping them would break bitwise reproducibility of
-        // fault-free runs. Only non-finite and physically impossible
-        // (<= 0) values are corrupt.
-        if (!std::isfinite(v) || v <= 0.0) {
-          v = 1.0;
-          ++clamped;
-        }
-      }
-    }
-  }
-  return clamped;
 }
 
 std::array<double, kNumOutputBuckets> NetworkEstimate::BucketP99() const {

@@ -117,13 +117,4 @@ NetworkEstimate RunFlowSimOnly(const Topology& topo, const std::vector<Flow>& fl
 /// results (for comparisons): bucket percentiles + combined percentiles.
 NetworkEstimate SummarizeGroundTruth(const std::vector<FlowResult>& results);
 
-/// Aggregation guard: clamps non-finite or non-positive slowdown values in
-/// the populated buckets of `paths` to the 1.0 floor so a stray NaN can
-/// never poison combined_pct. Finite values in (0, 1) pass through: flowSim
-/// emits slowdowns a few ulps below 1.0 (fct/ideal rounding), and clamping
-/// those would break bitwise reproducibility of fault-free runs. Returns
-/// the number of values clamped. Called by the pipeline before aggregation;
-/// exposed for tests.
-long long ClampPathEstimates(std::vector<PathEstimate>& paths);
-
 }  // namespace m3

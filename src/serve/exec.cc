@@ -243,9 +243,7 @@ ShardQueryResponse ExecuteShardOnSnapshot(const ShardQueryRequest& req,
       const PathEstimate& pe = est.paths[slot];
       // A dropped slot is all-zero (no estimate); omit it so the router can
       // climb its own ladder for that slot instead of aggregating a blank.
-      bool has_weight = false;
-      for (double c : pe.counts) has_weight = has_weight || c > 0.0;
-      if (!has_weight) continue;
+      if (!HasWeight(pe)) continue;
       resp.estimates.push_back(SlotEstimateWire{slot, pe});
     }
   }

@@ -101,13 +101,13 @@ struct MetricDesc {
 // One router shard's row (ServerStatsWire::shards), keyed by `address`.
 #define M3_SHARD_HEALTH_FIELDS(X)                                                       \
   X(std::string, address, kGauge, NoLabels, "endpoint, e.g. tcp:10.0.0.2:9000")        \
-  X(bool, healthy, kGauge, NoLabels, "last health probe succeeded")                     \
-  X(bool, breaker_open, kGauge, NoLabels, "shard circuit breaker open")                 \
+  X(bool, healthy, kGauge, NoLabels, "last probe or dispatch found it up")              \
+  X(bool, breaker_open, kGauge, NoLabels, "retired: always 0; leaves the wire in v7")   \
   X(std::uint64_t, model_version, kGauge, NoLabels, "from the last good probe")         \
-  X(std::uint64_t, dispatches, kCounter, NoLabels, "sub-requests, incl. retry/hedge")   \
+  X(std::uint64_t, dispatches, kCounter, NoLabels, "sub-requests, incl. retries")       \
   X(std::uint64_t, failures, kCounter, NoLabels, "sub-requests that did not answer")    \
   X(std::uint64_t, retries, kCounter, NoLabels, "re-dispatches after a failure")        \
-  X(std::uint64_t, hedges, kCounter, NoLabels, "duplicates for stragglers")             \
+  X(std::uint64_t, hedges, kCounter, NoLabels, "retired: always 0; leaves the wire in v7") \
   X(std::uint64_t, slots_fallback, kCounter, NoLabels, "slots served by flowSim")       \
   X(std::uint64_t, slots_dropped, kCounter, NoLabels, "slots reweighted away")
 

@@ -39,13 +39,6 @@ Hash128 SlotKey(const Hash128& query_key, std::size_t s) {
   return Hasher().U64(query_key.hi).U64(query_key.lo).U64(s).Finish();
 }
 
-bool HasWeight(const PathEstimate& pe) {
-  for (double c : pe.counts) {
-    if (c > 0.0) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 Router::Router(const RouterOptions& opts)
@@ -70,7 +63,7 @@ Status Router::Start() {
     for (const auto& s : shards) {
       if (s->name == name) return Status::InvalidArgument("duplicate shard " + name);
     }
-    shards.push_back(std::make_unique<Shard>(std::move(*ep), name, opts_.breaker));
+    shards.push_back(std::make_unique<Shard>(std::move(*ep), name));
     names.push_back(shards.back()->name);
   }
   shards_ = std::move(shards);
@@ -226,14 +219,6 @@ void Router::ProbeShard(Shard& s) {
     }
   }
   s.healthy.store(ready, std::memory_order_relaxed);
-  if (ready) {
-    s.breaker.RecordSuccess();
-  } else if (!fd.ok()) {
-    // Unreachable: charge the breaker so the shard's keys stop burning a
-    // timeout per query. Reachable-but-not-ready (no model yet) only clears
-    // `healthy` — the peer is alive, just not serving.
-    s.breaker.RecordFailure();
-  }
 }
 
 StatusOr<ShardQueryResponse> Router::CallShard(Shard& s, const std::string& payload,
@@ -346,7 +331,7 @@ QueryResponse Router::Query(const QueryRequest& req) {
 
   // Validation is the shards' (and the flowSim fallback's) job. A request
   // it rejects is the client's fault: the query ends with the validator's
-  // status and report, uncached, and no shard's breaker is charged.
+  // status and report, uncached, and no shard is marked down.
   const auto reject = [&](const Status& st, const DegradationReport& d) {
     resp = QueryResponse{};
     resp.status = st;
@@ -383,16 +368,13 @@ QueryResponse Router::Query(const QueryRequest& req) {
     pref[i] = ring_->Preference(SlotKey(query_key, i), replicas);
   }
 
-  // Availability snapshot: one breaker decision per shard per query — an
-  // open breaker's half-open probe budget must not be drained per-slot.
+  // Availability snapshot: one liveness reading per shard per query, so
+  // every slot of the query sees the same fleet.
   std::vector<char> avail(shards_.size(), 0);
   std::vector<ShardReportWire> report(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     report[s].shard = shards_[s]->name;
-    report[s].breaker_open = shards_[s]->breaker.open();
-    avail[s] =
-        (shards_[s]->healthy.load(std::memory_order_relaxed) && shards_[s]->breaker.Allow()) ? 1
-                                                                                             : 0;
+    avail[s] = shards_[s]->healthy.load(std::memory_order_relaxed) ? 1 : 0;
   }
 
   std::vector<int> cursor(n, -1);  // index into pref[i] of the current target
@@ -460,7 +442,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
 
   // ---- scatter rounds: dispatch, then re-dispatch failures replica-wise ----
   int round = 0;
-  int retry_rounds = 0;
   while (!queue.empty() && strict_abort.ok()) {
     double window = opts_.shard_timeout_seconds > 0 ? opts_.shard_timeout_seconds : kInfSeconds;
     const double rem = remaining();
@@ -469,9 +450,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
       break;
     }
     window = std::min(window, rem);
-    const bool hedged_round =
-        round == 0 && opts_.hedge_seconds > 0.0 && opts_.hedge_seconds < window;
-    if (hedged_round) window = opts_.hedge_seconds;
     const double recv_timeout = std::isfinite(window) ? window : 0.0;  // 0 = unbounded
 
     std::vector<StatusOr<ShardQueryResponse>> results(queue.size(),
@@ -481,9 +459,9 @@ QueryResponse Router::Query(const QueryRequest& req) {
       th.reserve(queue.size());
       // Deadline propagation: each sub-request carries what is *left* of
       // the client's budget at dispatch time — the elapsed scatter time
-      // (placement, earlier rounds, backoff sleeps) is already spent, and
-      // a shard that inherited the full deadline would happily compute
-      // past the moment the router has to answer.
+      // (placement, earlier rounds) is already spent, and a shard that
+      // inherited the full deadline would happily compute past the moment
+      // the router has to answer.
       const double shard_budget = has_deadline ? std::max(rem, 1e-9) : 0.0;
       for (std::size_t d = 0; d < queue.size(); ++d) {
         th.emplace_back([&, d] {
@@ -499,19 +477,16 @@ QueryResponse Router::Query(const QueryRequest& req) {
     }
 
     std::map<int, std::vector<std::uint32_t>> next;
-    bool any_retry = false;
     for (std::size_t d = 0; d < queue.size() && strict_abort.ok(); ++d) {
       const Dispatch& disp = queue[d];
       Shard& s = *shards_[static_cast<std::size_t>(disp.shard)];
       bool reroute = false;
-      bool as_hedge = false;
       if (results[d].ok()) {
         ShardQueryResponse& r = *results[d];
         if (r.status.code() == StatusCode::kInvalidArgument) {
           return reject(r.status, r.degradation);
         }
         if (IsAnsweredCode(r.status.code())) {
-          s.breaker.RecordSuccess();
           s.healthy.store(true, std::memory_order_relaxed);
           if (r.model_version > model_version) {
             model_version = r.model_version;
@@ -544,10 +519,8 @@ QueryResponse Router::Query(const QueryRequest& req) {
             if (!got[slot]) push_missing(slot);  // shard-dropped
           }
         } else {
-          // The shard answered "can't" (no model, strict fault). Charged
-          // like a failure so a persistently unready shard opens its
-          // breaker; the slots move to the next replica.
-          s.breaker.RecordFailure();
+          // The shard answered "can't" (no model, strict fault): the
+          // slots move to the next replica.
           if (shard_error.empty()) shard_error = "shard " + s.name + ": " + r.status.ToString();
           if (req.strict) {
             strict_abort = r.status.Annotate("shard " + s.name);
@@ -556,16 +529,7 @@ QueryResponse Router::Query(const QueryRequest& req) {
           reroute = true;
         }
       } else {
-        // Transport-level failure. In a hedged first round a recv timeout
-        // is a *straggler*, not a fault: re-dispatch without charging the
-        // breaker (the shard may answer fine at the next query).
-        const bool straggler =
-            hedged_round && results[d].status().code() == StatusCode::kDeadlineExceeded;
-        if (straggler) {
-          as_hedge = true;
-        } else {
-          s.breaker.RecordFailure();
-        }
+        // Transport-level failure: the slots move to the next replica.
         if (shard_error.empty()) shard_error = results[d].status().ToString();
         reroute = true;
       }
@@ -586,31 +550,14 @@ QueryResponse Router::Query(const QueryRequest& req) {
           cursor[slot] = c;
           const int target = pref[slot][static_cast<std::size_t>(c)];
           next[target].push_back(slot);
-          Shard& ts = *shards_[static_cast<std::size_t>(target)];
-          if (as_hedge) {
-            ts.hedges.fetch_add(1, std::memory_order_relaxed);
-            report[static_cast<std::size_t>(target)].hedges++;
-          } else {
-            ts.retries.fetch_add(1, std::memory_order_relaxed);
-            report[static_cast<std::size_t>(target)].retries++;
-            any_retry = true;
-          }
+          shards_[static_cast<std::size_t>(target)]->retries.fetch_add(
+              1, std::memory_order_relaxed);
+          report[static_cast<std::size_t>(target)].retries++;
         }
       }
     }
     queue.clear();
     for (auto& [sh, slots] : next) queue.push_back(Dispatch{sh, std::move(slots)});
-    if (!queue.empty() && any_retry) {
-      // Exponential backoff before a retry round; hedge-only rounds fire
-      // immediately (the whole point of hedging is not to wait).
-      const double delay_ms =
-          std::min(1000.0, opts_.retry_backoff_ms * std::pow(2.0, retry_rounds));
-      ++retry_rounds;
-      const double sleep_s = std::min(delay_ms / 1000.0, std::max(0.0, remaining()));
-      if (sleep_s > 0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
-      }
-    }
     ++round;
     if (round > static_cast<int>(replicas) + 2) {  // safety net; unreachable via cursors
       for (const Dispatch& d : queue) {
@@ -685,15 +632,14 @@ QueryResponse Router::Query(const QueryRequest& req) {
   }
   // The clamp re-runs over shard-supplied bytes: both sources pre-clamp, so
   // this is 0 unless a shard shipped non-finite values — the aggregation
-  // guard holds even against a corrupted peer.
-  rep.clamped_values += ClampPathEstimates(paths);
-  resp.bucket_pct = AggregateBuckets(paths);
-  for (const PathEstimate& pe : paths) {
-    for (int b = 0; b < kNumOutputBuckets; ++b) {
-      resp.total_counts[static_cast<std::size_t>(b)] += pe.counts[static_cast<std::size_t>(b)];
-    }
-  }
-  resp.combined_pct = CombineBuckets(resp.bucket_pct, resp.total_counts);
+  // guard holds even against a corrupted peer. Width 1: queries run on
+  // per-connection threads, and a merge on the shared pool would queue
+  // behind every other query's.
+  PathAggregate agg = AggregatePaths(paths);
+  rep.clamped_values += agg.clamped_values;
+  resp.bucket_pct = std::move(agg.bucket_pct);
+  resp.total_counts = agg.total_counts;
+  resp.combined_pct = std::move(agg.combined_pct);
 
   if (rep.first_error.empty() && !shard_error.empty()) rep.first_error = shard_error;
   resp.degradation = rep;
@@ -769,12 +715,10 @@ ServerStatsWire Router::Stats() const {
     ShardHealthWire h;
     h.address = s->name;
     h.healthy = s->healthy.load(std::memory_order_relaxed);
-    h.breaker_open = s->breaker.open();
     h.model_version = s->model_version.load(std::memory_order_relaxed);
     h.dispatches = s->dispatches.load(std::memory_order_relaxed);
     h.failures = s->failures.load(std::memory_order_relaxed);
     h.retries = s->retries.load(std::memory_order_relaxed);
-    h.hedges = s->hedges.load(std::memory_order_relaxed);
     h.slots_fallback = s->slots_fallback.load(std::memory_order_relaxed);
     h.slots_dropped = s->slots_dropped.load(std::memory_order_relaxed);
     if (h.healthy) mv = std::max(mv, h.model_version);

@@ -6,7 +6,7 @@
 // flows) are placed on the consistent-hash ring by a hash of (query key,
 // slot): one query's slots spread over the fleet, and a repeat places them
 // as before. Validation stays on the shards: a request their validator
-// rejects ends with that status and charges no breaker.
+// rejects ends with that status and marks no shard down.
 //
 // Exact repeats are answered from a whole-query cache in front of
 // everything else, with the service's key, value and persistence
@@ -20,17 +20,14 @@
 // fault-free scattered answer is bitwise identical to a one-daemon answer.
 //
 // Robustness (the reason this binary exists):
-//   per-shard breaker  — serve/shardmap.h ShardBreaker; opened by repeated
-//                        dispatch/health failures, half-open probes after a
-//                        cooloff, closed by any success. Keys owned by an
-//                        open shard route to their next ring replica
-//                        without burning a timeout.
-//   retry ladder       — a failed sub-request re-dispatches each of its
-//                        slots to the slot's next distinct ring replica,
-//                        with exponential backoff between rounds.
-//   hedging (optional) — hedge_seconds > 0 bounds how long round 0 waits:
-//                        a straggler shard's slots are re-dispatched to the
-//                        next replica without charging its breaker.
+//   liveness           — one signal per shard, `healthy`: a ready ping or an
+//                        answered dispatch sets it, a failed probe or a
+//                        failed connect clears it. Slots owned by an
+//                        unhealthy shard go straight to their next ring
+//                        replica.
+//   replica walk       — a failed or refused sub-request re-dispatches each
+//                        of its slots at once to the slot's next distinct
+//                        ring replica (`replicas` shards per slot in all).
 //   degradation ladder — slots no replica could serve fall back to a
 //                        router-side flowSim estimate (counted degraded;
 //                        the only time the router builds the tree and
@@ -70,12 +67,7 @@ struct RouterOptions {
   // Per-sub-request answer bound (<= 0: wait indefinitely). The client
   // query's own deadline, when tighter, wins.
   double shard_timeout_seconds = 30.0;
-  double retry_backoff_ms = 25.0;  // doubled per retry round
-  // > 0: round 0 waits only this long before re-dispatching a straggler's
-  // slots to the next replica (no breaker charge). 0 disables hedging.
-  double hedge_seconds = 0.0;
   double health_interval_seconds = 0.5;
-  ShardBreakerOptions breaker;
   // Thread width for the flowSim fallback (M3Options::num_threads
   // semantics; 0 = hardware).
   unsigned fallback_threads = 0;
@@ -133,7 +125,7 @@ class Router {
   struct Shard {
     Endpoint ep;
     std::string name;  // canonical endpoint string (ring + report identity)
-    ShardBreaker breaker;
+    // The shard's one liveness signal (see the file comment).
     std::atomic<bool> healthy{false};
     std::atomic<std::uint64_t> model_version{0};
     std::atomic<std::uint32_t> model_crc{0};  // content CRC from pings
@@ -141,28 +133,25 @@ class Router {
     std::atomic<std::uint64_t> dispatches{0};
     std::atomic<std::uint64_t> failures{0};
     std::atomic<std::uint64_t> retries{0};
-    std::atomic<std::uint64_t> hedges{0};
     std::atomic<std::uint64_t> slots_fallback{0};
     std::atomic<std::uint64_t> slots_dropped{0};
     std::mutex pool_mu;
     std::vector<UnixFd> pool;  // idle connections
 
-    Shard(Endpoint e, std::string n, const ShardBreakerOptions& b)
-        : ep(std::move(e)), name(std::move(n)), breaker(b) {}
+    Shard(Endpoint e, std::string n) : ep(std::move(e)), name(std::move(n)) {}
   };
 
   /// One framed request/response exchange with a shard: pooled or fresh
   /// connection, send + bounded recv, decode. A stale pooled connection
   /// (closed by the shard between queries) gets one fresh-connection retry;
   /// a recv timeout never does (the shard may be mid-compute — resending
-  /// would double the work). Updates dispatches/failures and the healthy
-  /// flag on connect-level failures; breaker accounting stays with the
-  /// caller (a hedge timeout must not charge it).
+  /// would double the work). Updates dispatches/failures, and clears the
+  /// healthy flag on a failed connect.
   StatusOr<ShardQueryResponse> CallShard(Shard& s, const std::string& payload,
                                          double recv_timeout_seconds);
 
-  /// One liveness probe: ping over a throwaway connection. Success (ready)
-  /// closes the breaker; failure charges it.
+  /// One liveness probe: ping over a throwaway connection; `healthy`
+  /// becomes the ping's readiness (false when it fails).
   void ProbeShard(Shard& s);
   void HealthLoop();
 

@@ -65,50 +65,4 @@ std::vector<int> HashRing::Preference(const Hash128& key, std::size_t max_shards
   return pref;
 }
 
-ShardBreaker::ShardBreaker(const ShardBreakerOptions& opts) : opts_(opts) {}
-
-bool ShardBreaker::Allow() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!open_) return true;
-  const auto now = Clock::now();
-  if (now < probe_at_) return false;
-  // Half-open: this caller owns the probe; the next one waits a full
-  // cooloff unless a success closes the breaker first.
-  probe_at_ = now + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(opts_.cooloff_seconds));
-  return true;
-}
-
-void ShardBreaker::RecordFailure() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto now = Clock::now();
-  const auto horizon = now - std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(opts_.window_seconds));
-  failures_.push_back(now);
-  while (!failures_.empty() && failures_.front() < horizon) failures_.pop_front();
-  const bool over = static_cast<int>(failures_.size()) >= std::max(1, opts_.threshold);
-  if (over || open_) {
-    if (!open_ && over) ++trips_;  // count closed->open transitions only
-    open_ = true;
-    probe_at_ = now + std::chrono::duration_cast<Clock::duration>(
-                          std::chrono::duration<double>(opts_.cooloff_seconds));
-  }
-}
-
-void ShardBreaker::RecordSuccess() {
-  std::lock_guard<std::mutex> lock(mu_);
-  open_ = false;
-  failures_.clear();
-}
-
-bool ShardBreaker::open() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return open_;
-}
-
-std::uint64_t ShardBreaker::trips() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return trips_;
-}
-
 }  // namespace m3::serve

@@ -167,8 +167,8 @@ struct ShardReportWire {
   std::uint32_t slots_fallback = 0; // router-side flowSim fallback
   std::uint32_t slots_dropped = 0;  // reweighted drop
   std::uint32_t retries = 0;        // re-dispatches for this query
-  std::uint32_t hedges = 0;         // hedged duplicates for this query
-  bool breaker_open = false;        // breaker state seen at dispatch
+  std::uint32_t hedges = 0;         // retired: always 0; leaves the wire in v7
+  bool breaker_open = false;        // retired: always false; leaves the wire in v7
 };
 
 struct QueryResponse {

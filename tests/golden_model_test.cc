@@ -277,12 +277,10 @@ NetworkEstimate RunShardSplit(const serve::QueryRequest& req, const PinnedModel&
     EXPECT_EQ(got.estimates.size(), sub.slots.size());
     for (const serve::SlotEstimateWire& se : got.estimates) est.paths[se.slot] = se.estimate;
   }
-  ClampPathEstimates(est.paths);
-  est.bucket_pct = AggregateBuckets(est.paths);
-  for (const PathEstimate& pe : est.paths) {
-    for (std::size_t b = 0; b < pe.counts.size(); ++b) est.total_counts[b] += pe.counts[b];
-  }
-  est.combined_pct = CombineBuckets(est.bucket_pct, est.total_counts);
+  PathAggregate agg = AggregatePaths(est.paths);
+  est.bucket_pct = std::move(agg.bucket_pct);
+  est.total_counts = agg.total_counts;
+  est.combined_pct = std::move(agg.combined_pct);
   return est;
 }
 

@@ -359,7 +359,6 @@ RouterOptions OneShardRouter(const std::string& path) {
   ro.replicas = 1;
   ro.connect_timeout_seconds = 1.0;
   ro.shard_timeout_seconds = 20.0;
-  ro.retry_backoff_ms = 5.0;
   ro.health_interval_seconds = 0.05;
   ro.fallback_threads = 2;
   return ro;

@@ -1,13 +1,12 @@
-// Sharded-fleet tests: the consistent-hash ring and recoverable breaker
-// (serve/shardmap.h), the shard wire messages under the usual hostile
+// Sharded-fleet tests: the consistent-hash ring (serve/shardmap.h), the
+// shard wire messages under the usual hostile
 // treatment, shard-side slot execution determinism (serve/exec.h), and the
 // scatter-gather router end-to-end against a live in-process fleet —
 // including the acceptance property that a fault-free scattered answer is
 // bitwise identical to a single daemon's, and that shard loss degrades
 // answers instead of failing them.
 //
-// Suite names here (HashRing / ShardBreaker / ShardWire / ShardExec /
-// RouterChaos) are deliberately outside the TSan tier's suite regex in
+// Suite names here (HashRing / ShardWire / ShardExec / RouterChaos) are deliberately outside the TSan tier's suite regex in
 // tools/check.sh: RouterChaos spins real sockets and whole services, which
 // belongs in the plain and chaos tiers.
 #include <gtest/gtest.h>
@@ -117,66 +116,6 @@ TEST(HashRing, EmptyRingOwnsNothing) {
   EXPECT_EQ(ring.num_shards(), 0u);
   EXPECT_EQ(ring.Owner(KeyOf(1)), -1);
   EXPECT_TRUE(ring.Preference(KeyOf(1)).empty());
-}
-
-// --------------------------------------------------------- shard breaker --
-
-ShardBreakerOptions FastBreaker() {
-  ShardBreakerOptions o;
-  o.threshold = 3;
-  o.window_seconds = 10.0;
-  o.cooloff_seconds = 0.05;
-  return o;
-}
-
-TEST(ShardBreaker, TripsAtThresholdAndBlocksDispatch) {
-  ShardBreaker b(FastBreaker());
-  EXPECT_TRUE(b.Allow());
-  b.RecordFailure();
-  b.RecordFailure();
-  EXPECT_FALSE(b.open());
-  EXPECT_TRUE(b.Allow());  // below threshold: still closed
-  b.RecordFailure();
-  EXPECT_TRUE(b.open());
-  EXPECT_EQ(b.trips(), 1u);
-  EXPECT_FALSE(b.Allow());  // freshly open: inside the cooloff
-}
-
-TEST(ShardBreaker, HalfOpenAdmitsExactlyOneProbePerCooloff) {
-  ShardBreaker b(FastBreaker());
-  for (int i = 0; i < 3; ++i) b.RecordFailure();
-  ASSERT_TRUE(b.open());
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  EXPECT_TRUE(b.Allow());   // the half-open probe
-  EXPECT_FALSE(b.Allow());  // second caller in the same cooloff: no
-  // A successful probe closes the breaker for good.
-  b.RecordSuccess();
-  EXPECT_FALSE(b.open());
-  EXPECT_TRUE(b.Allow());
-  EXPECT_TRUE(b.Allow());
-}
-
-TEST(ShardBreaker, FailedProbeRearmsTheCooloff) {
-  ShardBreaker b(FastBreaker());
-  for (int i = 0; i < 3; ++i) b.RecordFailure();
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  ASSERT_TRUE(b.Allow());
-  b.RecordFailure();        // the probe found the shard still down
-  EXPECT_TRUE(b.open());
-  EXPECT_FALSE(b.Allow());  // back inside a full cooloff
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  EXPECT_TRUE(b.Allow());   // ...after which one probe goes again
-}
-
-TEST(ShardBreaker, SuccessClearsTheFailureWindow) {
-  ShardBreaker b(FastBreaker());
-  b.RecordFailure();
-  b.RecordFailure();
-  b.RecordSuccess();  // window cleared: the next failures start from zero
-  b.RecordFailure();
-  b.RecordFailure();
-  EXPECT_FALSE(b.open());
-  EXPECT_EQ(b.trips(), 0u);
 }
 
 // ------------------------------------------------------------ shard wire --
@@ -483,10 +422,7 @@ RouterOptions FastRouterOptions(const std::vector<std::string>& shards) {
   ro.replicas = 2;
   ro.connect_timeout_seconds = 1.0;
   ro.shard_timeout_seconds = 20.0;
-  ro.retry_backoff_ms = 5.0;
   ro.health_interval_seconds = 0.1;
-  ro.breaker.threshold = 3;
-  ro.breaker.cooloff_seconds = 0.2;
   ro.fallback_threads = 2;
   return ro;
 }
@@ -608,7 +544,7 @@ TEST(RouterChaos, FleetRecoveryReclosesBreakersAndRestoresFullQuality) {
   const QueryResponse before = router.Query(req);
   ASSERT_TRUE(before.status.ok());
 
-  // Take the whole fleet down and let the prober open every breaker.
+  // Take the whole fleet down and let the prober mark every shard down.
   for (TestShard& s : shards) s.Kill();
   const auto opened = [&router] {
     const ServerStatsWire s = router.Stats();
@@ -623,7 +559,7 @@ TEST(RouterChaos, FleetRecoveryReclosesBreakersAndRestoresFullQuality) {
   EXPECT_EQ(router.Query(req).status.code(), StatusCode::kDegraded);
 
   // Bring the fleet back on the same addresses: the health prober's
-  // successful pings re-close the breakers (recoverable, unlike the
+  // successful pings mark the shards healthy again (recoverable, unlike the
   // supervisor's digest quarantine) and answers return to full quality.
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(shards[i].server->Start(paths[i]).ok());
@@ -640,7 +576,6 @@ TEST(RouterChaos, FleetRecoveryReclosesBreakersAndRestoresFullQuality) {
   const ServerStatsWire stats = router.Stats();
   for (const ShardHealthWire& sh : stats.shards) {
     EXPECT_TRUE(sh.healthy) << sh.address;
-    EXPECT_FALSE(sh.breaker_open) << sh.address;
   }
 }
 
@@ -861,20 +796,101 @@ TEST(RouterChaos, InvalidPersistedRecordsAreCountedAndNeverServed) {
   ExpectBitwiseEqual(good, resp);
 }
 
+// A scripted shard that answers pings ready and then either refuses every
+// shard query with kUnavailable or answers each slot with a plainly valid
+// estimate.
+class ScriptedShard {
+ public:
+  ScriptedShard(const std::string& path, bool refuse) {
+    ServerHooks hooks;
+    hooks.ping = [] {
+      PingResponse p;
+      p.ready = true;
+      p.model_version = 1;
+      return p;
+    };
+    hooks.stats = [] { return ServerStatsWire{}; };
+    hooks.shard_query = [refuse](const ShardQueryRequest& req) {
+      ShardQueryResponse resp;
+      resp.model_version = 1;
+      if (refuse) {
+        resp.status = Status::Unavailable("no model loaded");
+        return resp;
+      }
+      for (std::uint32_t slot : req.slots) {
+        PathEstimate pe;
+        for (auto& bucket : pe.pct) bucket.fill(1.25);
+        pe.counts.fill(2.0);
+        resp.estimates.push_back(SlotEstimateWire{slot, pe});
+      }
+      return resp;
+    };
+    server_ = std::make_unique<SocketServer>(std::move(hooks));
+    start_status_ = server_->Start(path);
+  }
+
+  const Status& start_status() const { return start_status_; }
+
+ private:
+  Status start_status_;
+  std::unique_ptr<SocketServer> server_;
+};
+
+// A shard that answers its pings but refuses its queries stays healthy; each
+// refused slot moves at once to its ring replica. Strict mode ends the query
+// with the refusal instead.
+TEST(RouterChaos, RefusingShardSlotsLandOnTheReplica) {
+  const std::vector<std::string> paths = FleetPaths("rc_refuse", 2);
+  ScriptedShard refusing(paths[0], /*refuse=*/true);
+  ScriptedShard serving(paths[1], /*refuse=*/false);
+  ASSERT_TRUE(refusing.start_status().ok()) << refusing.start_status().ToString();
+  ASSERT_TRUE(serving.start_status().ok()) << serving.start_status().ToString();
+
+  Router router(FastRouterOptions(paths));
+  ASSERT_TRUE(router.Start().ok());
+  ASSERT_EQ(router.Ping().shards_healthy, 2u);
+
+  constexpr int kSlots = 24;
+  const QueryResponse resp = router.Query(FleetQuery(kSlots));
+  ASSERT_EQ(resp.shards.size(), 2u);
+  const std::uint32_t refused = resp.shards[0].slots_assigned;
+  ASSERT_GT(refused, 0u) << "the ring gave the refusing shard no slot";
+  EXPECT_EQ(resp.status.code(), StatusCode::kOk) << resp.status.ToString();
+  EXPECT_EQ(resp.degradation.paths_degraded, 0);
+  EXPECT_EQ(resp.degradation.paths_dropped, 0);
+  EXPECT_EQ(resp.shards[0].slots_ok, 0u);
+  EXPECT_EQ(resp.shards[1].slots_ok, static_cast<std::uint32_t>(kSlots));
+  EXPECT_EQ(resp.shards[0].retries, 0u);
+  EXPECT_EQ(resp.shards[1].retries, refused);
+  const ServerStatsWire st = router.Stats();
+  EXPECT_EQ(st.shards[1].retries, refused);
+  EXPECT_EQ(st.shards[0].failures, 0u);  // it answered: no transport failure
+  EXPECT_TRUE(st.shards[0].healthy);
+
+  QueryRequest strict = FleetQuery(kSlots);
+  strict.strict = true;
+  const QueryResponse sresp = router.Query(strict);
+  EXPECT_EQ(sresp.status.code(), StatusCode::kUnavailable) << sresp.status.ToString();
+  EXPECT_NE(sresp.status.message().find("shard " + resp.shards[0].shard), std::string::npos)
+      << sresp.status.ToString();
+  EXPECT_NE(sresp.status.message().find("no model loaded"), std::string::npos)
+      << sresp.status.ToString();
+}
+
 // A request the shards' validator rejects is the client's fault: the query
-// ends with that status, is never cached, and charges no breaker however
+// ends with that status, is never cached, and marks no shard down however
 // often it is sent.
 TEST(RouterChaos, InvalidFlowEndsTheQueryWithoutChargingBreakers) {
   const std::vector<std::string> paths = FleetPaths("rc_invalid", 3);
   TestShard shards[3];
   for (int i = 0; i < 3; ++i) shards[i].Start(paths[i]);
 
-  const RouterOptions ro = FastRouterOptions(paths);
-  Router router(ro);
+  Router router(FastRouterOptions(paths));
   ASSERT_TRUE(router.Start().ok());
   QueryRequest bad = FleetQuery(6);
   bad.flows[5].dst_host = bad.flows[5].src_host;
-  for (int i = 0; i < ro.breaker.threshold + 2; ++i) {
+  constexpr int kSends = 5;
+  for (int i = 0; i < kSends; ++i) {
     const std::uint64_t dispatched = Dispatches(router);
     const QueryResponse resp = router.Query(bad);
     EXPECT_EQ(resp.status.code(), StatusCode::kInvalidArgument) << resp.status.ToString();
@@ -887,9 +903,8 @@ TEST(RouterChaos, InvalidFlowEndsTheQueryWithoutChargingBreakers) {
     EXPECT_GT(Dispatches(router), dispatched) << "an invalid answer was cached";
   }
   const ServerStatsWire st = router.Stats();
-  EXPECT_EQ(st.queries_failed, static_cast<std::uint64_t>(ro.breaker.threshold + 2));
+  EXPECT_EQ(st.queries_failed, static_cast<std::uint64_t>(kSends));
   for (const ShardHealthWire& sh : st.shards) {
-    EXPECT_FALSE(sh.breaker_open) << sh.address;
     EXPECT_TRUE(sh.healthy) << sh.address;
     EXPECT_EQ(sh.failures, 0u) << sh.address;
     EXPECT_EQ(sh.retries, 0u) << sh.address;

@@ -16,7 +16,9 @@
 # purpose: fork() and ThreadSanitizer do not mix. Last, the distributed
 # tier: a real m3d_router over three real m3d shards serving load-gen while
 # one shard is SIGKILLed mid-load — every query must come back answered
-# (ok or degraded, never failed) — then the same load with caching on,
+# (ok or degraded, never failed), and the router's stats must show the kill
+# landed inside the load (failed dispatches to the victim, retried slots) —
+# then the same load with caching on,
 # which must also be answered in full and hit the router's query cache;
 # the whole fleet must shut down without orphans. Finally the overload tier: a deliberately undersized m3d driven
 # at ~4x its capacity with per-query deadlines — every query must resolve
@@ -116,7 +118,7 @@ ctest --test-dir build-tsan --output-on-failure -j"$JOBS" \
 
 echo "== chaos: supervised-worker + router fleet suites under ASan =="
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'WorkerPool|Supervisor|ChaosSoak|SocketTimeout|HashRing|ShardBreaker|ShardWire|ShardExec|RouterChaos'
+  -R 'WorkerPool|Supervisor|ChaosSoak|SocketTimeout|HashRing|ShardWire|ShardExec|RouterChaos'
 
 echo "== chaos: live kill-storm mini-soak (m3d + load-gen vs SIGKILL) =="
 cmake --build build -j"$JOBS" --target m3d m3_client train_m3
@@ -203,7 +205,7 @@ done
 ./build/tools/m3d_router --listen "$DIST_DIR/router.sock" \
   --shard "$DIST_DIR/shard0.sock" --shard "$DIST_DIR/shard1.sock" \
   --shard "$DIST_DIR/shard2.sock" \
-  --health-interval 0.2 --breaker-cooloff 1 --backoff-ms 10 \
+  --health-interval 0.2 \
   > "$DIST_DIR/router.log" 2>&1 &
 ROUTER_PID=$!
 DIST_PIDS="$DIST_PIDS $ROUTER_PID"
@@ -213,11 +215,9 @@ for _ in $(seq 1 100); do
   sleep 0.2
 done
 
-# SIGKILL one shard by its exact pid 0.3 s into the load (never
-# pkill -f here: the router's argv contains every shard's socket path).
-VICTIM_PID="$(echo "$SHARD_PIDS" | awk '{print $2}')"
-( sleep 0.3; kill -KILL "$VICTIM_PID" 2>/dev/null || true ) &
-KILLER_PID=$!
+router_stats() {
+  ./build/tools/m3_client --socket "$DIST_DIR/router.sock" --stats --json
+}
 
 # Load-gen through the router; every query must come back answered. $1
 # names the leg, the remaining arguments are extra m3_client flags.
@@ -225,7 +225,7 @@ dist_load() {
   local leg="$1" json total answered failed
   shift
   json="$(./build/tools/m3_client --socket "$DIST_DIR/router.sock" \
-    --flows 4000 --paths 32 --concurrency 4 --repeat 25 --retries 6 --json "$@")"
+    --flows 4000 --paths 32 --concurrency 4 --retries 6 --json "$@")"
   echo "$json"
   total="$(echo "$json" | sed -E 's/.*"total": ([0-9]+).*/\1/')"
   answered="$(echo "$json" | sed -E 's/.*"answered": ([0-9]+).*/\1/')"
@@ -238,8 +238,34 @@ dist_load() {
 
 # The distributed contract: with a shard dying mid-load, every query is
 # still answered — rerouted to a replica or flowSim-degraded, never failed.
-dist_load shard-kill --no-cache
-wait "$KILLER_PID" 2>/dev/null || true
+# The victim is SIGKILLed by its exact pid (never pkill -f here: the
+# router's argv contains every shard's socket path) once the router has
+# received 20 of the leg's 200 queries, so the kill lands inside the load.
+VICTIM_PID="$(echo "$SHARD_PIDS" | awk '{print $2}')"
+dist_load shard-kill --no-cache --repeat 50 > "$DIST_DIR/shard-kill.json" &
+LOAD_PID=$!
+for _ in $(seq 1 1000); do
+  received="$(router_stats | sed -E 's/.*"queries_received":([0-9]+).*/\1/')"
+  [ "$received" -ge 20 ] && break
+  sleep 0.01
+done
+kill -KILL "$VICTIM_PID"
+wait "$LOAD_PID"
+cat "$DIST_DIR/shard-kill.json"
+# The kill must have hit live traffic: dispatches to the victim failed and
+# their slots were retried on a replica.
+KILL_STATS="$(router_stats)"
+victim_failures="$(echo "$KILL_STATS" | tr '}' '\n' | grep -F 'shard1.sock' |
+  sed -E 's/.*"failures":([0-9]+).*/\1/')"
+slots_retried="$(echo "$KILL_STATS" | grep -oE '"retries":[0-9]+' |
+  awk -F: '{ n += $2 } END { print n + 0 }')"
+if [ "${victim_failures:-0}" -eq 0 ] || [ "$slots_retried" -eq 0 ]; then
+  echo "distributed (shard-kill): the kill missed the load: victim failures" \
+    "${victim_failures:-none}, $slots_retried slots retried: $KILL_STATS" >&2
+  exit 1
+fi
+echo "shard-kill: killed after $received queries; victim failed" \
+  "$victim_failures dispatches, $slots_retried slots retried"
 
 # The router stays up and reports fleet health after the loss.
 ./build/tools/m3_client --socket "$DIST_DIR/router.sock" --ping
@@ -248,7 +274,7 @@ wait "$KILLER_PID" 2>/dev/null || true
 # Cached leg: the same load with caching on, on the surviving fleet. Exact
 # repeats must come from the router's query cache (the scraped key is a
 # metric name from serve/metrics.h).
-dist_load cached
+dist_load cached --repeat 25
 DIST_STATS="$(./build/tools/m3_client --socket "$DIST_DIR/router.sock" --stats --json)"
 dist_hits="$(echo "$DIST_STATS" | sed -E 's/.*"query_cache":\{"hits":([0-9]+).*/\1/')"
 if [ "$dist_hits" -eq 0 ]; then

@@ -658,11 +658,9 @@ int main(int argc, char** argv) {
     // Routed answer: per-shard attribution assembled by m3d-router.
     std::printf("shards:\n");
     for (const ShardReportWire& sh : est.shards) {
-      std::printf("  %s — %u assigned, %u ok, %u fallback, %u dropped, "
-                  "%u retries, %u hedges%s\n",
+      std::printf("  %s — %u assigned, %u ok, %u fallback, %u dropped, %u retries\n",
                   sh.shard.c_str(), sh.slots_assigned, sh.slots_ok,
-                  sh.slots_fallback, sh.slots_dropped, sh.retries, sh.hedges,
-                  sh.breaker_open ? " [breaker open]" : "");
+                  sh.slots_fallback, sh.slots_dropped, sh.retries);
     }
   }
   return ExitCodeFor(est.status.code());

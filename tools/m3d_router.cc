@@ -44,13 +44,8 @@ constexpr const char* kUsage =
     "  --vnodes N           ring points per shard, >= 1              (64)\n"
     "  --shard-timeout S    per-sub-request answer bound, seconds    (30)\n"
     "  --connect-timeout S  per-shard connect bound, seconds         (2)\n"
-    "  --hedge S            re-dispatch stragglers after S seconds   (0 = off)\n"
-    "  --backoff-ms MS      base retry backoff, doubled per round    (25)\n"
-    "  --health-interval S  background probe period, seconds         (0.5)\n"
-    "  --breaker-threshold N   failures to open a shard breaker      (3)\n"
-    "  --breaker-window S      failure-counting window, seconds      (10)\n"
-    "  --breaker-cooloff S     open time before a half-open probe    (2)\n"
-    "  --fallback-threads N    flowSim fallback threads, 0 = all     (0)\n"
+    "  --health-interval S  liveness probe period, seconds           (0.5)\n"
+    "  --fallback-threads N flowSim fallback threads, 0 = all        (0)\n"
     "  --pool N             idle connections kept per shard          (4)\n"
     "  --query-cache N      whole-query cache entries, consulted\n"
     "                       before anything else, >= 0               (256)\n"
@@ -65,7 +60,11 @@ constexpr const char* kUsage =
     "over the fleet; the router never decomposes a query, and the shards\n"
     "validate it. An exact repeat is answered from the query cache while\n"
     "the fleet serves the model it was computed with. A fault-free\n"
-    "scattered answer is bitwise identical to a single m3d's.\n";
+    "scattered answer is bitwise identical to a single m3d's.\n"
+    "\n"
+    "A shard is skipped while its last probe failed. A slot whose shard\n"
+    "fails or refuses goes at once to its next ring replica; a slot no\n"
+    "replica serves gets a router-side flowSim estimate, then is dropped.\n";
 
 [[noreturn]] void UsageError(const std::string& msg) {
   std::fprintf(stderr, "m3d_router: %s\n\n%s", msg.c_str(), kUsage);
@@ -133,12 +132,7 @@ int main(int argc, char** argv) {
     else if (key == "--vnodes") opts.vnodes = static_cast<int>(ParseInt(key, v, 1, 4096));
     else if (key == "--shard-timeout") opts.shard_timeout_seconds = ParseSeconds(key, v);
     else if (key == "--connect-timeout") opts.connect_timeout_seconds = ParseSeconds(key, v);
-    else if (key == "--hedge") opts.hedge_seconds = ParseSeconds(key, v);
-    else if (key == "--backoff-ms") opts.retry_backoff_ms = static_cast<double>(ParseInt(key, v, 0, 60'000));
     else if (key == "--health-interval") opts.health_interval_seconds = ParseSeconds(key, v, 0.01);
-    else if (key == "--breaker-threshold") opts.breaker.threshold = static_cast<int>(ParseInt(key, v, 1, 1'000'000));
-    else if (key == "--breaker-window") opts.breaker.window_seconds = ParseSeconds(key, v, 0.01);
-    else if (key == "--breaker-cooloff") opts.breaker.cooloff_seconds = ParseSeconds(key, v, 0.01);
     else if (key == "--fallback-threads") opts.fallback_threads = static_cast<unsigned>(ParseInt(key, v, 0, 1024));
     else if (key == "--pool") opts.pool_per_shard = static_cast<std::size_t>(ParseInt(key, v, 0, 1024));
     else if (key == "--query-cache") opts.query_cache_entries = static_cast<std::size_t>(ParseInt(key, v, 0, 1 << 24));
@@ -185,12 +179,9 @@ int main(int argc, char** argv) {
   std::uint32_t healthy = 0;
   for (const ShardHealthWire& s : boot.shards) healthy += s.healthy ? 1 : 0;
   std::printf("m3d_router: serving on %s — %zu shard(s), %u healthy at boot; "
-              "%d replica(s), %d vnodes, hedge %s\n",
+              "%d replica(s), %d vnodes\n",
               listen_ep->ToString().c_str(), router.num_shards(), healthy,
-              opts.replicas, opts.vnodes,
-              opts.hedge_seconds > 0
-                  ? (std::to_string(opts.hedge_seconds) + "s").c_str()
-                  : "off");
+              opts.replicas, opts.vnodes);
   for (const ShardHealthWire& s : boot.shards) {
     std::printf("m3d_router:   shard %s — %s\n", s.address.c_str(),
                 s.healthy ? "healthy" : "unreachable");
