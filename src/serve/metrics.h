@@ -86,9 +86,9 @@ struct MetricDesc {
   X(std::uint64_t, watchdog_kills, kCounter, NoLabels, "SIGKILLed past deadline+grace")   \
   X(std::uint64_t, garbage_replies, kCounter, NoLabels, "undecodable worker replies")     \
   X(std::uint64_t, crash_retried_queries, kCounter, NoLabels, "re-run on a fresh worker") \
-  X(std::uint64_t, breaker_trips, kCounter, NoLabels, "model circuit-breaker trips")      \
-  X(bool, breaker_open, kGauge, NoLabels, "serving model quarantined")                    \
-  X(std::uint32_t, quarantined_digests, kGauge, NoLabels, "quarantined model digests")    \
+  X(std::uint64_t, breaker_trips, kCounter, NoLabels, "retired: always 0; leaves the wire in v7") \
+  X(bool, breaker_open, kGauge, NoLabels, "retired: always 0; leaves the wire in v7")     \
+  X(std::uint32_t, quarantined_digests, kGauge, NoLabels, "retired: always 0; leaves the wire in v7") \
   X(bool, router_mode, kGauge, NoLabels, "m3d-router (shard rows follow)")                \
   X(bool, persist_enabled, kGauge, NoLabels, "durable caches (--cache-dir)")              \
   X(std::uint64_t, persist_segments_loaded, kCounter, NoLabels, "segments recovered")     \

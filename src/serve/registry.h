@@ -62,27 +62,6 @@ class ModelRegistry {
   /// opened (an injected failure behaves like an unreadable file).
   Status Reload(const std::string& path);
 
-  /// Loads `path` into a snapshot *without* publishing it (version stays 0).
-  /// Lets a caller inspect the load — e.g. check the digest against a
-  /// quarantine list — before deciding to Publish. Counts reloads_failed on
-  /// failure; the matching Publish counts reloads_ok.
-  StatusOr<std::shared_ptr<ModelSnapshot>> Load(const std::string& path);
-
-  /// Publishes a snapshot from Load(): assigns the next version and makes
-  /// it Current(). Counts reloads_ok.
-  void Publish(std::shared_ptr<ModelSnapshot> snap);
-
-  /// Re-publishes a previously served snapshot verbatim — version and
-  /// identity are kept, no counters move. This is the circuit-breaker
-  /// rollback: when a freshly published model keeps crashing workers, the
-  /// supervisor swaps the last good snapshot back in, so Current()'s
-  /// version can legitimately move backwards.
-  void Republish(std::shared_ptr<const ModelSnapshot> snap);
-
-  /// Records a reload that was refused before any load was attempted
-  /// (e.g. the checkpoint's digest is quarantined).
-  void NoteReloadRefused();
-
   /// The currently published snapshot, or nullptr before the first
   /// successful Reload. Cheap enough for the per-query hot path.
   std::shared_ptr<const ModelSnapshot> Current() const;
@@ -93,8 +72,6 @@ class ModelRegistry {
   }
 
  private:
-  StatusOr<std::shared_ptr<ModelSnapshot>> LoadLocked(const std::string& path);
-
   const M3ModelConfig cfg_;
   // Held for the whole of Reload (loads are rare, seconds-scale is fine):
   // serializing load+publish makes publication order equal call order, so a

@@ -25,48 +25,15 @@ EstimationService::EstimationService(const ServiceOptions& opts)
     sopts.threads_per_query = opts_.threads_per_query;
     supervisor_ = std::make_unique<WorkerSupervisor>(
         sopts, [this] { return registry_.Current(); });
-    supervisor_->set_trip_callback([this](const Hash128& d) { OnBreakerTrip(d); });
   }
 }
 
 EstimationService::~EstimationService() { Stop(); }
 
 Status EstimationService::ReloadModel(const std::string& checkpoint_path) {
-  if (supervisor_ == nullptr) return registry_.Reload(checkpoint_path);
-
-  // Worker mode splits load from publish so the quarantine check can sit
-  // between them; reload_mu_ restores load->publish atomicity.
-  std::lock_guard<std::mutex> lock(reload_mu_);
-  StatusOr<std::shared_ptr<ModelSnapshot>> snap = registry_.Load(checkpoint_path);
-  if (!snap.ok()) return snap.status();
-  if (supervisor_->IsQuarantined((*snap)->digest)) {
-    registry_.NoteReloadRefused();
-    return Status::Unavailable(
-        "reload refused: this checkpoint's model version is quarantined by the "
-        "worker circuit breaker (it kept crashing workers)");
-  }
-  const std::shared_ptr<const ModelSnapshot> prev = registry_.Current();
-  registry_.Publish(std::move(*snap));
-  if (prev != nullptr && !supervisor_->IsQuarantined(prev->digest)) {
-    last_good_ = prev;  // the rollback target if the new model misbehaves
-  }
-  supervisor_->RestartWorkers();  // roll the pool onto the new snapshot
+  M3_RETURN_IF_ERROR(registry_.Reload(checkpoint_path));
+  if (supervisor_ != nullptr) supervisor_->RestartWorkers();  // roll the pool
   return Status::Ok();
-}
-
-void EstimationService::OnBreakerTrip(const Hash128& digest) {
-  std::lock_guard<std::mutex> lock(reload_mu_);
-  const std::shared_ptr<const ModelSnapshot> cur = registry_.Current();
-  if (cur == nullptr || !(cur->digest == digest)) return;  // already replaced
-  if (last_good_ == nullptr || last_good_->digest == digest ||
-      supervisor_->IsQuarantined(last_good_->digest)) {
-    // Nothing safe to roll back to: the trip stays advisory (breaker_open
-    // in --stats) and respawn backoff caps the churn — a crashing model
-    // still beats no model.
-    return;
-  }
-  registry_.Republish(last_good_);
-  supervisor_->RestartWorkers();
 }
 
 Status EstimationService::Start() {
@@ -429,9 +396,6 @@ ServerStatsWire EstimationService::Stats() const {
     s.watchdog_kills = w.watchdog_kills;
     s.garbage_replies = w.garbage_replies;
     s.crash_retried_queries = w.crash_retried_queries;
-    s.breaker_trips = w.breaker_trips;
-    s.breaker_open = w.breaker_open;
-    s.quarantined_digests = w.quarantined_digests;
   }
   ExportPersistStats(persister_.get(), &s);
   return s;

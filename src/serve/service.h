@@ -84,9 +84,8 @@ class EstimationService {
 
   /// Loads (or hot-reloads) the serving checkpoint. Safe under load: on
   /// failure the current snapshot keeps serving and the error is returned.
-  /// In worker mode a checkpoint whose digest the circuit breaker has
-  /// quarantined is refused (kUnavailable) without being published, and a
-  /// successful reload rolls the worker pool onto the new snapshot.
+  /// In worker mode a successful reload rolls the worker pool onto the new
+  /// snapshot.
   Status ReloadModel(const std::string& checkpoint_path);
 
   /// Spawns the worker threads. kInvalidArgument if already running.
@@ -187,9 +186,6 @@ class EstimationService {
   /// Answers a request whose deadline expired while queued (kExpired) and
   /// fires its done callback. Must be called *without* queue_mu_ held.
   void AnswerExpired(Pending p);
-  /// Circuit-breaker trip handler: rolls back to the last good snapshot
-  /// when the freshly published model is the one killing workers.
-  void OnBreakerTrip(const Hash128& digest);
   /// Boot-time durable-cache replay (runs on recovery_, concurrent with
   /// serving): decodes each surviving record, drops entries whose model
   /// digest no longer matches the registry, inserts the rest.
@@ -205,13 +201,6 @@ class EstimationService {
   CacheDirLock dir_lock_;
   std::mutex recovery_mu_;  // guards recovery_ join
   std::thread recovery_;
-
-  // Serializes reload/rollback decisions (quarantine check + publish must
-  // be atomic against each other); also guards last_good_.
-  std::mutex reload_mu_;
-  // The snapshot a breaker trip rolls back to: the previously serving
-  // snapshot at the time of the last successful reload.
-  std::shared_ptr<const ModelSnapshot> last_good_;
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;

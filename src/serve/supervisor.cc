@@ -20,6 +20,8 @@ using Clock = std::chrono::steady_clock;
 constexpr auto kReaperTick = std::chrono::milliseconds(10);
 // How long Stop() waits for workers to honor EOF before SIGKILL.
 constexpr int kStopGraceTicks = 50;  // x 10ms
+// Re-runs of a crashed (or garbage-answering) query on a fresh worker.
+constexpr int kCrashRetries = 1;
 
 }  // namespace
 
@@ -36,31 +38,12 @@ int WorkerSupervisor::BackoffDelayMs(int consecutive_failures, int initial_ms,
   return static_cast<int>(std::min<long long>(delay, max_ms));
 }
 
-int WorkerSupervisor::JitteredBackoffMs(int delay_ms, std::uint64_t seed, std::uint64_t slot,
-                                        std::uint64_t failure) {
-  // splitmix64 over (seed, slot, failure): every slot and every retry round
-  // lands on its own point of the [0.5, 1.5) factor range, deterministically
-  // for a fixed seed.
-  std::uint64_t z = seed ^ (slot * 0x9e3779b97f4a7c15ull) ^ (failure * 0xbf58476d1ce4e5b9ull);
-  z += 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  z ^= z >> 31;
-  const double factor = 0.5 + static_cast<double>(z >> 11) * (1.0 / 9007199254740992.0);
-  return std::max(1, static_cast<int>(static_cast<double>(delay_ms) * factor));
-}
-
 Status WorkerSupervisor::Start() {
   std::lock_guard<std::mutex> lock(mu_);
   if (running_) return Status::InvalidArgument("worker supervisor already running");
   running_ = true;
   stopping_ = false;
   generation_ = 1;
-  // Pid-derived default: every daemon in a fleet gets its own jitter
-  // stream even when launched from identical configs.
-  jitter_seed_ = opts_.backoff_jitter_seed != 0
-                     ? opts_.backoff_jitter_seed
-                     : static_cast<std::uint64_t>(::getpid()) * 0x9e3779b97f4a7c15ull + 1;
   slots_ = std::vector<Slot>(static_cast<std::size_t>(std::max(1, opts_.num_workers)));
   const auto now = Clock::now();
   for (Slot& s : slots_) {
@@ -146,7 +129,6 @@ bool WorkerSupervisor::SpawnLocked(Slot& s) {
   s.state = SlotState::kIdle;
   s.generation = generation_;
   s.snap_version = snap->version;
-  s.snap_digest = snap->digest;
   s.kill_intentional = false;
   ++spawns_;
   return true;
@@ -157,37 +139,20 @@ void WorkerSupervisor::FailBusyWorkerLocked(Slot& s, bool intentional) {
   s.fd.Close();
   s.state = SlotState::kReaping;
   s.kill_intentional = intentional;
-  const auto now = Clock::now();
   if (intentional) {
     s.consecutive_failures = 0;
-    s.respawn_at = now;
+    s.respawn_at = Clock::now();
   } else {
-    ++s.consecutive_failures;
-    ++restarts_;
-    s.respawn_at = now + std::chrono::milliseconds(JitteredBackoffMs(
-                             BackoffDelayMs(s.consecutive_failures, opts_.backoff_initial_ms,
-                                            opts_.backoff_max_ms),
-                             jitter_seed_, static_cast<std::uint64_t>(&s - slots_.data()),
-                             static_cast<std::uint64_t>(s.consecutive_failures)));
+    ScheduleRespawnLocked(s);
   }
 }
 
-std::optional<Hash128> WorkerSupervisor::RecordFailureLocked(const Hash128& digest) {
-  const auto now = Clock::now();
-  failures_.emplace_back(now, digest);
-  const auto cutoff =
-      now - std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double>(opts_.breaker_window_seconds));
-  while (!failures_.empty() && failures_.front().first < cutoff) failures_.pop_front();
-  if (quarantined_.count(digest) != 0) return std::nullopt;  // already tripped
-  int in_window = 0;
-  for (const auto& [when, d] : failures_) {
-    if (d == digest) ++in_window;
-  }
-  if (in_window < opts_.breaker_threshold) return std::nullopt;
-  quarantined_.insert(digest);
-  ++breaker_trips_;
-  return digest;
+void WorkerSupervisor::ScheduleRespawnLocked(Slot& s) {
+  ++s.consecutive_failures;
+  ++restarts_;
+  const int delay_ms =
+      BackoffDelayMs(s.consecutive_failures, opts_.backoff_initial_ms, opts_.backoff_max_ms);
+  s.respawn_at = Clock::now() + std::chrono::milliseconds(delay_ms);
 }
 
 int WorkerSupervisor::LeaseWorker() {
@@ -216,7 +181,7 @@ QueryResponse WorkerSupervisor::Execute(const QueryRequest& req) {
   const double budget = req.deadline_seconds > 0
                             ? req.deadline_seconds + opts_.grace_seconds
                             : opts_.default_watchdog_seconds;
-  int attempts_left = 1 + std::max(0, opts_.crash_retries);
+  int attempts_left = 1 + kCrashRetries;
   for (;;) {
     const int idx = LeaseWorker();
     if (idx < 0) {
@@ -268,7 +233,6 @@ QueryResponse WorkerSupervisor::Execute(const QueryRequest& req) {
     }
 
     const bool hang = !garbage && reply.status().code() == StatusCode::kDeadlineExceeded;
-    std::optional<Hash128> tripped;
     std::uint64_t failed_version = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -281,10 +245,8 @@ QueryResponse WorkerSupervisor::Execute(const QueryRequest& req) {
         ++crashes_;
       }
       FailBusyWorkerLocked(s, /*intentional=*/false);
-      tripped = RecordFailureLocked(s.snap_digest);
       if (!hang && attempts_left > 0) ++crash_retried_queries_;
     }
-    if (tripped.has_value() && on_trip_) on_trip_(*tripped);
 
     if (hang) {
       // No retry: the query itself may be pathological, and its deadline
@@ -313,9 +275,6 @@ void WorkerSupervisor::ReaperLoop() {
   while (!stopping_) {
     const auto now = Clock::now();
     bool spawned = false;
-    // Every trip of this pass: a later death in the same pass finds the
-    // digest already quarantined and must not hide the trip.
-    std::vector<Hash128> tripped;
     for (Slot& s : slots_) {
       // Only the reaper calls waitpid, per-pid with WNOHANG — never -1,
       // so unrelated children of an embedding process are left alone.
@@ -328,17 +287,7 @@ void WorkerSupervisor::ReaperLoop() {
           if (s.state == SlotState::kIdle) {
             // Died while idle: external kill (chaos) or startup crash.
             s.fd.Close();
-            ++s.consecutive_failures;
-            ++restarts_;
-            s.respawn_at =
-                now + std::chrono::milliseconds(JitteredBackoffMs(
-                          BackoffDelayMs(s.consecutive_failures, opts_.backoff_initial_ms,
-                                         opts_.backoff_max_ms),
-                          jitter_seed_, static_cast<std::uint64_t>(&s - slots_.data()),
-                          static_cast<std::uint64_t>(s.consecutive_failures)));
-            if (std::optional<Hash128> t = RecordFailureLocked(s.snap_digest)) {
-              tripped.push_back(*t);
-            }
+            ScheduleRespawnLocked(s);
           }
           s.pid = -1;
           s.state = SlotState::kWaitRespawn;
@@ -352,14 +301,6 @@ void WorkerSupervisor::ReaperLoop() {
       }
     }
     if (spawned) lease_cv_.notify_all();
-    if (!tripped.empty() && on_trip_) {
-      // Fire the trip callbacks off the lock: they re-enter the supervisor
-      // (RestartWorkers) and the registry.
-      lock.unlock();
-      for (const Hash128& digest : tripped) on_trip_(digest);
-      lock.lock();
-      continue;
-    }
     lease_cv_.wait_for(lock, kReaperTick);  // also woken by Stop()
   }
 }
@@ -380,11 +321,6 @@ void WorkerSupervisor::RestartWorkers() {
   }
 }
 
-bool WorkerSupervisor::IsQuarantined(const Hash128& digest) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return quarantined_.count(digest) != 0;
-}
-
 WorkerPoolStats WorkerSupervisor::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   WorkerPoolStats st;
@@ -400,13 +336,6 @@ WorkerPoolStats WorkerSupervisor::stats() const {
   st.watchdog_kills = watchdog_kills_;
   st.garbage_replies = garbage_replies_;
   st.crash_retried_queries = crash_retried_queries_;
-  st.breaker_trips = breaker_trips_;
-  st.quarantined_digests = static_cast<std::uint32_t>(quarantined_.size());
-  if (provider_) {
-    if (const auto snap = provider_()) {
-      st.breaker_open = quarantined_.count(snap->digest) != 0;
-    }
-  }
   return st;
 }
 

@@ -510,11 +510,12 @@ TEST_P(GoldenModel, IdentityMatchesThePins) {
     const char* tier_name = ml::kernels::KernelImplName(tier);
     const PinnedModel pm = MakeModel(name);
     serve::ModelRegistry reg(pm.cfg);
-    const StatusOr<std::shared_ptr<serve::ModelSnapshot>> snap = reg.Load(pm.checkpoint);
-    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    const Status loaded = reg.Reload(pm.checkpoint);
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+    const std::shared_ptr<const serve::ModelSnapshot> snap = reg.Current();
     char crc[9];
-    std::snprintf(crc, sizeof(crc), "%08x", static_cast<unsigned>((*snap)->param_crc));
-    const std::string got = crc + (*snap)->digest.ToHex();
+    std::snprintf(crc, sizeof(crc), "%08x", static_cast<unsigned>(snap->param_crc));
+    const std::string got = crc + snap->digest.ToHex();
     const std::string pin = PinFor(name, "identity", tier);
     EXPECT_EQ(got, pin) << name << " model identity, " << tier_name;
     if (got != pin) {

@@ -559,8 +559,8 @@ TEST(RouterChaos, FleetRecoveryReclosesBreakersAndRestoresFullQuality) {
   EXPECT_EQ(router.Query(req).status.code(), StatusCode::kDegraded);
 
   // Bring the fleet back on the same addresses: the health prober's
-  // successful pings mark the shards healthy again (recoverable, unlike the
-  // supervisor's digest quarantine) and answers return to full quality.
+  // successful pings mark the shards healthy again and answers return to
+  // full quality.
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(shards[i].server->Start(paths[i]).ok());
   }

@@ -9,10 +9,11 @@
 # serving suites so hot-reload-under-load, the shared result caches, and the
 # scheduler/socket shutdown paths are checked for data races, and finally
 # the chaos tier: the supervised-worker suites under ASan (fork + crash +
-# watchdog + breaker paths) plus a live mini-soak — a real m3d with 4
+# watchdog paths) plus a live mini-soak — a real m3d with 4
 # supervised workers serving m3_client load-gen while every worker is
-# SIGKILLed over and over; every query must answer and no zombies may
-# survive shutdown. The chaos suites are kept out of the TSan tier on
+# SIGKILLed over and over; every query must answer, the daemon must then
+# accept a reload of its own checkpoint, and no zombies may survive
+# shutdown. The chaos suites are kept out of the TSan tier on
 # purpose: fork() and ThreadSanitizer do not mix. Last, the distributed
 # tier: a real m3d_router over three real m3d shards serving load-gen while
 # one shard is SIGKILLed mid-load — every query must come back answered
@@ -163,7 +164,14 @@ for _ in $(seq 1 100); do
   sleep 0.2
 done
 ./build/tools/m3_client --socket "$SOAK_SOCK" --ping
-./build/tools/m3_client --socket "$SOAK_SOCK" --stats
+# The storm killed workers, never the model: reloading the same checkpoint
+# is accepted and publishes version 2.
+./build/tools/m3_client --socket "$SOAK_SOCK" --reload "$SOAK_DIR/model.ckpt"
+./build/tools/m3_client --socket "$SOAK_SOCK" --stats | tee "$SOAK_DIR/stats.txt"
+if ! grep -Eq '^model_version +2 ' "$SOAK_DIR/stats.txt"; then
+  echo "chaos soak: the reload after the storm did not publish model_version 2" >&2
+  exit 1
+fi
 
 kill -TERM "$M3D_PID"
 wait "$M3D_PID"
