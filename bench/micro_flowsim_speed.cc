@@ -5,6 +5,12 @@
 // Usage: micro_flowsim_speed [min_seconds_per_row]   (default 1.0)
 // Each row runs its simulation once to warm up, then repeats it until
 // `min_seconds_per_row` of wall time has passed, and reports the mean.
+//
+// BM_FlowSimReferencePaths runs flowSim on the path scenarios of perfbench's
+// reference query (Small(2.0) fat tree, TM B, WebServer, 20k flows, load
+// 0.5) for kRefSeeds fixed workload seeds x 100 sampled paths. Its ms/iter
+// is per 100 paths, and the row after it hashes every FlowResult, so a
+// speed-up of flowSim can be shown to leave its results bit for bit.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -13,7 +19,11 @@
 #include "bench/common.h"
 #include "core/scenario.h"
 #include "flowsim/flowsim.h"
+#include "pathdecomp/path_topology.h"
+#include "pathdecomp/sampling.h"
 #include "pktsim/simulator.h"
+#include "util/hash.h"
+#include "util/rng.h"
 
 namespace m3::bench {
 namespace {
@@ -31,22 +41,50 @@ PathScenario MakeScenario(int num_fg) {
   return BuildSyntheticScenario(spec);
 }
 
+constexpr int kRefSeeds = 5;
+constexpr int kRefPathsPerSeed = 100;
+
+// The sampled path scenarios of kRefSeeds reference queries.
+std::vector<PathScenario> ReferenceScenarios() {
+  const FatTree ft(FatTreeConfig::Small(2.0));
+  const TrafficMatrix tm = TrafficMatrix::MatrixB(ft.num_racks(), ft.config().racks_per_pod);
+  const std::unique_ptr<SizeDist> sizes = MakeWebServer();
+  std::vector<PathScenario> out;
+  for (int s = 1; s <= kRefSeeds; ++s) {
+    WorkloadSpec spec;
+    spec.num_flows = 20000;
+    spec.max_load = 0.5;
+    spec.seed = 3000 + static_cast<std::uint64_t>(s);
+    const std::vector<Flow> flows = GenerateWorkload(ft, tm, *sizes, spec).flows;
+    const PathDecomposition decomp(ft.topo(), flows);
+    Rng rng(spec.seed);
+    for (std::size_t idx : SamplePaths(decomp, kRefPathsPerSeed, rng)) {
+      out.push_back(BuildPathScenario(ft.topo(), flows, decomp, idx));
+    }
+  }
+  return out;
+}
+
 // Keeps each run's results observable so the call cannot be elided.
 volatile std::size_t g_sink = 0;
 
+// One call of `run` is `units` iterations of the row: ms/iter is the time
+// of one call divided by `units`.
 template <typename Fn>
-void Row(const char* name, int arg, std::size_t flows, double min_seconds, Fn run) {
-  g_sink = g_sink + run().size();  // warm-up
-  int iters = 0;
+void Row(const char* name, int arg, std::size_t flows, double min_seconds, Fn run,
+         int units = 1) {
+  g_sink = g_sink + run();  // warm-up
+  int calls = 0;
   const WallTimer timer;
   do {
-    g_sink = g_sink + run().size();
-    ++iters;
+    g_sink = g_sink + run();
+    ++calls;
   } while (timer.Seconds() < min_seconds);
   const double secs = timer.Seconds();
-  std::printf("%-24s %10.3f %8d %14.0f\n",
-              (std::string(name) + "/" + std::to_string(arg)).c_str(), 1e3 * secs / iters,
-              iters, static_cast<double>(flows) * iters / secs);
+  std::printf("%-30s %10.3f %8d %14.0f\n",
+              (std::string(name) + "/" + std::to_string(arg)).c_str(),
+              1e3 * secs / (static_cast<double>(calls) * units), calls * units,
+              static_cast<double>(flows) * calls / secs);
   std::fflush(stdout);
 }
 
@@ -61,18 +99,39 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: micro_flowsim_speed [min_seconds_per_row > 0]\n");
     return 2;
   }
-  std::printf("%-24s %10s %8s %14s\n", "row", "ms/iter", "iters", "flows/s");
+  std::printf("%-30s %10s %8s %14s\n", "row", "ms/iter", "iters", "flows/s");
 
   for (int n : {500, 2000, 8000}) {
     const PathScenario sc = MakeScenario(n);
     Row("BM_FlowSim", n, sc.flows.size(), min_seconds,
-        [&] { return RunFlowSim(sc.lot->topo(), sc.flows); });
+        [&] { return RunFlowSim(sc.lot->topo(), sc.flows).size(); });
+  }
+  {
+    const std::vector<PathScenario> paths = ReferenceScenarios();
+    std::size_t flows = 0;
+    Hasher h;
+    for (const PathScenario& sc : paths) {
+      flows += sc.flows.size();
+      const std::vector<FlowResult> res = RunPathFlowSim(sc);
+      h.U64(res.size());
+      for (const FlowResult& r : res) {
+        h.I32(r.id).I64(r.size).I64(r.fct).I64(r.ideal_fct).F64(r.slowdown);
+      }
+    }
+    Row("BM_FlowSimReferencePaths", static_cast<int>(paths.size()), flows, min_seconds,
+        [&] {
+          std::size_t n = 0;
+          for (const PathScenario& sc : paths) n += RunPathFlowSim(sc).size();
+          return n;
+        },
+        kRefSeeds);
+    std::printf("%-30s %s\n", "  results_hash", h.Finish().ToHex().c_str());
   }
   for (int n : {500, 2000}) {
     const PathScenario sc = MakeScenario(n);
     const NetConfig cfg;
     Row("BM_PacketSim", n, sc.flows.size(), min_seconds,
-        [&] { return RunPacketSim(sc.lot->topo(), sc.flows, cfg); });
+        [&] { return RunPacketSim(sc.lot->topo(), sc.flows, cfg).size(); });
   }
   // Isolated cost of one arrival event at high active-flow counts.
   for (int n : {200, 500}) {
@@ -80,7 +139,7 @@ int main(int argc, char** argv) {
     std::vector<Flow> burst = sc.flows;
     for (Flow& f : burst) f.arrival = 0;  // all flows active at once
     Row("BM_MaxMinRecompute", n, burst.size(), min_seconds,
-        [&] { return RunFlowSim(sc.lot->topo(), burst); });
+        [&] { return RunFlowSim(sc.lot->topo(), burst).size(); });
   }
   return 0;
 }

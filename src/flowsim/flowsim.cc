@@ -72,6 +72,16 @@ class FlowSimWorkspace {
     }
     route_begin_.push_back(route_slots_.size());
 
+    // No link carries two crossings: every slot keeps cap / 1 until its one
+    // flow freezes, at its route's minimum, and classes cannot interact, so
+    // each flow runs at its lone rate (DESIGN.md, "Link-disjoint rates").
+    if (route_slots_.size() == used_links_.size() &&
+        std::all_of(active.begin(), active.end(),
+                    [this](const ActiveFlow& af) { return lone_rate[af.flow_idx] > 0.0; })) {
+      for (ActiveFlow& af : active) af.rate = lone_rate[af.flow_idx];
+      return;
+    }
+
     cap_.resize(used_links_.size());
     for (std::size_t s = 0; s < used_links_.size(); ++s) {
       cap_[s] = topo_->link(used_links_[s]).rate * efficiency_;

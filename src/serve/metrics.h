@@ -64,7 +64,8 @@ struct MetricDesc {
   X(std::uint64_t, queries_received, kCounter, NoLabels, "queries received, any outcome") \
   X(std::uint64_t, queries_ok, kCounter, NoLabels, "answered, incl. degraded/deadline")   \
   X(std::uint64_t, queries_rejected, kCounter, NoLabels, "refused at admission")          \
-  X(std::uint64_t, queries_failed, kCounter, NoLabels, "validation/no-model/internal")    \
+  X(std::uint64_t, queries_failed, kCounter, NoLabels,                                    \
+    "validation/no-model/internal, or unavailable once a worker crash retry is spent")    \
   X(std::uint64_t, queries_shed, kCounter, NoLabels, "admitted, then shed")               \
   X(std::uint64_t, shed_by_reason, kCounter, ShedReasonLabels, "sheds and rejections")    \
   X(std::uint32_t, queue_depth, kGauge, NoLabels, "queued queries")                       \

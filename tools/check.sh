@@ -43,6 +43,11 @@ cmake -B build -S . "$@"
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
+echo "== flowSim stage bench: every row runs (~0.5 s) =="
+# Keeps the reference-path row (and its results hash) building and running;
+# the timings are informational, so only a nonzero exit fails the gate.
+build/bench/micro_flowsim_speed 0.01
+
 echo "== ISA gate: no VEX/EVEX code outside the AVX kernel tiers =="
 # The binaries must run on any x86-64 CPU. Only the avx2/avx512 kernel
 # namespaces, which the dispatcher enters after a CPUID check, may hold a
