@@ -1,21 +1,16 @@
 // Serving-throughput microbenchmark: cold (compute) vs warm (content-
-// addressed cache hit) queries through the in-process EstimationService,
-// and the warm-restart point — a fresh service on the same --cache-dir recovering its working set from
-// disk (serve/persist.h) instead of recomputing it.
+// addressed cache hit) queries through the in-process EstimationService.
 //
 // Emits JSON on stdout; the checked-in snapshot lives in
 // BENCH_serve_throughput.json. The service contract this tracks: a warm
 // query-cache hit must be at least ~5x faster than a cold m3_query-style
-// compute (in practice it is orders of magnitude faster), and a recovered
-// warm set must serve at warm speed, not cold.
+// compute (in practice it is orders of magnitude faster).
 //
 //   ./micro_serve_throughput [num_queries] [flows_per_query] [paths]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -121,21 +116,15 @@ int main(int argc, char** argv) {
     model.Save(ckpt);
   }
 
-  const std::string cache_dir = "/tmp/m3_serve_bench_cache";
-  std::filesystem::remove_all(cache_dir);
-
   ServiceOptions so;
   so.model_config = BenchModel();
   so.threads_per_query = 0;  // single caller: give each query the full pool
-  so.cache_dir = cache_dir;  // durable spill for the warm-restart phase
-  so.cache_flush_interval_seconds = 60.0;  // flushed explicitly below
-  auto service_ptr = std::make_unique<EstimationService>(so);
-  EstimationService& service = *service_ptr;
+  EstimationService service(so);
   if (Status st = service.ReloadModel(ckpt); !st.ok()) {
     std::fprintf(stderr, "micro_serve_throughput: %s\n", st.ToString().c_str());
     return 1;
   }
-  if (Status st = service.Start(); !st.ok()) {  // starts the persister
+  if (Status st = service.Start(); !st.ok()) {
     std::fprintf(stderr, "micro_serve_throughput: %s\n", st.ToString().c_str());
     return 1;
   }
@@ -158,35 +147,7 @@ int main(int argc, char** argv) {
   // Warm: identical queries — whole-query cache hits.
   const Phase warm = TimeQueries(num_queries, run);
   const ServerStatsWire s = service.Stats();
-
-  // Warm restart: spill the working set, tear the service down, and bring
-  // up a fresh one on the same cache directory. Its first pass over the
-  // same queries is served from the recovered caches.
-  if (Status st = service.FlushPersistNow(); !st.ok()) {
-    std::fprintf(stderr, "micro_serve_throughput: flush: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  const std::uint64_t entries_flushed = service.Stats().persist_entries_flushed;
   service.Stop();
-  service_ptr.reset();  // releases the cache-dir lock
-
-  EstimationService restarted(so);
-  if (Status st = restarted.ReloadModel(ckpt); !st.ok()) {
-    std::fprintf(stderr, "micro_serve_throughput: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  if (Status st = restarted.Start(); !st.ok()) {
-    std::fprintf(stderr, "micro_serve_throughput: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  restarted.WaitForPersistRecovery();
-  const Phase warm_restart = TimeQueries(num_queries, [&](int i) {
-    const QueryResponse resp =
-        restarted.ExecuteInline(queries[static_cast<std::size_t>(i)]);
-    if (!resp.status.ok()) ++failures;
-  });
-  const ServerStatsWire rs = restarted.Stats();
-  restarted.Stop();
 
   if (failures > 0) {
     std::fprintf(stderr, "micro_serve_throughput: %d queries failed\n", failures);
@@ -201,15 +162,7 @@ int main(int argc, char** argv) {
               cold.qps, cold.p50_ms, cold.p99_ms);
   std::printf("  \"warm\":       {\"qps\": %.2f, \"p50_ms\": %.2f, \"p99_ms\": %.2f},\n",
               warm.qps, warm.p50_ms, warm.p99_ms);
-  std::printf("  \"warm_restart\": {\"qps\": %.2f, \"p50_ms\": %.2f, \"p99_ms\": %.2f},\n",
-              warm_restart.qps, warm_restart.p50_ms, warm_restart.p99_ms);
   std::printf("  \"warm_over_cold\": %.1f,\n", warm.qps / cold.qps);
-  std::printf("  \"warm_restart_over_cold\": %.1f,\n", warm_restart.qps / cold.qps);
-  std::printf("  \"persist\": {\"entries_flushed\": %llu, \"entries_loaded\": %llu, "
-              "\"records_corrupt\": %llu},\n",
-              static_cast<unsigned long long>(entries_flushed),
-              static_cast<unsigned long long>(rs.persist_entries_loaded),
-              static_cast<unsigned long long>(rs.persist_records_corrupt));
   std::printf("  \"query_cache\": {\"hits\": %llu, \"misses\": %llu, \"entries\": %llu}\n",
               static_cast<unsigned long long>(s.query_cache[0]),
               static_cast<unsigned long long>(s.query_cache[1]),

@@ -74,17 +74,15 @@ class LruCache {
   }
 
   /// Inserts (or refreshes) `key`, evicting from the LRU end as needed.
-  /// Returns true only when the key was newly inserted — the signal
-  /// persistence call-sites use to spill each entry exactly once.
-  bool Insert(const Hash128& key, V value) {
+  void Insert(const Hash128& key, V value) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (capacity_ == 0) return false;
+    if (capacity_ == 0) return;
     auto it = index_.find(key);
     if (it != index_.end()) {
       // Deterministic inputs mean the value can only be byte-identical;
       // refresh recency, keep the original bytes.
       order_.splice(order_.begin(), order_, it->second);
-      return false;
+      return;
     }
     order_.emplace_front(key, std::move(value));
     index_[key] = order_.begin();
@@ -94,7 +92,6 @@ class LruCache {
       order_.pop_back();
       ++stats_.evictions;
     }
-    return true;
   }
 
   void Clear() {

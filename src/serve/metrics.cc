@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "serve/cache.h"
-#include "serve/persist.h"
 
 namespace m3::serve {
 namespace {
@@ -101,18 +100,6 @@ std::string FormatStatsJson(const ServerStatsWire& s) {
 
 MetricValue<std::uint64_t, CacheOpLabels> CacheOpValues(const CacheStats& c) {
   return {c.hits, c.misses, c.inserts, c.evictions, c.entries};
-}
-
-void ExportPersistStats(const CachePersister* p, ServerStatsWire* s) {
-  if (p == nullptr) return;
-  const PersistStats st = p->stats();
-  s->persist_enabled = true;
-  s->persist_segments_loaded = st.segments_loaded;
-  s->persist_entries_loaded = st.entries_loaded;
-  s->persist_entries_flushed = st.entries_flushed;
-  s->persist_records_corrupt = st.records_corrupt;
-  s->persist_digest_dropped = st.digest_dropped;
-  s->persist_flush_backlog = st.flush_backlog;
 }
 
 }  // namespace m3::serve

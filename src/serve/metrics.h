@@ -91,13 +91,13 @@ struct MetricDesc {
   X(bool, breaker_open, kGauge, NoLabels, "retired: always 0; leaves the wire in v7")     \
   X(std::uint32_t, quarantined_digests, kGauge, NoLabels, "retired: always 0; leaves the wire in v7") \
   X(bool, router_mode, kGauge, NoLabels, "m3d-router (shard rows follow)")                \
-  X(bool, persist_enabled, kGauge, NoLabels, "durable caches (--cache-dir)")              \
-  X(std::uint64_t, persist_segments_loaded, kCounter, NoLabels, "segments recovered")     \
-  X(std::uint64_t, persist_entries_loaded, kCounter, NoLabels, "entries recovered")       \
-  X(std::uint64_t, persist_entries_flushed, kCounter, NoLabels, "entries written")        \
-  X(std::uint64_t, persist_records_corrupt, kCounter, NoLabels, "damaged records skipped") \
-  X(std::uint64_t, persist_digest_dropped, kCounter, NoLabels, "model-mismatch drops")    \
-  X(std::uint64_t, persist_flush_backlog, kGauge, NoLabels, "entries awaiting a flush")
+  X(bool, persist_enabled, kGauge, NoLabels, "retired: always 0; leaves the wire in v7")  \
+  X(std::uint64_t, persist_segments_loaded, kCounter, NoLabels, "retired: always 0; leaves the wire in v7") \
+  X(std::uint64_t, persist_entries_loaded, kCounter, NoLabels, "retired: always 0; leaves the wire in v7") \
+  X(std::uint64_t, persist_entries_flushed, kCounter, NoLabels, "retired: always 0; leaves the wire in v7") \
+  X(std::uint64_t, persist_records_corrupt, kCounter, NoLabels, "retired: always 0; leaves the wire in v7") \
+  X(std::uint64_t, persist_digest_dropped, kCounter, NoLabels, "retired: always 0; leaves the wire in v7") \
+  X(std::uint64_t, persist_flush_backlog, kGauge, NoLabels, "retired: always 0; leaves the wire in v7")
 
 // One router shard's row (ServerStatsWire::shards), keyed by `address`.
 #define M3_SHARD_HEALTH_FIELDS(X)                                                       \
@@ -169,13 +169,8 @@ std::string FormatStatsText(const ServerStatsWire& s);
 std::string FormatStatsJson(const ServerStatsWire& s);
 
 struct CacheStats;
-class CachePersister;
 
 /// A *_cache metric's values from an LruCache's counters.
 MetricValue<std::uint64_t, CacheOpLabels> CacheOpValues(const CacheStats& c);
-
-/// Fills the persist_* metrics from `p`; leaves them zero when `p` is null
-/// (no --cache-dir).
-void ExportPersistStats(const CachePersister* p, ServerStatsWire* s);
 
 }  // namespace m3::serve

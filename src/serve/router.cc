@@ -68,25 +68,6 @@ Status Router::Start() {
   }
   shards_ = std::move(shards);
   ring_ = std::make_unique<HashRing>(names, opts_.vnodes);
-  // Durable router cache: validate + lock the directory before probing so a
-  // bad --cache-dir fails Start with a clear status.
-  bool first_persist_start = false;
-  if (!opts_.cache_dir.empty() && opts_.query_cache_entries > 0) {
-    if (!dir_lock_.held()) {
-      M3_RETURN_IF_ERROR(AcquireCacheDir(opts_.cache_dir, &dir_lock_));
-    }
-    if (persister_ == nullptr) {
-      PersistOptions popts;
-      popts.dir = opts_.cache_dir;
-      popts.flush_interval_seconds = opts_.cache_flush_interval_seconds;
-      persister_ = std::make_unique<CachePersister>(popts);
-      first_persist_start = true;
-    }
-    if (Status st = persister_->Start(); !st.ok()) {
-      if (first_persist_start) persister_.reset();
-      return st.Annotate("cache persistence");
-    }
-  }
   // Synchronous first probe round (parallel: a down shard costs one connect
   // timeout, not one per shard): a query issued right after Start() must
   // see the shards that are already up, not wait out a health interval.
@@ -102,24 +83,7 @@ Status Router::Start() {
     stopping_ = false;
   }
   prober_ = std::thread([this] { HealthLoop(); });
-  // Recovery runs after the synchronous probe round (the fleet's model CRC
-  // is the validity guard) and concurrently with serving: readiness never
-  // waits on disk. Only the first Start replays.
-  if (first_persist_start) {
-    std::lock_guard<std::mutex> lock(recovery_mu_);
-    recovery_ = std::thread([this] { RecoverPersistedCache(); });
-  }
   return Status::Ok();
-}
-
-Status Router::FlushPersistNow() {
-  if (persister_ == nullptr) return Status::Ok();
-  return persister_->FlushNow();
-}
-
-void Router::WaitForPersistRecovery() {
-  std::lock_guard<std::mutex> lock(recovery_mu_);
-  if (recovery_.joinable()) recovery_.join();
 }
 
 std::pair<std::uint64_t, std::uint32_t> Router::FleetModel() const {
@@ -139,27 +103,6 @@ std::pair<std::uint64_t, std::uint32_t> Router::FleetModel() const {
   return {mv, crc};
 }
 
-void Router::RecoverPersistedCache() {
-  const std::uint32_t fleet_crc = FleetModel().second;
-  persister_->Recover([this, fleet_crc](CacheKind kind, const Hash128& digest,
-                                        const Hash128& key, const std::string& value)
-                          -> CachePersister::Recovered {
-    // Retired kRouterPath records (and any other kind) are not servable.
-    if (kind != CacheKind::kQuery) return CachePersister::Recovered::kCorrupt;
-    // No healthy shard at boot (crc 0) or a model swap across the restart:
-    // the entry cannot be validated against the live fleet — drop it.
-    if (fleet_crc == 0 || digest != FleetDigest(fleet_crc)) {
-      return CachePersister::Recovered::kDigestMismatch;
-    }
-    StatusOr<QueryResponse> qr = DecodeQueryResponse(value);
-    // Only full-quality kOk answers were ever written.
-    if (!qr.ok() || !qr->status.ok()) return CachePersister::Recovered::kCorrupt;
-    if (qr->model_crc != fleet_crc) return CachePersister::Recovered::kDigestMismatch;
-    query_cache_.Insert(key, std::move(*qr));
-    return CachePersister::Recovered::kLoaded;
-  });
-}
-
 void Router::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -172,9 +115,6 @@ void Router::Stop() {
     std::lock_guard<std::mutex> lock(s->pool_mu);
     s->pool.clear();
   }
-  WaitForPersistRecovery();
-  // Final drain flush so a clean shutdown persists everything it gathered.
-  if (persister_ != nullptr) persister_->Stop();
   std::lock_guard<std::mutex> lock(mu_);
   started_ = false;
   stopping_ = false;
@@ -664,15 +604,7 @@ QueryResponse Router::Query(const QueryRequest& req) {
   // timing), and only when every sub-answer came from the fleet model the
   // lookup checked: an answer merged during a model rollout is never cached.
   if (cache_on && resp.status.ok() && !mixed_models) {
-    QueryResponse cached = resp;
-    // Encode before the move; Insert's return gates the spill so refreshes
-    // (and recovered entries) are never written twice.
-    std::string blob;
-    if (persister_ != nullptr) blob = EncodeQueryResponse(cached);
-    if (query_cache_.Insert(query_key, std::move(cached)) && persister_ != nullptr) {
-      persister_->Enqueue(CacheKind::kQuery, FleetDigest(fleet_crc), query_key,
-                          std::move(blob));
-    }
+    query_cache_.Insert(query_key, resp);
   }
   if (resp.shed_reason == static_cast<std::uint8_t>(ShedReason::kRouterBudget)) {
     queries_shed_.fetch_add(1, std::memory_order_relaxed);
@@ -727,7 +659,6 @@ ServerStatsWire Router::Stats() const {
   st.model_version = mv;
   st.model_crc = FleetModel().second;
   st.query_cache = CacheOpValues(query_cache_.stats());
-  ExportPersistStats(persister_.get(), &st);
   return st;
 }
 

@@ -9,9 +9,9 @@
 // rejects ends with that status and marks no shard down.
 //
 // Exact repeats are answered from a whole-query cache in front of
-// everything else, with the service's key, value and persistence
-// (QueryCacheKey, QueryResponse, CacheKind::kQuery); an entry is served
-// only while its model CRC matches the live fleet's.
+// everything else, with the service's key and value (QueryCacheKey,
+// QueryResponse); an entry is served only while its model CRC matches the
+// live fleet's.
 //
 // Slots are grouped per owning shard and dispatched as ShardQueryRequests;
 // shards estimate only their slots and return raw per-slot estimates,
@@ -50,7 +50,6 @@
 
 #include "serve/cache.h"
 #include "serve/exec.h"
-#include "serve/persist.h"
 #include "serve/shardmap.h"
 #include "serve/wire.h"
 #include "util/socket.h"
@@ -76,12 +75,8 @@ struct RouterOptions {
   // Router-side whole-query cache: merged kOk answers keyed by
   // QueryCacheKey, consulted before validation so exact repeats never reach
   // the fleet. Entries are tied to the fleet's model *content CRC* (learned
-  // from shard pings), which survives restarts. 0 disables it.
+  // from shard pings). 0 disables it.
   std::size_t query_cache_entries = 256;
-  // Durable-cache directory (serve/persist.h): the query cache is spilled
-  // here and recovered on restart. Empty disables persistence.
-  std::string cache_dir;
-  double cache_flush_interval_seconds = 2.0;
 };
 
 class Router {
@@ -113,13 +108,6 @@ class Router {
   ServerStatsWire Stats() const;
 
   std::size_t num_shards() const { return shards_.size(); }
-
-  /// Synchronously spills everything queued for persistence (no-op without
-  /// cache_dir). Test/shutdown hook.
-  Status FlushPersistNow();
-  /// Blocks until boot-time cache recovery has finished (no-op without
-  /// cache_dir). Test hook.
-  void WaitForPersistRecovery();
 
  private:
   struct Shard {
@@ -159,23 +147,13 @@ class Router {
   /// highest-versioned healthy shard; (0, 0) when none is healthy.
   std::pair<std::uint64_t, std::uint32_t> FleetModel() const;
 
-  /// Boot-time durable-cache replay (recovery_ thread, concurrent with
-  /// serving): entries whose model CRC differs from the live fleet's are
-  /// dropped; runs after Start's synchronous probe round so the CRC is
-  /// known.
-  void RecoverPersistedCache();
-
   const RouterOptions opts_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<HashRing> ring_;
   mutable TopoMemo topos_;
 
-  // Router-side whole-query cache + its durable spill.
+  // Router-side whole-query cache.
   mutable LruCache<QueryResponse> query_cache_;
-  std::unique_ptr<CachePersister> persister_;
-  CacheDirLock dir_lock_;
-  std::mutex recovery_mu_;
-  std::thread recovery_;
 
   std::thread prober_;
   mutable std::mutex mu_;  // started_/stopping_ + prober wakeup

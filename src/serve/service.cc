@@ -42,31 +42,6 @@ Status EstimationService::Start() {
     // returns the same kInvalidArgument the scheduler check would.
     M3_RETURN_IF_ERROR(supervisor_->Start());
   }
-  // Durable caches: validate + lock the directory and start the flusher
-  // before any worker can compute (so the first fresh entry can spill).
-  // A bad --cache-dir fails Start with a clear status instead of failing
-  // the first background flush.
-  bool first_persist_start = false;
-  if (!opts_.cache_dir.empty()) {
-    if (!dir_lock_.held()) {
-      if (Status st = AcquireCacheDir(opts_.cache_dir, &dir_lock_); !st.ok()) {
-        if (supervisor_ != nullptr) supervisor_->Stop();
-        return st;
-      }
-    }
-    if (persister_ == nullptr) {
-      PersistOptions popts;
-      popts.dir = opts_.cache_dir;
-      popts.flush_interval_seconds = opts_.cache_flush_interval_seconds;
-      persister_ = std::make_unique<CachePersister>(popts);
-      first_persist_start = true;
-    }
-    if (Status st = persister_->Start(); !st.ok()) {
-      if (first_persist_start) persister_.reset();
-      if (supervisor_ != nullptr) supervisor_->Stop();
-      return st.Annotate("cache persistence");
-    }
-  }
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (running_) return Status::InvalidArgument("service already running");
@@ -77,13 +52,6 @@ Status EstimationService::Start() {
     for (int i = 0; i < n; ++i) {
       workers_.emplace_back([this] { WorkerLoop(); });
     }
-  }
-  // Recovery replays surviving segments *concurrently with serving*:
-  // readiness never waits on disk. Only the first Start replays — a
-  // Stop/Start cycle keeps its in-memory caches.
-  if (first_persist_start) {
-    std::lock_guard<std::mutex> lock(recovery_mu_);
-    recovery_ = std::thread([this] { RecoverPersistedCaches(); });
   }
   return Status::Ok();
 }
@@ -108,44 +76,6 @@ void EstimationService::Stop() {
   // The scheduler is drained (every accepted query answered), so no
   // Execute() is in flight on the pool.
   if (supervisor_ != nullptr) supervisor_->Stop();
-  WaitForPersistRecovery();
-  // Final drain flush so a clean shutdown persists everything it computed.
-  if (persister_ != nullptr) persister_->Stop();
-}
-
-Status EstimationService::FlushPersistNow() {
-  if (persister_ == nullptr) return Status::Ok();
-  return persister_->FlushNow();
-}
-
-void EstimationService::WaitForPersistRecovery() {
-  std::lock_guard<std::mutex> lock(recovery_mu_);
-  if (recovery_.joinable()) recovery_.join();
-}
-
-void EstimationService::RecoverPersistedCaches() {
-  // The snapshot is pinned once for the whole replay: recovered entries
-  // must match the model this process serves, not whatever it may reload
-  // into later (a reload changes the digest, so stale keys simply miss).
-  const std::shared_ptr<const ModelSnapshot> snap = registry_.Current();
-  persister_->Recover([this, &snap](CacheKind kind, const Hash128& digest,
-                                    const Hash128& key, const std::string& value)
-                          -> CachePersister::Recovered {
-    if (snap == nullptr || !(digest == snap->digest)) {
-      return CachePersister::Recovered::kDigestMismatch;
-    }
-    // Retired kPath / kRouterPath records and unknown kinds are not
-    // servable.
-    if (kind != CacheKind::kQuery) return CachePersister::Recovered::kCorrupt;
-    StatusOr<QueryResponse> qr = DecodeQueryResponse(value);
-    // Only full-quality kOk answers were ever written; anything else
-    // surviving the framing checks is still not servable.
-    if (!qr.ok() || !qr->status.ok()) return CachePersister::Recovered::kCorrupt;
-    qr->model_version = snap->version;
-    qr->model_crc = snap->param_crc;
-    query_cache_.Insert(key, std::move(*qr));
-    return CachePersister::Recovered::kLoaded;
-  });
 }
 
 std::size_t EstimationService::QueueDepthLocked() const {
@@ -347,16 +277,7 @@ QueryResponse EstimationService::Execute(const QueryRequest& req) {
   // pinning the *old* snapshot may answer, and its result must not be
   // cached under the new digest's key.
   if (resp.status.ok() && !req.no_cache && resp.model_version == snap->version) {
-    QueryResponse cached = resp;  // hit flag stays default
-    // Encode before the move; Insert's return gates the spill so refreshes
-    // (and recovered entries) are never written twice.
-    std::string blob;
-    if (persister_ != nullptr) blob = EncodeQueryResponse(cached);
-    if (query_cache_.Insert(query_key, std::move(cached)) &&
-        persister_ != nullptr) {
-      persister_->Enqueue(CacheKind::kQuery, snap->digest, query_key,
-                          std::move(blob));
-    }
+    query_cache_.Insert(query_key, resp);  // hit flag stays default
   }
   return resp;
 }
@@ -397,7 +318,6 @@ ServerStatsWire EstimationService::Stats() const {
     s.garbage_replies = w.garbage_replies;
     s.crash_retried_queries = w.crash_retried_queries;
   }
-  ExportPersistStats(persister_.get(), &s);
   return s;
 }
 

@@ -32,12 +32,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/cache.h"
 #include "serve/exec.h"
-#include "serve/persist.h"
 #include "serve/registry.h"
 #include "serve/supervisor.h"
 #include "serve/wire.h"
@@ -62,16 +62,6 @@ struct ServiceOptions {
   // Supervisor tuning for worker mode. num_workers / threads_per_query
   // inside are overridden from the fields above.
   SupervisorOptions supervisor;
-
-  // ---- Durable result cache (DESIGN.md §14) ----
-  // Directory for append-only cache segments. Empty (default) disables
-  // persistence entirely. Start() validates it (create-if-missing, reject
-  // unwritable, refuse a directory another live daemon holds locked) and
-  // recovers any surviving warm set concurrently with serving.
-  std::string cache_dir;
-  // Background flusher wakeup period; each round spills only entries
-  // inserted since the last one (bounded write amplification).
-  double cache_flush_interval_seconds = 2.0;
 };
 
 class EstimationService {
@@ -137,14 +127,6 @@ class EstimationService {
   /// Drops every cached result (test/ops hook; counters are kept).
   void ClearCaches();
 
-  /// Synchronously spills everything queued for persistence (no-op without
-  /// --cache-dir). Test/shutdown hook; the background flusher normally
-  /// handles this on its interval.
-  Status FlushPersistNow();
-  /// Blocks until boot-time cache recovery (which runs concurrent with
-  /// serving) has finished. Test hook; no-op without --cache-dir.
-  void WaitForPersistRecovery();
-
   ModelRegistry& registry() { return registry_; }
   const ServiceOptions& options() const { return opts_; }
 
@@ -186,21 +168,11 @@ class EstimationService {
   /// Answers a request whose deadline expired while queued (kExpired) and
   /// fires its done callback. Must be called *without* queue_mu_ held.
   void AnswerExpired(Pending p);
-  /// Boot-time durable-cache replay (runs on recovery_, concurrent with
-  /// serving): decodes each surviving record, drops entries whose model
-  /// digest no longer matches the registry, inserts the rest.
-  void RecoverPersistedCaches();
 
   const ServiceOptions opts_;
   ModelRegistry registry_;
   LruCache<QueryResponse> query_cache_;
   std::unique_ptr<WorkerSupervisor> supervisor_;  // null in in-process mode
-
-  // Durable-cache persistence (null / unheld without --cache-dir).
-  std::unique_ptr<CachePersister> persister_;
-  CacheDirLock dir_lock_;
-  std::mutex recovery_mu_;  // guards recovery_ join
-  std::thread recovery_;
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;

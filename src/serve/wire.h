@@ -5,8 +5,8 @@
 // are fixed-width; doubles travel by bit pattern; strings and vectors are
 // u64-length-prefixed. Every payload starts with a u32 wire version, and
 // there is exactly one: a decoder rejects any other version with
-// INVALID_ARGUMENT naming both, so a mismatched peer (or a cache entry
-// persisted by another build) fails cleanly instead of mis-parsing. There
+// INVALID_ARGUMENT naming both, so a mismatched peer (one from another
+// build) fails cleanly instead of mis-parsing. There
 // is no version echo and no length-gated optional tail; every field is
 // always present.
 //
@@ -61,7 +61,7 @@ namespace m3::serve {
 /// from QueryResponse and made every earlier optional field unconditional;
 /// v6 dropped QueryRequest::brownout, the DegradationReport brownout
 /// fields and the priority / sojourn / cost-budget shed reasons. v5 and
-/// older payloads (including persisted cache entries) are rejected.
+/// older payloads are rejected.
 constexpr std::uint32_t kWireVersion = 6;
 
 /// Frame types (util/socket.h `type` field).
@@ -235,8 +235,9 @@ struct PingResponse {
   std::uint32_t shards_healthy = 0;
   std::uint32_t shards_total = 0;
   // Content CRC of the served model parameters. Unlike model_version — a
-  // per-process load counter — this survives restarts, so the router uses
-  // it to validate its cached (and persisted) answers against the live fleet.
+  // per-process load counter — this is the same in every process serving
+  // one checkpoint, so the router uses it to validate its cached answers
+  // against the live fleet.
   std::uint32_t model_crc = 0;
 };
 

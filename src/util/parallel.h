@@ -1,5 +1,5 @@
 // Parallel-for over an index range, backed by a lazily-initialized
-// persistent thread pool. Used for independent path-level / link-level
+// long-lived thread pool. Used for independent path-level / link-level
 // simulations (the paper's path simulations are embarrassingly parallel,
 // §3.1) and for data-parallel minibatch training (core/trainer.cc).
 //

@@ -47,7 +47,7 @@ TEST(CcDctcp, MarkedEpochCutsWindowByAlphaHalf) {
   NetConfig cfg = BaseCfg(CcType::kDctcp);
   cfg.init_window = 16 * kKB;
   auto cc = MakeDctcp(cfg, MakeCtx());
-  // Persistent full marking: alpha EWMA builds toward 1 over epochs, and
+  // Sustained full marking: alpha EWMA builds toward 1 over epochs, and
   // the multiplicative decrease eventually dominates additive increase.
   const double before = cc->cwnd();
   for (int i = 0; i < 400; ++i) cc->OnAck(1000, true, 20 * kUs, 0.0, i * 1000);

@@ -9,12 +9,11 @@
 // thread and on many, the in-process EstimationService, a shard slot split
 // (ExecuteShardOnSnapshot) merged back the way m3d-router merges it, m3d in
 // worker mode, and a live m3d-router over 1 and over 3 in-process shard
-// daemons, including an exact repeat the router's cache answers and a
-// router restarted on the same cache directory.
+// daemons, including an exact repeat the router's cache answers.
 //
 // The pins also hold each model's identity as a served load computes it
-// (ModelRegistry: param_crc, then the digest), which persisted cache
-// records and every cache key's model term depend on.
+// (ModelRegistry: param_crc, then the digest), which every cache key's
+// model term depends on.
 //
 // All available tiers are checked in one run. With M3_KERNEL set, only the
 // tier it selects is. A tier the CPU lacks is skipped. The sanitizer builds
@@ -27,7 +26,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <iostream>
 #include <iterator>
 #include <memory>
@@ -294,7 +292,6 @@ enum class Way {
   kRouter1,
   kRouter3,
   kRouterRepeat,
-  kRouterRestart,
 };
 
 const char* WayName(Way w) {
@@ -307,14 +304,12 @@ const char* WayName(Way w) {
     case Way::kRouter1: return "Router over 1 shard";
     case Way::kRouter3: return "Router over 3 shards";
     case Way::kRouterRepeat: return "Router exact repeat";
-    case Way::kRouterRestart: return "Router restarted on its cache_dir";
   }
   return "?";
 }
 
 bool IsRouterWay(Way w) {
-  return w == Way::kRouter1 || w == Way::kRouter3 || w == Way::kRouterRepeat ||
-         w == Way::kRouterRestart;
+  return w == Way::kRouter1 || w == Way::kRouter3 || w == Way::kRouterRepeat;
 }
 
 serve::ServiceOptions PinServiceOptions(const PinnedModel& pm) {
@@ -342,11 +337,6 @@ struct Serving {
   std::unique_ptr<serve::EstimationService> service;  // in-process
   std::unique_ptr<serve::EstimationService> workers;  // worker_processes 2
   std::vector<std::unique_ptr<LiveShard>> shards;     // 3 shard daemons
-  std::string cache_dir;                               // router restart way
-
-  ~Serving() {
-    if (!cache_dir.empty()) std::filesystem::remove_all(cache_dir);
-  }
 };
 
 // Names unique to this process and call, short enough for a unix socket.
@@ -380,10 +370,6 @@ void StartServing(const std::vector<Way>& ways, const PinnedModel& pm, Serving* 
       ASSERT_TRUE(shard->server->Start(shard->path).ok());
       s->shards.push_back(std::move(shard));
     }
-    // One directory per tier: the init model has the same parameters (and
-    // so the same CRC) on every tier, but not the same answers.
-    s->cache_dir = ScratchName("_cache");
-    std::filesystem::remove_all(s->cache_dir);
   }
 }
 
@@ -393,38 +379,20 @@ std::uint64_t Dispatches(const serve::Router& router) {
   return n;
 }
 
-// One answer through a live m3d-router. The repeat and restart ways return
-// the query's second sending, which the router's cache must answer without
-// dispatching to any shard.
+// One answer through a live m3d-router. The repeat way returns the query's
+// second sending, which the router's cache must answer without dispatching
+// to any shard.
 serve::QueryResponse RouterAnswer(Way way, const serve::QueryRequest& req, Serving& s) {
   serve::RouterOptions ro;
   const std::size_t n = way == Way::kRouter1 ? 1 : s.shards.size();
   for (std::size_t i = 0; i < n; ++i) ro.shards.push_back(s.shards[i]->path);
-  if (way == Way::kRouterRestart) {
-    ro.cache_dir = s.cache_dir;
-    ro.cache_flush_interval_seconds = 60.0;  // flushed explicitly below
-  }
-  serve::QueryResponse resp;
-  {
-    serve::Router router(ro);
-    EXPECT_TRUE(router.Start().ok());
-    router.WaitForPersistRecovery();
+  serve::Router router(ro);
+  EXPECT_TRUE(router.Start().ok());
+  serve::QueryResponse resp = router.Query(req);
+  if (way == Way::kRouterRepeat) {
+    const std::uint64_t before = Dispatches(router);
     resp = router.Query(req);
-    if (way == Way::kRouterRepeat) {
-      const std::uint64_t before = Dispatches(router);
-      resp = router.Query(req);
-      EXPECT_EQ(Dispatches(router), before) << "the repeat reached a shard";
-    }
-    if (way == Way::kRouterRestart) {
-      EXPECT_TRUE(router.FlushPersistNow().ok());
-    }
-  }
-  if (way == Way::kRouterRestart) {
-    serve::Router router(ro);
-    EXPECT_TRUE(router.Start().ok());
-    router.WaitForPersistRecovery();
-    resp = router.Query(req);
-    EXPECT_EQ(Dispatches(router), 0u) << "the restarted router dispatched a cached query";
+    EXPECT_EQ(Dispatches(router), before) << "the repeat reached a shard";
   }
   return resp;
 }
@@ -459,8 +427,7 @@ std::string ModelAnswerHex(Way way, const GoldenQuery& q, const BuiltQuery& b,
         break;
       case Way::kRouter1:
       case Way::kRouter3:
-      case Way::kRouterRepeat:
-      case Way::kRouterRestart: {
+      case Way::kRouterRepeat: {
         const serve::QueryResponse resp = RouterAnswer(way, req, serving);
         EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
         AbsorbAnswer(h, resp);
@@ -532,7 +499,7 @@ TEST_P(GoldenModel, EveryWayInGivesThePinnedBits) {
 TEST_P(GoldenModel, WorkerModeGivesThePinnedBits) { CheckWays({Way::kWorkers}); }
 
 TEST_P(GoldenModel, RouterWaysGiveThePinnedBits) {
-  CheckWays({Way::kRouter1, Way::kRouter3, Way::kRouterRepeat, Way::kRouterRestart});
+  CheckWays({Way::kRouter1, Way::kRouter3, Way::kRouterRepeat});
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, GoldenModel, ::testing::Values("init", "trained"),

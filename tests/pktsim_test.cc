@@ -93,7 +93,7 @@ TEST(PktSim, DctcpKeepsQueuesNearK) {
                       cfg);
   sim.Run();
   EXPECT_GT(sim.stats().ecn_marks, 0u);
-  // DCTCP should keep the persistent queue within a small multiple of K
+  // DCTCP should keep the standing queue within a small multiple of K
   // (slow-start overshoot can spike above K briefly).
   EXPECT_LT(sim.stats().max_qbytes, 8 * cfg.dctcp_k);
   EXPECT_EQ(sim.stats().drops, 0u);

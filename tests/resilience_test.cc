@@ -460,7 +460,7 @@ TEST(EstimatorResilience, NoFaultRunReportsFullQuality) {
 }
 
 TEST(EstimatorResilience, FlowSimOnlyDegradationFloorDropsOnFault) {
-  // RunFlowSimOnly has no fallback below it; a persistent flowSim fault
+  // RunFlowSimOnly has no fallback below it; a lasting flowSim fault
   // drops the path rather than looping.
   QueryFixture q;
   FaultGuard guard;

@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "serve/exec.h"
-#include "serve/persist.h"
 #include "serve/registry.h"
 #include "serve/router.h"
 #include "serve/server.h"
@@ -591,67 +589,31 @@ std::uint64_t Dispatches(const Router& router) {
   return n;
 }
 
-TEST(RouterChaos, RouterCacheServesRepeatsAndSurvivesRestart) {
+TEST(RouterChaos, RouterCacheServesRepeats) {
   const std::vector<std::string> paths = FleetPaths("rc_warm", 2);
   TestShard shards[2];
   for (int i = 0; i < 2; ++i) shards[i].Start(paths[i]);
 
-  const std::string cache_dir = TempPath("rc_warm_cache");
-  std::filesystem::remove_all(cache_dir);
-  RouterOptions ro = FastRouterOptions(paths);
-  ro.cache_dir = cache_dir;
-  ro.cache_flush_interval_seconds = 60.0;  // the test flushes explicitly
-
+  Router router(FastRouterOptions(paths));
+  ASSERT_TRUE(router.Start().ok());
   const QueryRequest req = FleetQuery(5);
-  QueryResponse first;
-  {
-    Router router(ro);
-    ASSERT_TRUE(router.Start().ok());
-    router.WaitForPersistRecovery();
-    first = router.Query(req);
-    ASSERT_TRUE(first.status.ok()) << first.status.ToString();
-    EXPECT_FALSE(first.query_cache_hit);
-    EXPECT_EQ(first.degradation.paths_ok, 5);
+  const QueryResponse first = router.Query(req);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_FALSE(first.query_cache_hit);
+  EXPECT_EQ(first.degradation.paths_ok, 5);
 
-    // Identical repeat: answered from the router cache, no scatter,
-    // bitwise identical to the scattered answer.
-    const std::uint64_t dispatched = Dispatches(router);
-    const QueryResponse repeat = router.Query(req);
-    ASSERT_TRUE(repeat.status.ok());
-    ExpectBitwiseEqual(first, repeat);
-    EXPECT_TRUE(repeat.query_cache_hit);
-    EXPECT_EQ(Dispatches(router), dispatched);
-    // A cached answer carries the live fleet's model identity.
-    EXPECT_NE(first.model_crc, 0u);
-    EXPECT_EQ(repeat.model_version, first.model_version);
-    EXPECT_EQ(repeat.model_crc, first.model_crc);
-
-    ASSERT_TRUE(router.FlushPersistNow().ok());
-    EXPECT_GE(router.Stats().persist_entries_flushed, 1u);
-    router.Stop();
-  }
-
-  // Router restart, same directory, same fleet: the warm set comes back
-  // (validated against the fleet's model CRC) and the first query after
-  // boot is already answered from the cache.
-  {
-    Router router(ro);
-    ASSERT_TRUE(router.Start().ok());
-    router.WaitForPersistRecovery();
-    const ServerStatsWire st = router.Stats();
-    EXPECT_TRUE(st.persist_enabled);
-    EXPECT_GE(st.persist_entries_loaded, 1u);
-    EXPECT_EQ(st.persist_records_corrupt, 0u);
-
-    const QueryResponse warm = router.Query(req);
-    ASSERT_TRUE(warm.status.ok());
-    ExpectBitwiseEqual(first, warm);
-    EXPECT_TRUE(warm.query_cache_hit);
-    EXPECT_EQ(Dispatches(router), 0u);
-    EXPECT_EQ(warm.model_version, first.model_version);
-    EXPECT_EQ(warm.model_crc, first.model_crc);
-    router.Stop();
-  }
+  // Identical repeat: answered from the router cache, no scatter,
+  // bitwise identical to the scattered answer.
+  const std::uint64_t dispatched = Dispatches(router);
+  const QueryResponse repeat = router.Query(req);
+  ASSERT_TRUE(repeat.status.ok());
+  ExpectBitwiseEqual(first, repeat);
+  EXPECT_TRUE(repeat.query_cache_hit);
+  EXPECT_EQ(Dispatches(router), dispatched);
+  // A cached answer carries the live fleet's model identity.
+  EXPECT_NE(first.model_crc, 0u);
+  EXPECT_EQ(repeat.model_version, first.model_version);
+  EXPECT_EQ(repeat.model_crc, first.model_crc);
 }
 
 TEST(RouterChaos, NoCacheRequestBypassesRouterCache) {
@@ -734,66 +696,6 @@ TEST(RouterChaos, FleetModelReloadRecomputesRepeats) {
   EXPECT_TRUE(repeat.query_cache_hit);
   EXPECT_EQ(repeat.model_crc, new_crc);
   ExpectBitwiseEqual(recomputed, repeat);
-}
-
-TEST(RouterChaos, InvalidPersistedRecordsAreCountedAndNeverServed) {
-  const std::vector<std::string> paths = FleetPaths("rc_badrec", 2);
-  TestShard shards[2];
-  for (int i = 0; i < 2; ++i) shards[i].Start(paths[i]);
-
-  const QueryRequest req = FleetQuery(5);
-  QueryResponse good;
-  {
-    Router router(FastRouterOptions(paths));
-    ASSERT_TRUE(router.Start().ok());
-    good = router.Query(req);
-    ASSERT_TRUE(good.status.ok()) << good.status.ToString();
-  }
-  const std::uint32_t crc = good.model_crc;
-  ASSERT_NE(crc, 0u);
-
-  // Records a careless recovery would serve for `req`: each sits under the
-  // live key and model term (the router keys its query cache with the
-  // fleet's model CRC in place of a model digest).
-  const std::string cache_dir = TempPath("rc_badrec_cache");
-  std::filesystem::remove_all(cache_dir);
-  {
-    const Hash128 live_digest{0, crc};
-    const Hash128 key = QueryCacheKey(req, live_digest);
-    QueryResponse degraded = good;
-    degraded.status = Status::Degraded("1 path degraded");
-    QueryResponse stale = good;
-    stale.model_crc = crc ^ 1u;
-    CacheDirLock lock;
-    ASSERT_TRUE(AcquireCacheDir(cache_dir, &lock).ok());
-    PersistOptions popts;
-    popts.dir = cache_dir;
-    popts.flush_interval_seconds = 60.0;
-    CachePersister writer(popts);
-    ASSERT_TRUE(writer.Start().ok());
-    // The retired per-path kind, even holding a valid answer.
-    writer.Enqueue(CacheKind::kRouterPath, live_digest, key, EncodeQueryResponse(good));
-    writer.Enqueue(CacheKind::kQuery, live_digest, key, EncodeQueryResponse(degraded));
-    writer.Enqueue(CacheKind::kQuery, live_digest, key, EncodeQueryResponse(stale));
-    ASSERT_TRUE(writer.FlushNow().ok());
-    writer.Stop();
-  }
-
-  RouterOptions ro = FastRouterOptions(paths);
-  ro.cache_dir = cache_dir;
-  Router router(ro);
-  ASSERT_TRUE(router.Start().ok());
-  router.WaitForPersistRecovery();
-  const ServerStatsWire st = router.Stats();
-  EXPECT_EQ(st.persist_entries_loaded, 0u);
-  EXPECT_EQ(st.persist_records_corrupt, 2u);  // retired kind, non-kOk status
-  EXPECT_EQ(st.persist_digest_dropped, 1u);   // stale model CRC
-
-  const QueryResponse resp = router.Query(req);
-  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
-  EXPECT_FALSE(resp.query_cache_hit);
-  EXPECT_GT(Dispatches(router), 0u);
-  ExpectBitwiseEqual(good, resp);
 }
 
 // A scripted shard that answers pings ready and then either refuses every

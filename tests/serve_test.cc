@@ -444,7 +444,8 @@ std::vector<Payload> EveryMessage() {
 
 // The bytes of every fully populated message, pinned: a codec change that
 // moves a field, or changes its width or a length prefix, changes a hash
-// here (and would strand every persisted cache entry of this wire version).
+// here (and would make a peer of another build at this wire version
+// mis-parse it).
 TEST(Wire, EncodingsArePinned) {
   const std::map<std::string, std::string> want = {
       {"QueryRequest", "28bb6ad038175fcf6678be52ba176b12"},

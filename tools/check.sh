@@ -25,12 +25,7 @@
 # at ~4x its capacity with per-query deadlines — every query must resolve
 # (answered or shed with a typed status, zero failed, zero silent
 # timeouts), the p99 of admitted queries must stay under the deadline, and
-# once the burst stops the daemon must recover to shedding nothing. Last,
-# the warm-restart tier: an m3d with --cache-dir serves a cacheable working
-# set, is SIGKILLed mid-flush, and restarts on the same directory — the
-# recovery must come up immediately (the kernel released the dir lock),
-# skip any torn segment with a typed counter, and serve >= 90% of the
-# previously flushed keys as warm cache hits.
+# once the burst stops the daemon must recover to shedding nothing.
 #
 # Usage: tools/check.sh [extra cmake args...]
 set -euo pipefail
@@ -64,7 +59,7 @@ done
 
 echo "== ASan: checkpoint/trainer robustness + path pipeline + wire decoder suites =="
 # The wire decoders (Wire, OverloadWire, ShardWire) run here because they
-# parse hostile bytes off a socket and out of persisted cache segments;
+# parse hostile bytes off a socket;
 # CacheKey because the query key fills its flow chunks through the same
 # field lists.
 # The path-pipeline suites (decomposition, sampling, scenario wiring,
@@ -86,7 +81,7 @@ echo "== ASan: checkpoint/trainer robustness + path pipeline + wire decoder suit
 cmake -B build-asan -S . -DM3_SANITIZE=address "$@"
 cmake --build build-asan -j"$JOBS" --target m3_tests
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|PercentileWriter|FeatureWriter|GoldenPipeline|FlowIds|GoldenModel|ModelInfer|SocketServer|ModelRegistry|Wire\.|OverloadWire|ShardWire|CacheKey|FatTree|Aggregate|RequestFlows'
+  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|PercentileWriter|FeatureWriter|GoldenPipeline|FlowIds|GoldenModel|ModelInfer|SocketServer|ModelRegistry|Wire\.|OverloadWire|ShardWire|CacheKey|FatTree|Aggregate|RequestFlows'
 
 echo "== kernels: SIMD parity suites under ASan+UBSan for every M3_KERNEL =="
 # Every dispatchable tier (including forced-but-unavailable values, which
@@ -120,7 +115,7 @@ echo "== TSan: serving / hot-reload / scheduler suites =="
 cmake -B build-tsan -S . -DM3_SANITIZE=thread "$@"
 cmake --build build-tsan -j"$JOBS" --target m3_tests
 ctest --test-dir build-tsan --output-on-failure -j"$JOBS" \
-  -R 'Service|SocketServer|ModelRegistry|LruCache|ThreadPool|Persist|ScenarioReuse|ModelInfer'
+  -R 'Service|SocketServer|ModelRegistry|LruCache|ThreadPool|ScenarioReuse|ModelInfer'
 
 echo "== chaos: supervised-worker + router fleet suites under ASan =="
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
@@ -385,101 +380,6 @@ OVL_PID=""
 if pgrep -f "$OVL_SOCK" > /dev/null 2>&1; then
   echo "overload: leaked worker processes:" >&2
   pgrep -af "$OVL_SOCK" >&2
-  exit 1
-fi
-
-echo "== warm-restart: durable caches vs SIGKILL mid-flush =="
-cmake --build build -j"$JOBS" --target m3d m3_client train_m3
-WARM_DIR="$(mktemp -d)"
-WARM_SOCK="$WARM_DIR/m3d.sock"
-WARM_CACHE="$WARM_DIR/cache"
-WARM_PID=""
-cleanup_warm() {
-  [ -n "$WARM_PID" ] && kill -KILL "$WARM_PID" 2>/dev/null || true
-  rm -rf "$WARM_DIR"
-}
-trap 'cleanup_soak; cleanup_dist; cleanup_ovl; cleanup_warm' EXIT
-
-./build/tools/train_m3 2 10 1 "$WARM_DIR/model.ckpt" > /dev/null
-# In-process execution and a fast flusher: the subject is the durable
-# cache, not the worker pool. No --no-cache anywhere in this tier.
-start_warm_daemon() {
-  ./build/tools/m3d --socket "$WARM_SOCK" --model "$WARM_DIR/model.ckpt" \
-    --workers 0 --cache-dir "$WARM_CACHE" --cache-flush-interval 0.2 \
-    >> "$WARM_DIR/m3d.log" 2>&1 &
-  WARM_PID=$!
-  for _ in $(seq 1 100); do
-    ./build/tools/m3_client --socket "$WARM_SOCK" --ping > /dev/null 2>&1 && break
-    sleep 0.2
-  done
-}
-start_warm_daemon
-
-# Eight distinct cacheable queries, then a second of flusher intervals so
-# the whole working set is durably spilled.
-for seed in 1 2 3 4 5 6 7 8; do
-  ./build/tools/m3_client --socket "$WARM_SOCK" --flows 1500 --paths 8 \
-    --seed "$seed" > /dev/null
-done
-sleep 1
-# The scraped keys are metric names from the one list in serve/metrics.h.
-WARM_STATS="$(./build/tools/m3_client --socket "$WARM_SOCK" --stats --json)"
-echo "$WARM_STATS"
-warm_flushed="$(echo "$WARM_STATS" | sed -E 's/.*"persist_entries_flushed":([0-9]+).*/\1/')"
-if [ "$warm_flushed" -lt 8 ]; then
-  echo "warm-restart: only $warm_flushed entries flushed before the kill" >&2
-  exit 1
-fi
-
-# SIGKILL mid-flush: fresh inserts land every ~50ms while the 0.2s flusher
-# is spilling, then the daemon dies without any shutdown path. The last
-# segment may be torn — recovery must skip it with a typed counter, never
-# crash, never serve a corrupt entry.
-(
-  s=100
-  while :; do
-    ./build/tools/m3_client --socket "$WARM_SOCK" --flows 1500 --paths 8 \
-      --seed "$s" > /dev/null 2>&1 || exit 0
-    s=$((s + 1))
-  done
-) &
-STORM_PID=$!
-sleep 0.5
-kill -KILL "$WARM_PID"
-wait "$WARM_PID" 2>/dev/null || true
-WARM_PID=""
-wait "$STORM_PID" 2>/dev/null || true
-
-# Restart on the same directory: the SIGKILLed holder's flock is released
-# by the kernel, so this must come up immediately — and warm.
-start_warm_daemon
-./build/tools/m3_client --socket "$WARM_SOCK" --ping
-
-# Re-drive the original eight queries and require a >= 90% warm hit ratio
-# on the recovered query cache (they were all flushed before the kill).
-for seed in 1 2 3 4 5 6 7 8; do
-  ./build/tools/m3_client --socket "$WARM_SOCK" --flows 1500 --paths 8 \
-    --seed "$seed" > /dev/null
-done
-WARM_AFTER="$(./build/tools/m3_client --socket "$WARM_SOCK" --stats --json)"
-echo "$WARM_AFTER"
-warm_loaded="$(echo "$WARM_AFTER" | sed -E 's/.*"persist_entries_loaded":([0-9]+).*/\1/')"
-warm_hits="$(echo "$WARM_AFTER" | sed -E 's/.*"query_cache":\{"hits":([0-9]+).*/\1/')"
-if [ "$warm_loaded" -lt 8 ]; then
-  echo "warm-restart: only $warm_loaded entries recovered" >&2
-  exit 1
-fi
-if [ "$warm_hits" -lt 7 ]; then
-  echo "warm-restart: only $warm_hits/8 re-driven queries hit warm (< 90%)" >&2
-  exit 1
-fi
-
-kill -TERM "$WARM_PID"
-wait "$WARM_PID"
-WARM_PID=""
-if pgrep -f "$WARM_SOCK" > /dev/null 2>&1; then
-  echo "warm-restart: leaked processes:" >&2
-  pgrep -af "$WARM_SOCK" >&2
   exit 1
 fi
 

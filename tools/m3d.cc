@@ -41,11 +41,6 @@ constexpr const char* kUsage =
     "  --threads-per-query N   pool threads per query, >= 0 (1; 0 = full pool)\n"
     "  --watchdog SECS     watchdog for deadline-less queries, > 0 (120)\n"
     "  --grace SECS        kill grace past a query deadline, > 0   (2)\n"
-    "  --cache-dir PATH    durable cache directory: the query cache is spilled\n"
-    "                      here and recovered warm on restart (off). Created\n"
-    "                      if missing; locked against sharing by a second\n"
-    "                      daemon.\n"
-    "  --cache-flush-interval SECS   background cache flush cadence (2)\n"
     "  --help              show this message\n"
     "\n"
     "With --workers N > 0 queries execute in forked worker subprocesses: a\n"
@@ -131,8 +126,6 @@ int main(int argc, char** argv) {
     else if (key == "--threads-per-query") opts.threads_per_query = static_cast<unsigned>(ParseInt(key, v, 0, 1024));
     else if (key == "--watchdog") opts.supervisor.default_watchdog_seconds = ParseSeconds(key, v);
     else if (key == "--grace") opts.supervisor.grace_seconds = ParseSeconds(key, v);
-    else if (key == "--cache-dir") opts.cache_dir = v;
-    else if (key == "--cache-flush-interval") opts.cache_flush_interval_seconds = ParseSeconds(key, v);
     else UsageError("unknown flag '" + key + "'");
     i += 2;
   }
@@ -202,10 +195,6 @@ int main(int argc, char** argv) {
   }
   if (!listen_tcp.empty()) {
     std::printf("m3d: also listening on %s\n", tcp_ep.ToString().c_str());
-  }
-  if (!opts.cache_dir.empty()) {
-    std::printf("m3d: durable caches in %s (flush every %.3gs), recovering in background\n",
-                opts.cache_dir.c_str(), opts.cache_flush_interval_seconds);
   }
   std::fflush(stdout);
 

@@ -49,11 +49,6 @@ constexpr const char* kUsage =
     "  --pool N             idle connections kept per shard          (4)\n"
     "  --query-cache N      whole-query cache entries, consulted\n"
     "                       before anything else, >= 0               (256)\n"
-    "  --cache-dir PATH     durable cache directory: the query cache is\n"
-    "                       spilled here and recovered warm on restart\n"
-    "                       (off). Created if missing; locked against\n"
-    "                       sharing by a second daemon.\n"
-    "  --cache-flush-interval SECS   background cache flush cadence  (2)\n"
     "  --help               show this message\n"
     "\n"
     "Slots are placed by hashing (query key, slot), so one query spreads\n"
@@ -136,8 +131,6 @@ int main(int argc, char** argv) {
     else if (key == "--fallback-threads") opts.fallback_threads = static_cast<unsigned>(ParseInt(key, v, 0, 1024));
     else if (key == "--pool") opts.pool_per_shard = static_cast<std::size_t>(ParseInt(key, v, 0, 1024));
     else if (key == "--query-cache") opts.query_cache_entries = static_cast<std::size_t>(ParseInt(key, v, 0, 1 << 24));
-    else if (key == "--cache-dir") opts.cache_dir = v;
-    else if (key == "--cache-flush-interval") opts.cache_flush_interval_seconds = ParseSeconds(key, v, 0.001);
     else UsageError("unknown flag '" + key + "'");
     i += 2;
   }
@@ -185,11 +178,6 @@ int main(int argc, char** argv) {
   for (const ShardHealthWire& s : boot.shards) {
     std::printf("m3d_router:   shard %s — %s\n", s.address.c_str(),
                 s.healthy ? "healthy" : "unreachable");
-  }
-  if (!opts.cache_dir.empty()) {
-    std::printf("m3d_router: durable query cache in %s (flush every %.3gs), "
-                "recovering in background\n",
-                opts.cache_dir.c_str(), opts.cache_flush_interval_seconds);
   }
   std::fflush(stdout);
 
