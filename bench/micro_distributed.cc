@@ -11,11 +11,16 @@
 //   chaos:   p99 and degradation counts with one shard SIGKILLed a third
 //            of the way into the load — every query must still be
 //            answered (ok or degraded, never failed)
+//   codec:   steady-loop encode and decode times of the scatter's
+//            messages at paper scale: the 20k-flow reference
+//            QueryRequest, a 50-slot ShardQueryRequest embedding it, and
+//            a 50-estimate ShardQueryResponse (no fork, no sockets)
 //
 // Emits JSON on stdout; the checked-in snapshot lives in
 // BENCH_distributed.json.
 //
 //   ./micro_distributed [queries_per_point] [flows_per_query] [paths] [shards]
+//   ./micro_distributed codec          (the codec phase alone)
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -137,6 +142,85 @@ RouterOptions FleetOptions(const std::vector<std::string>& socks, std::size_t n)
   return ro;
 }
 
+// Mean milliseconds per call of `f` over a steady loop: one warm-up call,
+// then the median of five batches of at least 50 ms each.
+template <class F>
+double MsPerCall(F&& f) {
+  f();
+  std::vector<double> batches;
+  for (int b = 0; b < 5; ++b) {
+    int calls = 0;
+    const auto t0 = Clock::now();
+    double s = 0.0;
+    do {
+      f();
+      ++calls;
+      s = SecondsSince(t0);
+    } while (s < 0.05);
+    batches.push_back(s * 1000.0 / calls);
+  }
+  std::sort(batches.begin(), batches.end());
+  return batches[2];
+}
+
+struct CodecRow {
+  const char* name;
+  std::size_t bytes = 0;
+  double encode_ms = 0.0, decode_ms = 0.0;
+};
+
+template <class M, class Enc, class Dec>
+CodecRow TimeCodec(const char* name, const M& msg, Enc encode, Dec decode) {
+  CodecRow row{name};
+  const std::string bytes = encode(msg);
+  row.bytes = bytes.size();
+  if (!decode(bytes).ok()) {
+    std::fprintf(stderr, "micro_distributed: %s does not round-trip\n", name);
+    std::exit(7);
+  }
+  volatile std::size_t sink = 0;
+  row.encode_ms = MsPerCall([&] { sink = sink + encode(msg).size(); });
+  row.decode_ms = MsPerCall([&] { sink = sink + (decode(bytes).ok() ? 1 : 0); });
+  return row;
+}
+
+// The scatter's messages at paper scale: the reference query (Small(2.0)
+// fat tree, 20k flows, 100 paths), one shard's 50 of its slots, and that
+// shard's 50 estimates.
+std::vector<CodecRow> RunCodec() {
+  const FatTree ft(FatTreeConfig::Small(2.0));
+  ShardQueryRequest sq;
+  sq.query = MakeQuery(ft, 20000, 100, 1);
+  ShardQueryResponse sr;
+  for (std::uint32_t s = 0; s < 50; ++s) {
+    sq.slots.push_back(2 * s);
+    SlotEstimateWire e;
+    e.slot = 2 * s;
+    for (std::size_t b = 0; b < e.estimate.pct.size(); ++b) {
+      for (std::size_t p = 0; p < e.estimate.pct[b].size(); ++p) {
+        e.estimate.pct[b][p] = 1.0 + 0.01 * static_cast<double>(p * (b + 1) + s);
+      }
+      e.estimate.counts[b] = static_cast<double>(10 * b + s);
+    }
+    sr.estimates.push_back(e);
+  }
+  return {TimeCodec("query_request", sq.query, EncodeQueryRequest, DecodeQueryRequest),
+          TimeCodec("shard_query_request", sq, EncodeShardQueryRequest,
+                    DecodeShardQueryRequest),
+          TimeCodec("shard_query_response", sr, EncodeShardQueryResponse,
+                    DecodeShardQueryResponse)};
+}
+
+void PrintCodec(const std::vector<CodecRow>& rows) {
+  std::printf("  \"codec\": {\n");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const CodecRow& r = rows[i];
+    std::printf("    \"%s\": {\"bytes\": %zu, \"encode_ms\": %.4f, \"decode_ms\": %.4f}%s\n",
+                r.name, r.bytes, r.encode_ms, r.decode_ms, i + 1 < rows.size() ? "," : "");
+  }
+  std::printf("  }");
+}
+
 struct Point {
   int shards = 0;
   double qps = 0.0, p50_ms = 0.0, p99_ms = 0.0;
@@ -173,6 +257,17 @@ Point RunLoad(Router& router, const std::vector<QueryRequest>& queries) {
 int main(int argc, char** argv) {
   using namespace m3;
   using namespace m3::serve;
+
+  if (argc == 2 && std::string(argv[1]) == "codec") {
+    const std::vector<CodecRow> codec = RunCodec();
+    std::printf("{\n  \"bench\": \"distributed\",\n  \"cores\": %u,\n",
+                std::thread::hardware_concurrency());
+    PrintCodec(codec);
+    std::printf("\n}\n");
+    return 0;
+  }
+  // Before the fleet is forked: the children must not inherit its buffers.
+  const std::vector<CodecRow> codec = RunCodec();
 
   const int queries = argc > 1 ? std::atoi(argv[1]) : 10;
   const int flows_per_query = argc > 2 ? std::atoi(argv[2]) : 1200 * bench::Scale();
@@ -339,10 +434,12 @@ int main(int argc, char** argv) {
   std::printf("  ],\n");
   std::printf("  \"chaos_one_shard_killed\": {\"shards\": %d, \"qps\": %.2f, "
               "\"p50_ms\": %.2f, \"p99_ms\": %.2f, \"ok\": %d, \"degraded\": %d, "
-              "\"failed\": %d}\n",
+              "\"failed\": %d}",
               chaos.shards, chaos.qps, chaos.p50_ms, chaos.p99_ms, chaos.ok,
               chaos.degraded, chaos.failed);
-  std::printf("}\n");
+  std::printf(",\n");
+  PrintCodec(codec);
+  std::printf("\n}\n");
 
   // The contract this bench tracks: shard loss degrades, never fails.
   return chaos.failed == 0 ? 0 : 1;

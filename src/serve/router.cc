@@ -161,7 +161,8 @@ void Router::ProbeShard(Shard& s) {
   s.healthy.store(ready, std::memory_order_relaxed);
 }
 
-StatusOr<ShardQueryResponse> Router::CallShard(Shard& s, const std::string& payload,
+StatusOr<ShardQueryResponse> Router::CallShard(Shard& s, std::string_view head,
+                                               std::string_view slots,
                                                double recv_timeout_seconds) {
   s.dispatches.fetch_add(1, std::memory_order_relaxed);
   UnixFd fd;
@@ -188,7 +189,7 @@ StatusOr<ShardQueryResponse> Router::CallShard(Shard& s, const std::string& payl
     SetRecvTimeout(fd, recv_timeout_seconds);
     SetSendTimeout(fd, recv_timeout_seconds);
     const Status sent =
-        SendFrame(fd, static_cast<std::uint32_t>(MsgType::kShardQueryRequest), payload);
+        SendFrame(fd, static_cast<std::uint32_t>(MsgType::kShardQueryRequest), head, slots);
     if (sent.ok()) {
       StatusOr<Frame> frame = RecvFrame(fd);
       if (frame.ok()) {
@@ -401,16 +402,15 @@ QueryResponse Router::Query(const QueryRequest& req) {
       // the client's budget at dispatch time — the elapsed scatter time
       // (placement, earlier rounds) is already spent, and a shard that
       // inherited the full deadline would happily compute past the moment
-      // the router has to answer.
-      const double shard_budget = has_deadline ? std::max(rem, 1e-9) : 0.0;
+      // the router has to answer. Every shard of the round gets the same
+      // budget, so the query is encoded once and each dispatch adds only
+      // its slot list.
+      const double shard_budget = has_deadline ? std::max(rem, 1e-9) : req.deadline_seconds;
+      const std::string head = EncodeShardQueryHead(req, shard_budget);
       for (std::size_t d = 0; d < queue.size(); ++d) {
         th.emplace_back([&, d] {
-          ShardQueryRequest sub;
-          sub.query = req;
-          if (has_deadline) sub.query.deadline_seconds = shard_budget;
-          sub.slots = queue[d].slots;
-          results[d] = CallShard(*shards_[static_cast<std::size_t>(queue[d].shard)],
-                                 EncodeShardQueryRequest(sub), recv_timeout);
+          results[d] = CallShard(*shards_[static_cast<std::size_t>(queue[d].shard)], head,
+                                 EncodeShardQuerySlots(queue[d].slots), recv_timeout);
         });
       }
       for (auto& t : th) t.join();

@@ -135,7 +135,9 @@ class Router {
   /// a recv timeout never does (the shard may be mid-compute — resending
   /// would double the work). Updates dispatches/failures, and clears the
   /// healthy flag on a failed connect.
-  StatusOr<ShardQueryResponse> CallShard(Shard& s, const std::string& payload,
+  /// The request payload is `head` (the round's shared version and
+  /// embedded query) followed by `slots` (this shard's slot list).
+  StatusOr<ShardQueryResponse> CallShard(Shard& s, std::string_view head, std::string_view slots,
                                          double recv_timeout_seconds);
 
   /// One liveness probe: ping over a throwaway connection; `healthy`

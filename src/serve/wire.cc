@@ -22,10 +22,13 @@ constexpr const char* kPathKeySchema = "m3d/path-key/v1";
 constexpr std::size_t kPathKeyLinkBytes = 4 + 4 + 8 + 8;
 constexpr std::size_t kPathKeyFlowBytes = 4 + 4 + 8 + 8 + 1 + 1 + 4 + 4 + 8;
 
-// Little-endian field writer over a buffer sized up front (no bounds checks:
-// PathCacheKey computes the exact size, QueryCacheKey fills a fixed chunk).
-// The I32 / I64 / U8 names let WireFlow's field list fill a key chunk.
-struct KeyBytes {
+// Unchecked little-endian field writer and reader over a block whose size
+// is settled before the first field: PathCacheKey computes the exact size,
+// QueryCacheKey fills a fixed chunk, and a vector of FixedWidth records is
+// sized (or bounds-checked) from its count once. They offer only the
+// fixed-width field kinds, so a record whose field list gains a Str, Vec,
+// Enum or Bool stops compiling here instead of skipping that field's check.
+struct RawWriter {
   unsigned char* p;
   template <typename T>
   void Put(T v) {
@@ -33,8 +36,24 @@ struct KeyBytes {
     p += sizeof(T);
   }
   void U8(std::uint8_t v) { Put(v); }
+  void U32(std::uint32_t v) { Put(v); }
   void I32(std::int32_t v) { Put(v); }
   void I64(std::int64_t v) { Put(v); }
+  void F64(double v) { Put(v); }
+};
+
+struct RawReader {
+  const char* p;
+  template <typename T>
+  void Get(T& v) {
+    std::memcpy(&v, p, sizeof(T));
+    p += sizeof(T);
+  }
+  void U8(std::uint8_t& v) { Get(v); }
+  void U32(std::uint32_t& v) { Get(v); }
+  void I32(std::int32_t& v) { Get(v); }
+  void I64(std::int64_t& v) { Get(v); }
+  void F64(double& v) { Get(v); }
 };
 
 // The hasher as the field lists see it: an enum is absorbed as its wire
@@ -46,8 +65,10 @@ struct KeyHasher : Hasher {
   }
 };
 
-// Upper bound on decoded vector lengths (percentile vectors are 100 wide;
-// this is pure overread/OOM protection).
+// Upper bounds on decoded percentile-vector and string lengths (vectors are
+// 100 wide, strings are names and messages; this is pure overread/OOM
+// protection). The shard request's embedded query is no Str: only the rest
+// of its payload, which RecvFrame caps, bounds it.
 constexpr std::uint64_t kMaxVecLen = 1u << 20;
 constexpr std::uint64_t kMaxStrLen = 1u << 20;
 // Bytes per wire flow record (id, src, dst: i32; size, arrival: i64; prio:
@@ -56,6 +77,16 @@ constexpr std::size_t kWireFlowBytes = 3 * 4 + 2 * 8 + 1;
 
 template <class M, class T>
 concept Is = std::is_same_v<std::remove_const_t<M>, T>;
+
+// The records a vector moves as one block through RawWriter / RawReader:
+// every field in their lists is fixed-width.
+template <class T>
+concept FixedWidth = Is<T, std::uint32_t> || Is<T, WireFlow> || Is<T, SlotEstimateWire>;
+
+// Bytes of T's smallest encoding (empty strings and vectors): the record
+// size a count of T is checked against, and a FixedWidth record's width.
+template <typename T>
+std::uint64_t MinBytes();
 
 // One metric-list member (serve/metrics.h), by type.
 template <class Io, class T>
@@ -98,10 +129,19 @@ class Writer {
   template <typename T>
   void Vec(const std::vector<T>& v) {
     U64(v.size());
-    for (const T& e : v) Fields(*this, e);
+    if constexpr (FixedWidth<T>) {
+      const std::size_t at = out_.size();
+      out_.resize(at + v.size() * MinBytes<T>());
+      RawWriter w{reinterpret_cast<unsigned char*>(out_.data() + at)};
+      for (const T& e : v) Fields(w, e);
+    } else {
+      for (const T& e : v) Fields(*this, e);
+    }
   }
-  // The shard request's query travels as its own versioned payload.
-  void Embedded(const QueryRequest& q) { Str(EncodeQueryRequest(q)); }
+  // The shard request's query travels as its own versioned payload behind
+  // a u64 length, written in place; `deadline_seconds` stands in for the
+  // query's own.
+  void Embedded(const QueryRequest& q, double deadline_seconds);
   std::string Take() { return std::move(out_); }
 
  private:
@@ -111,8 +151,6 @@ class Writer {
   std::string out_;
 };
 
-// Bytes of T's smallest encoding (empty strings and vectors): the record
-// size a count of T is checked against.
 template <typename T>
 std::uint64_t MinBytes() {
   static const std::uint64_t bytes = [] {
@@ -130,7 +168,7 @@ std::uint64_t MinBytes() {
 // check on every read, Count and Enum are the only places input is checked.
 class Reader {
  public:
-  explicit Reader(const std::string& s) : s_(s) {}
+  explicit Reader(std::string_view s) : s_(s) {}
 
   void U8(std::uint8_t& v) { Raw(&v, 1); }
   void U32(std::uint32_t& v) { Raw(&v, 4); }
@@ -182,7 +220,7 @@ class Reader {
   }
   void Str(std::string& v) {
     const std::size_t n = Count(1, kMaxStrLen);
-    v.assign(s_, pos_, n);
+    v.assign(s_.substr(pos_, n));
     pos_ += n;
   }
   void VecF64(std::vector<double>& v) {
@@ -192,16 +230,18 @@ class Reader {
   template <typename T>
   void Vec(std::vector<T>& v) {
     v.resize(Count(MinBytes<T>()));
-    for (T& e : v) Fields(*this, e);
+    if constexpr (FixedWidth<T>) {
+      // Count has checked that the whole block lies within the payload.
+      RawReader r{s_.data() + pos_};
+      for (T& e : v) Fields(r, e);
+      pos_ = static_cast<std::size_t>(r.p - s_.data());
+    } else {
+      for (T& e : v) Fields(*this, e);
+    }
   }
-  void Embedded(QueryRequest& q) {
-    std::string blob;
-    Str(blob);
-    if (!st_.ok()) return;
-    StatusOr<QueryRequest> got = DecodeQueryRequest(blob);
-    if (!got.ok()) return Fail(got.status().Annotate("wire: embedded shard query"));
-    q = std::move(*got);
-  }
+  // The embedded query, decoded in place by a reader over its own bytes
+  // (its own version and end checks).
+  void Embedded(QueryRequest& q);
 
   void Version() {
     std::uint32_t v = 0;
@@ -239,7 +279,7 @@ class Reader {
     std::memset(p, 0, n);
   }
 
-  const std::string& s_;
+  std::string_view s_;
   std::size_t pos_ = 0;
   Status st_;
 };
@@ -247,7 +287,8 @@ class Reader {
 // ----- field lists: each message's fields, in wire order, written once -----
 //
 // `M` is the struct, const when encoding or hashing. Every Io (Writer,
-// Reader, KeyHasher, KeyBytes) walks the same list.
+// Reader, KeyHasher, and RawWriter / RawReader for FixedWidth records)
+// walks the same list.
 
 template <class Io, Is<std::uint32_t> M>
 void Fields(Io& io, M& v) {  // a slot index
@@ -354,8 +395,10 @@ void Fields(Io& io, M& m) {
   io.Vec(m.shards);
 }
 
-template <class Io, Is<QueryRequest> M>
-void Fields(Io& io, M& m) {
+// `deadline_seconds` is m.deadline_seconds, except where a scatter sends the
+// query with what is left of its budget.
+template <class Io, Is<QueryRequest> M, class D>
+void QueryFields(Io& io, M& m, D& deadline_seconds) {
   io.F64(m.oversub);
   Fields(io, m.topo);
   Fields(io, m.cfg);
@@ -363,11 +406,16 @@ void Fields(Io& io, M& m) {
   io.U64(m.seed);
   io.Bool(m.use_context);
   io.Bool(m.strict);
-  io.F64(m.deadline_seconds);
+  io.F64(deadline_seconds);
   io.I32(m.max_attempts);
   io.Bool(m.no_cache);
   io.Enum(m.priority, kNumPriorityClasses);
   io.Vec(m.flows);
+}
+
+template <class Io, Is<QueryRequest> M>
+void Fields(Io& io, M& m) {
+  QueryFields(io, m, m.deadline_seconds);
 }
 
 template <class Io, Is<QueryResponse> M>
@@ -409,6 +457,8 @@ void Fields(Io& io, M& m) {
   io.U32(m.model_crc);
 }
 
+// The encoder writes this list in the two parts a scatter sends
+// (EncodeShardQueryHead, EncodeShardQuerySlots).
 template <class Io, Is<ShardQueryRequest> M>
 void Fields(Io& io, M& m) {
   io.Embedded(m.query);
@@ -423,6 +473,26 @@ void Fields(Io& io, M& m) {
   io.U32(m.model_crc);
   io.F64(m.wall_seconds);
   io.Vec(m.estimates);
+}
+
+void Writer::Embedded(const QueryRequest& q, double deadline_seconds) {
+  const std::size_t at = out_.size();
+  U64(0);  // the length, patched once the query is written
+  U32(kWireVersion);
+  QueryFields(*this, q, deadline_seconds);
+  const std::uint64_t n = out_.size() - at - 8;
+  std::memcpy(out_.data() + at, &n, 8);
+}
+
+void Reader::Embedded(QueryRequest& q) {
+  const std::size_t n = Count(1);
+  if (!st_.ok()) return;
+  Reader sub(s_.substr(pos_, n));
+  sub.Version();
+  Fields(sub, q);
+  sub.ExpectEnd();
+  if (!sub.status().ok()) return Fail(sub.status().Annotate("wire: embedded shard query"));
+  pos_ += n;
 }
 
 // Every payload leads with the one version this build speaks.
@@ -440,7 +510,7 @@ std::string Encode(const M& m) {
 }
 
 template <class M>
-StatusOr<M> Decode(const std::string& payload) {
+StatusOr<M> Decode(std::string_view payload) {
   Reader r(payload);
   M m;
   r.Version();
@@ -481,7 +551,20 @@ StatusOr<PingResponse> DecodePingResponse(const std::string& p) {
   return Decode<PingResponse>(p);
 }
 
-std::string EncodeShardQueryRequest(const ShardQueryRequest& req) { return Encode(req); }
+std::string EncodeShardQueryHead(const QueryRequest& query, double deadline_seconds) {
+  Writer w = Versioned();
+  w.Embedded(query, deadline_seconds);
+  return w.Take();
+}
+std::string EncodeShardQuerySlots(const std::vector<std::uint32_t>& slots) {
+  Writer w;
+  w.Vec(slots);
+  return w.Take();
+}
+std::string EncodeShardQueryRequest(const ShardQueryRequest& req) {
+  return EncodeShardQueryHead(req.query, req.query.deadline_seconds) +
+         EncodeShardQuerySlots(req.slots);
+}
 StatusOr<ShardQueryRequest> DecodeShardQueryRequest(const std::string& p) {
   return Decode<ShardQueryRequest>(p);
 }
@@ -510,7 +593,7 @@ Hash128 QueryCacheKey(const QueryRequest& req, const Hash128& model_digest) {
   std::array<unsigned char, kChunkFlows * kWireFlowBytes> chunk;
   for (std::size_t begin = 0; begin < req.flows.size(); begin += kChunkFlows) {
     const std::size_t end = std::min(req.flows.size(), begin + kChunkFlows);
-    KeyBytes w{chunk.data()};
+    RawWriter w{chunk.data()};
     for (std::size_t i = begin; i < end; ++i) Fields(w, req.flows[i]);
     h.Bytes(chunk.data(), static_cast<std::size_t>(w.p - chunk.data()));
   }
@@ -539,7 +622,7 @@ Hash128 PathCacheKey(const PathScenario& scenario, const NetConfig& cfg,
   thread_local std::vector<unsigned char> buf;
   buf.resize(size);
 
-  KeyBytes w{buf.data()};
+  RawWriter w{buf.data()};
   w.Put<std::uint64_t>(num_links);
   for (std::size_t l = 0; l < num_links; ++l) {
     const Link& link = topo.link(static_cast<LinkId>(l));

@@ -18,8 +18,13 @@
 // Values are checked in two places only: an enum at or past its limit is
 // kInvalidArgument, and a length prefix over its cap is kInvalidArgument
 // or longer than the rest of the payload can hold is kDataLoss, before
-// anything is sized from it. An accepted payload re-encodes to the same
-// bytes.
+// anything is sized from it. Strings and percentile vectors are capped at
+// 2^20; record lists and the shard request's embedded query are bounded
+// only by the payload, which the frame layer caps (kMaxFramePayload). An accepted payload re-encodes to the same bytes.
+//
+// A vector of fixed-width records (flows, slots, slot estimates) is one
+// block: its count is checked against the payload once, then each record
+// is written or read through its field list without a per-field check.
 //
 // Answers carry no stats: serving counters travel only in the
 // kStatsRequest / kStatsResponse pair (schema in serve/metrics.h).
@@ -47,6 +52,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/estimator.h"
@@ -196,6 +202,13 @@ struct QueryResponse {
 /// would compute — and estimates only `slots`
 /// (M3Options::sample_slots), so disjoint slot sets from different shards
 /// merge positionally into one bitwise-reproducible answer.
+///
+/// On the wire the query is embedded as its own versioned QueryRequest
+/// payload behind a u64 length, bounded only by the frame, and the slot
+/// list follows it. The router encodes that head once per scatter round
+/// (every shard of a round gets the same deadline budget) and sends it to
+/// each shard with the shard's own slot list; the shard decodes the
+/// embedded query in place.
 struct ShardQueryRequest {
   QueryRequest query;
   std::vector<std::uint32_t> slots;
@@ -274,6 +287,13 @@ StatusOr<ReloadResponse> DecodeReloadResponse(const std::string& payload);
 std::string EncodePingResponse(const PingResponse& resp);
 StatusOr<PingResponse> DecodePingResponse(const std::string& payload);
 
+/// A ShardQueryRequest payload is a head (the version and the embedded
+/// query, with `deadline_seconds` in place of query.deadline_seconds) and
+/// a tail (the slot list), concatenated; EncodeShardQueryRequest is that
+/// concatenation. A scatter encodes the head once and sends it with each
+/// shard's tail, without copying the query or its flows per shard.
+std::string EncodeShardQueryHead(const QueryRequest& query, double deadline_seconds);
+std::string EncodeShardQuerySlots(const std::vector<std::uint32_t>& slots);
 std::string EncodeShardQueryRequest(const ShardQueryRequest& req);
 StatusOr<ShardQueryRequest> DecodeShardQueryRequest(const std::string& payload);
 

@@ -17,6 +17,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 
 namespace m3 {
@@ -408,16 +409,20 @@ Status MakeSocketPair(UnixFd* a, UnixFd* b) {
   return Status::Ok();
 }
 
-Status SendFrame(const UnixFd& fd, std::uint32_t type, const std::string& payload) {
+Status SendFrame(const UnixFd& fd, std::uint32_t type, std::string_view payload,
+                 std::string_view tail) {
   char header[16];
   const std::uint32_t magic = kM3dFrameMagic;
-  const std::uint64_t len = payload.size();
+  const std::uint64_t len = payload.size() + tail.size();
   std::memcpy(header, &magic, 4);
   std::memcpy(header + 4, &type, 4);
   std::memcpy(header + 8, &len, 8);
-  iovec iov[2] = {{header, sizeof(header)},
-                  {const_cast<char*>(payload.data()), payload.size()}};
-  return SendAllVec(fd.get(), iov, payload.empty() ? 1 : 2);
+  iovec iov[3] = {{header, sizeof(header)}};
+  int n = 1;
+  for (const std::string_view part : {payload, tail}) {
+    if (!part.empty()) iov[n++] = {const_cast<char*>(part.data()), part.size()};
+  }
+  return SendAllVec(fd.get(), iov, n);
 }
 
 StatusOr<Frame> RecvFrame(const UnixFd& fd) {

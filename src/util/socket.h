@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/status.h"
 
@@ -126,7 +127,11 @@ StatusOr<UnixFd> ListenEndpoint(const Endpoint& ep, int backlog = 64);
 Status MakeSocketPair(UnixFd* a, UnixFd* b);
 
 /// Writes the whole frame. kUnavailable on any I/O failure (incl. EPIPE).
-Status SendFrame(const UnixFd& fd, std::uint32_t type, const std::string& payload);
+/// The payload is `payload` followed by `tail`, sent with one gathered
+/// write and never joined: a scatter sends one shared head to every shard,
+/// each with its own tail.
+Status SendFrame(const UnixFd& fd, std::uint32_t type, std::string_view payload,
+                 std::string_view tail = {});
 
 /// Reads one frame. kNotFound on clean end-of-stream (peer closed between
 /// frames), kDataLoss on mid-frame close, kInvalidArgument on bad magic or

@@ -172,6 +172,35 @@ TEST(ShardWire, ShardQueryRequestRoundTrip) {
   EXPECT_EQ(QueryCacheKey(req.query, digest), QueryCacheKey(got->query, digest));
 }
 
+// An embedded query over a mebibyte (40k flows of 29 bytes) decodes: only
+// the payload bounds it, as it bounds a plain QueryRequest, not the string
+// cap.
+TEST(ShardWire, EmbeddedQueryOverOneMebibyteRoundTrips) {
+  ShardQueryRequest req;
+  req.query = SampleShardQuery();
+  req.query.flows.clear();
+  for (int i = 0; i < 40000; ++i) {
+    WireFlow f;
+    f.id = i;
+    f.src_host = i % 16;
+    f.dst_host = (i + 5) % 16;
+    f.size = 1000 + i;
+    f.arrival = 7 * i;
+    f.priority = static_cast<std::uint8_t>(i % 3);
+    req.query.flows.push_back(f);
+  }
+  req.slots = {1, 2};
+  const std::string bytes = EncodeShardQueryRequest(req);
+  ASSERT_GT(bytes.size(), std::size_t{1} << 20);
+  const StatusOr<ShardQueryRequest> got = DecodeShardQueryRequest(bytes);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->slots, req.slots);
+  ASSERT_EQ(got->query.flows.size(), req.query.flows.size());
+  EXPECT_EQ(EncodeShardQueryRequest(*got), bytes);
+  const Hash128 digest = HashBytes("m", 1);
+  EXPECT_EQ(QueryCacheKey(got->query, digest), QueryCacheKey(req.query, digest));
+}
+
 ShardQueryResponse SampleShardResponse() {
   ShardQueryResponse resp;
   resp.status = Status::Degraded("1 slot degraded");
@@ -294,12 +323,12 @@ std::string OtherTinyCheckpoint() {
   return path;
 }
 
-QueryRequest FleetQuery(int num_paths = 6, std::uint64_t wl_seed = 3) {
+QueryRequest FleetQuery(int num_paths = 6, std::uint64_t wl_seed = 3, int num_flows = 300) {
   const FatTree ft(FatTreeConfig::Small(2.0));
   const auto tm = TrafficMatrix::MatrixB(ft.num_racks(), ft.config().racks_per_pod);
   const auto sizes = MakeWebServer();
   WorkloadSpec wspec;
-  wspec.num_flows = 300;
+  wspec.num_flows = num_flows;
   wspec.seed = wl_seed;
   const std::vector<Flow> flows = GenerateWorkload(ft, tm, *sizes, wspec).flows;
   QueryRequest req;
@@ -469,6 +498,34 @@ TEST(RouterChaos, FaultFreeScatterIsBitwiseIdenticalToSingleDaemon) {
   }
   EXPECT_EQ(assigned, 6u);
   EXPECT_EQ(ok, 6u);
+}
+
+// A query whose flows take over a mebibyte on the wire (40k flows) is
+// scattered and answered as one daemon answers it: the shards accept the
+// embedded query at any size the frame allows.
+TEST(RouterChaos, QueryOverOneMebibyteOfFlowsMatchesOneDaemon) {
+  const std::vector<std::string> paths = FleetPaths("rc_big", 2);
+  TestShard shards[2];
+  for (int i = 0; i < 2; ++i) shards[i].Start(paths[i]);
+
+  Router router(FastRouterOptions(paths));
+  ASSERT_TRUE(router.Start().ok());
+
+  const QueryRequest req = FleetQuery(4, 5, 40000);
+  ASSERT_GT(EncodeQueryRequest(req).size(), std::size_t{1} << 20);
+  const QueryResponse routed = router.Query(req);
+  ASSERT_TRUE(routed.status.ok()) << routed.status.ToString();
+
+  ServiceOptions so;
+  so.model_config = TinyModel();
+  EstimationService single(so);
+  ASSERT_TRUE(single.ReloadModel(TinyCheckpoint()).ok());
+  const QueryResponse direct = single.ExecuteInline(req);
+  ASSERT_TRUE(direct.status.ok()) << direct.status.ToString();
+
+  ExpectBitwiseEqual(routed, direct);
+  EXPECT_EQ(routed.degradation.paths_ok, 4);
+  EXPECT_EQ(routed.degradation.paths_degraded, 0);
 }
 
 TEST(RouterChaos, ShardLossReroutesToReplicasWithoutDegradation) {

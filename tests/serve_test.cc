@@ -597,6 +597,11 @@ std::vector<CountField> EveryCountField() {
   rows.push_back({"percentile vector", EncodeQueryResponse(ok), 4 + 4 + 8, 8,
                   Make("QueryResponse", ok, EncodeQueryResponse, DecodeQueryResponse),
                   StatusCode::kInvalidArgument});
+  // The shard request's embedded query is bounded only by the payload:
+  // its u64 length follows the version.
+  rows.push_back({"embedded query", EncodeShardQueryRequest(sq), 4, 1,
+                  Make("ShardQueryRequest", sq, EncodeShardQueryRequest, DecodeShardQueryRequest),
+                  StatusCode::kDataLoss});
   ReloadRequest rq;
   rq.checkpoint_path = "models/next.ckpt";
   rows.push_back({"checkpoint path", EncodeReloadRequest(rq), 4, 1,
@@ -629,7 +634,7 @@ void ExpectHostileCountsRejected(const CountField& row) {
 
 TEST(Wire, HostileCountsAreRejectedWithoutAllocating) {
   const std::vector<CountField> rows = EveryCountField();
-  ASSERT_EQ(rows.size(), 7u);
+  ASSERT_EQ(rows.size(), 8u);
   for (const CountField& row : rows) ExpectHostileCountsRejected(row);
 }
 

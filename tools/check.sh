@@ -5,7 +5,9 @@
 # with the path-pipeline suites (golden pins, hostile flow ids), then a
 # UBSan build of the resilience suites so the fault-injection and validation
 # paths (injected throws, NaN forwards, malformed traces) are checked for
-# undefined behaviour under fault, then a ThreadSanitizer build of the
+# undefined behaviour under fault, with the wire codec suites (hostile
+# counts, truncations and bit flips through the unchecked record-block
+# reader), then a ThreadSanitizer build of the
 # serving suites so hot-reload-under-load, the shared result caches, and the
 # scheduler/socket shutdown paths are checked for data races, and finally
 # the chaos tier: the supervised-worker suites under ASan (fork + crash +
@@ -104,7 +106,7 @@ done
 echo "== UBSan: resilience / fault-injection suites =="
 # build-ubsan was configured and built by the kernels tier above.
 ctest --test-dir build-ubsan --output-on-failure -j"$JOBS" \
-  -R 'Status|FaultRegistry|Validate|EstimatorResilience|AggregationGuard|CheckpointResilience|TraceIo'
+  -R 'Status|FaultRegistry|Validate|EstimatorResilience|AggregationGuard|CheckpointResilience|TraceIo|Wire\.|ShardWire'
 
 echo "== TSan: serving / hot-reload / scheduler suites =="
 # ScenarioReuse joins them: the path pipeline builds scenarios into
