@@ -11,12 +11,16 @@
 // 0.5) for kRefSeeds fixed workload seeds x 100 sampled paths. Its ms/iter
 // is per 100 paths, and the row after it hashes every FlowResult, so a
 // speed-up of flowSim can be shown to leave its results bit for bit.
+// BM_FeaturesReferencePaths times ExtractFeatures on the same paths and
+// flowSim results (ms/iter per 100 paths); `features_hash` covers every
+// feature row and flowSim target it writes.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
+#include "core/feature_map.h"
 #include "core/scenario.h"
 #include "flowsim/flowsim.h"
 #include "pathdecomp/path_topology.h"
@@ -65,6 +69,11 @@ std::vector<PathScenario> ReferenceScenarios() {
   return out;
 }
 
+void AbsorbTensor(Hasher& h, const ml::Tensor& t) {
+  h.I32(t.rows()).I32(t.cols());
+  for (std::size_t i = 0; i < t.size(); ++i) h.F32(t.data()[i]);
+}
+
 // Keeps each run's results observable so the call cannot be elided.
 volatile std::size_t g_sink = 0;
 
@@ -110,9 +119,10 @@ int main(int argc, char** argv) {
     const std::vector<PathScenario> paths = ReferenceScenarios();
     std::size_t flows = 0;
     Hasher h;
+    std::vector<std::vector<FlowResult>> results;
     for (const PathScenario& sc : paths) {
       flows += sc.flows.size();
-      const std::vector<FlowResult> res = RunPathFlowSim(sc);
+      const std::vector<FlowResult>& res = results.emplace_back(RunPathFlowSim(sc));
       h.U64(res.size());
       for (const FlowResult& r : res) {
         h.I32(r.id).I64(r.size).I64(r.fct).I64(r.ideal_fct).F64(r.slowdown);
@@ -126,6 +136,27 @@ int main(int argc, char** argv) {
         },
         kRefSeeds);
     std::printf("%-30s %s\n", "  results_hash", h.Finish().ToHex().c_str());
+
+    Hasher fh;
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      const ScenarioFeatures f = ExtractFeatures(paths[i], results[i]);
+      AbsorbTensor(fh, f.fg_feat);
+      AbsorbTensor(fh, f.bg_seq);
+      for (std::size_t b = 0; b < kNumOutputBuckets; ++b) {
+        fh.Bool(f.flowsim_fg.has[b]).F64(f.flowsim_fg.counts[b]);
+        for (double v : f.flowsim_fg.pct[b]) fh.F64(v);
+      }
+    }
+    Row("BM_FeaturesReferencePaths", static_cast<int>(paths.size()), flows, min_seconds,
+        [&] {
+          std::size_t n = 0;
+          for (std::size_t i = 0; i < paths.size(); ++i) {
+            n += ExtractFeatures(paths[i], results[i]).bg_seq.size();
+          }
+          return n;
+        },
+        kRefSeeds);
+    std::printf("%-30s %s\n", "  features_hash", fh.Finish().ToHex().c_str());
   }
   for (int n : {500, 2000}) {
     const PathScenario sc = MakeScenario(n);

@@ -339,11 +339,17 @@ NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& f
                       first_error_status.ToString();
   }
 
-  PathAggregate agg = AggregatePaths(est.paths, opts.num_threads);
-  rep.clamped_values = agg.clamped_values;
-  est.bucket_pct = std::move(agg.bucket_pct);
-  est.total_counts = agg.total_counts;
-  est.combined_pct = std::move(agg.combined_pct);
+  if (opts.sample_slots != nullptr) {
+    // A slot subset is one part of an answer: whoever merges the parts
+    // reads only est.paths and aggregates the whole.
+    rep.clamped_values = ClampPathEstimates(est.paths);
+  } else {
+    PathAggregate agg = AggregatePaths(est.paths, opts.num_threads);
+    rep.clamped_values = agg.clamped_values;
+    est.bucket_pct = std::move(agg.bucket_pct);
+    est.total_counts = agg.total_counts;
+    est.combined_pct = std::move(agg.combined_pct);
+  }
 
   est.degradation = rep;
   const int cause = cancel.load(std::memory_order_relaxed);

@@ -44,8 +44,11 @@ struct M3Options {
   // degradation report, unlike a drop. NetworkEstimate::paths keeps full
   // num_paths length, so a scatter-gather front-end can merge disjoint slot
   // sets from different shards positionally and re-aggregate. Duplicate or
-  // out-of-range slots are rejected as kInvalidArgument. Not owned; must
-  // outlive the call.
+  // out-of-range slots are rejected as kInvalidArgument. With slots set
+  // the estimate is only its paths: they are clamped (and the clamps
+  // counted) as for an aggregate, but bucket_pct and combined_pct stay
+  // empty and total_counts zero, since a merged answer aggregates them
+  // all. Not owned; must outlive the call.
   const std::vector<std::uint32_t>* sample_slots = nullptr;
 };
 

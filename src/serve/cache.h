@@ -59,13 +59,15 @@ class LruCache {
   /// Returns a copy of the cached value and promotes the entry to
   /// most-recently-used. The serve-layer fault site (when configured) fires
   /// *before* the probe so an injected cache outage is indistinguishable
-  /// from a real one to the caller.
-  std::optional<V> Lookup(const Hash128& key) {
+  /// from a real one to the caller. `count_miss` false leaves the counters
+  /// alone on a miss: for a probe that a counted lookup of the same query
+  /// follows, so each query counts one hit or one miss.
+  std::optional<V> Lookup(const Hash128& key, bool count_miss = true) {
     if (fault_site_ != nullptr) M3_FAULT_POINT(fault_site_);
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
     if (it == index_.end()) {
-      ++stats_.misses;
+      if (count_miss) ++stats_.misses;
       return std::nullopt;
     }
     order_.splice(order_.begin(), order_, it->second);

@@ -154,11 +154,12 @@ std::vector<Flow>& RequestFlowWorkspace() {
 }
 
 // Shared setup for full and shard execution: validated topology, routed
-// flows, and the request's M3Options (minus the slot filter). `flows` is
-// this thread's request-flow workspace; the destructor releases it when
-// the query left it holding room for more than kMaxKeptRequestFlows.
+// flows, and the request's M3Options (minus the slot filter) with
+// `deadline_seconds` as the budget. `flows` is this thread's request-flow
+// workspace; the destructor releases it when the query left it holding
+// room for more than kMaxKeptRequestFlows.
 struct PreparedQuery {
-  PreparedQuery(const QueryRequest& req, const ExecContext& ctx);
+  PreparedQuery(const QueryRequest& req, double deadline_seconds, const ExecContext& ctx);
   ~PreparedQuery() {
     if (flows.capacity() > kMaxKeptRequestFlows) std::vector<Flow>().swap(flows);
   }
@@ -171,7 +172,8 @@ struct PreparedQuery {
   Status status;  // non-ok => validation failed; use nothing else
 };
 
-PreparedQuery::PreparedQuery(const QueryRequest& req, const ExecContext& ctx)
+PreparedQuery::PreparedQuery(const QueryRequest& req, double deadline_seconds,
+                             const ExecContext& ctx)
     : flows(RequestFlowWorkspace()) {
   StatusOr<std::shared_ptr<const FatTree>> topo = TopoForRequest(req, ctx.topos);
   if (!topo.ok()) {
@@ -185,7 +187,7 @@ PreparedQuery::PreparedQuery(const QueryRequest& req, const ExecContext& ctx)
   mopts.seed = req.seed;
   mopts.use_context = req.use_context;
   mopts.strict = req.strict;
-  mopts.deadline_seconds = req.deadline_seconds;
+  mopts.deadline_seconds = deadline_seconds;
   mopts.max_attempts = req.max_attempts;
   mopts.num_threads = ctx.threads_per_query;
 }
@@ -194,13 +196,13 @@ PreparedQuery::PreparedQuery(const QueryRequest& req, const ExecContext& ctx)
 
 std::size_t RequestFlowWorkspaceCapacity() { return RequestFlowWorkspace().capacity(); }
 
-QueryResponse ExecuteQueryOnSnapshot(const QueryRequest& req, const ModelSnapshot& snap,
-                                     const ExecContext& ctx) {
+QueryResponse ExecuteQueryOnSnapshot(const QueryRequest& req, double deadline_seconds,
+                                     const ModelSnapshot& snap, const ExecContext& ctx) {
   QueryResponse resp;
   resp.model_version = snap.version;
   resp.model_crc = snap.param_crc;
 
-  const PreparedQuery p(req, ctx);
+  const PreparedQuery p(req, deadline_seconds, ctx);
   if (!p.status.ok()) {
     resp.status = p.status;
     resp.degradation.errors_validation = 1;
@@ -224,7 +226,7 @@ ShardQueryResponse ExecuteShardOnSnapshot(const ShardQueryRequest& req,
   resp.model_version = snap.version;
   resp.model_crc = snap.param_crc;
 
-  PreparedQuery p(req.query, ctx);
+  PreparedQuery p(req.query, req.query.deadline_seconds, ctx);
   if (!p.status.ok()) {
     resp.status = p.status;
     resp.degradation.errors_validation = 1;

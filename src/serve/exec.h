@@ -62,13 +62,15 @@ struct ExecContext {
 
 /// Runs one query against one model snapshot on the calling thread:
 /// oversub/flow validation, ECMP route re-derivation, RunM3 with the
-/// request's options. Fills every QueryResponse field except
+/// request's options and `deadline_seconds` (0 = none) in place of
+/// req.deadline_seconds, so a scheduler can charge queue wait to the
+/// budget without copying the request. Fills every QueryResponse field except
 /// `query_cache_hit`, `shed_reason` and `shards` (model_version/model_crc
 /// come from `snap`). The routed flows are built into a workspace of the
 /// calling thread, reused by its next query unless this one left it larger
 /// than kMaxKeptRequestFlows. Never throws.
-QueryResponse ExecuteQueryOnSnapshot(const QueryRequest& req, const ModelSnapshot& snap,
-                                     const ExecContext& ctx);
+QueryResponse ExecuteQueryOnSnapshot(const QueryRequest& req, double deadline_seconds,
+                                     const ModelSnapshot& snap, const ExecContext& ctx);
 
 /// The shard's share of a scattered query: same validation, topology, and
 /// options as ExecuteQueryOnSnapshot, but only `req.slots` of the

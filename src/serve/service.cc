@@ -89,7 +89,8 @@ void EstimationService::ReapExpiredLocked(std::chrono::steady_clock::time_point 
   for (std::deque<Pending>& q : queues_) {
     for (auto it = q.begin(); it != q.end();) {
       const double age = std::chrono::duration<double>(now - it->enqueued).count();
-      if (it->req.deadline_seconds > 0 && age >= it->req.deadline_seconds) {
+      const double deadline = it->req->deadline_seconds;
+      if (deadline > 0 && age >= deadline) {
         reaped->push_back(std::move(*it));
         it = q.erase(it);
       } else {
@@ -130,18 +131,20 @@ void EstimationService::WorkerLoop() {
     const double waited =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - p.enqueued)
             .count();
-    if (p.req.deadline_seconds > 0 && waited >= p.req.deadline_seconds) {
+    const double deadline = p.req->deadline_seconds;
+    if (deadline > 0 && waited >= deadline) {
       // Its deadline is already blown; executing would only burn budget
       // other queries still need. Answer typed, immediately.
       AnswerExpired(std::move(p));
       continue;
     }
     // The client's deadline covers time spent queued behind other work,
-    // not just compute; shrink the budget Execute may spend by the
-    // observed wait (positive: a blown deadline was answered above).
-    if (p.req.deadline_seconds > 0) p.req.deadline_seconds -= waited;
-    if (pre_execute_hook_) pre_execute_hook_(p.req);
-    QueryResponse resp = Execute(p.req);
+    // not just compute; Execute may spend only what the observed wait left
+    // (positive: a blown deadline was answered above).
+    const double budget = deadline > 0 ? deadline - waited : 0.0;
+    if (pre_execute_hook_) pre_execute_hook_(*p.req);
+    QueryResponse resp = Execute(*p.req, budget, p.key ? &*p.key : nullptr);
+    // A borrowed request's caller may return once `done` fires.
     if (p.done) p.done(std::move(resp));
   }
 }
@@ -149,9 +152,16 @@ void EstimationService::WorkerLoop() {
 Status EstimationService::Submit(QueryRequest req, DoneFn done,
                                  ShedReason* shed_out) {
   queries_received_.fetch_add(1, std::memory_order_relaxed);
+  Pending p;
+  p.owned = std::make_unique<const QueryRequest>(std::move(req));
+  p.req = p.owned.get();
+  p.done = std::move(done);
+  return Admit(std::move(p), shed_out);
+}
+
+Status EstimationService::Admit(Pending p, ShedReason* shed_out) {
   if (shed_out != nullptr) *shed_out = ShedReason::kNone;
-  const int cls = std::min<int>(req.priority, kNumPriorityClasses - 1);
-  req.priority = static_cast<std::uint8_t>(cls);
+  const int cls = std::min<int>(p.req->priority, kNumPriorityClasses - 1);
 
   std::vector<Pending> expired;  // answered outside queue_mu_
   bool full = false;
@@ -168,7 +178,10 @@ Status EstimationService::Submit(QueryRequest req, DoneFn done,
     // not when a worker finally reaches them.
     ReapExpiredLocked(now, &expired);
     full = QueueDepthLocked() >= opts_.queue_capacity;
-    if (!full) queues_[cls].push_back(Pending{std::move(req), std::move(done), now});
+    if (!full) {
+      p.enqueued = now;
+      queues_[cls].push_back(std::move(p));
+    }
   }
   for (Pending& p : expired) AnswerExpired(std::move(p));
   if (full) {
@@ -190,12 +203,28 @@ QueryResponse EstimationService::Query(const QueryRequest& req) {
     scheduled = running_ && !stopping_;
   }
   if (!scheduled) return ExecuteInline(req);
+  queries_received_.fetch_add(1, std::memory_order_relaxed);
 
+  // Key the query here, where its bytes are hot, and answer a hit without
+  // a trip through the queue: a hit needs no compute.
+  Pending p;
+  p.req = &req;
+  if (!req.no_cache) {
+    if (const std::shared_ptr<const ModelSnapshot> snap = registry_.Current()) {
+      p.key = KeyedQuery{QueryCacheKey(req, snap->digest), snap->digest};
+      // A miss counts at the worker's probe, once per query.
+      if (std::optional<QueryResponse> hit = LookupHit(p.key->key, *snap, false)) {
+        return std::move(*hit);
+      }
+    }
+  }
+
+  // A miss borrows `req`: this thread blocks below until `done` fires.
   std::promise<QueryResponse> promise;
   std::future<QueryResponse> result = promise.get_future();
+  p.done = [&promise](QueryResponse r) { promise.set_value(std::move(r)); };
   ShedReason shed = ShedReason::kNone;
-  const Status st = Submit(
-      req, [&promise](QueryResponse r) { promise.set_value(std::move(r)); }, &shed);
+  const Status st = Admit(std::move(p), &shed);
   if (!st.ok()) {
     QueryResponse resp;
     resp.status = st;
@@ -207,7 +236,7 @@ QueryResponse EstimationService::Query(const QueryRequest& req) {
 
 QueryResponse EstimationService::ExecuteInline(const QueryRequest& req) {
   queries_received_.fetch_add(1, std::memory_order_relaxed);
-  return Execute(req);
+  return Execute(req, req.deadline_seconds, nullptr);
 }
 
 ShardQueryResponse EstimationService::ExecuteShard(const ShardQueryRequest& req) {
@@ -231,7 +260,25 @@ ShardQueryResponse EstimationService::ExecuteShard(const ShardQueryRequest& req)
 
 std::size_t EstimationService::TopologyCacheSize() const { return topos_.size(); }
 
-QueryResponse EstimationService::Execute(const QueryRequest& req) {
+std::optional<QueryResponse> EstimationService::LookupHit(const Hash128& key,
+                                                          const ModelSnapshot& snap,
+                                                          bool count_miss) {
+  try {
+    std::optional<QueryResponse> hit = query_cache_.Lookup(key, count_miss);
+    if (!hit.has_value()) return std::nullopt;
+    hit->model_version = snap.version;
+    hit->model_crc = snap.param_crc;
+    hit->query_cache_hit = true;
+    queries_ok_.fetch_add(1, std::memory_order_relaxed);
+    return hit;
+  } catch (...) {
+    // Cache outage (injected or real): recompute. Never fail the query.
+    return std::nullopt;
+  }
+}
+
+QueryResponse EstimationService::Execute(const QueryRequest& req, double deadline_seconds,
+                                         const KeyedQuery* known) {
   QueryResponse resp;
   const std::shared_ptr<const ModelSnapshot> snap = registry_.Current();
   if (snap == nullptr) {
@@ -243,29 +290,26 @@ QueryResponse EstimationService::Execute(const QueryRequest& req) {
   resp.model_version = snap->version;
   resp.model_crc = snap->param_crc;
 
-  const Hash128 query_key = QueryCacheKey(req, snap->digest);
+  // Probe once more before computing: a duplicate may have finished
+  // while this one queued. The admitting thread's key stands unless a
+  // reload changed the model since.
+  Hash128 query_key;
   if (!req.no_cache) {
-    try {
-      if (std::optional<QueryResponse> hit = query_cache_.Lookup(query_key)) {
-        resp = std::move(*hit);
-        resp.model_version = snap->version;
-        resp.model_crc = snap->param_crc;
-        resp.query_cache_hit = true;
-        queries_ok_.fetch_add(1, std::memory_order_relaxed);
-        return resp;
-      }
-    } catch (...) {
-      // Cache outage (injected or real): recompute. Never fail the query.
+    query_key = known != nullptr && known->digest == snap->digest
+                    ? known->key
+                    : QueryCacheKey(req, snap->digest);
+    if (std::optional<QueryResponse> hit = LookupHit(query_key, *snap, true)) {
+      return std::move(*hit);
     }
   }
 
   if (supervisor_ != nullptr) {
-    resp = supervisor_->Execute(req);
+    resp = supervisor_->Execute(req, deadline_seconds);
   } else {
     ExecContext ctx;
     ctx.topos = &topos_;
     ctx.threads_per_query = opts_.threads_per_query;
-    resp = ExecuteQueryOnSnapshot(req, *snap, ctx);
+    resp = ExecuteQueryOnSnapshot(req, deadline_seconds, *snap, ctx);
   }
 
   (IsAnsweredCode(resp.status.code()) ? queries_ok_ : queries_failed_)

@@ -13,7 +13,8 @@
 //   result cache      — a whole-query content-addressed LRU
 //                       (serve/cache.h); only full-quality kOk answers are
 //                       cached, so a hit is always bitwise identical to a
-//                       fault-free recompute
+//                       fault-free recompute. Query() answers a hit on the
+//                       calling thread, before admission
 //
 // Concurrent queries share the process-wide ThreadPool for their path work.
 //
@@ -32,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -87,20 +89,25 @@ class EstimationService {
 
   using DoneFn = std::function<void(QueryResponse)>;
 
-  /// Admission-controlled enqueue. `done` is invoked exactly once on a
-  /// worker thread. Returns kResourceExhausted / ShedReason kQueueFull (and
-  /// does not invoke `done`) when the queue is full, whatever the request's
-  /// class, and kUnavailable when the service is not running; both count
-  /// as rejected. `shed_out` (optional) reports why a rejected submission
+  /// Admission-controlled enqueue of a request the queue then owns; a
+  /// worker computes its cache key and probes the cache. `done` is invoked
+  /// exactly once on a worker thread. Returns kResourceExhausted /
+  /// ShedReason kQueueFull (and does not invoke `done`) when the queue is
+  /// full, whatever the request's class, and kUnavailable when the service
+  /// is not running; both count as rejected. `shed_out` (optional) reports why a rejected submission
   /// was shed so callers can surface a typed status. Expired queued
   /// requests are reaped eagerly on every Submit (and at dequeue) so they
   /// stop holding queue slots; their `done` fires with kDeadlineExceeded /
   /// ShedReason kExpired.
   Status Submit(QueryRequest req, DoneFn done, ShedReason* shed_out = nullptr);
 
-  /// Synchronous query: through the scheduler when running (admission
-  /// rejections surface in the response status), directly on the calling
-  /// thread otherwise.
+  /// Synchronous query. When running, the calling thread computes the
+  /// cache key and answers a hit itself: no admission, so a hit is answered
+  /// even with every worker busy and the queue full (it counts as received
+  /// + ok). A miss, or a cache outage, goes through Submit's admission
+  /// (rejections surface in the response status) with a queue entry that
+  /// borrows `req`, not a copy, and carries the key. When not running, the
+  /// query executes on the calling thread (ExecuteInline).
   QueryResponse Query(const QueryRequest& req);
 
   /// Executes a query on the calling thread, bypassing the scheduler (no
@@ -145,18 +152,42 @@ class EstimationService {
   }
 
  private:
+  // A query's cache key and the model digest it was computed under.
+  struct KeyedQuery {
+    Hash128 key;
+    Hash128 digest;
+  };
+
   struct Pending {
-    QueryRequest req;
+    // Submit's request, owned here; Query's is borrowed (`owned` empty):
+    // its caller blocks until `done` fires, so `req` outlives the entry's
+    // use. Nothing reads `req` after `done`.
+    std::unique_ptr<const QueryRequest> owned;
+    const QueryRequest* req = nullptr;
     DoneFn done;
-    // When the request was admitted; queue wait counts against the
-    // client's deadline (WorkerLoop shrinks deadline_seconds by it).
+    // When the request was admitted. Queue wait counts against the
+    // request's deadline_seconds: WorkerLoop executes with what is left,
+    // passed to Execute; the request itself is never rewritten.
     std::chrono::steady_clock::time_point enqueued;
+    // Query's key, reused by the worker unless a reload changed the digest.
+    std::optional<KeyedQuery> key;
   };
 
   void WorkerLoop();
-  /// The full query path: registry snapshot, validation, cache probes, RunM3
-  /// (or, in worker mode, dispatch to a supervised subprocess).
-  QueryResponse Execute(const QueryRequest& req);
+  /// Submit's and Query's admission: reaps expired entries, then queues `p`
+  /// in its priority class or rejects it (queue full, not running). Counts
+  /// rejections, not receipt.
+  Status Admit(Pending p, ShedReason* shed_out);
+  /// The query path after admission: registry snapshot, cache probe (under
+  /// `known`'s key when its digest is the snapshot's), RunM3 with
+  /// `deadline_seconds` (or, in worker mode, dispatch to a supervised
+  /// subprocess), cache insert.
+  QueryResponse Execute(const QueryRequest& req, double deadline_seconds,
+                        const KeyedQuery* known);
+  /// The cached answer under `key`, served by `snap`, counted ok; nullopt
+  /// on a miss (a cache miss only if `count_miss`) or a cache outage.
+  std::optional<QueryResponse> LookupHit(const Hash128& key, const ModelSnapshot& snap,
+                                         bool count_miss);
 
   /// Removes queued entries whose deadline already expired (they can no
   /// longer be answered in time) into *reaped. Caller answers them outside
@@ -194,7 +225,7 @@ class EstimationService {
   std::atomic<std::uint64_t> queries_rejected_{0};
   std::atomic<std::uint64_t> queries_failed_{0};
   // Admitted-then-shed (expiry reap); disjoint from queries_rejected_
-  // (turned away at Submit). The serving invariant:
+  // (turned away at admission). The serving invariant:
   // received = ok + rejected + failed + shed.
   std::atomic<std::uint64_t> queries_shed_{0};
   std::atomic<std::uint64_t> shed_by_reason_[kNumShedReasons] = {};

@@ -173,14 +173,13 @@ int WorkerSupervisor::LeaseWorker() {
   }
 }
 
-QueryResponse WorkerSupervisor::Execute(const QueryRequest& req) {
-  const std::string payload = EncodeQueryRequest(req);
-  // Two-tier deadline: the worker's estimator honors req.deadline_seconds
+QueryResponse WorkerSupervisor::Execute(const QueryRequest& req, double deadline_seconds) {
+  const std::string payload = EncodeScheduledQuery(req, deadline_seconds);
+  // Two-tier deadline: the worker's estimator honors deadline_seconds
   // itself (partial kDeadlineExceeded answer); the watchdog only fires for
   // a worker so wedged it cannot even answer, at deadline + grace.
-  const double budget = req.deadline_seconds > 0
-                            ? req.deadline_seconds + opts_.grace_seconds
-                            : opts_.default_watchdog_seconds;
+  const double budget = deadline_seconds > 0 ? deadline_seconds + opts_.grace_seconds
+                                             : opts_.default_watchdog_seconds;
   int attempts_left = 1 + kCrashRetries;
   for (;;) {
     const int idx = LeaseWorker();

@@ -98,8 +98,9 @@ class WorkerSupervisor {
   void Stop();
 
   /// Runs one query on a leased worker, with the crash/hang/garbage
-  /// semantics described in the file comment. Thread-safe.
-  QueryResponse Execute(const QueryRequest& req);
+  /// semantics described in the file comment, and `deadline_seconds`
+  /// (0 = none) in place of req.deadline_seconds. Thread-safe.
+  QueryResponse Execute(const QueryRequest& req, double deadline_seconds);
 
   /// Rolls the pool onto the provider's current snapshot: idle workers are
   /// replaced immediately, busy ones right after their in-flight query.

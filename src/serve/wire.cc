@@ -395,10 +395,10 @@ void Fields(Io& io, M& m) {
   io.Vec(m.shards);
 }
 
-// `deadline_seconds` is m.deadline_seconds, except where a scatter sends the
-// query with what is left of its budget.
-template <class Io, Is<QueryRequest> M, class D>
-void QueryFields(Io& io, M& m, D& deadline_seconds) {
+// `deadline_seconds` and `priority` are m's own, except where a scatter
+// re-budgets the query or the service's scheduler sends it as it runs it.
+template <class Io, Is<QueryRequest> M, class D, class P>
+void QueryFields(Io& io, M& m, D& deadline_seconds, P& priority) {
   io.F64(m.oversub);
   Fields(io, m.topo);
   Fields(io, m.cfg);
@@ -409,13 +409,13 @@ void QueryFields(Io& io, M& m, D& deadline_seconds) {
   io.F64(deadline_seconds);
   io.I32(m.max_attempts);
   io.Bool(m.no_cache);
-  io.Enum(m.priority, kNumPriorityClasses);
+  io.Enum(priority, kNumPriorityClasses);
   io.Vec(m.flows);
 }
 
 template <class Io, Is<QueryRequest> M>
 void Fields(Io& io, M& m) {
-  QueryFields(io, m, m.deadline_seconds);
+  QueryFields(io, m, m.deadline_seconds, m.priority);
 }
 
 template <class Io, Is<QueryResponse> M>
@@ -479,7 +479,7 @@ void Writer::Embedded(const QueryRequest& q, double deadline_seconds) {
   const std::size_t at = out_.size();
   U64(0);  // the length, patched once the query is written
   U32(kWireVersion);
-  QueryFields(*this, q, deadline_seconds);
+  QueryFields(*this, q, deadline_seconds, q.priority);
   const std::uint64_t n = out_.size() - at - 8;
   std::memcpy(out_.data() + at, &n, 8);
 }
@@ -523,6 +523,12 @@ StatusOr<M> Decode(std::string_view payload) {
 }  // namespace
 
 std::string EncodeQueryRequest(const QueryRequest& req) { return Encode(req); }
+std::string EncodeScheduledQuery(const QueryRequest& req, double deadline_seconds) {
+  Writer w = Versioned();
+  const auto priority = std::min<std::uint8_t>(req.priority, kNumPriorityClasses - 1);
+  QueryFields(w, req, deadline_seconds, priority);
+  return w.Take();
+}
 StatusOr<QueryRequest> DecodeQueryRequest(const std::string& p) { return Decode<QueryRequest>(p); }
 
 std::string EncodeQueryResponse(const QueryResponse& resp) { return Encode(resp); }

@@ -265,6 +265,10 @@ struct ReloadResponse {
 // Encoders emit kWireVersion; decoders accept only kWireVersion.
 
 std::string EncodeQueryRequest(const QueryRequest& req);
+/// `req` as the service's scheduler ran it, sent without copying it:
+/// `deadline_seconds` (the budget left after queueing) in place of
+/// req.deadline_seconds, and the priority clamped to the top class.
+std::string EncodeScheduledQuery(const QueryRequest& req, double deadline_seconds);
 StatusOr<QueryRequest> DecodeQueryRequest(const std::string& payload);
 
 std::string EncodeQueryResponse(const QueryResponse& resp);

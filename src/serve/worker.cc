@@ -83,7 +83,7 @@ void WorkerMain(const UnixFd& fd, const ModelSnapshot& snap, const WorkerOptions
                !req.ok()) {
       resp.status = req.status();
     } else {
-      resp = ExecuteQueryOnSnapshot(*req, snap, ctx);
+      resp = ExecuteQueryOnSnapshot(*req, req->deadline_seconds, snap, ctx);
     }
 
     if (WorkerFaultFires(kWorkerGarbageSite)) {

@@ -1,14 +1,16 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 
 namespace m3 {
 
 namespace {
 
-// The one percentile interpolation; inline so the 100-percentile loop below
-// runs without a call per percentile.
+// The one percentile interpolation. Percentiles100OfSorted below does the
+// same arithmetic with what its 100 calls would share hoisted.
 inline double Interpolate(std::span<const double> sorted, double p) {
   if (sorted.empty()) return 0.0;
   if (sorted.size() == 1) return sorted[0];
@@ -31,9 +33,35 @@ double Percentile(std::vector<double> values, double p) {
   return PercentileOfSorted(values, p);
 }
 
+namespace {
+
+// p / 100.0 for p = 1..100: the quotient Interpolate forms for an integer p.
+constexpr std::array<double, 100> kPercentQuotients = [] {
+  std::array<double, 100> q{};
+  for (int p = 1; p <= 100; ++p) q[static_cast<std::size_t>(p - 1)] = p / 100.0;
+  return q;
+}();
+
+}  // namespace
+
+// Interpolate's arithmetic with what every percentile shares hoisted out of
+// the loop. The rank lies in [0, n - 1], so the signed conversion truncates
+// as the unsigned one does, without the unsigned one's range branches.
 void Percentiles100OfSorted(std::span<const double> sorted, std::span<double, 100> out) {
-  for (int p = 1; p <= 100; ++p) {
-    out[static_cast<std::size_t>(p - 1)] = Interpolate(sorted, static_cast<double>(p));
+  const std::size_t n = sorted.size();
+  if (n <= 1) {
+    std::fill(out.begin(), out.end(), n == 0 ? 0.0 : sorted[0]);
+    return;
+  }
+  const std::int64_t last = static_cast<std::int64_t>(n - 1);
+  const double last_rank = static_cast<double>(n - 1);
+  for (std::size_t i = 0; i < 100; ++i) {
+    const double rank = kPercentQuotients[i] * last_rank;
+    const std::int64_t lo = static_cast<std::int64_t>(rank);
+    const std::int64_t hi = std::min(lo + 1, last);
+    const double frac = rank - static_cast<double>(lo);
+    out[i] = sorted[static_cast<std::size_t>(lo)] * (1.0 - frac) +
+             sorted[static_cast<std::size_t>(hi)] * frac;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <random>
 #include <vector>
 
 #include "core/feature_map.h"
@@ -82,6 +83,33 @@ TEST(PercentileWriter, OneAndTwoValues) {
   EXPECT_EQ(out[49], 1.5);
   EXPECT_EQ(out[99], 2.0);
   EXPECT_TRUE(PercentileVector100({}).empty());
+}
+
+// Random sorted inputs of every size from 0 to 600, and 4096: each of the
+// 100 percentiles is the interpolation written out above, bit for bit, and
+// an empty input writes zeros.
+TEST(PercentileWriter, MatchesTheInterpolationOnEverySize) {
+  std::mt19937_64 rng(20240607);
+  std::uniform_real_distribution<double> slowdown(0.5, 500.0);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 600; ++n) sizes.push_back(n);
+  sizes.push_back(4096);
+  for (std::size_t n : sizes) {
+    std::vector<double> sorted(n);
+    for (double& v : sorted) v = slowdown(rng);
+    std::sort(sorted.begin(), sorted.end());
+    std::array<double, 100> out;
+    out.fill(-1.0);
+    Percentiles100OfSorted(sorted, out);
+    for (int p = 1; p <= 100; ++p) {
+      const double want = n == 0 ? 0.0 : RefPercentile(sorted, p);
+      if (out[static_cast<std::size_t>(p - 1)] != want) {
+        ADD_FAILURE() << "n " << n << " p " << p << ": " << out[static_cast<std::size_t>(p - 1)]
+                      << " != " << want;
+        break;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ feature rows --

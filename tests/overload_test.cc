@@ -5,9 +5,10 @@
 //
 // Suite names deliberately start with "Overload" so check.sh's sanitizer
 // tier regexes (Service|SocketServer|... and the chaos set) do not pull
-// these in; the `overload` tier drives the live daemon instead. The one
-// exception is OverloadWire, which the ASan tier runs with the other
-// decoder suites.
+// these in; the `overload` tier drives the live daemon instead. The
+// exceptions: the ASan tier runs OverloadWire with the other decoder
+// suites, and the TSan tier runs OverloadAdmission, whose queue entries
+// share admission with requests borrowed across threads.
 #include <gtest/gtest.h>
 #include <chrono>
 #include <condition_variable>
@@ -294,6 +295,48 @@ TEST(OverloadAdmission, ExpiredQueuedEntriesAreReapedEagerly) {
   const ServerStatsWire s = svc.Stats();
   EXPECT_EQ(s.queries_shed, 1u);
   EXPECT_EQ(s.shed_by_reason[static_cast<std::size_t>(ShedReason::kExpired)], 1u);
+  ExpectInvariant(s);
+}
+
+// A cached query needs no compute, so Query answers it before admission:
+// with every worker busy and the queue full it is still a hit, counted
+// received + ok, while the next uncached arrival is turned away.
+TEST(OverloadAdmission, HitIsAnsweredWhenTheQueueIsFull) {
+  ServiceOptions so = SmallServiceOptions();
+  so.queue_capacity = 1;
+  EstimationService svc(so);
+  ASSERT_TRUE(svc.ReloadModel(TinyCheckpoint()).ok());
+  const QueryRequest cached = SmallQuery();
+  const QueryResponse first = svc.ExecuteInline(cached);  // warms the cache
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  WorkerGate gate;
+  gate.Install(svc);
+  ASSERT_TRUE(svc.Start().ok());
+
+  QueryRequest blocker = SmallQuery(3, /*wl_seed=*/5);
+  blocker.no_cache = true;
+  QueryRequest filler = SmallQuery(3, /*wl_seed=*/7);
+  filler.no_cache = true;
+  Answer a0, a1, a2;
+  ASSERT_TRUE(svc.Submit(blocker, a0.Done()).ok());
+  gate.AwaitWorkerBlocked();
+  ASSERT_TRUE(svc.Submit(filler, a1.Done()).ok());
+  EXPECT_EQ(svc.Submit(filler, a2.Done()).code(), StatusCode::kResourceExhausted);
+
+  const QueryResponse hit = svc.Query(cached);
+  EXPECT_EQ(svc.Stats().queue_depth, 1u);
+  gate.Release();
+  svc.Stop();
+  EXPECT_TRUE(hit.status.ok()) << hit.status.ToString();
+  EXPECT_TRUE(hit.query_cache_hit);
+  EXPECT_EQ(hit.shed_reason, static_cast<std::uint8_t>(ShedReason::kNone));
+  EXPECT_EQ(hit.combined_pct, first.combined_pct);
+  EXPECT_TRUE(a0.future.get().status.ok());
+  EXPECT_TRUE(a1.future.get().status.ok());
+  const ServerStatsWire s = svc.Stats();
+  EXPECT_EQ(s.queries_received, 5u);  // inline, blocker, filler, rejected, hit
+  EXPECT_EQ(s.queries_ok, 4u);
+  EXPECT_EQ(s.queries_rejected, 1u);
   ExpectInvariant(s);
 }
 

@@ -613,6 +613,10 @@ TEST(EstimatorResilience, BatchedUnsortedSlotSubsetKeepsTheBits) {
     for (std::size_t i = 0; i < est.paths.size(); ++i) {
       ExpectSamePath(est.paths[i], i % 2 == 0 ? clean.paths[i] : PathEstimate{}, i);
     }
+    // A slot subset is a part of an answer: no aggregate of its own.
+    for (const std::vector<double>& pct : est.bucket_pct) EXPECT_TRUE(pct.empty());
+    for (double c : est.total_counts) EXPECT_EQ(c, 0.0);
+    EXPECT_TRUE(est.combined_pct.empty());
   }
 }
 

@@ -1130,6 +1130,173 @@ TEST(Service, DeadlineIncludesQueueWait) {
   service.Stop();
 }
 
+// received = ok + rejected + failed + shed, the serving invariant.
+void ExpectServiceInvariant(const ServerStatsWire& s) {
+  EXPECT_EQ(s.queries_received,
+            s.queries_ok + s.queries_rejected + s.queries_failed + s.queries_shed)
+      << "received=" << s.queries_received << " ok=" << s.queries_ok
+      << " rejected=" << s.queries_rejected << " failed=" << s.queries_failed
+      << " shed=" << s.queries_shed;
+}
+
+// Holds the worker thread that dequeues the first no_cache request inside
+// the pre-execute hook until Release(); every other request passes.
+class NoCacheGate {
+ public:
+  void Install(EstimationService& service) {
+    service.set_pre_execute_hook([this](const QueryRequest& req) {
+      if (!req.no_cache || held_.exchange(true)) return;
+      entered_.set_value();
+      released_.wait();
+    });
+  }
+  void AwaitHeld() { entered_.get_future().wait(); }
+  void Release() { release_.set_value(); }
+
+ private:
+  std::atomic<bool> held_{false};
+  std::promise<void> entered_, release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+};
+
+// The Query path's counterpart of DeadlineIncludesQueueWait: Query's queue
+// entry borrows the caller's request, and the budget it executes with is
+// the deadline minus the wait, although the request itself is never
+// rewritten. The wait is about one compute time C and the deadline 1.25 C,
+// so only the queue-wait shrink leaves too little budget to finish.
+TEST(Service, QueryDeadlineIncludesQueueWait) {
+  ServiceOptions so = SmallServiceOptions();
+  so.num_workers = 1;
+  EstimationService service(so);
+  ASSERT_TRUE(service.ReloadModel(SmallCheckpoint()).ok());
+  QueryRequest late = SmallQuery(9, 4000);
+  late.num_paths = 1000;
+  late.no_cache = true;  // the deadline is excluded from the cache key
+  const QueryResponse clean = service.ExecuteInline(late);
+  ASSERT_TRUE(clean.status.ok()) << clean.status.ToString();
+  const double compute = clean.wall_seconds;
+
+  NoCacheGate gate;
+  gate.Install(service);
+  ASSERT_TRUE(service.Start().ok());
+  QueryRequest blocker = SmallQuery(5);
+  blocker.no_cache = true;
+  std::promise<QueryResponse> blocker_done;
+  ASSERT_TRUE(service
+                  .Submit(blocker,
+                          [&](QueryResponse r) { blocker_done.set_value(std::move(r)); })
+                  .ok());
+  gate.AwaitHeld();
+
+  late.deadline_seconds = 1.25 * compute;
+  std::future<QueryResponse> answer =
+      std::async(std::launch::async, [&] { return service.Query(late); });
+  std::this_thread::sleep_for(std::chrono::duration<double>(compute));
+  gate.Release();
+  const QueryResponse resp = answer.get();
+  EXPECT_EQ(resp.status.code(), StatusCode::kDeadlineExceeded) << resp.status.ToString();
+  EXPECT_EQ(late.deadline_seconds, 1.25 * compute);  // the caller's request is untouched
+  EXPECT_TRUE(blocker_done.get_future().get().status.ok());
+  service.Stop();
+  ExpectServiceInvariant(service.Stats());
+}
+
+// Query answers a cached query on the calling thread: a hit needs no
+// worker, so it is answered while the only worker is held.
+TEST(Service, CacheHitIsAnsweredWhileTheOnlyWorkerIsBusy) {
+  ServiceOptions so = SmallServiceOptions();
+  so.num_workers = 1;
+  EstimationService service(so);
+  ASSERT_TRUE(service.ReloadModel(SmallCheckpoint()).ok());
+  NoCacheGate gate;
+  gate.Install(service);
+  ASSERT_TRUE(service.Start().ok());
+
+  const QueryRequest req = SmallQuery();
+  const QueryResponse first = service.Query(req);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  ASSERT_FALSE(first.query_cache_hit);
+
+  QueryRequest blocker = SmallQuery(5);
+  blocker.no_cache = true;
+  std::promise<QueryResponse> blocker_done;
+  ASSERT_TRUE(service
+                  .Submit(blocker,
+                          [&](QueryResponse r) { blocker_done.set_value(std::move(r)); })
+                  .ok());
+  gate.AwaitHeld();
+
+  std::future<QueryResponse> hit =
+      std::async(std::launch::async, [&] { return service.Query(req); });
+  const bool answered = hit.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  gate.Release();
+  ASSERT_TRUE(answered) << "the cached query waited for the held worker";
+  const QueryResponse h = hit.get();
+  ASSERT_TRUE(h.status.ok()) << h.status.ToString();
+  EXPECT_TRUE(h.query_cache_hit);
+  ExpectBitwiseEqual(h, first);
+  EXPECT_TRUE(blocker_done.get_future().get().status.ok());
+  service.Stop();
+
+  const ServerStatsWire s = service.Stats();
+  EXPECT_EQ(s.queries_received, 3u);
+  EXPECT_EQ(s.queries_ok, 3u);
+  ExpectServiceInvariant(s);
+  // One cache count per query: the first query's miss is counted once,
+  // though both its caller and its worker probed.
+  EXPECT_EQ(s.query_cache[0], 1u);  // hits
+  EXPECT_EQ(s.query_cache[1], 1u);  // misses
+}
+
+// A query keyed under model A that a reload to B overtakes in the queue
+// executes on B and must be cached under B's key, not A's: the worker
+// rekeys it when the digest changed.
+TEST(Service, ReloadWhileQueuedCachesUnderTheExecutingModel) {
+  ServiceOptions so = SmallServiceOptions();
+  so.num_workers = 1;
+  EstimationService service(so);
+  ASSERT_TRUE(service.ReloadModel(SmallCheckpoint()).ok());
+  NoCacheGate gate;
+  gate.Install(service);
+  ASSERT_TRUE(service.Start().ok());
+
+  QueryRequest blocker = SmallQuery(5);
+  blocker.no_cache = true;
+  std::promise<QueryResponse> blocker_done;
+  ASSERT_TRUE(service
+                  .Submit(blocker,
+                          [&](QueryResponse r) { blocker_done.set_value(std::move(r)); })
+                  .ok());
+  gate.AwaitHeld();
+
+  const QueryRequest req = SmallQuery();
+  std::future<QueryResponse> queued =
+      std::async(std::launch::async, [&] { return service.Query(req); });
+  while (service.Stats().queue_depth == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const Status reloaded = service.ReloadModel(SmallCheckpointB());
+  gate.Release();
+  ASSERT_TRUE(reloaded.ok()) << reloaded.ToString();
+
+  const QueryResponse resp = queued.get();
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  EXPECT_FALSE(resp.query_cache_hit);
+  EXPECT_EQ(resp.model_version, 2u);
+  QueryRequest fresh = req;
+  fresh.no_cache = true;
+  ExpectBitwiseEqual(resp, service.ExecuteInline(fresh));
+
+  const QueryResponse again = service.Query(req);
+  ASSERT_TRUE(again.status.ok()) << again.status.ToString();
+  EXPECT_TRUE(again.query_cache_hit) << "the answer was not cached under model B's key";
+  EXPECT_EQ(again.model_version, 2u);
+  ExpectBitwiseEqual(again, resp);
+  EXPECT_TRUE(blocker_done.get_future().get().status.ok());
+  service.Stop();
+  ExpectServiceInvariant(service.Stats());
+}
+
 TEST(Service, AdmissionControlRejectsWhenQueueFull) {
   ServiceOptions so = SmallServiceOptions();
   so.num_workers = 1;
@@ -1314,7 +1481,7 @@ TEST(Service, OversizedRequestReleasesTheThreadsFlowWorkspace) {
   big.query.num_paths = 1;
   big.slots = {0};
 
-  ASSERT_TRUE(ExecuteQueryOnSnapshot(small, *snap, ctx).status.ok());
+  ASSERT_TRUE(ExecuteQueryOnSnapshot(small, 0.0, *snap, ctx).status.ok());
   const std::size_t kept = RequestFlowWorkspaceCapacity();
   EXPECT_GE(kept, small.flows.size());
   EXPECT_LE(kept, kMaxKeptRequestFlows);
@@ -1322,15 +1489,15 @@ TEST(Service, OversizedRequestReleasesTheThreadsFlowWorkspace) {
   // Rejected before anything is built: the workspace stays as it was.
   QueryRequest rejected = big.query;
   rejected.flows.back().priority = kNumPriorities;
-  EXPECT_EQ(ExecuteQueryOnSnapshot(rejected, *snap, ctx).status.code(),
+  EXPECT_EQ(ExecuteQueryOnSnapshot(rejected, 0.0, *snap, ctx).status.code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(RequestFlowWorkspaceCapacity(), kept);
 
-  const QueryResponse full = ExecuteQueryOnSnapshot(big.query, *snap, ctx);
+  const QueryResponse full = ExecuteQueryOnSnapshot(big.query, 0.0, *snap, ctx);
   ASSERT_TRUE(full.status.ok()) << full.status.ToString();
   EXPECT_EQ(RequestFlowWorkspaceCapacity(), 0u);
 
-  ASSERT_TRUE(ExecuteQueryOnSnapshot(small, *snap, ctx).status.ok());
+  ASSERT_TRUE(ExecuteQueryOnSnapshot(small, 0.0, *snap, ctx).status.ok());
   EXPECT_GE(RequestFlowWorkspaceCapacity(), small.flows.size());
   const ShardQueryResponse shard = ExecuteShardOnSnapshot(big, *snap, ctx);
   ASSERT_TRUE(shard.status.ok()) << shard.status.ToString();

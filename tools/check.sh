@@ -113,11 +113,12 @@ echo "== TSan: serving / hot-reload / scheduler suites =="
 # thread_local workspaces under a concurrent ParallelFor. ModelInfer
 # does too: threads share one model's parameters and keep thread_local
 # inference scratch. The Service pattern also covers each service worker
-# thread's thread_local request flows.
+# thread's thread_local request flows. OverloadAdmission drives admission,
+# which Query's queue entries share while borrowing the caller's request.
 cmake -B build-tsan -S . -DM3_SANITIZE=thread "$@"
 cmake --build build-tsan -j"$JOBS" --target m3_tests
 ctest --test-dir build-tsan --output-on-failure -j"$JOBS" \
-  -R 'Service|SocketServer|ModelRegistry|LruCache|ThreadPool|ScenarioReuse|ModelInfer'
+  -R 'Service|SocketServer|ModelRegistry|LruCache|ThreadPool|ScenarioReuse|ModelInfer|OverloadAdmission'
 
 echo "== chaos: supervised-worker + router fleet suites under ASan =="
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
