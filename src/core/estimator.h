@@ -57,7 +57,9 @@ struct M3Options {
 /// paths that needed more than one primary attempt (whatever the outcome).
 struct DegradationReport {
   int paths_ok = 0;        // primary estimator produced the estimate
-  int paths_cached = 0;    // always 0: no per-path reuse; kept for the wire format
+  // Always 0. Not on the wire; read only by perfbench; deleted with
+  // ROADMAP item 4's benchmark PR.
+  int paths_cached = 0;
   int paths_retried = 0;   // needed >= 1 retry (may still be ok)
   int paths_degraded = 0;  // fell back to the flowSim-only estimate
   int paths_dropped = 0;   // no estimate; aggregation reweights around them

@@ -237,7 +237,6 @@ ShardQueryResponse ExecuteShardOnSnapshot(const ShardQueryRequest& req,
 
   resp.status = est.status;
   resp.degradation = est.degradation;
-  resp.wall_seconds = est.wall_seconds;
   if (est.status.code() != StatusCode::kInvalidArgument) {
     resp.estimates.reserve(req.slots.size());
     for (std::uint32_t slot : req.slots) {

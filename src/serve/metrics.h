@@ -72,7 +72,6 @@ struct MetricDesc {
   X(std::uint32_t, queue_capacity, kGauge, NoLabels, "admission queue bound")             \
   X(std::uint32_t, workers, kGauge, NoLabels, "scheduler threads")                        \
   X(std::uint64_t, query_cache, kCounter, CacheOpLabels, "whole-query result cache")      \
-  X(std::uint64_t, path_cache, kCounter, CacheOpLabels, "retired path cache: always 0")   \
   X(std::uint64_t, model_version, kGauge, NoLabels, "serving model load counter")         \
   X(std::uint32_t, model_crc, kGauge, NoLabels, "serving model parameter CRC")            \
   X(std::string, model_path, kGauge, NoLabels, "serving checkpoint")                      \
@@ -87,28 +86,16 @@ struct MetricDesc {
   X(std::uint64_t, watchdog_kills, kCounter, NoLabels, "SIGKILLed past deadline+grace")   \
   X(std::uint64_t, garbage_replies, kCounter, NoLabels, "undecodable worker replies")     \
   X(std::uint64_t, crash_retried_queries, kCounter, NoLabels, "re-run on a fresh worker") \
-  X(std::uint64_t, breaker_trips, kCounter, NoLabels, "retired: always 0; leaves the wire in v7") \
-  X(bool, breaker_open, kGauge, NoLabels, "retired: always 0; leaves the wire in v7")     \
-  X(std::uint32_t, quarantined_digests, kGauge, NoLabels, "retired: always 0; leaves the wire in v7") \
-  X(bool, router_mode, kGauge, NoLabels, "m3d-router (shard rows follow)")                \
-  X(bool, persist_enabled, kGauge, NoLabels, "retired: always 0; leaves the wire in v7")  \
-  X(std::uint64_t, persist_segments_loaded, kCounter, NoLabels, "retired: always 0; leaves the wire in v7") \
-  X(std::uint64_t, persist_entries_loaded, kCounter, NoLabels, "retired: always 0; leaves the wire in v7") \
-  X(std::uint64_t, persist_entries_flushed, kCounter, NoLabels, "retired: always 0; leaves the wire in v7") \
-  X(std::uint64_t, persist_records_corrupt, kCounter, NoLabels, "retired: always 0; leaves the wire in v7") \
-  X(std::uint64_t, persist_digest_dropped, kCounter, NoLabels, "retired: always 0; leaves the wire in v7") \
-  X(std::uint64_t, persist_flush_backlog, kGauge, NoLabels, "retired: always 0; leaves the wire in v7")
+  X(bool, router_mode, kGauge, NoLabels, "m3d-router (shard rows follow)")
 
 // One router shard's row (ServerStatsWire::shards), keyed by `address`.
 #define M3_SHARD_HEALTH_FIELDS(X)                                                       \
   X(std::string, address, kGauge, NoLabels, "endpoint, e.g. tcp:10.0.0.2:9000")        \
   X(bool, healthy, kGauge, NoLabels, "last probe or dispatch found it up")              \
-  X(bool, breaker_open, kGauge, NoLabels, "retired: always 0; leaves the wire in v7")   \
   X(std::uint64_t, model_version, kGauge, NoLabels, "from the last good probe")         \
   X(std::uint64_t, dispatches, kCounter, NoLabels, "sub-requests, incl. retries")       \
   X(std::uint64_t, failures, kCounter, NoLabels, "sub-requests that did not answer")    \
   X(std::uint64_t, retries, kCounter, NoLabels, "re-dispatches after a failure")        \
-  X(std::uint64_t, hedges, kCounter, NoLabels, "retired: always 0; leaves the wire in v7") \
   X(std::uint64_t, slots_fallback, kCounter, NoLabels, "slots served by flowSim")       \
   X(std::uint64_t, slots_dropped, kCounter, NoLabels, "slots reweighted away")
 
@@ -127,6 +114,9 @@ struct ShardHealthWire {
 struct ServerStatsWire {
   M3_SERVER_METRICS(M3_METRIC_MEMBER)
   std::vector<ShardHealthWire> shards;  // router_mode only
+  // Always 0. Not on the wire; read only by perfbench; deleted with
+  // ROADMAP item 4's benchmark PR.
+  MetricValue<std::uint64_t, CacheOpLabels> path_cache{};
   bool operator==(const ServerStatsWire&) const = default;
 };
 

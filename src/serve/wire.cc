@@ -344,7 +344,6 @@ void Fields(Io& io, M& m) {
 template <class Io, Is<DegradationReport> M>
 void Fields(Io& io, M& m) {
   io.I32(m.paths_ok);
-  io.I32(m.paths_cached);
   io.I32(m.paths_retried);
   io.I32(m.paths_degraded);
   io.I32(m.paths_dropped);
@@ -372,8 +371,6 @@ void Fields(Io& io, M& m) {
   io.U32(m.slots_fallback);
   io.U32(m.slots_dropped);
   io.U32(m.retries);
-  io.U32(m.hedges);
-  io.Bool(m.breaker_open);
 }
 
 template <class Io, Is<SlotEstimateWire> M>
@@ -471,7 +468,6 @@ void Fields(Io& io, M& m) {
   Fields(io, m.degradation);
   io.U64(m.model_version);
   io.U32(m.model_crc);
-  io.F64(m.wall_seconds);
   io.Vec(m.estimates);
 }
 

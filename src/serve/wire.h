@@ -63,12 +63,12 @@
 
 namespace m3::serve {
 
-/// The one wire version this build speaks. v5 dropped the stats block
-/// from QueryResponse and made every earlier optional field unconditional;
-/// v6 dropped QueryRequest::brownout, the DegradationReport brownout
-/// fields and the priority / sojourn / cost-budget shed reasons. v5 and
-/// older payloads are rejected.
-constexpr std::uint32_t kWireVersion = 6;
+/// The one wire version this build speaks. v7 carries only fields that
+/// running code sets and reads: it dropped DegradationReport::paths_cached,
+/// ShardReportWire's hedges and breaker_open, ShardQueryResponse's
+/// wall_seconds, and the stats rows the deleted breaker, hedge, path cache
+/// and durable cache left at 0. Every other version is rejected.
+constexpr std::uint32_t kWireVersion = 7;
 
 /// Frame types (util/socket.h `type` field).
 enum class MsgType : std::uint32_t {
@@ -173,8 +173,6 @@ struct ShardReportWire {
   std::uint32_t slots_fallback = 0; // router-side flowSim fallback
   std::uint32_t slots_dropped = 0;  // reweighted drop
   std::uint32_t retries = 0;        // re-dispatches for this query
-  std::uint32_t hedges = 0;         // retired: always 0; leaves the wire in v7
-  bool breaker_open = false;        // retired: always false; leaves the wire in v7
 };
 
 struct QueryResponse {
@@ -226,7 +224,6 @@ struct ShardQueryResponse {
   DegradationReport degradation;  // covers only this shard's slots
   std::uint64_t model_version = 0;
   std::uint32_t model_crc = 0;
-  double wall_seconds = 0.0;
   std::vector<SlotEstimateWire> estimates;
 };
 

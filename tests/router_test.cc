@@ -209,7 +209,6 @@ ShardQueryResponse SampleShardResponse() {
   resp.degradation.first_error = "slot 3: injected";
   resp.model_version = 7;
   resp.model_crc = 0xabcd1234;
-  resp.wall_seconds = 0.25;
   for (std::uint32_t s : {0u, 3u}) {
     SlotEstimateWire se;
     se.slot = s;
@@ -249,8 +248,6 @@ TEST(ShardWire, QueryResponseShardAttributionRoundTrips) {
   row.slots_fallback = 1;
   row.slots_dropped = 1;
   row.retries = 2;
-  row.hedges = 1;
-  row.breaker_open = true;
   resp.shards.push_back(row);
   const StatusOr<QueryResponse> got = DecodeQueryResponse(EncodeQueryResponse(resp));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -261,8 +258,6 @@ TEST(ShardWire, QueryResponseShardAttributionRoundTrips) {
   EXPECT_EQ(got->shards[0].slots_fallback, 1u);
   EXPECT_EQ(got->shards[0].slots_dropped, 1u);
   EXPECT_EQ(got->shards[0].retries, 2u);
-  EXPECT_EQ(got->shards[0].hedges, 1u);
-  EXPECT_TRUE(got->shards[0].breaker_open);
 }
 
 TEST(ShardWire, RouterStatsAndPingFieldsRoundTrip) {

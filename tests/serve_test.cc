@@ -219,7 +219,6 @@ TEST(Wire, QueryRequestRoundTrip) {
 DegradationReport SampleDegradation() {
   DegradationReport d;
   d.paths_ok = 3;
-  d.paths_cached = 2;
   d.paths_retried = 4;
   d.paths_degraded = 1;
   d.paths_dropped = 5;
@@ -253,9 +252,7 @@ QueryResponse SampleResponse() {
     row.slots_ok = 8;
     row.slots_fallback = 1 + i;
     row.slots_dropped = 2 + i;
-    row.retries = 1;
-    row.hedges = 3 + i;
-    row.breaker_open = i == 1;
+    row.retries = 3 + i;
     resp.shards.push_back(row);
   }
   return resp;
@@ -273,7 +270,6 @@ TEST(Wire, QueryResponseRoundTrip) {
   EXPECT_EQ(got->wall_seconds, resp.wall_seconds);
   EXPECT_EQ(got->degradation.paths_ok, 3);
   EXPECT_EQ(got->degradation.paths_degraded, 1);
-  EXPECT_EQ(got->degradation.paths_cached, 2);
   EXPECT_EQ(got->degradation.first_error, resp.degradation.first_error);
   EXPECT_EQ(got->model_version, 5u);
   EXPECT_EQ(got->model_crc, 0xdeadbeefu);
@@ -281,7 +277,7 @@ TEST(Wire, QueryResponseRoundTrip) {
   EXPECT_EQ(got->shed_reason, resp.shed_reason);
   ASSERT_EQ(got->shards.size(), 2u);
   EXPECT_EQ(got->shards[1].shard, resp.shards[1].shard);
-  EXPECT_TRUE(got->shards[1].breaker_open);
+  EXPECT_EQ(got->shards[1].retries, 4u);
 }
 
 TEST(Wire, StatsAndReloadRoundTrip) {
@@ -403,7 +399,6 @@ ShardQueryResponse SampleShardResponse() {
   sr.degradation = SampleDegradation();
   sr.model_version = 2;
   sr.model_crc = 0xfeed;
-  sr.wall_seconds = 0.5;
   sr.estimates.push_back({3, SamplePathEstimate()});
   return sr;
 }
@@ -448,14 +443,14 @@ std::vector<Payload> EveryMessage() {
 // mis-parse it).
 TEST(Wire, EncodingsArePinned) {
   const std::map<std::string, std::string> want = {
-      {"QueryRequest", "28bb6ad038175fcf6678be52ba176b12"},
-      {"QueryResponse", "554b1f6b7136288b94affe0a78caa72d"},
-      {"Stats", "a188b5af3d4815ae02be8c46da2d06c0"},
-      {"ReloadRequest", "7a7ba33c5deab21220643e294254920c"},
-      {"ReloadResponse", "3bde7ae515890138a9efc3fbb4e9c3cc"},
-      {"PingResponse", "1cd9aa077635c5e9d62bae23f30e5584"},
-      {"ShardQueryRequest", "5fc5d41407c8e7e22b78b1f691f4e380"},
-      {"ShardQueryResponse", "af78113d401e679cc34f00a8f24a1073"},
+      {"QueryRequest", "69f4419bf71b27fea2227240ec0ee82b"},
+      {"QueryResponse", "770ae7f30c5efe1ba418b2bcc8fcba49"},
+      {"Stats", "fdc9ecdd60eb95163a9379ae929be28f"},
+      {"ReloadRequest", "45ccfe1245e43b6555b0cea4de274c35"},
+      {"ReloadResponse", "81139a1b02c6c4554ce2938a2b4860ea"},
+      {"PingResponse", "b30386a14f7d246f7497fd3fda109e73"},
+      {"ShardQueryRequest", "791ab0e2fa1c24b784742af9d2aaf9d1"},
+      {"ShardQueryResponse", "b05ff753b1878dc20179b517f18a99ec"},
   };
   const std::vector<Payload> all = EveryMessage();
   ASSERT_EQ(all.size(), want.size());
