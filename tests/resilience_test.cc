@@ -8,10 +8,12 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <set>
 
 #include "core/estimator.h"
 #include "core/validate.h"
 #include "temp_path.h"
+#include "tools/cli.h"
 #include "topo/fat_tree.h"
 #include "util/fault.h"
 #include "util/status.h"
@@ -54,6 +56,24 @@ TEST(Status, EveryCodeHasAName) {
     const char* name = StatusCodeName(static_cast<StatusCode>(c));
     ASSERT_NE(name, nullptr);
     EXPECT_STRNE(name, "");
+  }
+}
+
+// The tools' exit codes: 0 for OK, and every other code its own value in
+// 3..10 (2 is the usage error). A StatusCode added without an exit code
+// fails here.
+TEST(Cli, ExitCodeForEveryStatusCode) {
+  std::set<int> seen;
+  for (int c = 0; c < kNumStatusCodes; ++c) {
+    const int exit_code = cli::ExitCodeFor(static_cast<StatusCode>(c));
+    if (c == static_cast<int>(StatusCode::kOk)) {
+      EXPECT_EQ(exit_code, 0);
+      continue;
+    }
+    EXPECT_GE(exit_code, 3) << StatusCodeName(static_cast<StatusCode>(c));
+    EXPECT_LE(exit_code, 10) << StatusCodeName(static_cast<StatusCode>(c));
+    EXPECT_TRUE(seen.insert(exit_code).second)
+        << StatusCodeName(static_cast<StatusCode>(c)) << " shares exit code " << exit_code;
   }
 }
 

@@ -3,7 +3,6 @@
 // network-wide p99 error vs the packet simulator.
 //
 // Exit codes: 0 OK, 2 usage, 4 checkpoint not found, 5 checkpoint corrupt.
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -11,6 +10,7 @@
 #include "bench/common.h"
 #include "core/dataset.h"
 #include "pktsim/simulator.h"
+#include "tools/cli.h"
 
 using namespace m3;
 using namespace m3::bench;
@@ -28,23 +28,7 @@ constexpr const char* kUsage =
     "Positional form `eval_model <checkpoint> [paths] [net_scenarios]` is\n"
     "also accepted for compatibility; values are validated either way.\n";
 
-[[noreturn]] void UsageError(const std::string& msg) {
-  std::fprintf(stderr, "eval_model: %s\n\n%s", msg.c_str(), kUsage);
-  std::exit(2);
-}
-
-// Strict parse: the whole token must be an integer in range (std::atoi's
-// silent garbage acceptance turned typos into 0-path evals).
-long ParseInt(const std::string& key, const char* arg, long min, long max) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(arg, &end, 10);
-  if (end == arg || *end != '\0' || errno == ERANGE || v < min || v > max) {
-    UsageError("invalid " + key + " '" + arg + "' (expected integer in [" +
-               std::to_string(min) + ", " + std::to_string(max) + "])");
-  }
-  return v;
-}
+constexpr cli::Tool kTool{"eval_model", kUsage};
 
 struct Args {
   std::string model_path;
@@ -56,29 +40,26 @@ Args Parse(int argc, char** argv) {
   Args a;
   // Positional compatibility: eval_model <ckpt> [paths] [net].
   if (argc >= 2 && argv[1][0] != '-') {
-    if (argc > 4) UsageError("too many positional arguments");
+    if (argc > 4) kTool.UsageError("too many positional arguments");
     a.model_path = argv[1];
-    if (argc > 2) a.num_paths = static_cast<int>(ParseInt("paths", argv[2], 1, 1'000'000));
-    if (argc > 3) a.num_net = static_cast<int>(ParseInt("net_scenarios", argv[3], 0, 10'000));
+    if (argc > 2) a.num_paths = kTool.ParseInt<int>("paths", argv[2], 1, 1'000'000);
+    if (argc > 3) a.num_net = kTool.ParseInt<int>("net_scenarios", argv[3], 0, 10'000);
     return a;
   }
-  int i = 1;
-  while (i < argc) {
+  for (int i = 1; i < argc; ++i) {
     const std::string key = argv[i];
     if (key == "--help" || key == "-h") {
       std::printf("%s", kUsage);
       std::exit(0);
     }
-    if (key.rfind("--", 0) != 0) UsageError("unexpected argument '" + key + "'");
-    if (i + 1 >= argc) UsageError("missing value for " + key);
-    const char* v = argv[i + 1];
-    if (key == "--model") a.model_path = v;
-    else if (key == "--paths") a.num_paths = static_cast<int>(ParseInt(key, v, 1, 1'000'000));
-    else if (key == "--net-scenarios") a.num_net = static_cast<int>(ParseInt(key, v, 0, 10'000));
-    else UsageError("unknown flag '" + key + "'");
-    i += 2;
+    if (key.rfind("--", 0) != 0) kTool.UsageError("unexpected argument '" + key + "'");
+    const auto v = [&] { return kTool.Value(argc, argv, i++); };
+    if (key == "--model") a.model_path = v();
+    else if (key == "--paths") a.num_paths = kTool.ParseInt<int>(key, v(), 1, 1'000'000);
+    else if (key == "--net-scenarios") a.num_net = kTool.ParseInt<int>(key, v(), 0, 10'000);
+    else kTool.UsageError("unknown flag '" + key + "'");
   }
-  if (a.model_path.empty()) UsageError("--model is required");
+  if (a.model_path.empty()) kTool.UsageError("--model is required");
   return a;
 }
 

@@ -22,12 +22,11 @@
 // retry/reconnect counts, and the failed-query count (non-zero failures ->
 // non-zero exit).
 //
-// Exit codes extend m3_query's mapping with 10 = RESOURCE_EXHAUSTED (the
-// daemon's admission control rejected the query; back off and retry):
+// Exit codes (tools/cli.h); 10 = RESOURCE_EXHAUSTED means the daemon's
+// admission control rejected the query: back off and retry.
 //   0 OK   2 usage   3 INVALID_ARGUMENT   4 NOT_FOUND   5 DATA_LOSS
 //   6 DEADLINE_EXCEEDED   7 INTERNAL   8 DEGRADED   9 UNAVAILABLE
 //   10 RESOURCE_EXHAUSTED
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,6 +39,7 @@
 #include <vector>
 
 #include "serve/wire.h"
+#include "tools/cli.h"
 #include "topo/fat_tree.h"
 #include "util/socket.h"
 #include "workload/generator.h"
@@ -48,6 +48,7 @@
 
 using namespace m3;
 using namespace m3::serve;
+using m3::cli::ExitCodeFor;
 
 namespace {
 
@@ -84,7 +85,7 @@ constexpr const char* kUsage =
     "  --deadline SECONDS       daemon-side wall-clock budget\n"
     "  --priority CLASS         background|normal|interactive|critical or 0-3\n"
     "                           (normal; the daemon runs higher classes first)\n"
-    "  --no-cache               bypass the daemon's result caches\n"
+    "  --no-cache               bypass the daemon's result cache\n"
     "\n"
     "Resilience:\n"
     "  --retries N              retries of transient failures, >= 0  (4)\n"
@@ -102,32 +103,7 @@ constexpr const char* kUsage =
     "                           and check.sh; answered + shed + failed = total)\n"
     "  --help                   show this message\n";
 
-[[noreturn]] void UsageError(const std::string& msg) {
-  std::fprintf(stderr, "m3_client: %s\n\n%s", msg.c_str(), kUsage);
-  std::exit(2);
-}
-
-long ParseInt(const std::string& key, const char* arg, long min, long max) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(arg, &end, 10);
-  if (end == arg || *end != '\0' || errno == ERANGE || v < min || v > max) {
-    UsageError("invalid " + key + " '" + arg + "' (expected integer in [" +
-               std::to_string(min) + ", " + std::to_string(max) + "])");
-  }
-  return v;
-}
-
-double ParseDouble(const std::string& key, const char* arg, double min, double max) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(arg, &end);
-  if (end == arg || *end != '\0' || errno == ERANGE || !(v >= min) || !(v <= max)) {
-    UsageError("invalid " + key + " '" + arg + "' (expected number in [" +
-               std::to_string(min) + ", " + std::to_string(max) + "])");
-  }
-  return v;
-}
+constexpr cli::Tool kTool{"m3_client", kUsage};
 
 struct Args {
   std::string socket_path = "/tmp/m3d.sock";
@@ -161,70 +137,52 @@ struct Args {
 
 Args Parse(int argc, char** argv) {
   Args a;
-  int i = 1;
-  while (i < argc) {
+  for (int i = 1; i < argc; ++i) {
     const std::string key = argv[i];
     if (key == "--help" || key == "-h") {
       std::printf("%s", kUsage);
       std::exit(0);
     }
-    if (key == "--strict") { a.strict = true; ++i; continue; }
-    if (key == "--no-cache") { a.no_cache = true; ++i; continue; }
-    if (key == "--stats") { a.stats = true; ++i; continue; }
-    if (key == "--ping") { a.ping = true; ++i; continue; }
-    if (key == "--json") { a.json = true; ++i; continue; }
-    if (key.rfind("--", 0) != 0) UsageError("unexpected argument '" + key + "'");
-    if (i + 1 >= argc) UsageError("missing value for " + key);
-    const char* v = argv[i + 1];
-    if (key == "--socket") a.socket_path = v;
-    else if (key == "--reload") a.reload = v;
-    else if (key == "--tm") a.tm = v;
-    else if (key == "--workload") a.workload = v;
-    else if (key == "--oversub") a.oversub = ParseDouble(key, v, 0.0625, 64.0);
-    else if (key == "--load") a.load = ParseDouble(key, v, 1e-6, 1.0);
-    else if (key == "--sigma") a.sigma = ParseDouble(key, v, 0.0, 100.0);
-    else if (key == "--flows") a.flows = static_cast<int>(ParseInt(key, v, 1, 100'000'000));
-    else if (key == "--trace") a.trace = v;
-    else if (key == "--cc") a.cc = v;
-    else if (key == "--window") a.window = ParseInt(key, v, 1, 1'000'000'000);
-    else if (key == "--buffer") a.buffer = ParseInt(key, v, 1, 1'000'000'000);
-    else if (key == "--pfc") a.pfc = ParseInt(key, v, 0, 1) != 0;
-    else if (key == "--paths") a.paths = static_cast<int>(ParseInt(key, v, 1, 10'000'000));
-    else if (key == "--seed") a.seed = ParseInt(key, v, 0, 1'000'000'000);
-    else if (key == "--percentile") a.percentile = ParseDouble(key, v, 1.0, 100.0);
-    else if (key == "--deadline") a.deadline = ParseDouble(key, v, 0.0, 1e9);
+    if (key == "--strict") { a.strict = true; continue; }
+    if (key == "--no-cache") { a.no_cache = true; continue; }
+    if (key == "--stats") { a.stats = true; continue; }
+    if (key == "--ping") { a.ping = true; continue; }
+    if (key == "--json") { a.json = true; continue; }
+    if (key.rfind("--", 0) != 0) kTool.UsageError("unexpected argument '" + key + "'");
+    const auto v = [&] { return kTool.Value(argc, argv, i++); };
+    if (key == "--socket") a.socket_path = v();
+    else if (key == "--reload") a.reload = v();
+    else if (key == "--tm") a.tm = v();
+    else if (key == "--workload") a.workload = v();
+    else if (key == "--oversub") a.oversub = kTool.ParseDouble(key, v(), 0.0625, 64.0);
+    else if (key == "--load") a.load = kTool.ParseDouble(key, v(), 1e-6, 1.0);
+    else if (key == "--sigma") a.sigma = kTool.ParseDouble(key, v(), 0.0, 100.0);
+    else if (key == "--flows") a.flows = kTool.ParseInt<int>(key, v(), 1, 100'000'000);
+    else if (key == "--trace") a.trace = v();
+    else if (key == "--cc") a.cc = v();
+    else if (key == "--window") a.window = kTool.ParseInt(key, v(), 1, 1'000'000'000);
+    else if (key == "--buffer") a.buffer = kTool.ParseInt(key, v(), 1, 1'000'000'000);
+    else if (key == "--pfc") a.pfc = kTool.ParseInt(key, v(), 0, 1) != 0;
+    else if (key == "--paths") a.paths = kTool.ParseInt<int>(key, v(), 1, 10'000'000);
+    else if (key == "--seed") a.seed = kTool.ParseInt(key, v(), 0, 1'000'000'000);
+    else if (key == "--percentile") a.percentile = kTool.ParseDouble(key, v(), 1.0, 100.0);
+    else if (key == "--deadline") a.deadline = kTool.ParseDouble(key, v(), 0.0, 1e9);
     else if (key == "--priority") {
-      const std::string pv = v;
+      const std::string pv = v();
       if (pv == "background" || pv == "0") a.priority = 0;
       else if (pv == "normal" || pv == "1") a.priority = 1;
       else if (pv == "interactive" || pv == "2") a.priority = 2;
       else if (pv == "critical" || pv == "3") a.priority = 3;
-      else UsageError("invalid --priority '" + pv +
-                      "' (expected background|normal|interactive|critical or 0-3)");
+      else kTool.UsageError("invalid --priority '" + pv +
+                            "' (expected background|normal|interactive|critical or 0-3)");
     }
-    else if (key == "--retries") a.retries = static_cast<int>(ParseInt(key, v, 0, 100));
-    else if (key == "--connect-timeout") a.connect_timeout = ParseDouble(key, v, 0.0, 86400.0);
-    else if (key == "--concurrency") a.concurrency = static_cast<int>(ParseInt(key, v, 1, 4096));
-    else if (key == "--repeat") a.repeat = static_cast<int>(ParseInt(key, v, 1, 1'000'000));
-    else UsageError("unknown flag '" + key + "'");
-    i += 2;
+    else if (key == "--retries") a.retries = kTool.ParseInt<int>(key, v(), 0, 100);
+    else if (key == "--connect-timeout") a.connect_timeout = kTool.ParseSeconds(key, v(), 0.0);
+    else if (key == "--concurrency") a.concurrency = kTool.ParseInt<int>(key, v(), 1, 4096);
+    else if (key == "--repeat") a.repeat = kTool.ParseInt<int>(key, v(), 1, 1'000'000);
+    else kTool.UsageError("unknown flag '" + key + "'");
   }
   return a;
-}
-
-int ExitCodeFor(StatusCode code) {
-  switch (code) {
-    case StatusCode::kOk: return 0;
-    case StatusCode::kInvalidArgument: return 3;
-    case StatusCode::kNotFound: return 4;
-    case StatusCode::kDataLoss: return 5;
-    case StatusCode::kDeadlineExceeded: return 6;
-    case StatusCode::kInternal: return 7;
-    case StatusCode::kDegraded: return 8;
-    case StatusCode::kUnavailable: return 9;
-    case StatusCode::kResourceExhausted: return 10;
-  }
-  return 7;
 }
 
 StatusOr<UnixFd> Connect(const Args& a) {

@@ -10,8 +10,6 @@
 // corrupt, 9 cannot bind/serve.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include <algorithm>
 #include <atomic>
@@ -21,9 +19,11 @@
 
 #include "serve/server.h"
 #include "serve/service.h"
+#include "tools/cli.h"
 
 using namespace m3;
 using namespace m3::serve;
+using m3::cli::ExitCodeFor;
 
 namespace {
 
@@ -39,8 +39,8 @@ constexpr const char* kUsage =
     "  --queue N           request queue capacity, >= 1     (64)\n"
     "  --query-cache N     whole-query cache entries, >= 0  (256)\n"
     "  --threads-per-query N   pool threads per query, >= 0 (1; 0 = full pool)\n"
-    "  --watchdog SECS     watchdog for deadline-less queries, > 0 (120)\n"
-    "  --grace SECS        kill grace past a query deadline, > 0   (2)\n"
+    "  --watchdog SECS     watchdog for deadline-less queries, >= 0.001 (120)\n"
+    "  --grace SECS        kill grace past a query deadline, >= 0.001 (2)\n"
     "  --help              show this message\n"
     "\n"
     "With --workers N > 0 queries execute in forked worker subprocesses: a\n"
@@ -55,49 +55,10 @@ constexpr const char* kUsage =
     "Hot reload: m3_client --reload <checkpoint> swaps the model without\n"
     "dropping in-flight queries; a corrupt checkpoint keeps the old model.\n";
 
-[[noreturn]] void UsageError(const std::string& msg) {
-  std::fprintf(stderr, "m3d: %s\n\n%s", msg.c_str(), kUsage);
-  std::exit(2);
-}
-
-long ParseInt(const std::string& key, const char* arg, long min, long max) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(arg, &end, 10);
-  if (end == arg || *end != '\0' || errno == ERANGE || v < min || v > max) {
-    UsageError("invalid " + key + " '" + arg + "' (expected integer in [" +
-               std::to_string(min) + ", " + std::to_string(max) + "])");
-  }
-  return v;
-}
-
-double ParseSeconds(const std::string& key, const char* arg) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(arg, &end);
-  if (end == arg || *end != '\0' || errno == ERANGE || !(v > 0) || v > 86400) {
-    UsageError("invalid " + key + " '" + arg + "' (expected seconds in (0, 86400])");
-  }
-  return v;
-}
+constexpr cli::Tool kTool{"m3d", kUsage};
 
 std::atomic<int> g_signal{0};
 void OnSignal(int sig) { g_signal.store(sig, std::memory_order_relaxed); }
-
-int ExitCodeFor(StatusCode code) {
-  switch (code) {
-    case StatusCode::kOk: return 0;
-    case StatusCode::kInvalidArgument: return 3;
-    case StatusCode::kNotFound: return 4;
-    case StatusCode::kDataLoss: return 5;
-    case StatusCode::kDeadlineExceeded: return 6;
-    case StatusCode::kInternal: return 7;
-    case StatusCode::kDegraded: return 8;
-    case StatusCode::kUnavailable: return 9;
-    case StatusCode::kResourceExhausted: return 10;
-  }
-  return 7;
-}
 
 }  // namespace
 
@@ -108,26 +69,24 @@ int main(int argc, char** argv) {
   ServiceOptions opts;
   opts.worker_processes = 2;  // daemon default: crash-isolated workers
 
-  for (int i = 1; i < argc;) {
+  for (int i = 1; i < argc; ++i) {
     const std::string key = argv[i];
     if (key == "--help" || key == "-h") {
       std::printf("%s", kUsage);
       return 0;
     }
-    if (key.rfind("--", 0) != 0) UsageError("unexpected argument '" + key + "'");
-    if (i + 1 >= argc) UsageError("missing value for " + key);
-    const char* v = argv[i + 1];
-    if (key == "--socket") socket_path = v;
-    else if (key == "--listen-tcp") listen_tcp = v;
-    else if (key == "--model") model_path = v;
-    else if (key == "--workers") opts.worker_processes = static_cast<int>(ParseInt(key, v, 0, 256));
-    else if (key == "--queue") opts.queue_capacity = static_cast<std::size_t>(ParseInt(key, v, 1, 1 << 20));
-    else if (key == "--query-cache") opts.query_cache_entries = static_cast<std::size_t>(ParseInt(key, v, 0, 1 << 24));
-    else if (key == "--threads-per-query") opts.threads_per_query = static_cast<unsigned>(ParseInt(key, v, 0, 1024));
-    else if (key == "--watchdog") opts.supervisor.default_watchdog_seconds = ParseSeconds(key, v);
-    else if (key == "--grace") opts.supervisor.grace_seconds = ParseSeconds(key, v);
-    else UsageError("unknown flag '" + key + "'");
-    i += 2;
+    if (key.rfind("--", 0) != 0) kTool.UsageError("unexpected argument '" + key + "'");
+    const auto v = [&] { return kTool.Value(argc, argv, i++); };
+    if (key == "--socket") socket_path = v();
+    else if (key == "--listen-tcp") listen_tcp = v();
+    else if (key == "--model") model_path = v();
+    else if (key == "--workers") opts.worker_processes = kTool.ParseInt<int>(key, v(), 0, 256);
+    else if (key == "--queue") opts.queue_capacity = kTool.ParseInt<std::size_t>(key, v(), 1, 1 << 20);
+    else if (key == "--query-cache") opts.query_cache_entries = kTool.ParseInt<std::size_t>(key, v(), 0, 1 << 24);
+    else if (key == "--threads-per-query") opts.threads_per_query = kTool.ParseInt<unsigned>(key, v(), 0, 1024);
+    else if (key == "--watchdog") opts.supervisor.default_watchdog_seconds = kTool.ParseSeconds(key, v(), 0.001);
+    else if (key == "--grace") opts.supervisor.grace_seconds = kTool.ParseSeconds(key, v(), 0.001);
+    else kTool.UsageError("unknown flag '" + key + "'");
   }
   // One scheduler thread per worker subprocess keeps the pool saturated
   // without queueing inside the supervisor's lease wait.
@@ -141,8 +100,7 @@ int main(int argc, char** argv) {
     const std::string port_str =
         colon == std::string::npos ? listen_tcp : listen_tcp.substr(colon + 1);
     if (colon != std::string::npos) tcp_ep.host = listen_tcp.substr(0, colon);
-    tcp_ep.port = static_cast<std::uint16_t>(
-        ParseInt("--listen-tcp", port_str.c_str(), 1, 65535));
+    tcp_ep.port = kTool.ParseInt<std::uint16_t>("--listen-tcp", port_str.c_str(), 1, 65535);
   }
 
   EstimationService service(opts);

@@ -17,8 +17,6 @@
 // bind/serve.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include <atomic>
 #include <chrono>
@@ -28,9 +26,11 @@
 
 #include "serve/router.h"
 #include "serve/server.h"
+#include "tools/cli.h"
 
 using namespace m3;
 using namespace m3::serve;
+using m3::cli::ExitCodeFor;
 
 namespace {
 
@@ -61,50 +61,10 @@ constexpr const char* kUsage =
     "fails or refuses goes at once to its next ring replica; a slot no\n"
     "replica serves gets a router-side flowSim estimate, then is dropped.\n";
 
-[[noreturn]] void UsageError(const std::string& msg) {
-  std::fprintf(stderr, "m3d_router: %s\n\n%s", msg.c_str(), kUsage);
-  std::exit(2);
-}
-
-long ParseInt(const std::string& key, const char* arg, long min, long max) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(arg, &end, 10);
-  if (end == arg || *end != '\0' || errno == ERANGE || v < min || v > max) {
-    UsageError("invalid " + key + " '" + arg + "' (expected integer in [" +
-               std::to_string(min) + ", " + std::to_string(max) + "])");
-  }
-  return v;
-}
-
-double ParseSeconds(const std::string& key, const char* arg, double min = 0.0) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(arg, &end);
-  if (end == arg || *end != '\0' || errno == ERANGE || !(v >= min) || v > 86400) {
-    UsageError("invalid " + key + " '" + arg + "' (expected seconds in [" +
-               std::to_string(min) + ", 86400])");
-  }
-  return v;
-}
+constexpr cli::Tool kTool{"m3d_router", kUsage};
 
 std::atomic<int> g_signal{0};
 void OnSignal(int sig) { g_signal.store(sig, std::memory_order_relaxed); }
-
-int ExitCodeFor(StatusCode code) {
-  switch (code) {
-    case StatusCode::kOk: return 0;
-    case StatusCode::kInvalidArgument: return 3;
-    case StatusCode::kNotFound: return 4;
-    case StatusCode::kDataLoss: return 5;
-    case StatusCode::kDeadlineExceeded: return 6;
-    case StatusCode::kInternal: return 7;
-    case StatusCode::kDegraded: return 8;
-    case StatusCode::kUnavailable: return 9;
-    case StatusCode::kResourceExhausted: return 10;
-  }
-  return 7;
-}
 
 }  // namespace
 
@@ -112,29 +72,27 @@ int main(int argc, char** argv) {
   std::string listen_spec = "/tmp/m3d-router.sock";
   RouterOptions opts;
 
-  for (int i = 1; i < argc;) {
+  for (int i = 1; i < argc; ++i) {
     const std::string key = argv[i];
     if (key == "--help" || key == "-h") {
       std::printf("%s", kUsage);
       return 0;
     }
-    if (key.rfind("--", 0) != 0) UsageError("unexpected argument '" + key + "'");
-    if (i + 1 >= argc) UsageError("missing value for " + key);
-    const char* v = argv[i + 1];
-    if (key == "--shard") opts.shards.emplace_back(v);
-    else if (key == "--listen") listen_spec = v;
-    else if (key == "--replicas") opts.replicas = static_cast<int>(ParseInt(key, v, 1, 64));
-    else if (key == "--vnodes") opts.vnodes = static_cast<int>(ParseInt(key, v, 1, 4096));
-    else if (key == "--shard-timeout") opts.shard_timeout_seconds = ParseSeconds(key, v);
-    else if (key == "--connect-timeout") opts.connect_timeout_seconds = ParseSeconds(key, v);
-    else if (key == "--health-interval") opts.health_interval_seconds = ParseSeconds(key, v, 0.01);
-    else if (key == "--fallback-threads") opts.fallback_threads = static_cast<unsigned>(ParseInt(key, v, 0, 1024));
-    else if (key == "--pool") opts.pool_per_shard = static_cast<std::size_t>(ParseInt(key, v, 0, 1024));
-    else if (key == "--query-cache") opts.query_cache_entries = static_cast<std::size_t>(ParseInt(key, v, 0, 1 << 24));
-    else UsageError("unknown flag '" + key + "'");
-    i += 2;
+    if (key.rfind("--", 0) != 0) kTool.UsageError("unexpected argument '" + key + "'");
+    const auto v = [&] { return kTool.Value(argc, argv, i++); };
+    if (key == "--shard") opts.shards.emplace_back(v());
+    else if (key == "--listen") listen_spec = v();
+    else if (key == "--replicas") opts.replicas = kTool.ParseInt<int>(key, v(), 1, 64);
+    else if (key == "--vnodes") opts.vnodes = kTool.ParseInt<int>(key, v(), 1, 4096);
+    else if (key == "--shard-timeout") opts.shard_timeout_seconds = kTool.ParseSeconds(key, v(), 0.0);
+    else if (key == "--connect-timeout") opts.connect_timeout_seconds = kTool.ParseSeconds(key, v(), 0.0);
+    else if (key == "--health-interval") opts.health_interval_seconds = kTool.ParseSeconds(key, v(), 0.01);
+    else if (key == "--fallback-threads") opts.fallback_threads = kTool.ParseInt<unsigned>(key, v(), 0, 1024);
+    else if (key == "--pool") opts.pool_per_shard = kTool.ParseInt<std::size_t>(key, v(), 0, 1024);
+    else if (key == "--query-cache") opts.query_cache_entries = kTool.ParseInt<std::size_t>(key, v(), 0, 1 << 24);
+    else kTool.UsageError("unknown flag '" + key + "'");
   }
-  if (opts.shards.empty()) UsageError("at least one --shard is required");
+  if (opts.shards.empty()) kTool.UsageError("at least one --shard is required");
 
   StatusOr<Endpoint> listen_ep = ParseEndpoint(listen_spec);
   if (!listen_ep.ok()) {

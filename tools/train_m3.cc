@@ -7,7 +7,6 @@
 // Training is crash-safe: checkpoints are written atomically with last-K
 // rotation, SIGINT/SIGTERM finishes the in-flight batch and saves before
 // exiting, and --resume continues an interrupted run bitwise identically.
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -17,6 +16,7 @@
 #include "core/dataset.h"
 #include "core/model.h"
 #include "core/trainer.h"
+#include "tools/cli.h"
 #include "util/stats.h"
 
 using namespace m3;
@@ -45,27 +45,7 @@ constexpr const char* kUsage =
     "finishes, a checkpoint is saved, and --resume picks up where it left\n"
     "off — even mid-epoch.\n";
 
-[[noreturn]] void UsageError(const char* fmt, const char* arg) {
-  std::fprintf(stderr, "train_m3: ");
-  std::fprintf(stderr, fmt, arg);
-  std::fprintf(stderr, "\n\n%s", kUsage);
-  std::exit(2);
-}
-
-// Strict integer parse: the whole token must be a number in [min, max].
-// (std::atoi silently accepts "12abc" and returns 0 for garbage, which
-// previously let `train_m3 0` divide by zero in the gen-time report.)
-int ParseInt(const char* arg, const char* what, long min, long max) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(arg, &end, 10);
-  if (end == arg || *end != '\0' || errno == ERANGE || v < min || v > max) {
-    std::fprintf(stderr, "train_m3: invalid %s '%s' (expected integer in [%ld, %ld])\n\n%s",
-                 what, arg, min, max, kUsage);
-    std::exit(2);
-  }
-  return static_cast<int>(v);
-}
+constexpr cli::Tool kTool{"train_m3", kUsage};
 
 // p99 relative-error comparison on the tail of each populated bucket.
 void ReportAccuracy(M3Model& model, const std::vector<Sample>& samples, const char* label) {
@@ -112,18 +92,18 @@ int main(int argc, char** argv) {
       resume = true;
       resume_path = arg + 9;
     } else if (std::strncmp(arg, "--keep=", 7) == 0) {
-      topts.checkpoint_keep = ParseInt(arg + 7, "--keep", 1, 64);
+      topts.checkpoint_keep = kTool.ParseInt<int>("--keep", arg + 7, 1, 64);
     } else if (std::strncmp(arg, "--checkpoint-every=", 19) == 0) {
-      topts.checkpoint_every = ParseInt(arg + 19, "--checkpoint-every", 1, 1000000);
+      topts.checkpoint_every = kTool.ParseInt<int>("--checkpoint-every", arg + 19, 1, 1000000);
     } else if (std::strncmp(arg, "--", 2) == 0) {
-      UsageError("unknown option '%s'", arg);
+      kTool.UsageError(std::string("unknown flag '") + arg + "'");
     } else {
       switch (pos++) {
-        case 0: dopts.num_scenarios = ParseInt(arg, "num_scenarios", 1, 1000000); break;
-        case 1: dopts.num_fg = ParseInt(arg, "num_fg", 1, 100000000); break;
-        case 2: topts.epochs = ParseInt(arg, "epochs", 0, 1000000); break;
+        case 0: dopts.num_scenarios = kTool.ParseInt<int>("num_scenarios", arg, 1, 1000000); break;
+        case 1: dopts.num_fg = kTool.ParseInt<int>("num_fg", arg, 1, 100000000); break;
+        case 2: topts.epochs = kTool.ParseInt<int>("epochs", arg, 0, 1000000); break;
         case 3: out = arg; break;
-        default: UsageError("unexpected argument '%s'", arg);
+        default: kTool.UsageError(std::string("unexpected argument '") + arg + "'");
       }
     }
   }
