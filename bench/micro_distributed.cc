@@ -14,7 +14,8 @@
 //   codec:   steady-loop encode and decode times of the scatter's
 //            messages at paper scale: the 20k-flow reference
 //            QueryRequest, a 50-slot ShardQueryRequest embedding it, and
-//            a 50-estimate ShardQueryResponse (no fork, no sockets)
+//            a 50-estimate ShardQueryResponse (no fork, no sockets), and
+//            the median microseconds of that request's QueryCacheKey
 //
 // Emits JSON on stdout; the checked-in snapshot lives in
 // BENCH_distributed.json.
@@ -38,7 +39,9 @@
 #include "serve/router.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "serve/wire.h"
 #include "topo/fat_tree.h"
+#include "util/hash.h"
 #include "util/socket.h"
 #include "workload/generator.h"
 #include "workload/size_dist.h"
@@ -169,6 +172,12 @@ struct CodecRow {
   double encode_ms = 0.0, decode_ms = 0.0;
 };
 
+struct Codec {
+  std::vector<CodecRow> rows;
+  std::size_t key_flows = 0;
+  double query_key_us = 0.0;  // QueryCacheKey of the reference request
+};
+
 template <class M, class Enc, class Dec>
 CodecRow TimeCodec(const char* name, const M& msg, Enc encode, Dec decode) {
   CodecRow row{name};
@@ -186,8 +195,8 @@ CodecRow TimeCodec(const char* name, const M& msg, Enc encode, Dec decode) {
 
 // The scatter's messages at paper scale: the reference query (Small(2.0)
 // fat tree, 20k flows, 100 paths), one shard's 50 of its slots, and that
-// shard's 50 estimates.
-std::vector<CodecRow> RunCodec() {
+// shard's 50 estimates; then the reference query's cache key.
+Codec RunCodec() {
   const FatTree ft(FatTreeConfig::Small(2.0));
   ShardQueryRequest sq;
   sq.query = MakeQuery(ft, 20000, 100, 1);
@@ -204,20 +213,28 @@ std::vector<CodecRow> RunCodec() {
     }
     sr.estimates.push_back(e);
   }
-  return {TimeCodec("query_request", sq.query, EncodeQueryRequest, DecodeQueryRequest),
-          TimeCodec("shard_query_request", sq, EncodeShardQueryRequest,
-                    DecodeShardQueryRequest),
-          TimeCodec("shard_query_response", sr, EncodeShardQueryResponse,
-                    DecodeShardQueryResponse)};
+  Codec codec;
+  codec.rows = {
+      TimeCodec("query_request", sq.query, EncodeQueryRequest, DecodeQueryRequest),
+      TimeCodec("shard_query_request", sq, EncodeShardQueryRequest, DecodeShardQueryRequest),
+      TimeCodec("shard_query_response", sr, EncodeShardQueryResponse,
+                DecodeShardQueryResponse)};
+  const Hash128 digest = HashBytes("bench-model", 11);
+  volatile std::uint64_t sink = 0;
+  codec.key_flows = sq.query.flows.size();
+  codec.query_key_us =
+      1000.0 * MsPerCall([&] { sink = sink + QueryCacheKey(sq.query, digest).lo; });
+  return codec;
 }
 
-void PrintCodec(const std::vector<CodecRow>& rows) {
+void PrintCodec(const Codec& codec) {
   std::printf("  \"codec\": {\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const CodecRow& r = rows[i];
-    std::printf("    \"%s\": {\"bytes\": %zu, \"encode_ms\": %.4f, \"decode_ms\": %.4f}%s\n",
-                r.name, r.bytes, r.encode_ms, r.decode_ms, i + 1 < rows.size() ? "," : "");
+  for (const CodecRow& r : codec.rows) {
+    std::printf("    \"%s\": {\"bytes\": %zu, \"encode_ms\": %.4f, \"decode_ms\": %.4f},\n",
+                r.name, r.bytes, r.encode_ms, r.decode_ms);
   }
+  std::printf("    \"query_key\": {\"flows\": %zu, \"median_us\": %.2f}\n", codec.key_flows,
+              codec.query_key_us);
   std::printf("  }");
 }
 
@@ -259,7 +276,7 @@ int main(int argc, char** argv) {
   using namespace m3::serve;
 
   if (argc == 2 && std::string(argv[1]) == "codec") {
-    const std::vector<CodecRow> codec = RunCodec();
+    const Codec codec = RunCodec();
     std::printf("{\n  \"bench\": \"distributed\",\n  \"cores\": %u,\n",
                 std::thread::hardware_concurrency());
     PrintCodec(codec);
@@ -267,7 +284,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   // Before the fleet is forked: the children must not inherit its buffers.
-  const std::vector<CodecRow> codec = RunCodec();
+  const Codec codec = RunCodec();
 
   const int queries = argc > 1 ? std::atoi(argv[1]) : 10;
   const int flows_per_query = argc > 2 ? std::atoi(argv[2]) : 1200 * bench::Scale();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstring>
 #include <limits>
 #include <type_traits>
@@ -12,9 +13,10 @@
 namespace m3::serve {
 namespace {
 
-// Cache-key schema tags: bump when the hashed field set changes so old and
-// new processes can never alias keys. v2 query key: + topology shape.
-constexpr const char* kQueryKeySchema = "m3d/query-key/v2";
+// Cache-key schema tags: bump when the hashed field set or its hashing
+// changes so old and new processes can never alias keys. v2 query key: +
+// topology shape; v3: the flow table is one FlowDigest.
+constexpr const char* kQueryKeySchema = "m3d/query-key/v3";
 constexpr const char* kPathKeySchema = "m3d/path-key/v1";
 // Bytes per lot link (src, dst: i32; rate: f64; delay: i64) and per flow
 // before its route (src, dst: i32; size, arrival: i64; priority, is_fg: u8;
@@ -24,10 +26,10 @@ constexpr std::size_t kPathKeyFlowBytes = 4 + 4 + 8 + 8 + 1 + 1 + 4 + 4 + 8;
 
 // Unchecked little-endian field writer and reader over a block whose size
 // is settled before the first field: PathCacheKey computes the exact size,
-// QueryCacheKey fills a fixed chunk, and a vector of FixedWidth records is
-// sized (or bounds-checked) from its count once. They offer only the
-// fixed-width field kinds, so a record whose field list gains a Str, Vec,
-// Enum or Bool stops compiling here instead of skipping that field's check.
+// and a vector of FixedWidth records is sized (or bounds-checked) from its
+// count once. They offer only the fixed-width field kinds, so a record
+// whose field list gains a Str, Vec, Enum or Bool stops compiling here
+// instead of skipping that field's check.
 struct RawWriter {
   unsigned char* p;
   template <typename T>
@@ -71,9 +73,6 @@ struct KeyHasher : Hasher {
 // of its payload, which RecvFrame caps, bounds it.
 constexpr std::uint64_t kMaxVecLen = 1u << 20;
 constexpr std::uint64_t kMaxStrLen = 1u << 20;
-// Bytes per wire flow record (id, src, dst: i32; size, arrival: i64; prio:
-// u8): the query key's chunk stride.
-constexpr std::size_t kWireFlowBytes = 3 * 4 + 2 * 8 + 1;
 
 template <class M, class T>
 concept Is = std::is_same_v<std::remove_const_t<M>, T>;
@@ -322,8 +321,9 @@ void Fields(Io& io, M& m) {
   io.I32(m.spines_per_plane);
 }
 
+// constexpr so FlowWords can check at compile time that the list fits.
 template <class Io, Is<WireFlow> M>
-void Fields(Io& io, M& m) {
+constexpr void Fields(Io& io, M& m) {
   io.I32(m.id);
   io.I32(m.src_host);
   io.I32(m.dst_host);
@@ -576,6 +576,104 @@ StatusOr<ShardQueryResponse> DecodeShardQueryResponse(const std::string& p) {
   return Decode<ShardQueryResponse>(p);
 }
 
+// ----- the query key's flow table -----
+//
+// A paper-scale query's flows are nearly all of its key's input (20k flows
+// of 29 bytes). MurmurHash3 takes 16 bytes per step and each step waits on
+// the one before, so the flows go through FlowDigest instead, one flow per
+// step in the shape of XXH3's accumulate: two 64x64->128 multiplies per
+// flow, neither of which waits on an accumulator. The 128-bit result is
+// absorbed into the key's MurmurHash3 stream. Like the rest of the key, it
+// separates honest requests, not crafted ones.
+
+namespace {
+
+// Where each field of a WireFlow's list lands in four 64-bit words. Each
+// field takes the first word with room for it, so no field straddles two
+// words and distinct flows give distinct words: id | src, dst | priority,
+// size, arrival. Worked out at compile time by walking the list.
+struct FlowLayout {
+  struct Place {
+    unsigned word = 0, shift = 0;
+  };
+  std::array<unsigned, 4> used{};  // bits taken in each word
+  std::array<Place, 8> places{};
+  std::size_t fields = 0;
+  bool fits = true;  // every field found room
+
+  constexpr void Put(unsigned bits) {
+    for (unsigned i = 0; i < used.size(); ++i) {
+      if (fields < places.size() && used[i] + bits <= 64) {
+        places[fields++] = Place{i, used[i]};
+        used[i] += bits;
+        return;
+      }
+    }
+    fits = false;
+  }
+  constexpr void U8(std::uint8_t) { Put(8); }
+  constexpr void I32(std::int32_t) { Put(32); }
+  constexpr void I64(std::int64_t) { Put(64); }
+};
+
+constexpr FlowLayout kFlowLayout = [] {
+  FlowLayout layout;
+  const WireFlow flow{};
+  Fields(layout, flow);
+  return layout;
+}();
+static_assert(kFlowLayout.fits, "a WireFlow field would miss the query key's flow words");
+
+// One flow's words, filled by walking its field list. The k-th field's
+// place is a constant, so the walk compiles to loads, shifts and ORs.
+struct FlowWords {
+  std::array<std::uint64_t, 4> w{};
+  std::size_t k = 0;
+
+  void Put(std::uint64_t v) {
+    const FlowLayout::Place p = kFlowLayout.places[k++];
+    w[p.word] |= v << p.shift;
+  }
+  void U8(std::uint8_t v) { Put(v); }
+  void I32(std::int32_t v) { Put(static_cast<std::uint32_t>(v)); }
+  void I64(std::int64_t v) { Put(static_cast<std::uint64_t>(v)); }
+};
+
+// The 128-bit product of a and b, its halves XORed. The halves are read
+// through memcpy: GCC keeps them in registers that way, where `p >> 64`
+// sends them through the stack.
+inline std::uint64_t MulFold64(std::uint64_t a, std::uint64_t b) {
+  const unsigned __int128 p = static_cast<unsigned __int128>(a) * b;
+  std::uint64_t halves[2];
+  std::memcpy(halves, &p, sizeof p);
+  return halves[0] ^ halves[1];
+}
+
+// Each of a flow's two 16-byte halves is XORed with secret words, one of
+// them offset by the flow's position, then multiplied and folded into its
+// own accumulator; the half's raw words go into the other accumulator, so
+// a multiply whose partner word equals its secret still leaves its word in
+// the digest (XXH3 adds its input back to the neighbouring lane for the
+// same reason). The position term makes the digest depend on flow order.
+Hash128 FlowDigest(const std::vector<WireFlow>& flows) {
+  constexpr std::uint64_t kSecret0 = 0xa0761d6478bd642fULL;
+  constexpr std::uint64_t kSecret1 = 0xe7037ed1a0b428dbULL;
+  constexpr std::uint64_t kSecret2 = 0x8ebc6af09c88c6e3ULL;
+  constexpr std::uint64_t kPosition = 0x9e3779b97f4a7c15ULL;  // odd: distinct per position
+  std::uint64_t lo = 0, hi = 0;
+  std::uint64_t key = kSecret1;  // kSecret1 + i * kPosition at flow i
+  for (const WireFlow& flow : flows) {
+    FlowWords f;
+    Fields(f, flow);
+    lo += MulFold64(f.w[0] ^ kSecret0, f.w[1] ^ key) + (f.w[2] + f.w[3]);
+    hi += MulFold64(f.w[2] ^ kSecret2, f.w[3] ^ key) + (f.w[0] + f.w[1]);
+    key += kPosition;
+  }
+  return Hash128{hi, lo};
+}
+
+}  // namespace
+
 Hash128 QueryCacheKey(const QueryRequest& req, const Hash128& model_digest) {
   KeyHasher h;
   h.Str(kQueryKeySchema);
@@ -587,18 +685,8 @@ Hash128 QueryCacheKey(const QueryRequest& req, const Hash128& model_digest) {
   h.I32(req.num_paths);
   h.U64(req.seed);
   h.U64(req.flows.size());
-  // Each flow's fields, in wire order, go through a fixed chunk absorbed by
-  // one Bytes call per kChunkFlows flows. The hash does not depend on how
-  // the stream is split across calls, so this equals absorbing each field
-  // on its own.
-  constexpr std::size_t kChunkFlows = 256;
-  std::array<unsigned char, kChunkFlows * kWireFlowBytes> chunk;
-  for (std::size_t begin = 0; begin < req.flows.size(); begin += kChunkFlows) {
-    const std::size_t end = std::min(req.flows.size(), begin + kChunkFlows);
-    RawWriter w{chunk.data()};
-    for (std::size_t i = begin; i < end; ++i) Fields(w, req.flows[i]);
-    h.Bytes(chunk.data(), static_cast<std::size_t>(w.p - chunk.data()));
-  }
+  const Hash128 flows = FlowDigest(req.flows);
+  h.U64(flows.hi).U64(flows.lo);
   return h.Finish();
 }
 

@@ -34,8 +34,8 @@
 //
 //   query key = H(schema tag, model digest, use_context, oversub,
 //                 topology shape, NetConfig (every field), num_paths,
-//                 sampling seed,
-//                 flows (id, src, dst, size, arrival, priority))
+//                 sampling seed, flow count,
+//                 D(flows (id, src, dst, size, arrival, priority), in order))
 //   path key  = H(schema tag, model digest, use_context,
 //                 NetConfig (every field), path scenario content: chain
 //                 length, every lot link (src, dst, rate, delay), every
@@ -48,6 +48,14 @@
 // priority: it orders the scheduler's queues, never the answer.
 // The model digest term means a hot-reload implicitly invalidates every
 // cached result; stale entries age out via LRU.
+//
+// H is MurmurHash3 x64/128 (util/hash.h). D is the query key's flow digest
+// (wire.cc): the flows are nearly all of a paper-scale key's input, and D
+// folds each flow's fields with two 64x64->128 multiplies into 128 bits,
+// which H absorbs in the flows' place. Both are fixed-seed and
+// non-cryptographic: they separate honest requests, not crafted ones, so
+// the query caches trust their clients not to forge a colliding request
+// (as they did with MurmurHash3 alone).
 #pragma once
 
 #include <cstdint>
@@ -303,9 +311,15 @@ StatusOr<ShardQueryResponse> DecodeShardQueryResponse(const std::string& payload
 
 // ----- cache keys -----
 
-/// Whole-query content address (definition at the top of this header).
+/// Whole-query content address (definition at the top of this header),
+/// schema "m3d/query-key/v3". It hashes, little-endian, in order:
+///   Str(schema tag) · U64 digest.hi · U64 digest.lo · U8 use_context ·
+///   F64 oversub · WireTopo · NetConfig (both in wire order) ·
+///   I32 num_paths · U64 seed · U64 flow count ·
+///   U64 flows.hi · U64 flows.lo, the flow digest of every WireFlow's
+///   fields in request order (never its padding).
 /// m3d_router, which never sees the digest, passes the fleet's model CRC in
-/// its place.
+/// its place. DESIGN.md §5 has the same table.
 Hash128 QueryCacheKey(const QueryRequest& req, const Hash128& model_digest);
 
 /// Per-path content address over the materialized scenario: equal exactly

@@ -12,6 +12,18 @@
 // All multi-byte values are absorbed in little-endian order; floating-point
 // values are absorbed by bit pattern, so two keys are equal exactly when
 // every absorbed field is bitwise equal.
+//
+// Which hash serves what:
+//   - `Hasher` (MurmurHash3) computes the model digest (`ParamDigest`),
+//     `PathCacheKey`, the router's slot and ring placement (`HashRing`),
+//     every hash the tests pin, and the whole of `QueryCacheKey` except its
+//     flow table. Its finalizer mixes every key the LRU maps and the ring
+//     see.
+//   - The query key's flow table, nearly all of a paper-scale key's input,
+//     goes through a multiply-fold digest in serve/wire.cc (`FlowDigest`)
+//     whose 128-bit result `Hasher` absorbs. MurmurHash3 takes 16 bytes per
+//     step and each step waits on the one before, so on 20k flows it cost
+//     about three times the digest. Neither is for adversarial inputs.
 #pragma once
 
 #include <cstddef>

@@ -2,7 +2,7 @@
 // sampling, path-scenario wiring, flowSim, the feature maps the model reads
 // and the flowSim-only answer.
 // It also pins serve::QueryCacheKey, the whole-query cache address that
-// on-disk query records and the router's query cache are stored under.
+// m3d's and the router's in-memory query caches are keyed by.
 //
 // Every pinned hash is independent of the ML kernel, so it holds for every
 // M3_KERNEL value. Refactors and optimizations of these stages must
@@ -61,42 +61,42 @@ const PipelinePins kPins[] = {
      "406dbee6ea650073194d119177dbe229",
      "78d6eb19f0a7c74aaeff879162acee67",
      "46041025b47bf6130e855d013a0299c1",
-     "4c607d92408f4ac6e4d416a7471b976d",
+     "84a8fa149a10ebfa359a18772a028da1",
      "0a58edfd9b6836cc9b9f115ae740a5dc"},
     {"d5117b55536a5926a80a9b525bad234a",  // cache_A_x1
      "f524a868897bb56a50387eec1be4b349",
      "8f1604fdaf397e86340e85de753ca962",
      "47fa21c9d552bc239884af86f9821f53",
      "65c3be071dbdc53f9015a5e9e0be3516",
-     "7e960d0826f9db289532a950d94d1644",
+     "ccfdd5f26bb21142412bd4c8a5f3bc46",
      "71929c49cea60df8c14f570fc1048dbe"},
     {"c28c4e71c83b0a74121d0ec7f892c317",  // hadoop_C_x4
      "7a2af4514d128285a5d5c1bc0d428f08",
      "4367f0b2da8384d70a93b5590a939f46",
      "fc61ca7010576fbc9b685042383850c9",
      "2d92a3b219eff05a52eb5d4b62bebfda",
-     "dae9c0d7d4f3e06b38535e5a71e7f944",
+     "d9ea5b8e7d75cf6de9b69662980a75ef",
      "8d2b746886a326497fb905ab484f664c"},
     {"0fff7799c3722dd9254b03983fbcccaa",  // web_B_prio
      "e3446b217fd0896178cd66ca5d7cbc87",
      "4b8f4011eb987d38d9c808ffea782e1e",
      "762b96f9d3ba6743e7118cf154dea345",
      "22fda7289e1c4ba6368f393d91e1fdf8",
-     "595870e10d4aa0651d174e7ab7754299",
+     "115435a8baf0decbc69ce274d32e1796",
      "ce9f183ee7e174a26a5b8a0ace2e2b7e"},
     {"8ac34a349d83fbdbc203ff3a75ab27e4",  // web_A_p100
      "36ce9021497595c1a794a4aa0faa83be",
      "aa992d0d25c149d4cc4e19e57af4c0e1",
      "e5c31156f76dbb6e15ad86b6bd1ed598",
      "30aba16f91e4f126a9988dc6087c7c3c",
-     "f6036e7b8d7a65d4f1917e799fbb60ba",
+     "1cd103eb12cee81694b5d402e7269eed",
      "a3596695a20273fa539773786a190050"},
     {"d0e09b1d9ad35f1098ad07167c15e751",  // cache_C_prio_p8
      "e3845152c9239359d0c345172e7e6bde",
      "1236fefbc4b6d5259943ec0ed83d571b",
      "d65c7456399f3b42cc8d39da39c90f71",
      "56d4fbd25b4c8432a39c1c2c97e0574d",
-     "f338fe679f735fa52bee35eb50d58451",
+     "434c03e20811eb3ced0f783477c65425",
      "16f7f2a63968268f7265af29ca4eaf08"},
 };
 // clang-format on
@@ -198,7 +198,7 @@ INSTANTIATE_TEST_SUITE_P(Queries, GoldenPipeline, ::testing::ValuesIn(PinnedQuer
                          });
 
 TEST(GoldenPipelineQueryKey, EmptyFlowRequest) {
-  EXPECT_EQ(serve::QueryCacheKey(serve::QueryRequest{}, kKeyDigest).ToHex(), "9a6bf7d15e52d7ccb1576fa69db8b8a2");
+  EXPECT_EQ(serve::QueryCacheKey(serve::QueryRequest{}, kKeyDigest).ToHex(), "201f80ef3ba72addd3e06f2e82ffb76c");
 }
 
 // Path-level parallelism must not change a single bit of the model answer.

@@ -19,7 +19,10 @@
 #include <map>
 #include <sstream>
 #include <random>
+#include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "pathdecomp/decompose.h"
@@ -706,6 +709,99 @@ TEST(CacheKey, SensitiveToEveryQueryField) {
   same([](QueryRequest& r) { r.deadline_seconds += 1.0; }, "deadline");
   same([](QueryRequest& r) { r.max_attempts += 1; }, "max_attempts");
   same([](QueryRequest& r) { r.no_cache = !r.no_cache; }, "no_cache");
+}
+
+template <class T>
+void FlipBit(T& v, int bit) {
+  using U = std::make_unsigned_t<T>;
+  v = static_cast<T>(static_cast<U>(v) ^ static_cast<U>(U{1} << bit));
+}
+
+// The flow table reaches the key through its own digest (wire.cc), so every
+// field bit of every flow and the flows' order must move the key, and the
+// bytes between fields must not. 37 flows: no multi-flow stride divides it.
+TEST(CacheKey, EveryFlowBitMatters) {
+  QueryRequest base = SampleRequest();
+  base.flows.clear();
+  for (int i = 0; i < 37; ++i) {
+    WireFlow f;
+    f.id = i;
+    f.src_host = i % 16;
+    f.dst_host = (7 * i + 3) % 16;
+    f.size = 1000 + 37 * i;
+    f.arrival = 250 * i;
+    f.priority = static_cast<std::uint8_t>(i % 4);
+    base.flows.push_back(f);
+  }
+  const Hash128 digest = HashBytes("model-a", 7);
+  const Hash128 k0 = QueryCacheKey(base, digest);
+  const std::size_t mid = base.flows.size() / 2, last = base.flows.size() - 1;
+
+  const auto differs = [&](auto mutate, const std::string& what) {
+    QueryRequest r = base;
+    mutate(r);
+    EXPECT_NE(QueryCacheKey(r, digest), k0) << what;
+  };
+  for (const std::size_t at : {std::size_t{0}, std::size_t{1}, mid, last}) {
+    int flipped = 0;
+    const auto flip_each = [&](auto member, const char* name) {
+      using T = std::remove_cvref_t<decltype(base.flows[at].*member)>;
+      for (int bit = 0; bit < 8 * static_cast<int>(sizeof(T)); ++bit, ++flipped) {
+        differs([&](QueryRequest& r) { FlipBit(r.flows[at].*member, bit); },
+                std::string(name) + " bit " + std::to_string(bit) + " of flow " +
+                    std::to_string(at));
+      }
+    };
+    flip_each(&WireFlow::id, "id");
+    flip_each(&WireFlow::src_host, "src");
+    flip_each(&WireFlow::dst_host, "dst");
+    flip_each(&WireFlow::size, "size");
+    flip_each(&WireFlow::arrival, "arrival");
+    flip_each(&WireFlow::priority, "priority");
+    EXPECT_EQ(flipped, 232);
+  }
+
+  // Order: swapped flows, and a value moved to or swapped with a neighbour.
+  differs([](QueryRequest& r) { std::swap(r.flows[0], r.flows[1]); }, "swap 0, 1");
+  differs([&](QueryRequest& r) { std::swap(r.flows[mid], r.flows[last]); }, "swap mid, last");
+  for (const std::size_t at : {std::size_t{0}, mid, last - 1}) {
+    const std::string where = " between flows " + std::to_string(at) + ", " +
+                              std::to_string(at + 1);
+    differs(
+        [&](QueryRequest& r) {
+          r.flows[at].size += 64;
+          r.flows[at + 1].size -= 64;
+        },
+        "size moved" + where);
+    differs([&](QueryRequest& r) { std::swap(r.flows[at].arrival, r.flows[at + 1].arrival); },
+            "arrivals swapped" + where);
+  }
+
+  // Padding: the same fields written over storage pre-filled with 0xFF and
+  // with 0x00 give one key.
+  const auto written_over = [&](unsigned char fill) {
+    QueryRequest r = base;
+    std::memset(static_cast<void*>(r.flows.data()), fill, r.flows.size() * sizeof(WireFlow));
+    for (std::size_t i = 0; i < r.flows.size(); ++i) {
+      const WireFlow& v = base.flows[i];
+      WireFlow& f = r.flows[i];
+      f.id = v.id;
+      f.src_host = v.src_host;
+      f.dst_host = v.dst_host;
+      f.size = v.size;
+      f.arrival = v.arrival;
+      f.priority = v.priority;
+    }
+    return r;
+  };
+  const QueryRequest ones = written_over(0xFF), zeros = written_over(0x00);
+  ASSERT_NE(std::memcmp(static_cast<const void*>(ones.flows.data()),
+                        static_cast<const void*>(zeros.flows.data()),
+                        ones.flows.size() * sizeof(WireFlow)),
+            0)
+      << "WireFlow has no padding left to test";
+  EXPECT_EQ(QueryCacheKey(ones, digest), QueryCacheKey(zeros, digest));
+  EXPECT_EQ(QueryCacheKey(zeros, digest), k0);
 }
 
 TEST(CacheKey, PathKeySensitiveToScenarioContentNotSampling) {

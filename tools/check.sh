@@ -133,8 +133,10 @@ done
 
 echo "== UBSan: resilience / fault-injection suites =="
 # build-ubsan was configured and built by the kernels tier above.
+# CacheKey and GoldenPipelineQueryKey run the query key's 128-bit
+# multiply and shift code.
 ctest --test-dir build-ubsan --output-on-failure -j"$JOBS" \
-  -R 'Status|FaultRegistry|Validate|EstimatorResilience|AggregationGuard|CheckpointResilience|TraceIo|Wire\.|ShardWire'
+  -R 'Status|FaultRegistry|Validate|EstimatorResilience|AggregationGuard|CheckpointResilience|TraceIo|Wire\.|ShardWire|CacheKey|GoldenPipelineQueryKey'
 
 echo "== TSan: serving / hot-reload / scheduler suites =="
 # ScenarioReuse joins them: the path pipeline builds scenarios into
