@@ -35,6 +35,7 @@
 #include "topo/fat_tree.h"
 #include "util/fault.h"
 #include "util/socket.h"
+#include "wait_for.h"
 #include "workload/generator.h"
 #include "workload/size_dist.h"
 
@@ -124,17 +125,6 @@ void ExpectBitwiseEqual(const QueryResponse& a, const QueryResponse& b) {
   EXPECT_EQ(a.bucket_pct, b.bucket_pct);
   EXPECT_EQ(a.total_counts, b.total_counts);
   EXPECT_EQ(a.combined_pct, b.combined_pct);
-}
-
-/// True once `pred` holds, polling every 10ms up to `timeout`.
-template <typename Pred>
-bool WaitFor(Pred pred, std::chrono::milliseconds timeout) {
-  const auto stop = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    if (pred()) return true;
-    if (std::chrono::steady_clock::now() >= stop) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
 }
 
 // --------------------------------------------------------- socket timeouts --

@@ -29,6 +29,7 @@
 #include "serve/wire.h"
 #include "temp_path.h"
 #include "topo/fat_tree.h"
+#include "wait_for.h"
 #include "wire_samples.h"
 #include "workload/generator.h"
 #include "workload/size_dist.h"
@@ -602,10 +603,7 @@ TEST(RouterChaos, FleetRecoveryReclosesBreakersAndRestoresFullQuality) {
     for (const ShardHealthWire& sh : s.shards) n += sh.healthy ? 0 : 1;
     return n == s.shards.size();
   };
-  for (int i = 0; i < 100 && !opened(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  ASSERT_TRUE(opened());
+  ASSERT_TRUE(WaitFor(opened, std::chrono::milliseconds(2000)));
   EXPECT_EQ(router.Query(req).status.code(), StatusCode::kDegraded);
 
   // Bring the fleet back on the same addresses: the health prober's
@@ -615,10 +613,7 @@ TEST(RouterChaos, FleetRecoveryReclosesBreakersAndRestoresFullQuality) {
     ASSERT_TRUE(shards[i].server->Start(paths[i]).ok());
   }
   const auto healthy = [&router] { return router.Ping().shards_healthy == 3u; };
-  for (int i = 0; i < 200 && !healthy(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  ASSERT_TRUE(healthy());
+  ASSERT_TRUE(WaitFor(healthy, std::chrono::milliseconds(4000)));
 
   const QueryResponse after = router.Query(req);
   ASSERT_TRUE(after.status.ok()) << after.status.ToString();
@@ -730,9 +725,7 @@ TEST(RouterChaos, FleetModelReloadRecomputesRepeats) {
   const std::uint32_t new_crc = shards[0].service->Ping().model_crc;
   ASSERT_NE(new_crc, old_answer.model_crc);
   // The prober learns the new model within a few health intervals.
-  for (int i = 0; i < 200 && router.Ping().model_crc != new_crc; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  WaitFor([&] { return router.Ping().model_crc == new_crc; }, std::chrono::milliseconds(2000));
   ASSERT_EQ(router.Ping().model_crc, new_crc);
 
   const std::uint64_t dispatched = Dispatches(router);

@@ -38,6 +38,7 @@
 #include "util/fault.h"
 #include "util/hash.h"
 #include "util/socket.h"
+#include "wait_for.h"
 #include "wire_samples.h"
 #include "workload/generator.h"
 #include "workload/size_dist.h"
@@ -1363,9 +1364,8 @@ TEST(Service, ReloadWhileQueuedCachesUnderTheExecutingModel) {
   const QueryRequest req = SmallQuery();
   std::future<QueryResponse> queued =
       std::async(std::launch::async, [&] { return service.Query(req); });
-  while (service.Stats().queue_depth == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(WaitFor([&] { return service.Stats().queue_depth > 0; },
+                      std::chrono::milliseconds(10000)));
   const Status reloaded = service.ReloadModel(SmallCheckpointB());
   gate.Release();
   ASSERT_TRUE(reloaded.ok()) << reloaded.ToString();
@@ -1938,14 +1938,14 @@ TEST(SocketServer, FinishedConnectionThreadsAreReaped) {
 
   // Reaping happens on the acceptor thread after each accept; the last
   // handlers' exits race this check, so poke-and-poll briefly.
-  std::size_t live = server.connection_threads();
-  for (int spin = 0; spin < 200 && live > 2; ++spin) {
-    StatusOr<UnixFd> fd = ConnectUnix(sock);  // wakes the acceptor -> reap
-    ASSERT_TRUE(fd.ok());
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    live = server.connection_threads();
-  }
-  EXPECT_LE(live, 2u) << "exited connection threads were not reaped";
+  WaitFor(
+      [&] {
+        if (server.connection_threads() <= 2) return true;
+        EXPECT_TRUE(ConnectUnix(sock).ok());  // wakes the acceptor -> reap
+        return false;
+      },
+      std::chrono::milliseconds(1000));
+  EXPECT_LE(server.connection_threads(), 2u) << "exited connection threads were not reaped";
   server.Stop();
 }
 
