@@ -46,7 +46,7 @@ int main() {
   for (const Mix& mix : Table1Mixes()) {
     BuiltMix built = BuildMix(mix, DefaultFlows(), 4100 + static_cast<std::uint64_t>(mix_i++));
     const auto truth = RunPacketSim(built.ft->topo(), built.wl.flows, built.cfg);
-    const double p99_true = P99Slowdown(truth);
+    const double p99_true = SummarizeGroundTruth(truth).CombinedP99();
 
     // Exact per-path distributions from the ground truth itself.
     PathDecomposition decomp(built.ft->topo(), built.wl.flows);

@@ -6,22 +6,17 @@
 // p99 accuracy.
 #include "bench/common.h"
 #include "core/dataset.h"
+#include "core/trainer.h"
 
 using namespace m3;
 using namespace m3::bench;
 
 namespace {
 
-double EvalP99Err(M3Model& model, const std::vector<Sample>& eval, bool use_baseline) {
+double EvalP99Err(const M3Model& model, const std::vector<Sample>& eval, bool use_baseline) {
   std::vector<double> errs;
-  for (const Sample& s : eval) {
-    const auto pred =
-        model.Predict(s.fg_feat, s.bg_seq, s.spec, true, use_baseline ? &s.baseline : nullptr);
-    for (int b = 0; b < kNumOutputBuckets; ++b) {
-      if (!s.gt.has[static_cast<std::size_t>(b)]) continue;
-      const double t99 = s.gt.pct[static_cast<std::size_t>(b)][98];
-      if (t99 > 0) errs.push_back(AbsErrPct(pred[static_cast<std::size_t>(b)][98], t99));
-    }
+  for (const PathRow& r : EvalSyntheticPaths(model, eval, true, use_baseline)) {
+    errs.push_back(AbsErrPct(r.m3, r.truth));
   }
   return Mean(errs);
 }

@@ -23,17 +23,6 @@ std::vector<std::size_t> SampleUniform(const PathDecomposition& decomp, int k, R
   return out;
 }
 
-double SampleP99(const PathDecomposition& decomp, const std::vector<std::size_t>& sample,
-                 const std::vector<FlowResult>& truth) {
-  std::vector<double> sldn;
-  for (std::size_t idx : sample) {
-    for (FlowId f : decomp.path(idx).fg_flows) {
-      sldn.push_back(truth[static_cast<std::size_t>(f)].slowdown);
-    }
-  }
-  return sldn.empty() ? 0.0 : Percentile(std::move(sldn), 99);
-}
-
 }  // namespace
 
 int main() {
@@ -45,7 +34,7 @@ int main() {
   for (const Mix& mix : Table1Mixes()) {
     BuiltMix built = BuildMix(mix, DefaultFlows(), 3100 + static_cast<std::uint64_t>(mix_i++));
     const auto truth = RunPacketSim(built.ft->topo(), built.wl.flows, built.cfg);
-    const double p99_true = P99Slowdown(truth);
+    const double p99_true = SummarizeGroundTruth(truth).CombinedP99();
     PathDecomposition decomp(built.ft->topo(), built.wl.flows);
 
     for (int t = 0; t < trials; ++t) {

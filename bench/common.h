@@ -1,23 +1,27 @@
-// Shared helpers for the benchmark harness.
+// Shared helpers for the bench binaries.
 //
 // Every bench binary regenerates one table or figure from the paper at a
 // reduced default scale so the whole suite runs in minutes on one CPU.
 // Set M3_SCALE=N (default 1) to multiply workload sizes, and M3_PATHS /
-// M3_FLOWS to override directly. Paper reference values are printed in a
-// `paper=` column where the paper states a number; see EXPERIMENTS.md for
-// the recorded comparison.
+// M3_FLOWS to override directly; each must be a whole integer >= 1.
+// Paper reference values are printed in a `paper=` column where the paper
+// states a number; see EXPERIMENTS.md for the recorded comparison.
+// The accuracy benches score m3, and load their model, through bench/eval.h.
 #pragma once
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
-#include <sys/stat.h>
 
+#include "bench/eval.h"
 #include "core/estimator.h"
-#include "core/trainer.h"
 #include "parsimon/parsimon.h"
+#include "pathdecomp/decompose.h"
+#include "tools/cli.h"
 #include "topo/fat_tree.h"
 #include "util/stats.h"
 #include "workload/generator.h"
@@ -25,12 +29,16 @@
 
 namespace m3::bench {
 
+/// $name as a whole integer >= 1, or `def` when unset. Anything else exits
+/// 2: a typo must not become a 0-path query scored as accuracy.
 inline int EnvInt(const char* name, int def) {
   const char* v = std::getenv(name);
-  return v ? std::atoi(v) : def;
+  if (v == nullptr) return def;
+  constexpr cli::Tool kEnv{"bench", "M3_* sizes are whole integers >= 1.\n"};
+  return kEnv.ParseInt<int>(name, v, 1, std::numeric_limits<int>::max());
 }
 
-inline int Scale() { return std::max(1, EnvInt("M3_SCALE", 1)); }
+inline int Scale() { return EnvInt("M3_SCALE", 1); }
 
 /// Default workload size for full-network benches.
 inline int DefaultFlows() { return EnvInt("M3_FLOWS", 20000 * Scale()); }
@@ -81,6 +89,22 @@ inline BuiltMix BuildMix(const Mix& mix, int num_flows, std::uint64_t seed = 1) 
   return out;
 }
 
+/// EvalNetwork on a built mix. A failed estimate prints its status and
+/// exits with its tools/cli.h code.
+inline NetworkRow EvalMix(const BuiltMix& built, const M3Model& model, bool with_parsimon,
+                          int num_paths = DefaultPaths()) {
+  M3Options opts;
+  opts.num_paths = num_paths;
+  StatusOr<NetworkRow> row =
+      EvalNetwork(built.ft->topo(), built.wl.flows, built.cfg, model, opts, with_parsimon);
+  if (!row.ok()) {
+    std::fprintf(stderr, "%s: %s\n", program_invocation_short_name,
+                 row.status().ToString().c_str());
+    std::exit(cli::ExitCodeFor(row.status().code()));
+  }
+  return std::move(row).value();
+}
+
 /// The paper's Table 1 mixes (scaled flow counts).
 inline std::vector<Mix> Table1Mixes() {
   return {
@@ -90,53 +114,21 @@ inline std::vector<Mix> Table1Mixes() {
   };
 }
 
-inline bool FileExists(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0;
-}
-
-/// Loads the shared checkpoint, or quick-trains one (and caches it) when
-/// missing so every bench binary is self-contained.
-inline M3Model& DefaultModel() {
-  static M3Model model;
-  static bool ready = false;
-  if (!ready) {
-    const char* env = std::getenv("M3_MODEL");
-    const std::string path = env ? env : "models/m3_default.ckpt";
-    if (FileExists(path)) {
-      model.Load(path);
-      std::printf("# model: loaded %s\n", path.c_str());
-    } else {
-      std::printf("# model: %s missing; quick-training a small model (run "
-                  "tools/train_m3 for the full one)...\n",
-                  path.c_str());
-      std::fflush(stdout);
-      DatasetOptions dopts;
-      dopts.num_scenarios = 150;
-      dopts.num_fg = 400;
-      const auto samples = MakeSyntheticDataset(dopts);
-      TrainOptions topts;
-      topts.epochs = 30;
-      TrainModel(model, samples, topts);
-      model.Save(path);
-      std::printf("# model: quick-trained and cached at %s\n", path.c_str());
+/// p99 of the true slowdowns of the sampled paths' foreground flows.
+inline double SampleP99(const PathDecomposition& decomp, const std::vector<std::size_t>& sample,
+                        const std::vector<FlowResult>& truth) {
+  std::vector<double> sldn;
+  for (std::size_t idx : sample) {
+    for (FlowId f : decomp.path(idx).fg_flows) {
+      sldn.push_back(truth[static_cast<std::size_t>(f)].slowdown);
     }
-    ready = true;
   }
-  return model;
+  return Percentile(std::move(sldn), 99);
 }
 
 /// |relative error| of an estimate vs truth, as a percentage.
 inline double AbsErrPct(double estimate, double truth) {
   return 100.0 * std::abs(RelativeError(estimate, truth));
-}
-
-/// p99 slowdown over all flows of a result set.
-inline double P99Slowdown(const std::vector<FlowResult>& results) {
-  std::vector<double> sldn;
-  sldn.reserve(results.size());
-  for (const auto& r : results) sldn.push_back(r.slowdown);
-  return Percentile(std::move(sldn), 99.0);
 }
 
 inline const char* BucketLabel(int b) {

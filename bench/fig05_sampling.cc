@@ -29,7 +29,7 @@ int main() {
 
     // Ground truth p99 over all flows.
     const auto truth = RunPacketSim(built.ft->topo(), built.wl.flows, built.cfg);
-    const double p99_true = P99Slowdown(truth);
+    const double p99_true = SummarizeGroundTruth(truth).CombinedP99();
 
     PathDecomposition decomp(built.ft->topo(), built.wl.flows);
     std::printf("scenario %d (%s): %zu populated paths, true p99=%.3f\n", s,
@@ -40,14 +40,7 @@ int main() {
     // paper's Fig 5 methodology).
     for (std::size_t k = 0; k < sample_sizes.size(); ++k) {
       Rng rng(static_cast<std::uint64_t>(1000 + s * 10 + static_cast<int>(k)));
-      const auto sample = SamplePaths(decomp, sample_sizes[k], rng);
-      std::vector<double> sldn;
-      for (std::size_t idx : sample) {
-        for (FlowId f : decomp.path(idx).fg_flows) {
-          sldn.push_back(truth[static_cast<std::size_t>(f)].slowdown);
-        }
-      }
-      const double p99 = Percentile(std::move(sldn), 99);
+      const double p99 = SampleP99(decomp, SamplePaths(decomp, sample_sizes[k], rng), truth);
       errors[k].push_back(std::abs(RelativeError(p99, p99_true)));
     }
     std::fflush(stdout);

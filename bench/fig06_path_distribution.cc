@@ -12,7 +12,7 @@ using namespace m3::bench;
 
 int main() {
   std::printf("=== Fig 6: per-bucket slowdown distribution on a 4-hop path ===\n");
-  M3Model& model = DefaultModel();
+  const M3Model& model = DefaultModel();
 
   // A Meta-workload-like path scenario: production sizes via the closest
   // parametric theta is NOT used here; we build the path directly from a

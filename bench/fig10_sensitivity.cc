@@ -7,7 +7,6 @@
 #include <map>
 
 #include "bench/common.h"
-#include "pktsim/simulator.h"
 
 using namespace m3;
 using namespace m3::bench;
@@ -15,7 +14,7 @@ using namespace m3::bench;
 int main() {
   const int num_scenarios = std::max(6, 4 * Scale());
   std::printf("=== Fig 10: m3 vs Parsimon across %d random scenarios ===\n", num_scenarios);
-  M3Model& model = DefaultModel();
+  const M3Model& model = DefaultModel();
 
   std::vector<double> m3_errs, pars_errs, m3_times, pars_times, full_times;
   std::map<int, std::vector<double>> m3_by_load, pars_by_load;
@@ -35,38 +34,28 @@ int main() {
     mix.max_load = rng.Uniform(0.26, 0.8);
     mix.sigma = rng.NextDouble() < 0.5 ? 1.0 : 2.0;
     BuiltMix built = BuildMix(mix, DefaultFlows(), 500 + static_cast<std::uint64_t>(s));
-
-    WallTimer t_full;
-    const auto truth = RunPacketSim(built.ft->topo(), built.wl.flows, built.cfg);
-    full_times.push_back(t_full.Seconds());
-    const double p99_true = P99Slowdown(truth);
-
-    M3Options mopts;
-    mopts.num_paths = DefaultPaths();
-    const NetworkEstimate m3_est = RunM3(built.ft->topo(), built.wl.flows, built.cfg, model, mopts);
-    const double m3_err = AbsErrPct(m3_est.CombinedP99(), p99_true);
-
-    WallTimer t_pars;
-    ParsimonOptions popts;
-    popts.cfg = built.cfg;
-    const auto pars = RunParsimon(built.ft->topo(), built.wl.flows, popts);
-    const double pars_s = t_pars.Seconds();
-    const double pars_err = AbsErrPct(P99Slowdown(pars), p99_true);
+    const NetworkRow row = EvalMix(built, model, true);
+    const double p99_true = row.truth.CombinedP99();
+    const double m3_err = AbsErrPct(row.m3.CombinedP99(), p99_true);
+    const double pars_err = AbsErrPct(row.parsimon->CombinedP99(), p99_true);
+    const double m3_s = row.m3.wall_seconds;
+    const double pars_s = row.parsimon->wall_seconds;
+    full_times.push_back(row.truth.wall_seconds);
 
     m3_errs.push_back(m3_err);
     pars_errs.push_back(pars_err);
-    m3_times.push_back(m3_est.wall_seconds);
+    m3_times.push_back(m3_s);
     pars_times.push_back(pars_s);
     const int load_bucket = static_cast<int>(mix.max_load * 10) * 10;
     m3_by_load[load_bucket].push_back(m3_err);
     pars_by_load[load_bucket].push_back(pars_err);
-    m3_time_by_wl[mix.workload].push_back(m3_est.wall_seconds);
+    m3_time_by_wl[mix.workload].push_back(m3_s);
     pars_time_by_wl[mix.workload].push_back(pars_s);
 
     std::printf("%s tm=%s wl=%-13s o=%.0f:1 load=%2.0f%% sig=%.0f | true p99 %7.2f | "
                 "m3 err %5.1f%% (%5.1fs) | pars err %6.1f%% (%5.1fs)\n",
                 mix.name.c_str(), mix.tm_name.c_str(), mix.workload.c_str(), mix.oversub,
-                100 * mix.max_load, mix.sigma, p99_true, m3_err, m3_est.wall_seconds,
+                100 * mix.max_load, mix.sigma, p99_true, m3_err, m3_s,
                 pars_err, pars_s);
     std::fflush(stdout);
   }

@@ -8,7 +8,6 @@
 #include <map>
 
 #include "bench/common.h"
-#include "pktsim/simulator.h"
 
 using namespace m3;
 using namespace m3::bench;
@@ -16,7 +15,7 @@ using namespace m3::bench;
 int main() {
   const int num_scenarios = std::max(8, 6 * Scale());
   std::printf("=== Fig 11: error breakdown over %d scenarios ===\n", num_scenarios);
-  M3Model& model = DefaultModel();
+  const M3Model& model = DefaultModel();
 
   struct Case {
     std::string tm, wl;
@@ -39,20 +38,11 @@ int main() {
     mix.max_load = rng.Uniform(0.3, 0.7);
     BuiltMix built = BuildMix(mix, DefaultFlows(), 900 + static_cast<std::uint64_t>(s));
 
-    const auto truth = RunPacketSim(built.ft->topo(), built.wl.flows, built.cfg);
-    const double p99_true = P99Slowdown(truth);
-
-    M3Options mopts;
-    mopts.num_paths = DefaultPaths();
-    const NetworkEstimate m3_est = RunM3(built.ft->topo(), built.wl.flows, built.cfg, model, mopts);
-
-    ParsimonOptions popts;
-    popts.cfg = built.cfg;
-    const auto pars = RunParsimon(built.ft->topo(), built.wl.flows, popts);
-
+    const NetworkRow row = EvalMix(built, model, true);
+    const double p99_true = row.truth.CombinedP99();
     cases.push_back({mix.tm_name, mix.workload, mix.oversub, mix.sigma,
-                     AbsErrPct(m3_est.CombinedP99(), p99_true),
-                     AbsErrPct(P99Slowdown(pars), p99_true)});
+                     AbsErrPct(row.m3.CombinedP99(), p99_true),
+                     AbsErrPct(row.parsimon->CombinedP99(), p99_true)});
     std::printf(".");
     std::fflush(stdout);
   }

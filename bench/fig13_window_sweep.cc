@@ -6,14 +6,13 @@
 // p99) and runs ~1139x faster than ns-3. Setup: WebServer, matrix C, 50%
 // load, PFC on, buffer 400KB, eta=0.9.
 #include "bench/common.h"
-#include "pktsim/simulator.h"
 
 using namespace m3;
 using namespace m3::bench;
 
 int main() {
   std::printf("=== Fig 13: HPCC init-window counterfactual sweep ===\n");
-  M3Model& model = DefaultModel();
+  const M3Model& model = DefaultModel();
 
   Mix mix{"F13", "C", "WebServer", 2.0, 0.5, 1.5};
   const std::vector<Bytes> windows{5 * kKB, 10 * kKB, 20 * kKB, 30 * kKB};
@@ -28,17 +27,11 @@ int main() {
     built.cfg.hpcc_eta = 0.9;
     built.cfg.init_window = w;
 
-    WallTimer t_full;
-    const auto truth = RunPacketSim(built.ft->topo(), built.wl.flows, built.cfg);
-    full_total_s += t_full.Seconds();
-    const auto gt = SummarizeGroundTruth(truth);
-    const auto gt_p99 = gt.BucketP99();
-
-    M3Options mopts;
-    mopts.num_paths = DefaultPaths();
-    const NetworkEstimate est = RunM3(built.ft->topo(), built.wl.flows, built.cfg, model, mopts);
-    m3_total_s += est.wall_seconds;
-    const auto m3_p99 = est.BucketP99();
+    const NetworkRow row = EvalMix(built, model, false);
+    full_total_s += row.truth.wall_seconds;
+    m3_total_s += row.m3.wall_seconds;
+    const auto gt_p99 = row.truth.BucketP99();
+    const auto m3_p99 = row.m3.BucketP99();
 
     std::printf("%5lldKB | %6.2f %6.2f %6.2f %6.2f | %6.2f %6.2f %6.2f %6.2f\n",
                 static_cast<long long>(w / kKB), gt_p99[0], gt_p99[1], gt_p99[2], gt_p99[3],

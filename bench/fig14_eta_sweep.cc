@@ -5,14 +5,13 @@
 // Paper claim: m3 correctly captures eta's effect on p99 slowdown, with an
 // average speedup of 763x over ns-3.
 #include "bench/common.h"
-#include "pktsim/simulator.h"
 
 using namespace m3;
 using namespace m3::bench;
 
 int main() {
   std::printf("=== Fig 14: HPCC eta counterfactual sweep ===\n");
-  M3Model& model = DefaultModel();
+  const M3Model& model = DefaultModel();
 
   Mix mix{"F14", "C", "WebServer", 2.0, 0.5, 1.5};
   const std::vector<double> etas{0.70, 0.80, 0.90, 0.95};
@@ -27,16 +26,11 @@ int main() {
     built.cfg.init_window = 20 * kKB;
     built.cfg.hpcc_eta = eta;
 
-    WallTimer t_full;
-    const auto truth = RunPacketSim(built.ft->topo(), built.wl.flows, built.cfg);
-    full_total_s += t_full.Seconds();
-    const auto gt_p99 = SummarizeGroundTruth(truth).BucketP99();
-
-    M3Options mopts;
-    mopts.num_paths = DefaultPaths();
-    const NetworkEstimate est = RunM3(built.ft->topo(), built.wl.flows, built.cfg, model, mopts);
-    m3_total_s += est.wall_seconds;
-    const auto m3_p99 = est.BucketP99();
+    const NetworkRow row = EvalMix(built, model, false);
+    full_total_s += row.truth.wall_seconds;
+    m3_total_s += row.m3.wall_seconds;
+    const auto gt_p99 = row.truth.BucketP99();
+    const auto m3_p99 = row.m3.BucketP99();
 
     std::printf("%5.2f | %6.2f %6.2f %6.2f %6.2f | %6.2f %6.2f %6.2f %6.2f\n", eta,
                 gt_p99[0], gt_p99[1], gt_p99[2], gt_p99[3], m3_p99[0], m3_p99[1], m3_p99[2],

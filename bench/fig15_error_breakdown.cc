@@ -9,10 +9,6 @@
 #include <map>
 
 #include "bench/common.h"
-#include "pathdecomp/decompose.h"
-#include "pathdecomp/path_topology.h"
-#include "pathdecomp/sampling.h"
-#include "pktsim/simulator.h"
 
 using namespace m3;
 using namespace m3::bench;
@@ -20,67 +16,24 @@ using namespace m3::bench;
 int main() {
   const int num_paths = std::max(8, DefaultPaths() / 2);
   std::printf("=== Fig 15: error breakdown on sampled paths (%d paths/mix) ===\n", num_paths);
-  M3Model& model = DefaultModel();
+  const M3Model& model = DefaultModel();
 
   // Per method: per-bucket and per-hop-count |p99 error| collections.
   std::map<std::string, std::map<int, std::vector<double>>> by_bucket, by_hops;
 
   for (const Mix& mix : Table1Mixes()) {
     BuiltMix built = BuildMix(mix, DefaultFlows(), 1300);
-    const auto truth = RunPacketSim(built.ft->topo(), built.wl.flows, built.cfg);
-
-    ParsimonOptions popts;
-    popts.cfg = built.cfg;
-    const auto pars = RunParsimon(built.ft->topo(), built.wl.flows, popts);
-
-    PathDecomposition decomp(built.ft->topo(), built.wl.flows);
-    Rng rng(41);
-    const auto sample = SamplePaths(decomp, num_paths, rng);
-
-    for (std::size_t idx : sample) {
-      const PathScenario sc = BuildPathScenario(built.ft->topo(), built.wl.flows, decomp, idx);
-      if (sc.num_fg() < 5) continue;
-
-      // Ground truth / parsimon per-bucket p99 over this path's fg flows.
-      std::array<std::vector<double>, kNumOutputBuckets> true_b, pars_b;
-      for (std::size_t i = 0; i < sc.flows.size(); ++i) {
-        if (!sc.is_fg[i]) continue;
-        const auto oid = static_cast<std::size_t>(sc.orig_id[i]);
-        const int b = OutputBucketOf(sc.flows[i].size);
-        true_b[static_cast<std::size_t>(b)].push_back(truth[oid].slowdown);
-        pars_b[static_cast<std::size_t>(b)].push_back(pars[oid].slowdown);
-      }
-
-      // ns-3-path per-bucket p99.
-      const auto path_res = RunPathPktSim(sc, built.cfg);
-      const TargetDist path_dist = BuildTarget(ForegroundSlowdowns(sc, path_res));
-
-      // m3 per-bucket p99.
-      const auto fluid = RunPathFlowSim(sc);
-      const ScenarioFeatures feats = ExtractFeatures(sc, fluid);
-      const ml::Tensor spec = EncodeSpec(built.cfg, ComputePathSpec(sc, built.cfg));
-      const ml::Tensor baseline = TargetToTensor(feats.flowsim_fg);
-      const auto m3_pred = model.Predict(feats.fg_feat, feats.bg_seq, spec, true, &baseline);
-
-      for (int b = 0; b < kNumOutputBuckets; ++b) {
-        auto& tb = true_b[static_cast<std::size_t>(b)];
-        if (tb.size() < 3) continue;
-        const double t99 = Percentile(tb, 99);
-        if (t99 <= 0) continue;
-        const double path_err =
-            path_dist.has[static_cast<std::size_t>(b)]
-                ? AbsErrPct(path_dist.pct[static_cast<std::size_t>(b)][98], t99)
-                : 100.0;
-        const double m3_err = AbsErrPct(m3_pred[static_cast<std::size_t>(b)][98], t99);
-        const double pars_err =
-            AbsErrPct(Percentile(pars_b[static_cast<std::size_t>(b)], 99), t99);
-        by_bucket["ns3-path"][b].push_back(path_err);
-        by_bucket["m3"][b].push_back(m3_err);
-        by_bucket["parsimon"][b].push_back(pars_err);
-        by_hops["ns3-path"][sc.num_links].push_back(path_err);
-        by_hops["m3"][sc.num_links].push_back(m3_err);
-        by_hops["parsimon"][sc.num_links].push_back(pars_err);
-      }
+    for (const PathRow& r : EvalSampledPaths(built.ft->topo(), built.wl.flows, built.cfg, model,
+                                             num_paths, 41)) {
+      const double path_err = r.pktsim ? AbsErrPct(*r.pktsim, r.truth) : 100.0;
+      const double m3_err = AbsErrPct(r.m3, r.truth);
+      const double pars_err = AbsErrPct(*r.parsimon, r.truth);
+      by_bucket["ns3-path"][r.bucket].push_back(path_err);
+      by_bucket["m3"][r.bucket].push_back(m3_err);
+      by_bucket["parsimon"][r.bucket].push_back(pars_err);
+      by_hops["ns3-path"][r.hops].push_back(path_err);
+      by_hops["m3"][r.hops].push_back(m3_err);
+      by_hops["parsimon"][r.hops].push_back(pars_err);
     }
     std::printf(".");
     std::fflush(stdout);

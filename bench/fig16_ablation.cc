@@ -9,7 +9,6 @@
 
 #include "bench/common.h"
 #include "core/dataset.h"
-#include "core/trainer.h"
 
 using namespace m3;
 using namespace m3::bench;
@@ -17,30 +16,12 @@ using namespace m3::bench;
 int main() {
   const int num_eval = std::max(20, 12 * Scale());
   std::printf("=== Fig 16: component ablation on %d synthetic paths ===\n", num_eval);
-  M3Model& model = DefaultModel();
+  const M3Model& model = DefaultModel();
 
-  // A no-context model trained the same way (quick, cached separately).
-  static M3Model no_ctx_model;
-  {
-    const std::string path = "models/m3_noctx.ckpt";
-    if (FileExists(path)) {
-      no_ctx_model.Load(path);
-      std::printf("# no-context model: loaded %s\n", path.c_str());
-    } else {
-      std::printf("# training no-context ablation model...\n");
-      std::fflush(stdout);
-      DatasetOptions dopts;
-      dopts.num_scenarios = 150;
-      dopts.num_fg = 400;
-      dopts.seed = 77;
-      const auto train_samples = MakeSyntheticDataset(dopts);
-      TrainOptions topts;
-      topts.epochs = 30;
-      topts.use_context = false;
-      TrainModel(no_ctx_model, train_samples, topts);
-      no_ctx_model.Save(path);
-    }
-  }
+  // A no-context model trained by the same quick recipe, cached separately.
+  M3Model no_ctx_model;
+  LoadOrTrainQuick(no_ctx_model, "models/m3_noctx.ckpt", "no-context model", 77,
+                   /*use_context=*/false);
 
   DatasetOptions eopts;
   eopts.num_scenarios = num_eval;
@@ -51,29 +32,22 @@ int main() {
   eopts.seed = 4242;  // held out from both training seeds
   const auto eval = MakeSyntheticDataset(eopts);
 
-  std::vector<double> fs_err, noctx_err, m3_err;
+  // Both models score the same (sample, bucket) rows, in the same order.
+  const auto full = EvalSyntheticPaths(model, eval, true, true);
+  const auto noctx = EvalSyntheticPaths(no_ctx_model, eval, false, true);
+  // Per method (flowSim, m3 without context, m3): overall and by path length.
+  std::array<std::vector<double>, 3> all;
   std::map<int, std::array<std::vector<double>, 3>> by_len;
-  for (const Sample& s : eval) {
-    const auto full = model.Predict(s.fg_feat, s.bg_seq, s.spec, true, &s.baseline);
-    const auto noctx = no_ctx_model.Predict(s.fg_feat, s.bg_seq, s.spec, false, &s.baseline);
-    const int len = s.bg_seq.rows();
-    for (int b = 0; b < kNumOutputBuckets; ++b) {
-      if (!s.gt.has[static_cast<std::size_t>(b)]) continue;
-      const double t99 = s.gt.pct[static_cast<std::size_t>(b)][98];
-      if (t99 <= 0) continue;
-      const double e_fs = s.flowsim.has[static_cast<std::size_t>(b)]
-                              ? AbsErrPct(s.flowsim.pct[static_cast<std::size_t>(b)][98], t99)
-                              : 100.0;
-      const double e_nc = AbsErrPct(noctx[static_cast<std::size_t>(b)][98], t99);
-      const double e_m3 = AbsErrPct(full[static_cast<std::size_t>(b)][98], t99);
-      fs_err.push_back(e_fs);
-      noctx_err.push_back(e_nc);
-      m3_err.push_back(e_m3);
-      by_len[len][0].push_back(e_fs);
-      by_len[len][1].push_back(e_nc);
-      by_len[len][2].push_back(e_m3);
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    const PathRow& r = full[i];
+    const double errs[3] = {r.flowsim ? AbsErrPct(*r.flowsim, r.truth) : 100.0,
+                            AbsErrPct(noctx[i].m3, r.truth), AbsErrPct(r.m3, r.truth)};
+    for (int m = 0; m < 3; ++m) {
+      all[m].push_back(errs[m]);
+      by_len[r.hops][m].push_back(errs[m]);
     }
   }
+  const auto& [fs_err, noctx_err, m3_err] = all;
 
   std::printf("\n|p99 err| overall: flowSim mean=%.1f%% median=%.1f%%  |  m3-no-context "
               "mean=%.1f%% median=%.1f%%  |  m3 mean=%.1f%% median=%.1f%%\n",

@@ -15,7 +15,7 @@ using namespace m3::bench;
 int main() {
   const int num_eval = std::max(32, 24 * Scale());
   std::printf("=== Fig 17: error across network configurations (%d paths) ===\n", num_eval);
-  M3Model& model = DefaultModel();
+  const M3Model& model = DefaultModel();
 
   // Held-out scenarios with per-scenario random Table-4 configs.
   Rng rng(90210);
@@ -27,13 +27,9 @@ int main() {
     const NetConfig cfg = NetConfig::Sample(cfg_rng);
     const PathScenario sc = BuildSyntheticScenario(spec);
     const Sample s = BuildSample(sc, cfg);
-    const auto pred = model.Predict(s.fg_feat, s.bg_seq, s.spec, true, &s.baseline);
-
     std::vector<double> errs;
-    for (int b = 0; b < kNumOutputBuckets; ++b) {
-      if (!s.gt.has[static_cast<std::size_t>(b)]) continue;
-      const double t99 = s.gt.pct[static_cast<std::size_t>(b)][98];
-      if (t99 > 0) errs.push_back(AbsErrPct(pred[static_cast<std::size_t>(b)][98], t99));
+    for (const PathRow& r : EvalSyntheticPaths(model, {&s, 1}, true, true)) {
+      errs.push_back(AbsErrPct(r.m3, r.truth));
     }
     if (errs.empty()) continue;
     const double err = Mean(errs);

@@ -33,14 +33,14 @@ int main() {
     WallTimer t_full;
     const auto truth = RunPacketSim(built.ft->topo(), built.wl.flows, built.cfg);
     const double full_s = t_full.Seconds();
-    const double p99_true = P99Slowdown(truth);
+    const double p99_true = SummarizeGroundTruth(truth).CombinedP99();
 
     WallTimer t_pars;
     ParsimonOptions popts;
     popts.cfg = built.cfg;
     const auto pars = RunParsimon(built.ft->topo(), built.wl.flows, popts);
     const double pars_s = t_pars.Seconds();
-    const double p99_pars = P99Slowdown(pars);
+    const double p99_pars = SummarizeGroundTruth(pars).CombinedP99();
 
     M3Options opts;
     opts.num_paths = paths;

@@ -9,7 +9,6 @@
 // Claim: Parsimon over-counts window-limited delay (sums per-link
 // slowdowns); m3 learns the window effect. Runtime: m3 < Parsimon << ns-3.
 #include "bench/common.h"
-#include "pktsim/simulator.h"
 
 using namespace m3;
 using namespace m3::bench;
@@ -22,10 +21,12 @@ int main() {
   cfg_topo.pods = EnvInt("M3_LARGE_PODS", 2);
   cfg_topo.racks_per_pod = EnvInt("M3_LARGE_RACKS", 24);
   cfg_topo.hosts_per_rack = EnvInt("M3_LARGE_HOSTS", 8);
-  const FatTree ft(cfg_topo);
+  BuiltMix built;
+  built.ft = std::make_unique<FatTree>(cfg_topo);
+  const FatTree& ft = *built.ft;
   std::printf("=== Table 5 / Fig 12: large-scale (%d racks, %d hosts) ===\n", ft.num_racks(),
               ft.num_hosts());
-  M3Model& model = DefaultModel();
+  const M3Model& model = DefaultModel();
 
   const auto tm = TrafficMatrix::MatrixB(ft.num_racks(), ft.config().racks_per_pod);
   const auto sizes = MakeWebServer();
@@ -41,45 +42,33 @@ int main() {
     wspec.max_load = 0.5;
     wspec.burstiness_sigma = 2.0;
     wspec.seed = 1212;
-    const auto wl = GenerateWorkload(ft, tm, *sizes, wspec);
+    built.wl = GenerateWorkload(ft, tm, *sizes, wspec);
+    built.cfg.init_window = row.window;
 
-    NetConfig cfg;
-    cfg.init_window = row.window;
-
-    WallTimer t_full;
-    const auto truth = RunPacketSim(ft.topo(), wl.flows, cfg);
-    const double full_s = t_full.Seconds();
-    const auto gt = SummarizeGroundTruth(truth);
+    const NetworkRow eval = EvalMix(built, model, true);
+    const NetworkEstimate& gt = eval.truth;
+    const NetworkEstimate& est = eval.m3;
+    const NetworkEstimate& pars = *eval.parsimon;
     const double p99_true = gt.CombinedP99();
-
-    WallTimer t_pars;
-    ParsimonOptions popts;
-    popts.cfg = cfg;
-    const auto pars = RunParsimon(ft.topo(), wl.flows, popts);
-    const double pars_s = t_pars.Seconds();
-    const double p99_pars = P99Slowdown(pars);
-
-    M3Options mopts;
-    mopts.num_paths = DefaultPaths();
-    const NetworkEstimate est = RunM3(ft.topo(), wl.flows, cfg, model, mopts);
+    const double p99_pars = pars.CombinedP99();
 
     std::printf("\ninitW=%lldKB (paper ns-3 p99=%.2f):\n", static_cast<long long>(row.window / kKB),
                 row.paper_ns3);
     std::printf("  %-10s %10s %10s %10s\n", "method", "p99", "err", "time");
-    std::printf("  %-10s %10.3f %10s %9.1fs\n", "full-sim", p99_true, "-", full_s);
+    std::printf("  %-10s %10.3f %10s %9.1fs\n", "full-sim", p99_true, "-", gt.wall_seconds);
     std::printf("  %-10s %10.3f %+9.1f%% %9.1fs   (paper err %+.1f%%)\n", "parsimon",
-                p99_pars, 100 * RelativeError(p99_pars, p99_true), pars_s, row.paper_pars_err);
+                p99_pars, 100 * RelativeError(p99_pars, p99_true), pars.wall_seconds,
+                row.paper_pars_err);
     std::printf("  %-10s %10.3f %+9.1f%% %9.1fs\n", "m3", est.CombinedP99(),
                 100 * RelativeError(est.CombinedP99(), p99_true), est.wall_seconds);
 
     // Fig 12: per-bucket distributions at selected percentiles.
     std::printf("  Fig12 per-bucket p50/p99 (truth | m3 | parsimon):\n");
-    const auto pars_sum = SummarizeGroundTruth(pars);
     for (int b = 0; b < kNumOutputBuckets; ++b) {
       if (gt.bucket_pct[static_cast<std::size_t>(b)].empty()) continue;
       const auto& tb = gt.bucket_pct[static_cast<std::size_t>(b)];
       const auto& mb = est.bucket_pct[static_cast<std::size_t>(b)];
-      const auto& pb = pars_sum.bucket_pct[static_cast<std::size_t>(b)];
+      const auto& pb = pars.bucket_pct[static_cast<std::size_t>(b)];
       std::printf("    %-12s %6.2f/%6.2f | %6.2f/%6.2f | %6.2f/%6.2f\n", BucketLabel(b),
                   tb[49], tb[98], mb.empty() ? 0.0 : mb[49], mb.empty() ? 0.0 : mb[98],
                   pb.empty() ? 0.0 : pb[49], pb.empty() ? 0.0 : pb[98]);

@@ -25,6 +25,7 @@
 #include "serve/service.h"
 #include "serve/wire.h"
 #include "temp_path.h"
+#include "wait_for.h"
 #include "topo/fat_tree.h"
 #include "util/socket.h"
 #include "workload/generator.h"
@@ -414,10 +415,7 @@ TEST(OverloadRouterBudget, RemainingDeadlinePropagatesIntoSubRequests) {
   Router router(OneShardRouter(path));
   ASSERT_TRUE(router.Start().ok());
   // Wait for the health probe to mark the shard usable.
-  for (int i = 0; i < 100 && !router.Ping().ready; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  ASSERT_TRUE(router.Ping().ready);
+  ASSERT_TRUE(WaitFor([&] { return router.Ping().ready; }, std::chrono::seconds(10)));
 
   QueryRequest req = SmallQuery(/*num_paths=*/4);
   req.deadline_seconds = 5.0;
@@ -445,9 +443,7 @@ TEST(OverloadRouterBudget, ShedsTypedWhenBudgetCannotCoverDispatch) {
   ASSERT_TRUE(shard.start_status().ok()) << shard.start_status().ToString();
   Router router(OneShardRouter(path));
   ASSERT_TRUE(router.Start().ok());
-  for (int i = 0; i < 100 && !router.Ping().ready; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+  ASSERT_TRUE(WaitFor([&] { return router.Ping().ready; }, std::chrono::seconds(10)));
 
   QueryRequest req = SmallQuery(/*num_paths=*/4);
   req.deadline_seconds = 1e-7;  // gone before placement finishes

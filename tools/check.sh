@@ -108,10 +108,11 @@ echo "== ASan: checkpoint/trainer robustness + path pipeline + wire decoder suit
 # TSan run cannot). ModelRegistry runs here because a served load builds the
 # model straight from the parsed checkpoint (ml::CheckpointParams), and its
 # suites feed that path truncated, bit-flipped and hostile files.
+# So do Eval (results indexed by flow id) and the GoldenPktSim pins.
 cmake -B build-asan -S . -DM3_SANITIZE=address "$@"
 cmake --build build-asan -j"$JOBS" --target m3_tests
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|PercentileWriter|FeatureWriter|GoldenPipeline|FlowIds|GoldenModel|ModelInfer|SocketServer|ModelRegistry|Wire\.|OverloadWire|ShardWire|CacheKey|FatTree|Aggregate|RequestFlows'
+  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Decompose|Sampling|PathTopology|ParkingLot|ScenarioReuse|HasherSplit|FlowSim|PercentileWriter|FeatureWriter|GoldenPipeline|FlowIds|GoldenModel|ModelInfer|SocketServer|ModelRegistry|Wire\.|OverloadWire|ShardWire|CacheKey|FatTree|Aggregate|RequestFlows|Eval\.|GoldenPktSim'
 
 echo "== kernels: SIMD parity suites under ASan+UBSan for every M3_KERNEL =="
 # Every dispatchable tier (including forced-but-unavailable values, which

@@ -2,14 +2,14 @@
 // small full-network suite: per-bucket p99 error vs flowSim, plus
 // network-wide p99 error vs the packet simulator.
 //
-// Exit codes: 0 OK, 2 usage, 4 checkpoint not found, 5 checkpoint corrupt.
+// Exit codes: 0 OK, 2 usage, 4 checkpoint not found, 5 checkpoint corrupt;
+// an estimate that fails exits with its status's code (tools/cli.h).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "bench/common.h"
 #include "core/dataset.h"
-#include "pktsim/simulator.h"
 #include "tools/cli.h"
 
 using namespace m3;
@@ -85,20 +85,10 @@ int main(int argc, char** argv) {
   eopts.num_scenarios = a.num_paths;
   eopts.num_fg = 600;
   eopts.seed = 987654;
-  const auto eval = MakeSyntheticDataset(eopts);
-
   std::vector<double> fs_err, m3_err;
-  for (const Sample& s : eval) {
-    const auto pred = model.Predict(s.fg_feat, s.bg_seq, s.spec, true, &s.baseline);
-    for (int b = 0; b < kNumOutputBuckets; ++b) {
-      if (!s.gt.has[static_cast<std::size_t>(b)]) continue;
-      const double t99 = s.gt.pct[static_cast<std::size_t>(b)][98];
-      if (t99 <= 0) continue;
-      if (s.flowsim.has[static_cast<std::size_t>(b)]) {
-        fs_err.push_back(AbsErrPct(s.flowsim.pct[static_cast<std::size_t>(b)][98], t99));
-      }
-      m3_err.push_back(AbsErrPct(pred[static_cast<std::size_t>(b)][98], t99));
-    }
+  for (const PathRow& r : EvalSyntheticPaths(model, MakeSyntheticDataset(eopts), true, true)) {
+    if (r.flowsim) fs_err.push_back(AbsErrPct(*r.flowsim, r.truth));
+    m3_err.push_back(AbsErrPct(r.m3, r.truth));
   }
   std::printf("held-out paths (%d): per-bucket |p99 err| flowSim mean=%.1f%% median=%.1f%% "
               "| m3 mean=%.1f%% median=%.1f%%\n",
@@ -112,11 +102,8 @@ int main(int argc, char** argv) {
     Mix mix = Table1Mixes()[static_cast<std::size_t>(s) % 3];
     mix.max_load = rng.Uniform(0.35, 0.65);
     BuiltMix built = BuildMix(mix, 20000, 7000 + static_cast<std::uint64_t>(s));
-    const auto truth = RunPacketSim(built.ft->topo(), built.wl.flows, built.cfg);
-    M3Options opts;
-    opts.num_paths = 100;
-    const NetworkEstimate est = RunM3(built.ft->topo(), built.wl.flows, built.cfg, model, opts);
-    const double err = AbsErrPct(est.CombinedP99(), P99Slowdown(truth));
+    const NetworkRow row = EvalMix(built, model, false, 100);
+    const double err = AbsErrPct(row.m3.CombinedP99(), row.truth.CombinedP99());
     net_err.push_back(err);
     std::printf("net scenario %d (%s, load %.0f%%): |p99 err| = %.1f%%\n", s,
                 mix.name.c_str(), 100 * mix.max_load, err);

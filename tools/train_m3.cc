@@ -7,12 +7,12 @@
 // Training is crash-safe: checkpoints are written atomically with last-K
 // rotation, SIGINT/SIGTERM finishes the in-flight batch and saves before
 // exiting, and --resume continues an interrupted run bitwise identically.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "bench/common.h"
 #include "core/dataset.h"
 #include "core/model.h"
 #include "core/trainer.h"
@@ -46,28 +46,6 @@ constexpr const char* kUsage =
     "off — even mid-epoch.\n";
 
 constexpr cli::Tool kTool{"train_m3", kUsage};
-
-// p99 relative-error comparison on the tail of each populated bucket.
-void ReportAccuracy(M3Model& model, const std::vector<Sample>& samples, const char* label) {
-  std::vector<double> flowsim_err;
-  std::vector<double> m3_err;
-  for (const Sample& s : samples) {
-    const auto pred = model.Predict(s.fg_feat, s.bg_seq, s.spec, true, &s.baseline);
-    for (int b = 0; b < kNumOutputBuckets; ++b) {
-      if (!s.gt.has[static_cast<std::size_t>(b)]) continue;
-      const double truth = s.gt.pct[static_cast<std::size_t>(b)][98];
-      if (truth <= 0.0) continue;
-      if (s.flowsim.has[static_cast<std::size_t>(b)]) {
-        flowsim_err.push_back(
-            std::abs(RelativeError(s.flowsim.pct[static_cast<std::size_t>(b)][98], truth)));
-      }
-      m3_err.push_back(
-          std::abs(RelativeError(pred[static_cast<std::size_t>(b)][98], truth)));
-    }
-  }
-  std::printf("%s: |p99 err|  flowSim mean=%.1f%%  m3 mean=%.1f%%  (n=%zu)\n", label,
-              100.0 * Mean(flowsim_err), 100.0 * Mean(m3_err), m3_err.size());
-}
 
 }  // namespace
 
@@ -114,16 +92,15 @@ int main(int argc, char** argv) {
 
   std::printf("generating %d scenarios (%d fg flows each)...\n", dopts.num_scenarios,
               dopts.num_fg);
-  const auto t0 = std::chrono::steady_clock::now();
+  const bench::WallTimer t_gen;
   const std::vector<Sample> samples = MakeSyntheticDataset(dopts);
-  const double gen_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  const double gen_s = t_gen.Seconds();
   std::printf("dataset ready in %.1fs (%.2fs/scenario)\n", gen_s,
               gen_s / dopts.num_scenarios);
 
   M3Model model;
   std::printf("model parameters: %zu\n", model.num_parameters());
-  const auto t1 = std::chrono::steady_clock::now();
+  const bench::WallTimer t_train;
   TrainReport report;
   try {
     report = TrainModel(model, samples, topts);
@@ -131,8 +108,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "train_m3: %s\n", e.what());
     return 1;
   }
-  const double train_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t1).count();
+  const double train_s = t_train.Seconds();
 
   if (!report.resumed_from.empty()) {
     std::printf("resumed from %s at epoch %d (optimizer + RNG state restored)\n",
@@ -153,7 +129,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  ReportAccuracy(model, samples, "train-set");
+  // p99 relative error on the tail of each populated bucket.
+  std::vector<double> flowsim_err, m3_err;
+  for (const bench::PathRow& r : bench::EvalSyntheticPaths(model, samples, true, true)) {
+    if (r.flowsim) flowsim_err.push_back(std::abs(RelativeError(*r.flowsim, r.truth)));
+    m3_err.push_back(std::abs(RelativeError(r.m3, r.truth)));
+  }
+  std::printf("train-set: |p99 err|  flowSim mean=%.1f%%  m3 mean=%.1f%%  (n=%zu)\n",
+              100.0 * Mean(flowsim_err), 100.0 * Mean(m3_err), m3_err.size());
   if (!report.train_loss.empty()) {
     std::printf("checkpoint written to %s\n", out.c_str());
   }
