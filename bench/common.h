@@ -9,6 +9,7 @@
 // The accuracy benches score m3, and load their model, through bench/eval.h.
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/eval.h"
 #include "core/estimator.h"
@@ -56,6 +58,17 @@ class WallTimer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
+
+/// Nearest-rank percentile `p` of `seconds`, in milliseconds: the sorted
+/// value at rank floor(p/100 * n), capped at the last; 0 when empty.
+inline double NearestRankMs(std::vector<double> seconds, double p) {
+  if (seconds.empty()) return 0.0;
+  std::sort(seconds.begin(), seconds.end());
+  const std::size_t idx = static_cast<std::size_t>(
+      std::min<double>(static_cast<double>(seconds.size()) - 1,
+                       p / 100.0 * static_cast<double>(seconds.size())));
+  return seconds[idx] * 1000.0;
+}
 
 /// A named full-network scenario: topology + workload + config.
 struct Mix {

@@ -28,7 +28,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -50,23 +49,11 @@ namespace m3::serve {
 namespace {
 
 using bench::EnvInt;
-using Clock = std::chrono::steady_clock;
+using bench::NearestRankMs;
+using bench::WallTimer;
 
 volatile sig_atomic_t g_shard_stop = 0;
 void OnShardSignal(int) { g_shard_stop = 1; }
-
-double SecondsSince(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-double PercentileMs(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t idx = static_cast<std::size_t>(
-      std::min<double>(static_cast<double>(v.size()) - 1,
-                       p / 100.0 * static_cast<double>(v.size())));
-  return v[idx] * 1000.0;
-}
 
 M3ModelConfig BenchModel() {
   // Full-size dims (weights are random — this bench measures serving cost,
@@ -153,12 +140,12 @@ double MsPerCall(F&& f) {
   std::vector<double> batches;
   for (int b = 0; b < 5; ++b) {
     int calls = 0;
-    const auto t0 = Clock::now();
+    const WallTimer timer;
     double s = 0.0;
     do {
       f();
       ++calls;
-      s = SecondsSince(t0);
+      s = timer.Seconds();
     } while (s < 0.05);
     batches.push_back(s * 1000.0 / calls);
   }
@@ -248,11 +235,11 @@ Point RunLoad(Router& router, const std::vector<QueryRequest>& queries) {
   Point pt;
   std::vector<double> lat;
   lat.reserve(queries.size());
-  const auto t0 = Clock::now();
+  const WallTimer timer;
   for (const QueryRequest& q : queries) {
-    const auto q0 = Clock::now();
+    const WallTimer query_timer;
     const QueryResponse resp = router.Query(q);
-    lat.push_back(SecondsSince(q0));
+    lat.push_back(query_timer.Seconds());
     if (resp.status.ok()) {
       pt.ok++;
     } else if (IsAnsweredCode(resp.status.code())) {
@@ -261,10 +248,10 @@ Point RunLoad(Router& router, const std::vector<QueryRequest>& queries) {
       pt.failed++;
     }
   }
-  const double wall = SecondsSince(t0);
+  const double wall = timer.Seconds();
   pt.qps = static_cast<double>(queries.size()) / wall;
-  pt.p50_ms = PercentileMs(lat, 50);
-  pt.p99_ms = PercentileMs(lat, 99);
+  pt.p50_ms = NearestRankMs(lat, 50);
+  pt.p99_ms = NearestRankMs(lat, 99);
   return pt;
 }
 
@@ -338,10 +325,10 @@ int main(int argc, char** argv) {
     Endpoint ep;
     ep.kind = Endpoint::Kind::kUnix;
     ep.path = s;
-    const auto t0 = Clock::now();
+    const WallTimer timer;
     for (;;) {
       if (ConnectEndpoint(ep, 0.2).ok()) break;
-      if (SecondsSince(t0) > 15.0) {
+      if (timer.Seconds() > 15.0) {
         std::fprintf(stderr, "micro_distributed: shard at %s never came up\n", s.c_str());
         cleanup(true);
         return 7;
@@ -401,16 +388,16 @@ int main(int argc, char** argv) {
     }
     std::vector<double> lat;
     const int kill_at = chaos_queries / 3;
-    const auto t0 = Clock::now();
+    const WallTimer timer;
     for (int i = 0; i < chaos_queries; ++i) {
       if (i == kill_at) {
         kill(pids.back(), SIGKILL);
         waitpid(pids.back(), nullptr, 0);
         pids.back() = -1;
       }
-      const auto q0 = Clock::now();
+      const WallTimer query_timer;
       const QueryResponse resp = router.Query(chaos_qs[static_cast<std::size_t>(i)]);
-      lat.push_back(SecondsSince(q0));
+      lat.push_back(query_timer.Seconds());
       if (resp.status.ok()) {
         chaos.ok++;
       } else if (IsAnsweredCode(resp.status.code())) {
@@ -420,9 +407,9 @@ int main(int argc, char** argv) {
       }
     }
     chaos.shards = num_shards;
-    chaos.qps = static_cast<double>(chaos_queries) / SecondsSince(t0);
-    chaos.p50_ms = PercentileMs(lat, 50);
-    chaos.p99_ms = PercentileMs(lat, 99);
+    chaos.qps = static_cast<double>(chaos_queries) / timer.Seconds();
+    chaos.p50_ms = NearestRankMs(lat, 50);
+    chaos.p99_ms = NearestRankMs(lat, 99);
     router.Stop();
   }
   std::printf("# chaos (%d shards, 1 SIGKILLed): p99 %.1f ms (%d ok, %d degraded, %d failed)\n",

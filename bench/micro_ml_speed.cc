@@ -20,13 +20,13 @@
 //   ./micro_ml_speed N E naive|avx2|avx512   (profiling mode: one serial
 //                                             trainer run)
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/common.h"
 #include "core/model.h"
 #include "core/trainer.h"
 #include "ml/autograd.h"
@@ -39,12 +39,8 @@
 namespace m3 {
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using bench::WallTimer;
 using ml::kernels::KernelImpl;
-
-double SecondsSince(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 std::vector<KernelImpl> AvailableImpls() {
   std::vector<KernelImpl> impls;
@@ -59,9 +55,9 @@ std::vector<KernelImpl> AvailableImpls() {
 template <typename Fn>
 double TimePerRep(const Fn& fn, double min_seconds = 0.2) {
   for (long reps = 1;; reps *= 2) {
-    const auto t0 = Clock::now();
+    const WallTimer timer;
     for (long r = 0; r < reps; ++r) fn();
-    const double elapsed = SecondsSince(t0);
+    const double elapsed = timer.Seconds();
     if (elapsed >= min_seconds) return elapsed / static_cast<double>(reps);
   }
 }
@@ -196,9 +192,9 @@ double RunTrainerOnce(const M3ModelConfig& cfg, const std::vector<Sample>& sampl
   opts.val_frac = 0.1;
   opts.seed = 5;
   opts.num_threads = threads;
-  const auto t0 = Clock::now();
+  const WallTimer timer;
   TrainModel(model, samples, opts);
-  const double sec = SecondsSince(t0);
+  const double sec = timer.Seconds();
   ml::kernels::SetKernelImpl(prev);
   return sec;
 }

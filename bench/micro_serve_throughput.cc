@@ -13,13 +13,12 @@
 // compute (in practice it is orders of magnitude faster).
 //
 //   ./micro_serve_throughput [num_queries] [flows_per_query] [paths]
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "bench/common.h"
 #include "serve/service.h"
 #include "topo/fat_tree.h"
 #include "workload/generator.h"
@@ -28,20 +27,8 @@
 namespace m3::serve {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-double PercentileMs(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t idx = static_cast<std::size_t>(
-      std::min<double>(static_cast<double>(v.size()) - 1,
-                       p / 100.0 * static_cast<double>(v.size())));
-  return v[idx] * 1000.0;
-}
+using bench::NearestRankMs;
+using bench::WallTimer;
 
 M3ModelConfig BenchModel() {
   M3ModelConfig mcfg;
@@ -88,13 +75,13 @@ Phase TimeQueries(int n, const Fn& run_one) {
   std::vector<double> lat;
   lat.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const auto q0 = Clock::now();
+    const WallTimer timer;
     run_one(i);
-    lat.push_back(SecondsSince(q0));
+    lat.push_back(timer.Seconds());
   }
   Phase ph;
-  ph.p50_ms = PercentileMs(lat, 50);
-  ph.p99_ms = PercentileMs(lat, 99);
+  ph.p50_ms = NearestRankMs(lat, 50);
+  ph.p99_ms = NearestRankMs(lat, 99);
   ph.qps = 1000.0 / ph.p50_ms;
   return ph;
 }

@@ -4,8 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <optional>
+#include <tuple>
 #include <utility>
 
 #include "core/validate.h"
@@ -68,15 +68,9 @@ Status Router::Start() {
   }
   shards_ = std::move(shards);
   ring_ = std::make_unique<HashRing>(names, opts_.vnodes);
-  // Synchronous first probe round (parallel: a down shard costs one connect
-  // timeout, not one per shard): a query issued right after Start() must
+  // Synchronous first probe round: a query issued right after Start() must
   // see the shards that are already up, not wait out a health interval.
-  {
-    std::vector<std::thread> th;
-    th.reserve(shards_.size());
-    for (auto& s : shards_) th.emplace_back([this, &s] { ProbeShard(*s); });
-    for (auto& t : th) t.join();
-  }
+  ProbeRound();
   {
     std::lock_guard<std::mutex> lock(mu_);
     started_ = true;
@@ -128,12 +122,17 @@ void Router::HealthLoop() {
                       [this] { return stopping_; });
     if (stopping_) return;
     lock.unlock();
-    std::vector<std::thread> th;
-    th.reserve(shards_.size());
-    for (auto& s : shards_) th.emplace_back([this, &s] { ProbeShard(*s); });
-    for (auto& t : th) t.join();
+    ProbeRound();
     lock.lock();
   }
+}
+
+void Router::ProbeRound() {
+  // In parallel: a down shard costs one connect timeout, not one per shard.
+  std::vector<std::thread> th;
+  th.reserve(shards_.size());
+  for (auto& s : shards_) th.emplace_back([this, &s] { ProbeShard(*s); });
+  for (auto& t : th) t.join();
 }
 
 void Router::ProbeShard(Shard& s) {
@@ -303,12 +302,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
   const std::size_t n = req.flows.empty() ? 0 : static_cast<std::size_t>(req.num_paths);
 
   // ---- placement: slot s goes to the ring owner of (query key, s) ----
-  const std::size_t replicas = static_cast<std::size_t>(std::max(1, opts_.replicas));
-  std::vector<std::vector<int>> pref(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pref[i] = ring_->Preference(SlotKey(query_key, i), replicas);
-  }
-
   // Availability snapshot: one liveness reading per shard per query, so
   // every slot of the query sees the same fleet.
   std::vector<char> avail(shards_.size(), 0);
@@ -318,41 +311,30 @@ QueryResponse Router::Query(const QueryRequest& req) {
     avail[s] = shards_[s]->healthy.load(std::memory_order_relaxed) ? 1 : 0;
   }
 
-  std::vector<int> cursor(n, -1);  // index into pref[i] of the current target
-  std::vector<std::optional<PathEstimate>> got(n);
-  std::vector<std::uint32_t> missing;  // slots headed for the router ladder
-  std::vector<char> in_missing(n, 0);
-  const auto push_missing = [&](std::uint32_t slot) {
-    if (!in_missing[slot]) {
-      in_missing[slot] = 1;
-      missing.push_back(slot);
-    }
+  // One state per slot: the index into pref[i] of the replica it is headed
+  // for, kGot once its estimate is in, or kLadder once no replica is left.
+  constexpr int kGot = -2;
+  constexpr int kLadder = -3;
+  const std::size_t replicas = static_cast<std::size_t>(std::max(1, opts_.replicas));
+  std::vector<std::vector<int>> pref(n);
+  std::vector<int> at(n, -1);  // -1: before the first replica
+  std::vector<PathEstimate> paths(n);
+  const auto target = [&](std::size_t i) {
+    return static_cast<std::size_t>(pref[i][static_cast<std::size_t>(at[i])]);
   };
-
-  struct Dispatch {
-    int shard = -1;
-    std::vector<std::uint32_t> slots;
+  // Moves slot i on to its next available replica, or to the ladder when
+  // none is left; true when it found a replica.
+  const auto advance = [&](std::size_t i) {
+    const int size = static_cast<int>(pref[i].size());
+    int k = at[i] + 1;
+    while (k < size && !avail[static_cast<std::size_t>(pref[i][static_cast<std::size_t>(k)])]) ++k;
+    at[i] = k < size ? k : kLadder;
+    return k < size;
   };
-  std::vector<Dispatch> queue;
-  {
-    std::map<int, std::vector<std::uint32_t>> groups;
-    for (std::size_t i = 0; i < n; ++i) {
-      report[static_cast<std::size_t>(pref[i][0])].slots_assigned++;
-      int c = -1;
-      for (std::size_t k = 0; k < pref[i].size(); ++k) {
-        if (avail[static_cast<std::size_t>(pref[i][k])]) {
-          c = static_cast<int>(k);
-          break;
-        }
-      }
-      if (c < 0) {
-        push_missing(static_cast<std::uint32_t>(i));
-        continue;
-      }
-      cursor[i] = c;
-      groups[pref[i][static_cast<std::size_t>(c)]].push_back(static_cast<std::uint32_t>(i));
-    }
-    for (auto& [sh, slots] : groups) queue.push_back(Dispatch{sh, std::move(slots)});
+  for (std::size_t i = 0; i < n; ++i) {
+    pref[i] = ring_->Preference(SlotKey(query_key, i), replicas);
+    report[static_cast<std::size_t>(pref[i][0])].slots_assigned++;
+    advance(i);
   }
 
   DegradationReport rep;
@@ -381,23 +363,31 @@ QueryResponse Router::Query(const QueryRequest& req) {
     return resp;
   }
 
-  // ---- scatter rounds: dispatch, then re-dispatch failures replica-wise ----
-  int round = 0;
-  while (!queue.empty() && strict_abort.ok()) {
-    double window = opts_.shard_timeout_seconds > 0 ? opts_.shard_timeout_seconds : kInfSeconds;
+  // ---- scatter rounds: each sends every placed slot to its replica ----
+  // A round ends each slot it sent as got, shard-dropped (ladder) or moved
+  // on down its preference list, so the rounds end within `replicas`.
+  for (;;) {
+    std::vector<std::vector<std::uint32_t>> groups(shards_.size());
+    bool pending = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (at[i] < 0) continue;
+      groups[target(i)].push_back(static_cast<std::uint32_t>(i));
+      pending = true;
+    }
+    if (!pending) break;
     const double rem = remaining();
     if (rem <= 0.0) {
       deadline_hit = true;
       break;
     }
+    double window = opts_.shard_timeout_seconds > 0 ? opts_.shard_timeout_seconds : kInfSeconds;
     window = std::min(window, rem);
     const double recv_timeout = std::isfinite(window) ? window : 0.0;  // 0 = unbounded
 
-    std::vector<StatusOr<ShardQueryResponse>> results(queue.size(),
-                                                      Status::Internal("dispatch pending"));
+    std::vector<StatusOr<ShardQueryResponse>> results(shards_.size(),
+                                                      Status::Internal("not dispatched"));
     {
       std::vector<std::thread> th;
-      th.reserve(queue.size());
       // Deadline propagation: each sub-request carries what is *left* of
       // the client's budget at dispatch time — the elapsed scatter time
       // (placement, earlier rounds) is already spent, and a shard that
@@ -407,116 +397,93 @@ QueryResponse Router::Query(const QueryRequest& req) {
       // its slot list.
       const double shard_budget = has_deadline ? std::max(rem, 1e-9) : req.deadline_seconds;
       const std::string head = EncodeShardQueryHead(req, shard_budget);
-      for (std::size_t d = 0; d < queue.size(); ++d) {
-        th.emplace_back([&, d] {
-          results[d] = CallShard(*shards_[static_cast<std::size_t>(queue[d].shard)], head,
-                                 EncodeShardQuerySlots(queue[d].slots), recv_timeout);
+      for (std::size_t sh = 0; sh < shards_.size(); ++sh) {
+        if (groups[sh].empty()) continue;
+        th.emplace_back([&, sh] {
+          results[sh] =
+              CallShard(*shards_[sh], head, EncodeShardQuerySlots(groups[sh]), recv_timeout);
         });
       }
       for (auto& t : th) t.join();
     }
 
-    std::map<int, std::vector<std::uint32_t>> next;
-    for (std::size_t d = 0; d < queue.size() && strict_abort.ok(); ++d) {
-      const Dispatch& disp = queue[d];
-      Shard& s = *shards_[static_cast<std::size_t>(disp.shard)];
-      bool reroute = false;
-      if (results[d].ok()) {
-        ShardQueryResponse& r = *results[d];
-        if (r.status.code() == StatusCode::kInvalidArgument) {
-          return reject(r.status, r.degradation);
-        }
-        if (IsAnsweredCode(r.status.code())) {
-          s.healthy.store(true, std::memory_order_relaxed);
-          if (r.model_version > model_version) {
-            model_version = r.model_version;
-            model_crc = r.model_crc;
-          }
-          if (r.model_crc != fleet_crc) mixed_models = true;
-          std::vector<char> in_group(n, 0);
-          for (std::uint32_t slot : disp.slots) in_group[slot] = 1;
-          for (const SlotEstimateWire& e : r.estimates) {
-            if (e.slot < n && in_group[e.slot] && !got[e.slot]) {
-              got[e.slot] = e.estimate;
-              report[static_cast<std::size_t>(disp.shard)].slots_ok++;
-            }
-          }
-          // Merge the shard's ladder accounting. Its *dropped* slots are
-          // not summed — they re-enter the router's own ladder below and
-          // land in exactly one merged class (no double counting).
-          rep.paths_ok += r.degradation.paths_ok;
-          rep.paths_retried += r.degradation.paths_retried;
-          rep.paths_degraded += r.degradation.paths_degraded;
-          rep.errors_exception += r.degradation.errors_exception;
-          rep.errors_nonfinite += r.degradation.errors_nonfinite;
-          rep.errors_deadline += r.degradation.errors_deadline;
-          rep.errors_validation += r.degradation.errors_validation;
-          rep.clamped_values += r.degradation.clamped_values;
-          if (rep.first_error.empty() && !r.degradation.first_error.empty()) {
-            rep.first_error = r.degradation.first_error;
-          }
-          for (std::uint32_t slot : disp.slots) {
-            if (!got[slot]) push_missing(slot);  // shard-dropped
-          }
-        } else {
-          // The shard answered "can't" (no model, strict fault): the
-          // slots move to the next replica.
-          if (shard_error.empty()) shard_error = "shard " + s.name + ": " + r.status.ToString();
-          if (req.strict) {
-            strict_abort = r.status.Annotate("shard " + s.name);
-            break;
-          }
-          reroute = true;
-        }
-      } else {
-        // Transport-level failure: the slots move to the next replica.
-        if (shard_error.empty()) shard_error = results[d].status().ToString();
-        reroute = true;
+    for (std::size_t sh = 0; sh < shards_.size(); ++sh) {
+      if (groups[sh].empty()) continue;
+      Shard& s = *shards_[sh];
+      if (!results[sh].ok()) {  // transport-level failure
+        if (shard_error.empty()) shard_error = results[sh].status().ToString();
+        continue;
       }
-      if (reroute) {
-        for (std::uint32_t slot : disp.slots) {
-          if (got[slot]) continue;
-          int c = -1;
-          for (int k = cursor[slot] + 1; k < static_cast<int>(pref[slot].size()); ++k) {
-            if (avail[static_cast<std::size_t>(pref[slot][static_cast<std::size_t>(k)])]) {
-              c = k;
-              break;
-            }
-          }
-          if (c < 0) {  // every replica tried or unavailable
-            push_missing(slot);
-            continue;
-          }
-          cursor[slot] = c;
-          const int target = pref[slot][static_cast<std::size_t>(c)];
-          next[target].push_back(slot);
-          shards_[static_cast<std::size_t>(target)]->retries.fetch_add(
-              1, std::memory_order_relaxed);
-          report[static_cast<std::size_t>(target)].retries++;
+      ShardQueryResponse& r = *results[sh];
+      if (r.status.code() == StatusCode::kInvalidArgument) {
+        return reject(r.status, r.degradation);
+      }
+      if (!IsAnsweredCode(r.status.code())) {
+        // The shard answered "can't" (no model, strict fault). Strict mode
+        // ends the query: every slot still without an estimate drops.
+        if (shard_error.empty()) shard_error = "shard " + s.name + ": " + r.status.ToString();
+        if (req.strict) {
+          strict_abort = r.status.Annotate("shard " + s.name);
+          break;
         }
+        continue;
+      }
+      s.healthy.store(true, std::memory_order_relaxed);
+      if (r.model_version > model_version) {
+        model_version = r.model_version;
+        model_crc = r.model_crc;
+      }
+      if (r.model_crc != fleet_crc) mixed_models = true;
+      // An estimate counts only for a slot headed to this shard: one it
+      // was sent this round and has not answered yet.
+      for (const SlotEstimateWire& e : r.estimates) {
+        if (e.slot < n && at[e.slot] >= 0 && target(e.slot) == sh) {
+          paths[e.slot] = e.estimate;
+          at[e.slot] = kGot;
+          report[sh].slots_ok++;
+        }
+      }
+      // Merge the shard's ladder accounting. Its *dropped* slots are not
+      // summed — they go to the router's own ladder below and land in
+      // exactly one merged class (no double counting).
+      rep.paths_ok += r.degradation.paths_ok;
+      rep.paths_retried += r.degradation.paths_retried;
+      rep.paths_degraded += r.degradation.paths_degraded;
+      rep.errors_exception += r.degradation.errors_exception;
+      rep.errors_nonfinite += r.degradation.errors_nonfinite;
+      rep.errors_deadline += r.degradation.errors_deadline;
+      rep.errors_validation += r.degradation.errors_validation;
+      rep.clamped_values += r.degradation.clamped_values;
+      if (rep.first_error.empty() && !r.degradation.first_error.empty()) {
+        rep.first_error = r.degradation.first_error;
+      }
+      for (std::uint32_t slot : groups[sh]) {
+        if (at[slot] != kGot) at[slot] = kLadder;  // shard-dropped: never re-dispatched
       }
     }
-    queue.clear();
-    for (auto& [sh, slots] : next) queue.push_back(Dispatch{sh, std::move(slots)});
-    ++round;
-    if (round > static_cast<int>(replicas) + 2) {  // safety net; unreachable via cursors
-      for (const Dispatch& d : queue) {
-        for (std::uint32_t slot : d.slots) push_missing(slot);
+    if (!strict_abort.ok()) break;
+    // A slot still placed was sent to a shard that failed it, and walks on
+    // to its next replica. Only now that the whole round is read: the
+    // estimates above were matched against this round's targets.
+    for (std::size_t i = 0; i < n; ++i) {
+      if (at[i] >= 0 && advance(i)) {
+        shards_[target(i)]->retries.fetch_add(1, std::memory_order_relaxed);
+        report[target(i)].retries++;
       }
-      break;
     }
-  }
-  // Slots still queued when the scatter loop exited (deadline or strict
-  // abort) drop through to the ladder below.
-  for (const Dispatch& d : queue) {
-    for (std::uint32_t slot : d.slots) push_missing(slot);
   }
 
   // ---- degradation ladder for unserved slots: flowSim, then drop ----
-  // The only place the router builds the tree and flows. It validates them
-  // as a shard would, which also covers the requests no shard has checked:
-  // one with no slots, or one whose every slot missed the fleet.
-  std::sort(missing.begin(), missing.end());
+  // Every slot without an estimate lands here: no replica left, dropped by
+  // its shard, or still placed when the deadline or a strict abort ended
+  // the rounds. The only place the router builds the tree and flows. It
+  // validates them as a shard would, which also covers the requests no
+  // shard has checked: one with no slots, or one whose every slot missed
+  // the fleet.
+  std::vector<std::uint32_t> missing;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (at[i] != kGot) missing.push_back(static_cast<std::uint32_t>(i));
+  }
   const auto drop_slot = [&](std::uint32_t slot) {
     const std::size_t owner = static_cast<std::size_t>(pref[slot][0]);
     rep.paths_dropped++;
@@ -526,7 +493,7 @@ QueryResponse Router::Query(const QueryRequest& req) {
   // Strict mode never substitutes an estimator: unserved slots are dropped
   // (and the answer reweighted), whether the shards were unreachable or
   // answered with their own error.
-  const bool fallback = !missing.empty() && strict_abort.ok() && !req.strict;
+  const bool fallback = !missing.empty() && !req.strict;
   if (n == 0 || fallback) {
     const double rem = remaining();
     if (rem <= 0.0) {
@@ -552,7 +519,7 @@ QueryResponse Router::Query(const QueryRequest& req) {
       for (std::uint32_t slot : missing) {
         const std::size_t owner = static_cast<std::size_t>(pref[slot][0]);
         if (slot < fb.paths.size() && HasWeight(fb.paths[slot])) {
-          got[slot] = fb.paths[slot];
+          paths[slot] = fb.paths[slot];
           rep.paths_degraded++;
           report[owner].slots_fallback++;
           shards_[owner]->slots_fallback.fetch_add(1, std::memory_order_relaxed);
@@ -566,10 +533,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
   }
 
   // ---- merge + re-aggregate (the single-host Clamp/Aggregate/Combine) ----
-  std::vector<PathEstimate> paths(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (got[i]) paths[i] = *got[i];
-  }
   // The clamp re-runs over shard-supplied bytes: both sources pre-clamp, so
   // this is 0 unless a shard shipped non-finite values — the aggregation
   // guard holds even against a corrupted peer. Width 1: queries run on
@@ -619,15 +582,10 @@ PingResponse Router::Ping() const {
   PingResponse p;
   p.router_mode = true;
   p.shards_total = static_cast<std::uint32_t>(shards_.size());
-  std::uint64_t mv = 0;
   for (const auto& s : shards_) {
-    if (s->healthy.load(std::memory_order_relaxed)) {
-      p.shards_healthy++;
-      mv = std::max(mv, s->model_version.load(std::memory_order_relaxed));
-    }
+    if (s->healthy.load(std::memory_order_relaxed)) p.shards_healthy++;
   }
-  p.model_version = mv;
-  p.model_crc = FleetModel().second;
+  std::tie(p.model_version, p.model_crc) = FleetModel();
   p.ready = p.shards_healthy > 0;
   return p;
 }
@@ -641,7 +599,6 @@ ServerStatsWire Router::Stats() const {
   st.shed_by_reason[static_cast<std::size_t>(ShedReason::kRouterBudget)] =
       st.queries_shed;
   st.router_mode = true;
-  std::uint64_t mv = 0;
   st.shards.reserve(shards_.size());
   for (const auto& s : shards_) {
     ShardHealthWire h;
@@ -653,11 +610,9 @@ ServerStatsWire Router::Stats() const {
     h.retries = s->retries.load(std::memory_order_relaxed);
     h.slots_fallback = s->slots_fallback.load(std::memory_order_relaxed);
     h.slots_dropped = s->slots_dropped.load(std::memory_order_relaxed);
-    if (h.healthy) mv = std::max(mv, h.model_version);
     st.shards.push_back(std::move(h));
   }
-  st.model_version = mv;
-  st.model_crc = FleetModel().second;
+  std::tie(st.model_version, st.model_crc) = FleetModel();
   st.query_cache = CacheOpValues(query_cache_.stats());
   return st;
 }

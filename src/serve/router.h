@@ -143,6 +143,8 @@ class Router {
   /// One liveness probe: ping over a throwaway connection; `healthy`
   /// becomes the ping's readiness (false when it fails).
   void ProbeShard(Shard& s);
+  /// Probes every shard once, in parallel (Start and the prober thread).
+  void ProbeRound();
   void HealthLoop();
 
   /// The fleet's current model identity: (version, param CRC) of the

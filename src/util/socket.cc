@@ -238,14 +238,16 @@ StatusOr<UnixFd> ListenTcp(const std::string& host, std::uint16_t port, int back
   hints.ai_socktype = SOCK_STREAM;
   hints.ai_flags = AI_PASSIVE | AI_NUMERICSERV;
   const std::string service = std::to_string(port);
-  addrinfo* res = nullptr;
+  addrinfo* raw = nullptr;
   if (const int rc = ::getaddrinfo(host.empty() ? nullptr : host.c_str(), service.c_str(),
-                                   &hints, &res);
+                                   &hints, &raw);
       rc != 0) {
     return Status::InvalidArgument("resolve " + host + ": " + ::gai_strerror(rc));
   }
+  // Owns the list, so every return below frees it.
+  const std::unique_ptr<addrinfo, decltype(&::freeaddrinfo)> res(raw, &::freeaddrinfo);
   Status last = Status::Unavailable("no usable address for " + host + ":" + service);
-  for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
+  for (addrinfo* ai = res.get(); ai != nullptr; ai = ai->ai_next) {
     UnixFd fd(::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol));
     if (!fd.valid()) {
       last = Status::Unavailable(Errno("socket"));
@@ -263,7 +265,6 @@ StatusOr<UnixFd> ListenTcp(const std::string& host, std::uint16_t port, int back
       last = Status::Unavailable(Errno("listen " + host + ":" + service));
       continue;
     }
-    ::freeaddrinfo(res);
     return fd;
   }
   return last;

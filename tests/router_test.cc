@@ -6,9 +6,10 @@
 // bitwise identical to a single daemon's, and that shard loss degrades
 // answers instead of failing them.
 //
-// Suite names here (HashRing / ShardWire / ShardExec / RouterChaos) are deliberately outside the TSan tier's suite regex in
-// tools/check.sh: RouterChaos spins real sockets and whole services, which
-// belongs in the plain and chaos tiers.
+// RouterChaos also runs in tools/check.sh's TSan tier: its shards are
+// in-process services behind real sockets, so nothing forks, and the
+// router's dispatch threads, prober thread and shard atomics race-check
+// there.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -743,12 +744,18 @@ TEST(RouterChaos, FleetModelReloadRecomputesRepeats) {
   ExpectBitwiseEqual(recomputed, repeat);
 }
 
-// A scripted shard that answers pings ready and then either refuses every
-// shard query with kUnavailable or answers each slot with a plainly valid
-// estimate.
+// A scripted shard that answers pings ready and then answers each shard
+// query as its mode says.
 class ScriptedShard {
  public:
-  ScriptedShard(const std::string& path, bool refuse) {
+  enum class Mode {
+    kServe,       // a plainly valid estimate (every value 1.25) per slot
+    kRefuse,      // kUnavailable for every query
+    kOmitFirst,   // serves every slot but the first it was sent
+    kExtraSlot,   // also an estimate (every value 7.5) for a slot it was not sent
+  };
+
+  ScriptedShard(const std::string& path, Mode mode) {
     ServerHooks hooks;
     hooks.ping = [] {
       PingResponse p;
@@ -757,18 +764,26 @@ class ScriptedShard {
       return p;
     };
     hooks.stats = [] { return ServerStatsWire{}; };
-    hooks.shard_query = [refuse](const ShardQueryRequest& req) {
+    hooks.shard_query = [mode](const ShardQueryRequest& req) {
       ShardQueryResponse resp;
       resp.model_version = 1;
-      if (refuse) {
+      if (mode == Mode::kRefuse) {
         resp.status = Status::Unavailable("no model loaded");
         return resp;
       }
-      for (std::uint32_t slot : req.slots) {
+      const auto estimate = [](std::uint32_t slot, double value) {
         PathEstimate pe;
-        for (auto& bucket : pe.pct) bucket.fill(1.25);
+        for (auto& bucket : pe.pct) bucket.fill(value);
         pe.counts.fill(2.0);
-        resp.estimates.push_back(SlotEstimateWire{slot, pe});
+        return SlotEstimateWire{slot, pe};
+      };
+      for (std::size_t k = mode == Mode::kOmitFirst ? 1 : 0; k < req.slots.size(); ++k) {
+        resp.estimates.push_back(estimate(req.slots[k], 1.25));
+      }
+      if (mode == Mode::kExtraSlot) {
+        std::uint32_t other = 0;
+        while (std::find(req.slots.begin(), req.slots.end(), other) != req.slots.end()) ++other;
+        resp.estimates.insert(resp.estimates.begin(), estimate(other, 7.5));
       }
       return resp;
     };
@@ -783,13 +798,22 @@ class ScriptedShard {
   std::unique_ptr<SocketServer> server_;
 };
 
+// Every slot lands in exactly one class: ok, fallback or dropped.
+void ExpectEverySlotClassed(const QueryResponse& resp, std::uint32_t num_paths) {
+  std::uint32_t classed = 0;
+  for (const ShardReportWire& row : resp.shards) {
+    classed += row.slots_ok + row.slots_fallback + row.slots_dropped;
+  }
+  EXPECT_EQ(classed, num_paths);
+}
+
 // A shard that answers its pings but refuses its queries stays healthy; each
 // refused slot moves at once to its ring replica. Strict mode ends the query
-// with the refusal instead.
+// with the refusal instead, and drops every slot without an estimate.
 TEST(RouterChaos, RefusingShardSlotsLandOnTheReplica) {
   const std::vector<std::string> paths = FleetPaths("rc_refuse", 2);
-  ScriptedShard refusing(paths[0], /*refuse=*/true);
-  ScriptedShard serving(paths[1], /*refuse=*/false);
+  ScriptedShard refusing(paths[0], ScriptedShard::Mode::kRefuse);
+  ScriptedShard serving(paths[1], ScriptedShard::Mode::kServe);
   ASSERT_TRUE(refusing.start_status().ok()) << refusing.start_status().ToString();
   ASSERT_TRUE(serving.start_status().ok()) << serving.start_status().ToString();
 
@@ -822,6 +846,73 @@ TEST(RouterChaos, RefusingShardSlotsLandOnTheReplica) {
       << sresp.status.ToString();
   EXPECT_NE(sresp.status.message().find("no model loaded"), std::string::npos)
       << sresp.status.ToString();
+  ExpectEverySlotClassed(sresp, kSlots);
+  EXPECT_EQ(sresp.degradation.paths_dropped, kSlots);
+}
+
+// A shard that answers but leaves a slot out: that slot gets the router's
+// flowSim fallback, credited to its owner, and is never re-dispatched.
+TEST(RouterChaos, SlotLeftOutOfAnAnswerFallsBackWithoutRetry) {
+  const std::vector<std::string> paths = FleetPaths("rc_omit", 2);
+  ScriptedShard serving(paths[0], ScriptedShard::Mode::kServe);
+  ScriptedShard omitting(paths[1], ScriptedShard::Mode::kOmitFirst);
+  ASSERT_TRUE(serving.start_status().ok()) << serving.start_status().ToString();
+  ASSERT_TRUE(omitting.start_status().ok()) << omitting.start_status().ToString();
+
+  Router router(FastRouterOptions(paths));
+  ASSERT_TRUE(router.Start().ok());
+  ASSERT_EQ(router.Ping().shards_healthy, 2u);
+
+  constexpr int kSlots = 24;
+  const QueryResponse resp = router.Query(FleetQuery(kSlots));
+  ASSERT_EQ(resp.shards.size(), 2u);
+  const ShardReportWire& kept = resp.shards[0];
+  const ShardReportWire& left = resp.shards[1];
+  ASSERT_GT(left.slots_assigned, 0u) << "the ring gave the omitting shard no slot";
+  EXPECT_EQ(resp.status.code(), StatusCode::kDegraded) << resp.status.ToString();
+  EXPECT_EQ(resp.degradation.paths_degraded, 1);
+  EXPECT_EQ(resp.degradation.paths_dropped, 0);
+  EXPECT_EQ(kept.slots_ok, kept.slots_assigned);
+  EXPECT_EQ(kept.slots_fallback, 0u);
+  EXPECT_EQ(left.slots_ok, left.slots_assigned - 1);
+  EXPECT_EQ(left.slots_fallback, 1u);
+  EXPECT_EQ(kept.retries, 0u);
+  EXPECT_EQ(left.retries, 0u);
+  ExpectEverySlotClassed(resp, kSlots);
+  const ServerStatsWire st = router.Stats();
+  EXPECT_EQ(st.shards[1].slots_fallback, 1u);
+  for (const ShardHealthWire& sh : st.shards) {
+    EXPECT_EQ(sh.retries, 0u) << sh.address;
+    EXPECT_EQ(sh.dispatches, 1u) << sh.address;
+  }
+}
+
+// An estimate for a slot the shard was not sent is ignored, even when it
+// arrives before the estimate of the shard the slot was sent to.
+TEST(RouterChaos, EstimateForASlotNotSentIsIgnored) {
+  const std::vector<std::string> paths = FleetPaths("rc_extra", 2);
+  ScriptedShard extra(paths[0], ScriptedShard::Mode::kExtraSlot);
+  ScriptedShard serving(paths[1], ScriptedShard::Mode::kServe);
+  ASSERT_TRUE(extra.start_status().ok()) << extra.start_status().ToString();
+  ASSERT_TRUE(serving.start_status().ok()) << serving.start_status().ToString();
+
+  Router router(FastRouterOptions(paths));
+  ASSERT_TRUE(router.Start().ok());
+  ASSERT_EQ(router.Ping().shards_healthy, 2u);
+
+  constexpr int kSlots = 24;
+  const QueryResponse resp = router.Query(FleetQuery(kSlots));
+  ASSERT_EQ(resp.shards.size(), 2u);
+  ASSERT_GT(resp.shards[0].slots_assigned, 0u);
+  ASSERT_GT(resp.shards[1].slots_assigned, 0u);
+  EXPECT_EQ(resp.status.code(), StatusCode::kOk) << resp.status.ToString();
+  for (const ShardReportWire& row : resp.shards) {
+    EXPECT_EQ(row.slots_ok, row.slots_assigned) << row.shard;
+  }
+  ExpectEverySlotClassed(resp, kSlots);
+  // Every accepted estimate is 1.25 everywhere; the ignored one is 7.5.
+  ASSERT_FALSE(resp.combined_pct.empty());
+  for (const double v : resp.combined_pct) EXPECT_EQ(v, 1.25);
 }
 
 // A request the shards' validator rejects is the client's fault: the query

@@ -7,6 +7,9 @@
 // The hot-reload and concurrent-query tests are the designated TSan
 // workload (tools/check.sh runs this binary under -fsanitize=thread).
 #include <gtest/gtest.h>
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -1845,6 +1848,21 @@ TEST(SocketServer, ServesUnixAndTcpListenersSimultaneously) {
   // Both listeners are down after one Stop.
   EXPECT_EQ(ConnectUnix(sock).status().code(), StatusCode::kNotFound);
   EXPECT_FALSE(ConnectTcpTimeout("127.0.0.1", tcp.port, 0.5).ok());
+}
+
+// A port another listener holds cannot be bound: every resolved address
+// fails, and ListenTcp answers kUnavailable (freeing its address list on
+// that path too, which LeakSanitizer checks).
+TEST(SocketServer, ListenTcpOnAHeldPortIsUnavailable) {
+  StatusOr<UnixFd> held = ListenTcp("127.0.0.1", 0);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(held->get(), reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const std::uint16_t port = ntohs(addr.sin_port);
+  ASSERT_NE(port, 0);
+  const StatusOr<UnixFd> again = ListenTcp("127.0.0.1", port);
+  EXPECT_EQ(again.status().code(), StatusCode::kUnavailable) << again.status().ToString();
 }
 
 TEST(SocketServer, EmptyHooksAnswerUnavailableNotCrash) {

@@ -9,8 +9,9 @@
 # undefined behaviour under fault, with the wire codec suites (hostile
 # counts, truncations and bit flips through the unchecked record-block
 # reader), then a ThreadSanitizer build of the
-# serving suites so hot-reload-under-load, the shared result caches, and the
-# scheduler/socket shutdown paths are checked for data races, and finally
+# serving suites so hot-reload-under-load, the shared result caches, the
+# scheduler/socket shutdown paths and the router's scatter and prober
+# threads are checked for data races, and finally
 # the chaos tier: the supervised-worker suites under ASan (fork + crash +
 # watchdog paths) plus a live mini-soak — a real m3d with 4
 # supervised workers serving m3_client load-gen while every worker is
@@ -146,10 +147,12 @@ echo "== TSan: serving / hot-reload / scheduler suites =="
 # inference scratch. The Service pattern also covers each service worker
 # thread's thread_local request flows. OverloadAdmission drives admission,
 # which Query's queue entries share while borrowing the caller's request.
+# RouterChaos runs the router's per-dispatch threads, its prober thread and
+# the shard atomics; every shard in it is in-process, so nothing forks.
 cmake -B build-tsan -S . -DM3_SANITIZE=thread "$@"
 cmake --build build-tsan -j"$JOBS" --target m3_tests
 ctest --test-dir build-tsan --output-on-failure -j"$JOBS" \
-  -R 'Service|SocketServer|ModelRegistry|LruCache|ThreadPool|ScenarioReuse|ModelInfer|OverloadAdmission'
+  -R 'Service|SocketServer|ModelRegistry|LruCache|ThreadPool|ScenarioReuse|ModelInfer|OverloadAdmission|RouterChaos'
 
 echo "== chaos: supervised-worker + router fleet suites under ASan =="
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
